@@ -28,7 +28,6 @@ import numpy as np
 
 from repro.channel.geometry import LinkGeometry, Point
 from repro.channel.propagation import SPEED_OF_LIGHT
-from repro.dsp.precision import unit_phasor
 
 
 @dataclass(frozen=True)
@@ -158,7 +157,6 @@ class MultipathChannel:
         frequencies_hz: np.ndarray,
         phase_offsets: np.ndarray | None = None,
         gain_factors: np.ndarray | None = None,
-        dtype: np.dtype | type | None = None,
     ) -> np.ndarray:
         """Per-packet sum of reflected rays, shape ``(M, K, A)``.
 
@@ -166,17 +164,8 @@ class MultipathChannel:
         ``gain_factors`` carry one row per packet, shape ``(M, P)``.  The
         per-path accumulation order matches the scalar method, so the two
         agree to floating-point rounding.
-
-        ``dtype`` is the *real* working precision of the broadcast
-        arithmetic (``None`` keeps the historical float64 path
-        bit-for-bit; float32 evaluates the per-path complex exponentials
-        in complex64 -- half the traffic on the hottest array in the
-        capture pipeline).  The phase geometry itself is always built in
-        float64 and rounded once per path, not compounded.
         """
         freqs = np.asarray(frequencies_hz, dtype=float)
-        work = np.dtype(float if dtype is None else dtype)
-        cdtype = np.complex64 if work == np.float32 else np.complex128
         num_ant = len(self._rx_positions)
         if phase_offsets is None and gain_factors is None:
             raise ValueError(
@@ -186,7 +175,7 @@ class MultipathChannel:
         num_packets = (
             phase_offsets if phase_offsets is not None else gain_factors
         ).shape[0]
-        response = np.zeros((num_packets, freqs.size, num_ant), dtype=cdtype)
+        response = np.zeros((num_packets, freqs.size, num_ant), dtype=complex)
         if not self.paths:
             return response
         delays = self.reflection_delays()
@@ -197,20 +186,16 @@ class MultipathChannel:
             )
             if phase_offsets is None:
                 phase = np.broadcast_to(
-                    base_phase.astype(work, copy=False)[None, :, :],
+                    base_phase[None, :, :],
                     (num_packets,) + base_phase.shape,
                 )
             else:
-                phase = (
-                    base_phase[None, :, :] + phase_offsets[:, p, None, None]
-                ).astype(work, copy=False)
+                phase = base_phase[None, :, :] + phase_offsets[:, p, None, None]
             if gain_factors is None:
-                gains = np.full(num_packets, path.gain, dtype=work)
+                gains = np.full(num_packets, path.gain)
             else:
-                gains = (path.gain * gain_factors[:, p]).astype(
-                    work, copy=False
-                )
-            response += gains[:, None, None] * unit_phasor(phase)
+                gains = path.gain * gain_factors[:, p]
+            response += gains[:, None, None] * np.exp(1j * phase)
         return response
 
     def total_response_batch(
@@ -219,21 +204,15 @@ class MultipathChannel:
         los_multiplier: np.ndarray | complex = 1.0,
         phase_offsets: np.ndarray | None = None,
         gain_factors: np.ndarray | None = None,
-        dtype: np.dtype | type | None = None,
     ) -> np.ndarray:
         """Batched :meth:`total_response`, shape ``(M, K, A)``.
 
         The LoS term is static across packets, so it is built once and
-        broadcast against the per-packet reflection sum.  ``dtype`` is
-        the real working precision (see
-        :meth:`reflection_response_batch`); the LoS grid is computed in
-        float64 and rounded once before the broadcast add.
+        broadcast against the per-packet reflection sum.
         """
         los = self._los_with_multiplier(frequencies_hz, los_multiplier)
-        if dtype is not None and np.dtype(dtype) == np.float32:
-            los = los.astype(np.complex64)
         reflections = self.reflection_response_batch(
-            frequencies_hz, phase_offsets, gain_factors, dtype=dtype
+            frequencies_hz, phase_offsets, gain_factors
         )
         return los[None, :, :] + reflections
 

@@ -408,39 +408,6 @@ def _stream_bench(args) -> str:
     return report
 
 
-def _precision_bench(args) -> str:
-    """``repro precision-bench``: float32-vs-float64 compute-path suite.
-
-    Times the reduced-precision kernels (denoiser, simulator compute
-    pass, shared Gram) against the default float64 paths, runs the
-    paper identification scenario end to end at both precisions, and
-    measures the ring-buffer window-assembly allocation peak against
-    the list-of-arrays scheme.  Writes/merges the JSON report
-    (``--precision-output``), compares timings against the committed
-    baseline (``--precision-baseline``), and exits non-zero on any gate
-    failure: float32 accuracy below float64, assembly allocating more
-    than the old scheme, a full-suite kernel speedup under the floor,
-    or a timing regression beyond ``--precision-max-regression``.
-    """
-    from repro.experiments import precisionbench
-
-    mode = "smoke" if args.smoke else "full"
-    baseline = precisionbench.load_report(args.precision_baseline)
-    results = precisionbench.run_suite(
-        mode, progress=lambda name: print(f"  running {name}...", flush=True)
-    )
-    precisionbench.write_report(args.precision_output, mode, results)
-    regressions = precisionbench.compare_to_baseline(
-        results, baseline, mode, args.precision_max_regression
-    )
-    failures = precisionbench.check_results(results, mode)
-    report = precisionbench.render_report(mode, results, regressions, failures)
-    report += f"\n  report written to {args.precision_output}"
-    if regressions or failures:
-        raise SystemExit(report)
-    return report
-
-
 def _bench_compare(args) -> str:
     """``repro bench-compare``: diff two benchmark JSON reports.
 
@@ -674,10 +641,6 @@ COMMANDS: dict[str, Command] = {
         _stream_bench, "streaming time-to-first-estimate vs batch latency",
         in_all=False,
     ),
-    "precision-bench": Command(
-        _precision_bench, "float32 compute paths vs float64 baselines",
-        in_all=False,
-    ),
     "bench-compare": Command(
         _bench_compare, "diff two benchmark JSON reports", in_all=False
     ),
@@ -786,20 +749,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--stream-max-regression", type=float, default=3.0,
         help="fail when a gated streaming timing exceeds this multiple of "
         "the baseline's (default 3.0; <= 0 disables the gate)",
-    )
-    precision = parser.add_argument_group("precision-bench options")
-    precision.add_argument(
-        "--precision-output", default="BENCH_PR9.json",
-        help="JSON report to write/merge (default BENCH_PR9.json)",
-    )
-    precision.add_argument(
-        "--precision-baseline", default="BENCH_PR9.json",
-        help="committed report to compare against (default BENCH_PR9.json)",
-    )
-    precision.add_argument(
-        "--precision-max-regression", type=float, default=2.0,
-        help="fail when new_s exceeds this multiple of the baseline's "
-        "(default 2.0; <= 0 disables the gate)",
     )
     compare = parser.add_argument_group("bench-compare options")
     compare.add_argument(

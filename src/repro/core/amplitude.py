@@ -19,7 +19,6 @@ import numpy as np
 
 from repro.core.validation import validate_antenna, validate_antenna_pair
 from repro.csi.model import CsiTrace
-from repro.dsp.precision import real_dtype
 from repro.dsp.stats import finite_mean, finite_median
 from repro.dsp.wavelet_denoise import SpatiallySelectiveDenoiser, remove_outliers
 
@@ -83,11 +82,7 @@ class AmplitudeProcessor:
         num_packets, num_sc, num_ant = amps.shape
         # One batched denoiser pass over all (subcarrier, antenna)
         # columns at once: (M, K, A) -> (M, K*A) -> denoise -> back.
-        # Cast up front to the denoiser's working precision so the
-        # imputation/reshape traffic runs at it too (no-op for float64).
-        columns = amps.reshape(num_packets, num_sc * num_ant).astype(
-            real_dtype(self.denoiser.precision), copy=False
-        )
+        columns = amps.reshape(num_packets, num_sc * num_ant)
         # The wavelet convolution would smear a single NaN over the whole
         # series; impute degraded samples with the series' finite median
         # first.  A fully dead series has no median to impute from -- it

@@ -56,15 +56,6 @@ class WiMiConfig:
         stream_hop: Stride (packets) between consecutive streaming
             windows; ``hop < window`` overlaps windows and overlap-added
             samples are averaged.  Must satisfy ``1 <= hop <= window``.
-        compute_precision: Working floating-point precision of the hot
-            compute paths: ``"float64"`` (default, bit-compatible with
-            the scalar references) or ``"float32"`` (halves memory
-            bandwidth in the batched denoiser, the simulator compute
-            pass and the Gram-matrix kernels; features stay within the
-            documented tolerances and labels are unchanged on the paper
-            scenario -- see DESIGN.md §14).  Participates in the cache
-            keys of every precision-sensitive stage, so float32 and
-            float64 artifacts never alias.
         degradation_policy: How the pipeline treats degraded captures:
             ``"degrade"`` (default -- hard failures raise
             ``CorruptTraceError``, soft issues warn and trigger
@@ -100,7 +91,6 @@ class WiMiConfig:
     include_coarse_feature: bool = True
     stream_window_size: int = 8
     stream_hop: int = 4
-    compute_precision: str = "float64"
     degradation_policy: str = "degrade"
     quality_thresholds: QualityThresholds = field(
         default_factory=QualityThresholds
@@ -149,11 +139,6 @@ class WiMiConfig:
             raise ValueError(
                 f"stream_hop must be in [1, stream_window_size="
                 f"{self.stream_window_size}], got {self.stream_hop}"
-            )
-        if self.compute_precision not in ("float64", "float32"):
-            raise ValueError(
-                "compute_precision must be 'float64' or 'float32', got "
-                f"{self.compute_precision!r}"
             )
 
     def with_overrides(self, **changes) -> "WiMiConfig":

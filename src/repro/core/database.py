@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.feature import FeatureMeasurement
-from repro.dsp.precision import validate_precision
 from repro.ml.centroid import NearestCentroidClassifier
 from repro.ml.kernels import make_kernel
 from repro.ml.knn import KNeighborsClassifier
@@ -134,6 +133,22 @@ class MaterialDatabase:
         return cls(entries=entries)
 
 
+def check_legacy_precision(precision: str, field: str) -> None:
+    """Refuse a saved model whose legacy ``field`` is not float64.
+
+    Bundles saved while the pipeline had a float32 compute path record
+    its precision.  A ``"float64"`` bundle matches what the pipeline
+    still computes, so it loads unchanged; a ``"float32"`` one trained
+    its SVM on a float32 Gram, and serving it here would silently shift
+    its predictions.
+    """
+    if precision != "float64":
+        raise ValueError(
+            f"saved state has {field}={precision!r}; only 'float64' is "
+            "supported -- retrain the model"
+        )
+
+
 class DatabaseClassifier:
     """A scaler + classifier trained from a :class:`MaterialDatabase`."""
 
@@ -143,19 +158,13 @@ class DatabaseClassifier:
         svm_c: float = 10.0,
         knn_k: int = 5,
         seed: int = 0,
-        precision: str = "float64",
     ):
         if kind not in ("svm", "knn", "centroid"):
             raise ValueError(f"unknown classifier kind {kind!r}")
-        validate_precision(precision)
         self.kind = kind
         self.svm_c = svm_c
         self.knn_k = knn_k
         self.seed = seed
-        #: Working precision of the shared SVM Gram evaluation
-        #: (``WiMiConfig.compute_precision``); SMO still accumulates
-        #: in float64 either way.
-        self.precision = precision
         self._scaler = StandardScaler()
         self._clf = None
         self._centroids: NearestCentroidClassifier | None = None
@@ -167,12 +176,7 @@ class DatabaseClassifier:
             raise ValueError("need at least two materials to train")
         x = self._scaler.fit_transform(x)
         if self.kind == "svm":
-            self._clf = OneVsOneSVC(
-                kernel="rbf",
-                C=self.svm_c,
-                seed=self.seed,
-                precision=self.precision,
-            )
+            self._clf = OneVsOneSVC(kernel="rbf", C=self.svm_c, seed=self.seed)
         elif self.kind == "knn":
             self._clf = KNeighborsClassifier(k=self.knn_k)
         else:
@@ -272,7 +276,6 @@ class DatabaseClassifier:
             "svm_c": self.svm_c,
             "knn_k": self.knn_k,
             "seed": self.seed,
-            "precision": self.precision,
             "centroid_classes": [str(c) for c in self._centroids.classes_],
         }
         arrays: dict[str, np.ndarray] = {
@@ -321,14 +324,12 @@ class DatabaseClassifier:
         cls, meta: dict, arrays: dict[str, np.ndarray]
     ) -> "DatabaseClassifier":
         """Rebuild a fitted classifier from :meth:`to_state` output."""
+        check_legacy_precision(meta.get("precision", "float64"), "precision")
         self = cls(
             kind=str(meta["kind"]),
             svm_c=float(meta["svm_c"]),
             knn_k=int(meta["knn_k"]),
             seed=int(meta["seed"]),
-            # Older bundles predate the precision knob; they were
-            # trained on the historical float64 path.
-            precision=str(meta.get("precision", "float64")),
         )
         self._scaler._mean = np.asarray(arrays["scaler_mean"], dtype=float)
         self._scaler._scale = np.asarray(arrays["scaler_scale"], dtype=float)

@@ -37,7 +37,11 @@ import numpy as np
 from repro.core.amplitude import AmplitudeProcessor
 from repro.core.antenna import AntennaPairSelector
 from repro.core.config import WiMiConfig
-from repro.core.database import DatabaseClassifier, MaterialDatabase
+from repro.core.database import (
+    DatabaseClassifier,
+    MaterialDatabase,
+    check_legacy_precision,
+)
 from repro.core.feature import (
     FeatureMeasurement,
     MaterialFeatureExtractor,
@@ -102,7 +106,6 @@ class WiMi:
             wavelet_name=self.config.wavelet_name,
             levels=self.config.wavelet_levels,
             outlier_sigmas=self.config.outlier_sigmas,
-            precision=self.config.compute_precision,
         )
         self.amplitude = AmplitudeProcessor(
             denoiser=denoiser, denoise=self.config.denoise_amplitude
@@ -695,7 +698,6 @@ class WiMi:
             kind=self.config.classifier,
             svm_c=self.config.svm_c,
             knn_k=self.config.knn_k,
-            precision=self.config.compute_precision,
         ).fit(self.database)
         self._classifier_token = self._compute_classifier_token()
 
@@ -965,6 +967,10 @@ class WiMi:
         meta, arrays, _manifest = registry.load(name, version)
 
         config_dict = dict(meta["config"])
+        check_legacy_precision(
+            config_dict.pop("compute_precision", "float64"),
+            "compute_precision",
+        )
         thresholds = config_dict.pop("quality_thresholds", None)
         for field in ("subcarrier_override", "antenna_pair"):
             if config_dict.get(field) is not None:

@@ -46,7 +46,6 @@ from repro.core.feature import (
 )
 from repro.csi.collector import CaptureSession
 from repro.csi.model import CsiPacket, CsiTrace
-from repro.dsp.precision import real_dtype
 from repro.dsp.ringbuffer import RowRingBuffer
 from repro.dsp.stats import circular_mean, finite_mean, finite_median, wrap_phase
 from repro.dsp.streaming import (
@@ -113,32 +112,25 @@ class StreamingResult:
 class _TraceStream:
     """Running state of one trace (baseline or target) of a stream."""
 
-    def __init__(
-        self,
-        num_subcarriers: int,
-        num_antennas: int,
-        denoise,
-        precision: str = "float64",
-    ):
+    def __init__(self, num_subcarriers: int, num_antennas: int, denoise):
         self.num_subcarriers = num_subcarriers
         self.num_antennas = num_antennas
         self._denoise = denoise  # (rows, start) -> denoised rows
-        self._dtype = real_dtype(precision)
         self._pairs = [
             (i, j)
             for i in range(num_antennas)
             for j in range(i + 1, num_antennas)
         ]
         self._phase = {
-            pair: RunningCircularStats((num_subcarriers,), precision)
+            pair: RunningCircularStats((num_subcarriers,))
             for pair in self._pairs
         }
         self.packets: list[CsiPacket] = []
         channels = num_subcarriers * num_antennas
         # Raw |H| rows in one contiguous arena: each denoise window is a
         # zero-copy view of it instead of an np.stack over a row list.
-        self._rows = RowRingBuffer(channels, dtype=self._dtype)
-        self._den_sum = np.zeros((0, channels), dtype=self._dtype)
+        self._rows = RowRingBuffer(channels)
+        self._den_sum = np.zeros((0, channels))
         self._weight = np.zeros((0, channels), dtype=np.int64)
         self._next_start = 0
         self._covered_end = 0
@@ -180,7 +172,7 @@ class _TraceStream:
         # row arena; the denoise stage hashes and reads it, never
         # mutates it (its outputs are fresh arrays).
         slab = self._rows.window(start, stop)
-        out = np.asarray(self._denoise(slab, start), dtype=self._dtype)
+        out = np.asarray(self._denoise(slab, start), dtype=float)
         self._ensure_capacity(stop)
         OverlapWindowDenoiser.accumulate(
             self._den_sum, self._weight, start, out
@@ -201,7 +193,7 @@ class _TraceStream:
             return
         capacity = max(16, 2 * have, rows)
         channels = self._den_sum.shape[1]
-        den_sum = np.zeros((capacity, channels), dtype=self._den_sum.dtype)
+        den_sum = np.zeros((capacity, channels))
         den_sum[:have] = self._den_sum
         weight = np.zeros((capacity, channels), dtype=np.int64)
         weight[:have] = self._weight
@@ -366,7 +358,6 @@ class StreamingExtractor:
             denoise=lambda rows, start: engine.stream_window_denoise(
                 rows, start
             ).amplitudes,
-            precision=self._wimi.config.compute_precision,
         )
         if which == "baseline":
             self._baseline = stream

@@ -116,9 +116,6 @@ class DataCollector:
             the beaker's lateral offset between sessions.  The material
             feature is size/position independent, so this exercises that
             invariance rather than hurting accuracy.
-        precision: Working precision of each session's simulator compute
-            pass (see :class:`CsiSimulator`); the RNG draw order is
-            precision independent, so seeds line up across precisions.
     """
 
     def __init__(
@@ -127,7 +124,6 @@ class DataCollector:
         profile: HardwareProfile | None = None,
         rng: np.random.Generator | int | None = None,
         offset_jitter: float = 0.0015,
-        precision: str = "float64",
     ):
         if scene.target is None:
             raise ValueError(
@@ -144,7 +140,6 @@ class DataCollector:
         else:
             self.rng = np.random.default_rng(rng)
         self.offset_jitter = offset_jitter
-        self.precision = precision
         # The deployment's multipath realisation: fixed for the lifetime of
         # this collector, drifted slightly per session.
         self.channel = scene.environment.build_channel(scene.geometry, self.rng)
@@ -170,11 +165,7 @@ class DataCollector:
             self.rng, scene.environment.session_drift_rad
         )
         simulator = CsiSimulator(
-            scene,
-            self.profile,
-            rng=self.rng,
-            channel=drifted,
-            precision=self.precision,
+            scene, self.profile, rng=self.rng, channel=drifted
         )
         baseline = simulator.capture(
             config.baseline_material,

@@ -31,8 +31,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from repro.dsp.precision import unit_phasor
-
 
 @dataclass(frozen=True)
 class IntelQuantizer:
@@ -69,18 +67,11 @@ class IntelQuantizer:
         """Quantise a packet block ``(M, K, A)`` with per-packet scales.
 
         Matches :meth:`apply` called per packet: each packet gets its own
-        automatic scale from its own peak component.  Dtype-preserving
-        for complex input (a complex64 block quantises in complex64);
-        anything else is coerced to complex128 as before.
+        automatic scale from its own peak component.
         """
         if not self.enabled:
-            out = np.array(csi)
-            if not np.issubdtype(out.dtype, np.complexfloating):
-                out = out.astype(complex)
-            return out
-        csi = np.asarray(csi)
-        if not np.issubdtype(csi.dtype, np.complexfloating):
-            csi = csi.astype(complex)
+            return np.array(csi, dtype=complex)
+        csi = np.asarray(csi, dtype=complex)
         if csi.shape[0] == 0:
             return csi.copy()
         peak = np.maximum(
@@ -328,18 +319,8 @@ class HardwareProfile:
         per packet.  Identical maths to the scalar path, reassociated only
         where IEEE multiplication by exactly 1.0 is a no-op, so results
         match the per-packet path to floating-point rounding.
-
-        Dtype-preserving: a complex64 block runs every broadcast
-        multiply in complex64 (the draw records stay float64; each
-        modifier is built in float64 and rounded once before it meets
-        the CSI, so reduced precision never compounds through the
-        chain).  complex128 input reproduces the historical arithmetic
-        bit-for-bit.
         """
-        csi = np.array(clean_csi)
-        if not np.issubdtype(csi.dtype, np.complexfloating):
-            csi = csi.astype(complex)
-        work = np.float32 if csi.dtype == np.complex64 else np.float64
+        csi = np.array(clean_csi, dtype=complex)
         num_packets, num_sc, num_ant = csi.shape
         if len(draws) != num_packets:
             raise ValueError(
@@ -352,10 +333,8 @@ class HardwareProfile:
         k = np.arange(num_sc, dtype=float)
         slopes = np.array([d.clock_slope for d in draws])
         offsets = np.array([d.clock_offset for d in draws])
-        clock = (k[None, :] * slopes[:, None] + offsets[:, None]).astype(
-            work, copy=False
-        )
-        csi = csi * unit_phasor(clock)[:, :, None]
+        clock = k[None, :] * slopes[:, None] + offsets[:, None]
+        csi = csi * np.exp(1j * clock)[:, :, None]
 
         # 2. Per-antenna measurement noise.
         factors = np.array(
@@ -363,18 +342,14 @@ class HardwareProfile:
         )
         phase_z = np.stack([d.phase_z for d in draws])
         amp_z = np.stack([d.amp_z for d in draws])
-        csi = csi * (1.0 + amp_z * factors[None, None, :]).astype(
-            work, copy=False
-        )
-        csi = csi * unit_phasor(
-            (phase_z * factors[None, None, :]).astype(work, copy=False)
-        )
+        csi = csi * (1.0 + amp_z * factors[None, None, :])
+        csi = csi * np.exp(1j * phase_z * factors[None, None, :])
 
         # 3. Common-mode gain and outlier excursions (x * 1.0 is exact for
         #    untriggered packets, so one broadcast multiply suffices).
-        common = np.array([d.common_gain for d in draws], dtype=work)
+        common = np.array([d.common_gain for d in draws])
         csi = csi * common[:, None, None]
-        outlier = np.array([d.outlier_mult for d in draws], dtype=work)
+        outlier = np.array([d.outlier_mult for d in draws])
         csi = csi * outlier[:, None, None]
 
         # 4. Impulse bursts: rare, applied sparsely.  The burst level

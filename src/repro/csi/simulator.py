@@ -49,7 +49,6 @@ from repro.channel.propagation import (
 from repro.csi.impairments import HardwareProfile
 from repro.csi.model import CsiTrace
 from repro.csi.subcarriers import subcarrier_frequencies
-from repro.dsp.precision import complex_dtype, real_dtype, validate_precision
 
 #: Packet interval of the paper's receiver (one CSI sample every 10 ms).
 PACKET_INTERVAL_S = 0.01
@@ -100,13 +99,6 @@ class CsiSimulator:
     One simulator instance holds one concrete multipath realisation, so
     baseline and target captures taken from the same instance see the same
     static environment -- exactly like the paper's paired measurements.
-
-    ``precision`` is the working dtype of the vectorised compute pass
-    (``WiMiConfig.compute_precision``): float32 runs the per-packet
-    channel evaluation and impairment chain in complex64.  The RNG draw
-    pass is always float64 in the legacy order, so a seed selects the
-    same randomness at either precision, and the emitted trace is
-    complex128 either way (:meth:`CsiTrace.from_matrix` coerces).
     """
 
     def __init__(
@@ -115,12 +107,8 @@ class CsiSimulator:
         profile: HardwareProfile | None = None,
         rng: np.random.Generator | int | None = None,
         channel: MultipathChannel | None = None,
-        precision: str = "float64",
     ):
-        validate_precision(precision)
         self.scene = scene
-        self.precision = precision
-        self._cdtype = complex_dtype(precision)
         self.profile = profile if profile is not None else HardwareProfile()
         if isinstance(rng, np.random.Generator):
             self.rng = rng
@@ -364,28 +352,22 @@ class CsiSimulator:
                 self.profile.draw_packet_impairments(num_sc, num_ant, self.rng)
             )
 
-        # Compute pass: one broadcast evaluation over all packets, at the
-        # simulator's working precision (the target physics above stays
-        # float64; it is rounded once entering the channel).
+        # Compute pass: one broadcast evaluation over all packets.
         if num_paths:
             clean = self.channel.total_response_batch(
                 self.frequencies_hz,
                 los_multiplier=multiplier,
                 phase_offsets=phase_offsets,
                 gain_factors=gain_factors,
-                dtype=real_dtype(self.precision),
             )
         else:
             static = self.channel.total_response(
                 self.frequencies_hz, los_multiplier=multiplier
-            ).astype(self._cdtype, copy=False)
+            )
             clean = np.broadcast_to(
                 static[None, :, :], (num_packets, num_sc, num_ant)
             ).copy()
         if noise is not None:
-            # Cast the (float64-drawn) noise once; the scalar factors are
-            # weak, so a complex64 block stays complex64.
-            noise = noise.astype(self._cdtype, copy=False)
             clean = clean + env.noise_floor * noise / math.sqrt(2.0)
         packets = self.profile.apply_to_packets(clean, draws)
 

@@ -34,23 +34,19 @@ class RowRingBuffer:
 
     Args:
         channels: Row width (fixed for the buffer's lifetime).
-        dtype: Storage dtype of the rows (the streaming path passes its
-            working precision, so a float32 stream stores float32 rows
-            -- half the arena traffic).
         capacity: Initial preallocated row count; grows by doubling.
     """
 
     def __init__(
         self,
         channels: int,
-        dtype: np.dtype | type = np.float64,
         capacity: int = _INITIAL_CAPACITY,
     ):
         if channels < 1:
             raise ValueError(f"channels must be >= 1, got {channels}")
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self._buffer = np.empty((capacity, channels), dtype=np.dtype(dtype))
+        self._buffer = np.empty((capacity, channels))
         self._length = 0
 
     @property
@@ -62,11 +58,6 @@ class RowRingBuffer:
     def capacity(self) -> int:
         """Currently allocated row slots."""
         return self._buffer.shape[0]
-
-    @property
-    def dtype(self) -> np.dtype:
-        """Storage dtype."""
-        return self._buffer.dtype
 
     def __len__(self) -> int:
         return self._length
@@ -88,9 +79,7 @@ class RowRingBuffer:
 
     def _grow(self, capacity: int) -> None:
         old = self._buffer
-        self._buffer = np.empty(
-            (capacity, old.shape[1]), dtype=old.dtype
-        )
+        self._buffer = np.empty((capacity, old.shape[1]))
         self._buffer[: self._length] = old[: self._length]
 
     def window(self, start: int, stop: int) -> np.ndarray:

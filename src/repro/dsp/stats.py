@@ -255,14 +255,8 @@ def angular_spread_deg_axis(
 
 
 def mad_axis(x: np.ndarray, axis: int = 0) -> np.ndarray:
-    """Per-slice :func:`mad` along ``axis``.
-
-    Preserves a float32 input's dtype (the low-precision denoiser
-    threshold path); other dtypes promote to float64 as before.
-    """
-    x = np.asarray(x)
-    if x.dtype != np.float32:
-        x = x.astype(float, copy=False)
+    """Per-slice :func:`mad` along ``axis``."""
+    x = np.asarray(x, dtype=float)
     if x.size == 0:
         raise ValueError("mad of an empty array is undefined")
     med = np.median(x, axis=axis, keepdims=True)

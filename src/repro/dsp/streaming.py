@@ -34,7 +34,6 @@ from collections import deque
 
 import numpy as np
 
-from repro.dsp.precision import complex_dtype, real_dtype
 from repro.dsp.stats import finite_median, mad
 from repro.dsp.wavelet_denoise import SpatiallySelectiveDenoiser, remove_outliers
 
@@ -45,17 +44,10 @@ class RunningCircularStats:
     Holds a complex resultant-vector sum and a finite-sample count per
     element.  ``add`` is O(shape) per call and the state is independent
     of how calls were batched upstream.
-
-    ``precision`` sets the resultant accumulator's dtype (complex128 by
-    default; ``"float32"`` accumulates in complex64 -- unit vectors sum
-    to at most ``count``, so float32 mantissas stay exact far beyond
-    any realistic stream length).  The count stays int64 either way.
     """
 
-    def __init__(
-        self, shape: tuple[int, ...] | int, precision: str = "float64"
-    ):
-        self._resultant = np.zeros(shape, dtype=complex_dtype(precision))
+    def __init__(self, shape: tuple[int, ...] | int):
+        self._resultant = np.zeros(shape, dtype=complex)
         self._count = np.zeros(shape, dtype=np.int64)
         #: Total samples offered (including ones masked per element).
         self.num_samples = 0
@@ -192,7 +184,7 @@ def denoise_window(
     amplitude clipping here -- the consumer clips once after
     overlap-add, like the batch path clips once per cube.
     """
-    rows = np.asarray(rows, dtype=real_dtype(denoiser.precision))
+    rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2:
         raise ValueError(
             f"expected (window, channels) rows, got shape {rows.shape}"
@@ -304,16 +296,9 @@ class OverlapWindowDenoiser:
 
     @staticmethod
     def resolve(den_sum: np.ndarray, weight: np.ndarray) -> np.ndarray:
-        """Final denoised samples: overlap-average, NaN where uncovered.
-
-        Dtype-preserving: the int64 weights are cast to ``den_sum``'s
-        dtype before dividing so a float32 accumulation resolves to
-        float32 (overlap counts are tiny integers, exactly
-        representable either way; float64 results are bit-unchanged).
-        """
-        positive = weight > 0
-        safe = np.where(positive, weight, 1).astype(den_sum.dtype)
-        return np.where(positive, den_sum / safe, math.nan)
+        """Final denoised samples: overlap-average, NaN where uncovered."""
+        safe = np.where(weight > 0, weight, 1)
+        return np.where(weight > 0, den_sum / safe, math.nan)
 
     def denoise(self, series: np.ndarray) -> np.ndarray:
         """Offline reference: full windowed overlap-add over a series.

@@ -300,10 +300,7 @@ def _atrous_correlate(x: np.ndarray, filt: np.ndarray, hole: int) -> np.ndarray:
         spectrum = np.conj(_upsampled_filter_spectrum(filt, hole, n))
         if x.ndim == 2:
             spectrum = spectrum[:, None]
-        out = np.fft.irfft(np.fft.rfft(x, axis=0) * spectrum, n=n, axis=0)
-        # numpy's FFT always computes in double precision; hand float32
-        # callers their working dtype back (no-op copy=False for float64).
-        return out.astype(x.dtype, copy=False)
+        return np.fft.irfft(np.fft.rfft(x, axis=0) * spectrum, n=n, axis=0)
     # Index-matrix gather + matmul, the same tap-summation order as the
     # scalar reference: each output element is one K-tap dot product, so
     # the 1-D result is bit-identical to _reference_atrous_correlate and
@@ -324,8 +321,7 @@ def _atrous_adjoint(y: np.ndarray, filt: np.ndarray, hole: int) -> np.ndarray:
         spectrum = _upsampled_filter_spectrum(filt, hole, n)
         if y.ndim == 2:
             spectrum = spectrum[:, None]
-        out = np.fft.irfft(np.fft.rfft(y, axis=0) * spectrum, n=n, axis=0)
-        return out.astype(y.dtype, copy=False)
+        return np.fft.irfft(np.fft.rfft(y, axis=0) * spectrum, n=n, axis=0)
     # Same bit-exactness contract as _atrous_correlate's short path.
     idx = (np.arange(n)[:, None] - hole * np.arange(filt.size)[None, :]) % n
     if y.ndim == 1:
@@ -346,7 +342,6 @@ def swt(
     x: np.ndarray,
     wavelet: Wavelet,
     level: int | None = None,
-    dtype: np.dtype | type | None = None,
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """Stationary wavelet transform.
 
@@ -357,14 +352,8 @@ def swt(
     ``x`` may be 1-D ``(time,)`` or 2-D ``(time, channels)``; the
     transform runs along axis 0 and 2-D input transforms every channel
     column in one call (the batched hot path of the amplitude denoiser).
-
-    ``dtype`` is the working precision: ``None`` (default) coerces the
-    input to float64 exactly as before, so existing callers -- including
-    float32 callers relying on the float64 reference agreement -- are
-    untouched; an explicit float32 runs the whole transform (signal and
-    filter taps) in single precision.
     """
-    x = np.asarray(x, dtype=float if dtype is None else dtype)
+    x = np.asarray(x, dtype=float)
     if x.ndim not in (1, 2):
         raise ValueError(
             f"swt expects a 1-D or 2-D (time, channels) signal, "
@@ -382,8 +371,8 @@ def swt(
         raise ValueError(f"level must be >= 1, got {level}")
     level = min(level, limit)
 
-    h = wavelet.dec_lo.astype(x.dtype, copy=False)
-    g = wavelet.dec_hi.astype(x.dtype, copy=False)
+    h = wavelet.dec_lo
+    g = wavelet.dec_hi
     details: list[np.ndarray] = []
     approx = x
     for lev in range(level):
@@ -397,28 +386,21 @@ def iswt(
     approx: np.ndarray,
     details: list[np.ndarray],
     wavelet: Wavelet,
-    dtype: np.dtype | type | None = None,
 ) -> np.ndarray:
     """Inverse stationary transform (exact for orthonormal filters).
 
     Uses the identity ``x = (H^T a + G^T d) / 2`` level by level, which
     follows from the analysis operators satisfying
     ``H^T H + G^T G = 2 I``.
-
-    ``dtype`` mirrors :func:`swt`: ``None`` keeps the float64 coercion,
-    float32 reconstructs in single precision.
     """
-    work_dtype = np.dtype(float if dtype is None else dtype)
-    h = wavelet.dec_lo.astype(work_dtype, copy=False)
-    g = wavelet.dec_hi.astype(work_dtype, copy=False)
-    current = np.asarray(approx, dtype=work_dtype)
+    h = wavelet.dec_lo
+    g = wavelet.dec_hi
+    current = np.asarray(approx, dtype=float)
     for lev in reversed(range(len(details))):
         hole = 2 ** lev
         current = 0.5 * (
             _atrous_adjoint(current, h, hole)
-            + _atrous_adjoint(
-                np.asarray(details[lev], dtype=work_dtype), g, hole
-            )
+            + _atrous_adjoint(np.asarray(details[lev], dtype=float), g, hole)
         )
     return current
 

@@ -46,7 +46,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.dsp.precision import real_dtype, validate_precision
 from repro.dsp.stats import robust_sigma, robust_sigma_axis
 from repro.dsp.wavelet import (
     Wavelet,
@@ -59,25 +58,11 @@ from repro.dsp.wavelet import (
 )
 
 
-def _as_float_array(x: np.ndarray) -> np.ndarray:
-    """Coerce to a floating array, preserving float32/float64.
-
-    Historically every entry point forced float64; preserving an
-    explicit float32 input lets the low-precision pipeline keep its
-    working dtype through the outlier step without changing any float64
-    caller (integer and exotic inputs still promote to float64).
-    """
-    x = np.asarray(x)
-    if x.dtype == np.float32 or x.dtype == np.float64:
-        return x
-    return x.astype(float)
-
-
 def _reference_remove_outliers(
     x: np.ndarray, num_sigmas: float = 3.0
 ) -> tuple[np.ndarray, np.ndarray]:
     """Original strictly-1-D :func:`remove_outliers` (equivalence ref)."""
-    x = _as_float_array(x)
+    x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise ValueError(f"expected a 1-D signal, got shape {x.shape}")
     if x.size == 0:
@@ -111,10 +96,9 @@ def remove_outliers(
     channel column is screened against its own mean/std.
 
     Returns:
-        ``(cleaned, outlier_mask)``.  ``cleaned`` keeps a float32
-        input's dtype (other dtypes promote to float64 as before).
+        ``(cleaned, outlier_mask)``.
     """
-    x = _as_float_array(x)
+    x = np.asarray(x, dtype=float)
     if x.ndim == 1:
         return _reference_remove_outliers(x, num_sigmas)
     if x.ndim != 2:
@@ -154,10 +138,6 @@ class SpatiallySelectiveDenoiser:
         levels: SWT depth (clamped to what the signal length allows).
         outlier_sigmas: Threshold of the outlier-rejection pre-step.
         max_iterations: Safety bound on the extract-and-repeat loop.
-        precision: Working precision of the transform and the
-            extract-and-repeat loop: ``"float64"`` (default,
-            bit-compatible with the scalar references) or ``"float32"``
-            (half the memory traffic on the batched hot path).
 
     Thread-safety: one denoiser instance is shared by every serving
     worker thread (``WiMi.clone_view`` shares the amplitude processor),
@@ -173,7 +153,6 @@ class SpatiallySelectiveDenoiser:
     levels: int = 3
     outlier_sigmas: float = 3.0
     max_iterations: int = 20
-    precision: str = "float64"
 
     def __post_init__(self) -> None:
         if self.levels < 1:
@@ -182,8 +161,6 @@ class SpatiallySelectiveDenoiser:
             raise ValueError(
                 f"max_iterations must be >= 1, got {self.max_iterations}"
             )
-        validate_precision(self.precision)
-        self._dtype = real_dtype(self.precision)
         # Fail fast on unknown wavelet names.
         self._wavelet: Wavelet = get_wavelet(self.wavelet_name)
         self._scratch = threading.local()
@@ -207,14 +184,12 @@ class SpatiallySelectiveDenoiser:
         Accepts 1-D ``(time,)`` or 2-D ``(time, channels)`` input; the
         2-D form denoises every channel in one batched pass.
         """
-        cleaned, _ = remove_outliers(
-            np.asarray(x, dtype=self._dtype), self.outlier_sigmas
-        )
+        cleaned, _ = remove_outliers(x, self.outlier_sigmas)
         return self.correlation_filter(cleaned)
 
     def correlation_filter(self, x: np.ndarray) -> np.ndarray:
         """Eq. 8-13 cross-scale correlation filtering (no outlier step)."""
-        x = np.asarray(x, dtype=self._dtype)
+        x = np.asarray(x, dtype=float)
         if x.ndim not in (1, 2):
             raise ValueError(
                 f"expected a 1-D or 2-D (time, channels) signal, "
@@ -225,9 +200,9 @@ class SpatiallySelectiveDenoiser:
             # Too short to transform: nothing to do.
             return x.copy()
         levels = min(self.levels, limit)
-        approx, details = swt(x, self._wavelet, levels, dtype=self._dtype)
+        approx, details = swt(x, self._wavelet, levels)
         new_details = self._filter_details(details)
-        return iswt(approx, new_details, self._wavelet, dtype=self._dtype)
+        return iswt(approx, new_details, self._wavelet)
 
     # ------------------------------------------------------------------
 
@@ -238,13 +213,13 @@ class SpatiallySelectiveDenoiser:
 
         ``work`` is refilled with copies of ``details``; ``out`` is
         zeroed.  One buffer set is kept per ``slot`` (batched vs scalar
-        path) and reused while the coefficient shapes/dtypes repeat --
+        path) and reused while the coefficient shapes repeat --
         the common case for streaming windows and same-length traces --
         so a warm call allocates nothing.  Ownership rule: the buffers
         belong to this thread's *current* call only; they are
         invalidated by the next call on the same thread.
         """
-        key = tuple((d.shape, d.dtype.str) for d in details)
+        key = tuple(d.shape for d in details)
         cached = getattr(self._scratch, slot, None)
         if cached is not None and cached[0] == key:
             _, work, out = cached
@@ -331,9 +306,7 @@ class SpatiallySelectiveDenoiser:
         p_w = np.sum(w_l ** 2, axis=0)
         p_corr = np.sum(corr ** 2, axis=0)
         valid = (p_corr > 0.0) & (p_w > 0.0)
-        # dtype-matched scale: a float64 zeros() here would NEP-50
-        # promote the whole float32 ncorr product back to float64.
-        scale = np.zeros(p_w.shape, dtype=p_w.dtype)
+        scale = np.zeros(p_w.shape)
         scale[valid] = np.sqrt(p_w[valid] / p_corr[valid])
         ncorr = corr * scale[None, :]
         return (np.abs(ncorr) >= np.abs(w_l)) & valid[None, :]

@@ -53,10 +53,6 @@ PHASE_CALIBRATION = StageSpec(
 
 #: Sec. III-C: outlier rejection + spatially-selective wavelet filtering
 #: of one trace's amplitude cube.  The pipeline's hot spot.
-#: ``compute_precision`` is part of the key: a float32 cube and a
-#: float64 cube of the same trace are different artifacts and must
-#: never alias in the cache (the downstream stages inherit the field
-#: by building their tuples from this one).
 AMPLITUDE_DENOISE = StageSpec(
     name="amplitude_denoise",
     config_fields=(
@@ -64,7 +60,6 @@ AMPLITUDE_DENOISE = StageSpec(
         "wavelet_name",
         "wavelet_levels",
         "outlier_sigmas",
-        "compute_precision",
     ),
     inputs=(),
     description="denoised |H| cube of one trace",
@@ -111,13 +106,7 @@ FEATURE_EXTRACTION = StageSpec(
 #: Sec. III-E: database-aided branch resolution + classification.
 CLASSIFY = StageSpec(
     name="classify",
-    config_fields=(
-        "classifier",
-        "svm_c",
-        "knn_k",
-        "max_gamma",
-        "compute_precision",
-    ),
+    config_fields=("classifier", "svm_c", "knn_k", "max_gamma"),
     inputs=(FEATURE_EXTRACTION.name,),
     description="material label (+ centroid-margin confidence)",
 )

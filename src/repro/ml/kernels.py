@@ -7,10 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def _as_2d(
-    x: np.ndarray, dtype: np.dtype | type | None = None
-) -> np.ndarray:
-    x = np.asarray(x, dtype=float if dtype is None else dtype)
+def _as_2d(x: np.ndarray) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
     if x.ndim == 1:
         x = x[None, :]
     if x.ndim != 2:
@@ -18,25 +16,16 @@ def _as_2d(
     return x
 
 
-def pairwise_sq_dists(
-    a: np.ndarray,
-    b: np.ndarray,
-    dtype: np.dtype | type | None = None,
-) -> np.ndarray:
+def pairwise_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances ``||a_i - b_j||^2``, shape ``(n_a, n_b)``.
 
     The shared building block of the RBF Gram matrix: the one-vs-one
     ensemble computes this once on the full training set and slices the
     per-machine submatrices out of it instead of re-evaluating kernels
     pair by pair.
-
-    ``dtype`` is the working precision of the expansion (``None`` keeps
-    the historical float64 path bit-for-bit); float32 runs the ``a @
-    b.T`` matmul through sgemm at half the memory traffic, for
-    consumers that re-accumulate downstream in float64 (the SMO loop).
     """
-    a = _as_2d(a, dtype)
-    b = _as_2d(b, dtype)
+    a = _as_2d(a)
+    b = _as_2d(b)
     return (
         np.sum(a * a, axis=1)[:, None]
         + np.sum(b * b, axis=1)[None, :]
@@ -45,14 +34,8 @@ def pairwise_sq_dists(
 
 
 def rbf_from_sq_dists(sq: np.ndarray, gamma: float) -> np.ndarray:
-    """RBF kernel values from precomputed squared distances.
-
-    Dtype-preserving: a float32 distance matrix exponentiates to a
-    float32 Gram (``gamma`` enters as a python scalar, which NEP 50
-    keeps weak).
-    """
-    sq = np.asarray(sq)
-    return np.exp(-float(gamma) * np.clip(sq, 0.0, None))
+    """RBF kernel values from precomputed squared distances."""
+    return np.exp(-gamma * np.clip(sq, 0.0, None))
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.dsp.precision import real_dtype, validate_precision
 from repro.ml.kernels import (
     LinearKernel,
     PolynomialKernel,
@@ -37,24 +36,14 @@ class _SharedGram:
     part is the squared-distance matrix (gamma is resolved per machine on
     its subset); for linear/polynomial kernels it is the dot-product
     matrix.
-
-    ``precision`` is the working dtype of that shared computation:
-    ``"float32"`` runs the matmul through sgemm and stores the shared
-    matrix at half the footprint.  The SMO loop itself always
-    accumulates in float64 -- :meth:`BinarySVC._prepare_fit` upcasts
-    whatever Gram it is handed -- so only the kernel *evaluation* runs
-    at reduced precision, not the optimisation arithmetic.
     """
 
-    def __init__(self, kernel, x: np.ndarray, precision: str = "float64"):
+    def __init__(self, kernel, x: np.ndarray):
         self.kernel = kernel
         if isinstance(kernel, RBFKernel):
-            self._shared = pairwise_sq_dists(
-                x, x, dtype=real_dtype(precision)
-            )
+            self._shared = pairwise_sq_dists(x, x)
         elif isinstance(kernel, (LinearKernel, PolynomialKernel)):
-            xs = x.astype(real_dtype(precision), copy=False)
-            self._shared = xs @ xs.T
+            self._shared = x @ x.T
         else:
             self._shared = None
 
@@ -86,20 +75,11 @@ class OneVsOneSVC:
     paper resolves to for its 10-liquid problem.
     """
 
-    def __init__(
-        self,
-        kernel="rbf",
-        C: float = 10.0,
-        seed: int = 0,
-        precision: str = "float64",
-        **kernel_params,
-    ):
-        validate_precision(precision)
+    def __init__(self, kernel="rbf", C: float = 10.0, seed: int = 0, **kernel_params):
         self.kernel_name = kernel
         self.kernel_params = kernel_params
         self.C = C
         self.seed = seed
-        self.precision = precision
         self._machines: dict[tuple[int, int], BinarySVC] = {}
         self._classes: np.ndarray | None = None
 
@@ -111,9 +91,7 @@ class OneVsOneSVC:
             raise ValueError("need at least two classes")
         self._machines = {}
         shared = _SharedGram(
-            make_kernel(self.kernel_name, **self.kernel_params),
-            x,
-            self.precision,
+            make_kernel(self.kernel_name, **self.kernel_params), x
         )
         for a in range(self._classes.size):
             for b in range(a + 1, self._classes.size):
@@ -161,20 +139,11 @@ class OneVsOneSVC:
 class OneVsRestSVC:
     """One-vs-rest multiclass SVM -- one machine per class."""
 
-    def __init__(
-        self,
-        kernel="rbf",
-        C: float = 10.0,
-        seed: int = 0,
-        precision: str = "float64",
-        **kernel_params,
-    ):
-        validate_precision(precision)
+    def __init__(self, kernel="rbf", C: float = 10.0, seed: int = 0, **kernel_params):
         self.kernel_name = kernel
         self.kernel_params = kernel_params
         self.C = C
         self.seed = seed
-        self.precision = precision
         self._machines: list[BinarySVC] = []
         self._classes: np.ndarray | None = None
 
@@ -188,9 +157,7 @@ class OneVsRestSVC:
         # Every one-vs-rest machine trains on the full set, so they all
         # share one Gram matrix (gamma resolves identically on full x).
         shared = _SharedGram(
-            make_kernel(self.kernel_name, **self.kernel_params),
-            x,
-            self.precision,
+            make_kernel(self.kernel_name, **self.kernel_params), x
         )
         idx = np.arange(x.shape[0])
         gram = None

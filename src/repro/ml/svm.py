@@ -242,10 +242,6 @@ class BinarySVC:
         if gram is None:
             gram = self._kernel_matrix(x, x)
         else:
-            # Always accumulate SMO in float64: a shared Gram evaluated
-            # at reduced precision (see _SharedGram) is upcast here, so
-            # the error cache / multiplier updates see full-width
-            # arithmetic regardless of how the kernel was computed.
             gram = np.asarray(gram, dtype=float)
             if gram.shape != (n, n):
                 raise ValueError(

@@ -97,10 +97,9 @@ def unpack(data: bytes) -> tuple[dict, dict[str, np.ndarray]]:
 def payload_array_dtypes(data: bytes) -> dict[str, str]:
     """Dtype string of every array member in a framed artifact file.
 
-    Used by the store's stats walk to report what precisions live on
-    disk: the npz payload stores each member's dtype natively, so a
-    float32 artifact is visible (and round-trips bit-identically)
-    without re-materialising the full artifact object.  Raises
+    Used by the store's stats walk to report what dtypes live on disk:
+    the npz payload stores each member's dtype natively, so the census
+    needs no re-materialising of the full artifact object.  Raises
     :class:`IntegrityError` on damaged input like any other read.
     """
     _, arrays = unpack(unframe(data))

@@ -230,11 +230,10 @@ class ArtifactStore:
         """Walk the tree: total/per-stage entry counts, sizes and dtypes.
 
         Each stage additionally reports how many stored *arrays* it
-        holds per dtype (``{"float64": 12, "float32": 12}``), read from
-        the npz member headers -- the observable for mixed-precision
-        stores, where float32 and float64 runs of the same stage live
-        side by side under distinct cache keys.  Unreadable entries are
-        skipped here exactly as reads treat them (a miss, not a crash).
+        holds per dtype (``{"float64": 12}``), read from the npz member
+        headers without re-materialising the artifacts.  Unreadable
+        entries are skipped here exactly as reads treat them (a miss,
+        not a crash).
         """
         stages: dict[str, dict] = {}
         total_entries = 0

@@ -119,28 +119,6 @@ class TestRobustnessBench:
         assert args.robustness_output == "ROBUSTNESS_PR5.json"
 
 
-class TestPrecisionBench:
-    def test_registered_outside_all(self):
-        assert "precision-bench" in COMMANDS
-        assert not COMMANDS["precision-bench"].in_all
-
-    def test_options_parsed(self):
-        args = build_parser().parse_args(
-            ["precision-bench", "--smoke", "--precision-output", "p.json",
-             "--precision-baseline", "b.json",
-             "--precision-max-regression", "3.5"]
-        )
-        assert args.smoke is True
-        assert args.precision_output == "p.json"
-        assert args.precision_baseline == "b.json"
-        assert args.precision_max_regression == 3.5
-
-    def test_defaults_are_the_committed_artifact(self):
-        args = build_parser().parse_args(["precision-bench"])
-        assert args.precision_output == "BENCH_PR9.json"
-        assert args.precision_baseline == "BENCH_PR9.json"
-
-
 class TestBenchCompare:
     def test_registered_outside_all(self):
         assert "bench-compare" in COMMANDS

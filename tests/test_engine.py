@@ -19,6 +19,7 @@ from repro.engine import (
     StageCache,
     StageCounter,
     StageEvent,
+    array_fingerprint,
     config_fingerprint,
     session_fingerprint,
     stage_graph,
@@ -72,6 +73,12 @@ class TestFingerprints:
         assert config_fingerprint(base, fields) != config_fingerprint(
             wavelet_changed, fields
         )
+
+    def test_array_fingerprint_separates_dtypes(self):
+        x64 = np.random.default_rng(7).normal(size=(8, 3))
+        x32 = x64.astype(np.float32)
+        assert array_fingerprint(x64) != array_fingerprint(x32)
+        assert array_fingerprint(x32) == array_fingerprint(x32.copy())
 
 
 class TestStageGraph:

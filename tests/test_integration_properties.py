@@ -2,9 +2,13 @@
 
 These exercise claims that span multiple modules: the size independence
 of the material feature at pipeline level, graceful degradation on
-reduced hardware (two antennas), determinism, and serialisation round
-trips through the full identification path.
+reduced hardware (two antennas), determinism, serialisation round trips
+through the full identification path, a recorded float64 golden corpus,
+and the paper's Omega-bar invariances under common gain and common
+phase (Eq. 5-6, 19).
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,9 +19,12 @@ from repro.channel.materials import default_catalog
 from repro.core.config import WiMiConfig
 from repro.core.feature import theory_reference_omegas
 from repro.core.pipeline import WiMi
-from repro.csi.collector import DataCollector
+from repro.csi.collector import CaptureSession, DataCollector
 from repro.csi.io import load_session, save_session
+from repro.csi.model import CsiTrace
 from repro.csi.simulator import SimulationScene
+from repro.csi.subcarriers import intel5300_subcarrier_indices
+from repro.experiments.datasets import collect_dataset, paper_liquids
 from repro.experiments.runner import run_identification
 
 # The simulated int8 CSI quantization legitimately zeroes a
@@ -134,3 +141,148 @@ class TestGammaEnvelopeFallback:
         wimi.fit(train)
         correct = sum(wimi.identify(s) == s.material_name for s in test)
         assert correct / len(test) >= 0.5
+
+
+# ----------------------------------------------------------------------
+# Golden corpus: one seeded paper deployment, ten liquids
+# ----------------------------------------------------------------------
+
+#: ``omega_mean`` (as ``float.hex``) and label of each held-out session
+#: of :func:`golden`, recorded from the float64 pipeline.  Two sessions
+#: are misidentified (soy -> oil, pepsi -> coke); the record pins the
+#: numbers, not the accuracy.
+GOLDEN = {
+    "vinegar": ("0x1.ad41edc34f111p-3", "vinegar"),
+    "honey": ("0x1.ea1b59f6a5a18p-3", "honey"),
+    "soy": ("0x1.25222835c5d90p+0", "oil"),
+    "milk": ("0x1.97928bd65ef7cp-3", "milk"),
+    "pepsi": ("0x1.6fb92759afa70p-3", "coke"),
+    "liquor": ("0x1.aa60092a029a3p-2", "liquor"),
+    "pure_water": ("0x1.4e7ceb8073c60p-3", "pure_water"),
+    "oil": ("0x1.9416ebb896c09p-7", "oil"),
+    "coke": ("0x1.7a131f7368d7dp-3", "coke"),
+    "sweet_water": ("0x1.5946e1e91ea40p-3", "sweet_water"),
+}
+
+#: Relative tolerance of the golden and invariance checks: far below
+#: any real change, above summation-order noise (~1e-15).
+RTOL = 1e-12
+
+
+@pytest.fixture(scope="module")
+def golden():
+    """A fitted pipeline plus one held-out 20-packet session per liquid."""
+    liquids = paper_liquids()
+    data = collect_dataset(liquids, repetitions=3, num_packets=20, seed=11)
+    train = [s for sessions in data.values() for s in sessions[:2]]
+    test = [s for sessions in data.values() for s in sessions[2:]]
+    return WiMi(theory_reference_omegas(liquids)).fit(train), test
+
+
+class TestFloat64Golden:
+    def test_omega_and_label_match_the_record(self, golden):
+        wimi, test = golden
+        assert sorted(s.material_name for s in test) == sorted(GOLDEN)
+        for session in test:
+            omega, label = GOLDEN[session.material_name]
+            assert wimi.extract(session).omega_mean == pytest.approx(
+                float.fromhex(omega), rel=RTOL, abs=0.0
+            )
+            assert wimi.identify(session) == label
+
+
+# ----------------------------------------------------------------------
+# Omega-bar invariances
+# ----------------------------------------------------------------------
+
+
+def _transformed(session, transform, rng):
+    """``session`` with ``transform(matrix, rng)`` applied to both traces.
+
+    Packet timestamps and sequence numbers are kept, so the quality gate
+    sees the same capture bookkeeping.
+    """
+
+    def remap(trace):
+        matrix = transform(trace.matrix(), rng)
+        return CsiTrace(
+            packets=[
+                replace(packet, csi=csi)
+                for packet, csi in zip(trace.packets, matrix)
+            ],
+            carrier_hz=trace.carrier_hz,
+            label=trace.label,
+        )
+
+    return CaptureSession(
+        baseline=remap(session.baseline),
+        target=remap(session.target),
+        material_name=session.material_name,
+        scene=session.scene,
+    )
+
+
+def _common_gain(matrix, rng):
+    """One gain on every antenna of every packet (Eq. 19 ratio cancels
+    it).  0.8 attenuates, so no AGC clipping can appear."""
+    return 0.8 * matrix
+
+
+def _common_phase(matrix, rng):
+    """Per-packet ``exp(j(a_p + b_p k))`` on all antennas: CFO plus
+    SFO/packet-boundary delay, which the antenna difference cancels
+    (Eq. 5-6)."""
+    k = intel5300_subcarrier_indices()
+    a = rng.uniform(-np.pi, np.pi, size=matrix.shape[0])
+    b = rng.uniform(-0.3, 0.3, size=matrix.shape[0])
+    phase = a[:, None] + b[:, None] * k[None, :]
+    return matrix * np.exp(1j * phase)[:, :, None]
+
+
+def _batch_omega(wimi, session):
+    return wimi.extract(session).omega_mean
+
+
+def _stream_omega(wimi, session):
+    stream = wimi.streaming_extractor(scene=session.scene)
+    stream.push_baseline(session.baseline)
+    stream.push_target(session.target)
+    return stream.finalize().features.omega_mean
+
+
+#: The streaming path denoises 8-packet windows, where Eq. 13's keep
+#: test often meets an exact tie: a column whose finest-scale residual
+#: holds one nonzero coefficient gives ``|NCorr| == |W|`` in exact
+#: arithmetic, so the last rounding bit decides whether it is kept.  A
+#: 0.8 gain or a 1-ulp phase-rotation change in ``|H|`` flips such ties
+#: and moves Omega-bar by up to ~3e-3 here.  Breaking the tie changes
+#: float64 results, so it is tracked as an open item, not fixed here.
+_STREAM_TIE = pytest.mark.xfail(
+    strict=True,
+    reason="Eq. 13 single-coefficient ties in 8-packet stream windows "
+    "are decided by rounding",
+)
+
+
+@pytest.mark.parametrize(
+    "omega_of",
+    [
+        pytest.param(_batch_omega, id="extract"),
+        pytest.param(_stream_omega, id="stream", marks=_STREAM_TIE),
+    ],
+)
+@pytest.mark.parametrize(
+    "transform",
+    [
+        pytest.param(_common_gain, id="gain"),
+        pytest.param(_common_phase, id="phase"),
+    ],
+)
+def test_omega_invariant_to_common_impairment(golden, omega_of, transform):
+    wimi, test = golden
+    rng = np.random.default_rng(5)
+    for session in test:
+        moved = _transformed(session, transform, rng)
+        assert omega_of(wimi, moved) == pytest.approx(
+            omega_of(wimi, session), rel=RTOL, abs=0.0
+        ), session.material_name

@@ -363,60 +363,3 @@ def test_streaming_omega_within_tolerance_of_batch(material_name):
         abs=STREAMING_OMEGA_ATOL,
     )
     assert result.label == wimi.identify(session)
-
-
-# ----------------------------------------------------------------------
-# float32 pipeline vs the float64 pipeline
-# ----------------------------------------------------------------------
-
-#: Documented float32-vs-float64 Omega-bar tolerance (DESIGN.md §14).
-#: The reduced-precision path rounds intermediates to ~7 significant
-#: digits; through the denoiser's extract-and-repeat loop a coefficient
-#: can land on the other side of a keep/discard threshold, so the bound
-#: is looser than bare rounding but far inside the inter-material
-#: spacing that label stability requires (water vs pepsi: 0.019).  The
-#: acceptance contract is the same shape as the streaming one: omega
-#: within tolerance, labels exactly equal.
-FLOAT32_OMEGA_RTOL = 0.02
-FLOAT32_OMEGA_ATOL = 0.005
-
-
-@pytest.mark.filterwarnings(
-    "ignore::repro.csi.quality.DegradedTraceWarning"
-)
-def test_float32_pipeline_matches_float64():
-    """Same dataset through both precisions: labels exact, omega close.
-
-    The capture is collected once at the collector's default precision,
-    so the only difference between the two runs is
-    ``WiMiConfig.compute_precision`` -- the tentpole's guarantee that
-    dropping the hot paths to float32 never changes an identification.
-    """
-    from repro.core.config import WiMiConfig
-
-    materials = [_CATALOG.get(n) for n in ("pure_water", "pepsi", "oil")]
-    dataset = collect_dataset(
-        materials,
-        scene=standard_scene("lab"),
-        repetitions=4,
-        num_packets=8,
-        seed=0,
-    )
-    train, test = split_dataset(dataset)
-    refs = theory_reference_omegas(materials)
-
-    wimi64 = WiMi(refs, WiMiConfig(compute_precision="float64"))
-    wimi32 = WiMi(refs, WiMiConfig(compute_precision="float32"))
-    wimi64.fit(train)
-    wimi32.fit(train)
-
-    labels64 = wimi64.identify_batch(test)
-    labels32 = wimi32.identify_batch(test)
-    assert labels32 == labels64
-
-    for session in test:
-        omega64 = wimi64.extract(session).omega_mean
-        omega32 = wimi32.extract(session).omega_mean
-        assert omega32 == pytest.approx(
-            omega64, rel=FLOAT32_OMEGA_RTOL, abs=FLOAT32_OMEGA_ATOL
-        )

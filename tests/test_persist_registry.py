@@ -7,6 +7,7 @@ import pytest
 
 from repro.channel.materials import default_catalog
 from repro.core.config import WiMiConfig
+from repro.core.database import DatabaseClassifier
 from repro.core.feature import theory_reference_omegas
 from repro.core.pipeline import WiMi
 from repro.csi.faults import flip_bits
@@ -188,3 +189,35 @@ class TestWiMiBundles:
         bare = WiMi(wimi.extractor.reference_omegas, WiMiConfig())
         with pytest.raises((ValueError, RuntimeError)):
             bare.save_to_registry()
+
+
+class TestLegacyPrecisionBundles:
+    """Bundles saved while the pipeline had a float32 compute path carry
+    ``config["compute_precision"]`` and ``classifier["precision"]``."""
+
+    def _legacy(self, trained, tmp_path, precision):
+        _, registry, _ = trained
+        meta, arrays, _ = registry.load("wimi")
+        meta["config"]["compute_precision"] = precision
+        meta["classifier"]["precision"] = precision
+        legacy = ModelRegistry(tmp_path / "legacy")
+        legacy.save("wimi", meta, arrays)
+        return legacy
+
+    def test_float64_bundle_loads_unchanged(self, trained, tmp_path):
+        wimi, _, test = trained
+        restored = WiMi.from_registry(
+            self._legacy(trained, tmp_path, "float64")
+        )
+        assert restored.config == wimi.config
+        assert restored.identify_batch(test) == wimi.identify_batch(test)
+
+    def test_float32_bundle_is_refused(self, trained, tmp_path):
+        # Its SVM was trained on a float32 Gram: serving it on the
+        # float64 pipeline would silently shift predictions.
+        legacy = self._legacy(trained, tmp_path, "float32")
+        with pytest.raises(ValueError, match="compute_precision"):
+            WiMi.from_registry(legacy)
+        meta, arrays, _ = legacy.load("wimi")
+        with pytest.raises(ValueError, match="precision='float32'"):
+            DatabaseClassifier.from_state(meta["classifier"], arrays)

@@ -217,11 +217,10 @@ class TestArtifactRoundTrips:
 
 
 class TestDtypePreservation:
-    """Reduced-precision artifacts survive the codec bit-identically.
+    """Non-float64 arrays survive the codec bit-identically.
 
-    The float32 compute paths cache float32 stage outputs under their
-    own keys; the codec must neither widen them back to float64 nor
-    lose mantissa bits (npz stores members at their native dtype).
+    The codec must neither widen a float32 member to float64 nor lose
+    mantissa bits (npz stores members at their native dtype).
     """
 
     def test_float32_denoised_trace_round_trips_bit_identically(self):

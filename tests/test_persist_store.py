@@ -133,8 +133,7 @@ class TestStatsAndGc:
         assert stats["bytes"] > 0
 
     def test_stats_reports_stored_array_dtypes(self, tmp_path):
-        # Mixed-precision store: float64 and float32 runs of one stage
-        # coexist (distinct keys) and both precisions are visible.
+        # The census counts every stored member dtype of a stage.
         store = ArtifactStore(tmp_path / "store")
         store.put(STAGE, "k64", _artifact(key="k64"))
         rng = np.random.default_rng(5)

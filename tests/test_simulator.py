@@ -66,6 +66,10 @@ class TestCapture:
         with pytest.raises(ValueError, match="num_packets"):
             sim.capture(catalog.get("milk"), -1)
 
+    def test_emitted_trace_is_complex128(self, scene, catalog):
+        trace = CsiSimulator(scene, rng=0).capture(catalog.get("pure_water"), 8)
+        assert trace.matrix().dtype == np.complex128
+
 
 class TestTargetPhysics:
     def test_differential_phase_matches_theory(self, scene, catalog):
