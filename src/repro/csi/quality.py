@@ -381,14 +381,11 @@ def _clipped_packet_count(matrix: np.ndarray) -> int:
     components = np.stack([np.abs(matrix.real), np.abs(matrix.imag)], axis=-1)
     components = np.where(np.isfinite(components), components, 0.0)
     rails = components.max(axis=(1, 2, 3))  # per-packet peak component
-    clipped = 0
-    for m, rail in enumerate(rails):
-        if rail <= _LIVE_EPS:
-            continue
-        at_rail = components[m] >= _RAIL_TOLERANCE * rail
-        if at_rail.mean() >= _CLIPPED_COMPONENT_FRACTION:
-            clipped += 1
-    return clipped
+    at_rail = components >= _RAIL_TOLERANCE * rails[:, None, None, None]
+    clipped = (rails > _LIVE_EPS) & (
+        at_rail.mean(axis=(1, 2, 3)) >= _CLIPPED_COMPONENT_FRACTION
+    )
+    return int(clipped.sum())
 
 
 def assess_trace(

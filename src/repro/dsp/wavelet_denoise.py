@@ -112,20 +112,21 @@ def remove_outliers(
         raise ValueError(f"num_sigmas must be positive, got {num_sigmas}")
     mu = np.mean(x, axis=0)
     sigma = np.std(x, axis=0)
-    cleaned = x.copy()
     mask = np.zeros(x.shape, dtype=bool)
     screened = sigma > 0.0
     mask[:, screened] = (
         np.abs(x[:, screened] - mu[screened])
         > num_sigmas * sigma[screened]
     )
-    # Outlier-bearing columns are rare; only they need the survivor
-    # median (which has no clean full-array vectorization).
-    for c in np.nonzero(mask.any(axis=0))[0]:
-        survivors = x[~mask[:, c], c]
-        fill = float(np.median(survivors)) if survivors.size else float(mu[c])
-        cleaned[mask[:, c], c] = fill
-    return cleaned, mask
+    # Same order statistics and (lo + hi) / 2 as np.median: bit-identical.
+    ordered = np.sort(np.where(mask, np.inf, x), axis=0)
+    n = x.shape[0] - mask.sum(axis=0)
+    cols = np.arange(x.shape[1])
+    lo = ordered[np.maximum(n - 1, 0) // 2, cols]
+    hi = ordered[n // 2, cols]
+    median = np.where(n % 2 == 1, lo, (lo + hi) / 2)
+    fill = np.where(n > 0, median, mu)
+    return np.where(mask, fill, x), mask
 
 
 @dataclass

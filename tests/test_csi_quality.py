@@ -14,10 +14,14 @@ from repro.csi.faults import (
 )
 from repro.csi.model import CsiPacket, CsiTrace
 from repro.csi.quality import (
+    _CLIPPED_COMPONENT_FRACTION,
+    _LIVE_EPS,
+    _RAIL_TOLERANCE,
     CorruptTraceError,
     DegradedTraceWarning,
     QualityThresholds,
     assess_session,
+    _clipped_packet_count,
     assess_trace,
     gate_report,
     gate_session,
@@ -25,6 +29,23 @@ from repro.csi.quality import (
     validate_policy,
 )
 from tests.test_csi_faults import make_trace
+
+
+def _oracle_clipped_packet_count(matrix):
+    """The per-packet loop the vectorised clip count replaced."""
+    if matrix.shape[0] == 0:
+        return 0
+    components = np.stack([np.abs(matrix.real), np.abs(matrix.imag)], axis=-1)
+    components = np.where(np.isfinite(components), components, 0.0)
+    rails = components.max(axis=(1, 2, 3))
+    clipped = 0
+    for m, rail in enumerate(rails):
+        if rail <= _LIVE_EPS:
+            continue
+        at_rail = components[m] >= _RAIL_TOLERANCE * rail
+        if at_rail.mean() >= _CLIPPED_COMPONENT_FRACTION:
+            clipped += 1
+    return clipped
 
 
 @pytest.fixture()
@@ -136,6 +157,63 @@ class TestAssessFaults:
 
     def test_clean_trace_not_flagged_as_clipped(self, trace):
         assert assess_trace(trace).clipped_packets == 0
+
+
+class TestClippedPacketCountOracle:
+    """The whole-array clip count equals the per-packet loop exactly."""
+
+    @staticmethod
+    def _assert_matches_oracle(matrix):
+        count = _clipped_packet_count(matrix)
+        assert isinstance(count, int)
+        assert count == _oracle_clipped_packet_count(matrix)
+        return count
+
+    def test_clean_traces(self):
+        for seed in range(3):
+            matrix = make_trace(num_packets=50, seed=seed).matrix()
+            assert self._assert_matches_oracle(matrix) == 0
+
+    @pytest.mark.parametrize("level", [0.05, 0.2, 0.5, 0.9, 1.0])
+    @pytest.mark.parametrize("fraction", [0.3, 1.0])
+    def test_agc_clipping_levels(self, trace, level, fraction):
+        clipped = inject(trace, (AgcClipping(fraction, level=level),), seed=1)
+        self._assert_matches_oracle(clipped.matrix())
+
+    def test_counts_span_the_threshold(self, trace):
+        counts = {
+            self._assert_matches_oracle(
+                inject(trace, (AgcClipping(0.5, level=level),), seed=2)
+                .matrix()
+            )
+            for level in (0.1, 0.6, 0.95)
+        }
+        assert 0 in counts and max(counts) > 0
+
+    def test_non_finite_entries(self, trace):
+        matrix = inject(
+            trace,
+            (AgcClipping(0.5, level=0.2),
+             SubcarrierErasure(0.3, scope="cells")),
+            seed=3,
+        ).matrix().copy()
+        matrix[2] = np.nan                 # a fully non-finite packet
+        matrix[5, 0, 0] = np.inf
+        matrix[6, 1, 1] = complex(np.nan, 1.0)
+        assert not np.isfinite(matrix).all()
+        self._assert_matches_oracle(matrix)
+
+    def test_all_zero_packets_are_skipped(self, trace):
+        matrix = inject(trace, (AgcClipping(1.0, level=0.2),), seed=0)
+        matrix = matrix.matrix().copy()
+        matrix[[0, 3, 7]] = 0.0            # rail <= _LIVE_EPS
+        matrix[4] = 1e-14
+        count = self._assert_matches_oracle(matrix)
+        assert count == len(matrix) - 4
+
+    def test_empty_matrix(self):
+        empty = np.zeros((0, 30, 3), dtype=complex)
+        assert self._assert_matches_oracle(empty) == 0
 
 
 class TestThresholds:

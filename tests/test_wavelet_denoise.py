@@ -7,11 +7,48 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from repro.channel.environment import make_environment
+from repro.channel.geometry import CylinderTarget, LinkGeometry
+from repro.channel.materials import default_catalog
+from repro.csi.collector import DataCollector, SessionConfig
+from repro.csi.simulator import SimulationScene
 from repro.dsp.wavelet_denoise import (
     SpatiallySelectiveDenoiser,
     remove_outliers,
     wavelet_denoise,
 )
+
+
+def _oracle_remove_outliers(x, num_sigmas=3.0):
+    """The per-column survivor-median loop the 2-D path replaced."""
+    mu = np.mean(x, axis=0)
+    sigma = np.std(x, axis=0)
+    cleaned = x.copy()
+    mask = np.zeros(x.shape, dtype=bool)
+    screened = sigma > 0.0
+    mask[:, screened] = (
+        np.abs(x[:, screened] - mu[screened])
+        > num_sigmas * sigma[screened]
+    )
+    for c in np.nonzero(mask.any(axis=0))[0]:
+        survivors = x[~mask[:, c], c]
+        fill = float(np.median(survivors)) if survivors.size else float(mu[c])
+        cleaned[mask[:, c], c] = fill
+    return cleaned, mask
+
+
+def _simulated_amplitudes(num_packets, seed):
+    """A simulator amplitude cube reshaped to ``(M, K*A)`` columns."""
+    scene = SimulationScene(
+        geometry=LinkGeometry(),
+        environment=make_environment("lab"),
+        target=CylinderTarget(lateral_offset=0.02),
+    )
+    session = DataCollector(scene, rng=seed).collect(
+        default_catalog().get("milk"), SessionConfig(num_packets=num_packets)
+    )
+    cube = np.abs(session.target.matrix())
+    return cube.reshape(cube.shape[0], -1)
 
 
 class TestOutlierRemoval:
@@ -52,6 +89,78 @@ class TestOutlierRemoval:
             ref_clean, ref_mask = remove_outliers(x[:, c])
             np.testing.assert_array_equal(mask[:, c], ref_mask)
             np.testing.assert_array_equal(cleaned[:, c], ref_clean)
+
+
+class TestOutlierRemovalOracle:
+    """The 2-D sort-based survivor median equals np.median bit for bit."""
+
+    @staticmethod
+    def _assert_matches_oracle(x, num_sigmas=3.0):
+        cleaned, mask = remove_outliers(x, num_sigmas)
+        ref_clean, ref_mask = _oracle_remove_outliers(x, num_sigmas)
+        assert np.array_equal(mask, ref_mask)
+        assert np.array_equal(cleaned, ref_clean, equal_nan=True)
+        return mask
+
+    @pytest.mark.parametrize("num_packets", [20, 200])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_simulator_amplitudes(self, num_packets, seed):
+        x = _simulated_amplitudes(num_packets, seed)
+        assert x.shape == (num_packets, 90)
+        mask = self._assert_matches_oracle(x)
+        assert mask.any()
+
+    def test_even_and_odd_survivor_counts(self):
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal((41, 6))
+        x[3, 0] = 50.0                    # 40 survivors: even
+        x[[3, 9], 1] = (50.0, -60.0)      # 39 survivors: odd
+        x[[1, 2, 4], 2] = 80.0            # 38 survivors: even
+        x[0, 4] = 70.0
+        mask = self._assert_matches_oracle(x)
+        survivors = x.shape[0] - mask.sum(axis=0)
+        assert {int(n) % 2 for n in survivors[mask.any(axis=0)]} == {0, 1}
+
+    def test_no_survivors_fall_back_to_mean(self):
+        # Below one sigma every sample of a two-level column is an outlier.
+        x = np.tile([[1.0], [-1.0]], (5, 3)) + np.arange(3.0)
+        cleaned, mask = remove_outliers(x, num_sigmas=0.5)
+        assert mask.all()
+        np.testing.assert_array_equal(cleaned, np.broadcast_to(
+            x.mean(axis=0), x.shape))
+        self._assert_matches_oracle(x, num_sigmas=0.5)
+
+    def test_constant_columns_are_not_screened(self):
+        x = np.ones((30, 4))
+        x[:, 1] = 7.0
+        mask = self._assert_matches_oracle(x)
+        assert not mask.any()
+
+    def test_nan_column(self):
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal((25, 3))
+        x[4, 1] = np.nan
+        x[7, 0] = 40.0
+        mask = self._assert_matches_oracle(x)
+        assert not mask[:, 1].any()
+        assert mask[7, 0]
+
+    def test_single_row(self):
+        x = np.array([[1.0, -2.0, 3.5, 0.0]])
+        mask = self._assert_matches_oracle(x)
+        assert not mask.any()
+
+    def test_mixed_screened_and_unscreened(self):
+        rng = np.random.default_rng(13)
+        x = rng.standard_normal((50, 8))
+        x[:, 2] = 4.0                     # sigma == 0
+        x[:, 5] = 0.0                     # sigma == 0
+        x[10, 0] = 30.0
+        x[[11, 12], 3] = (-30.0, 25.0)
+        x[:, 6] = np.linspace(0.0, 1.0, 50)  # screened, no outliers
+        mask = self._assert_matches_oracle(x)
+        assert mask[:, [0, 3]].any(axis=0).all()
+        assert not mask[:, [2, 5, 6]].any()
 
 
 class TestDenoiser:
