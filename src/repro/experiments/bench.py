@@ -1,0 +1,513 @@
+"""One harness behind ``repro bench <suite>``.
+
+Every component benchmark is one :class:`Suite` in :data:`SUITES`: how
+to run it, how to render its results, which committed artifact it
+writes, and which timing fields the regression gate compares against
+that artifact.  The runner (:func:`run_bench`) is the only code that
+loads baselines, writes reports and decides the exit status, so every
+suite shares one report layout::
+
+    {"schema": 1, "benchmark": <suite>, "suites": {<mode>: results}}
+
+with ``smoke`` and ``full`` results stored side by side.  Each result
+carries a ``gates`` dict of named booleans; the runner adds a
+``no_regression`` gate for suites with gated timing fields and fails
+when any gate is false.
+
+The end-to-end benchmark of the paper's identify path is ``wimibench/``;
+these suites measure components and guard their contracts.
+"""
+
+from __future__ import annotations
+
+import json
+import time
+from pathlib import Path
+from typing import Callable, NamedTuple, Sequence
+
+from repro.channel.materials import default_catalog
+from repro.core.feature import theory_reference_omegas
+from repro.core.pipeline import WiMi
+from repro.engine import StageCache, StageCounter
+from repro.experiments import (
+    clusterbench,
+    perfbench,
+    robustness,
+    soakbench,
+    streambench,
+    warmbench,
+)
+from repro.experiments.datasets import (
+    collect_dataset,
+    split_dataset,
+    standard_scene,
+)
+from repro.serve import IdentificationService, ServiceConfig
+
+
+class Suite(NamedTuple):
+    """One benchmark suite of ``repro bench``."""
+
+    #: ``run(mode, seed, workers, progress) -> results``; ``mode`` is
+    #: ``"smoke"`` (CI-sized) or ``"full"``.
+    run: Callable[[str, int, int, Callable[[str], None] | None], dict]
+    #: Human-readable summary of one result (gates are rendered by the
+    #: runner, not by the suite).
+    render: Callable[[dict], str]
+    description: str
+    #: Committed report the suite writes by default and compares its
+    #: gated timings against; None for suites without one.
+    artifact: str | None = None
+    #: Per-benchmark timing fields the regression gate compares.
+    gated_fields: tuple[str, ...] = ()
+    #: Default regression factor for ``gated_fields``.
+    max_regression: float = 0.0
+
+
+# ----------------------------------------------------------------------
+# Report I/O and the baseline comparison (shared by every suite)
+# ----------------------------------------------------------------------
+
+
+def load_report(path: str | Path) -> dict | None:
+    """The report at ``path``, or None when absent/unreadable."""
+    path = Path(path)
+    if not path.is_file():
+        return None
+    try:
+        report = json.loads(path.read_text())
+    except (OSError, json.JSONDecodeError):
+        return None
+    return report if isinstance(report.get("suites"), dict) else None
+
+
+def write_report(
+    path: str | Path, suite: str, mode: str, results: dict
+) -> dict:
+    """Write/merge ``results`` under ``mode`` into the report at ``path``.
+
+    Modes are stored side by side so a smoke-only run does not clobber
+    the committed full-suite results.
+    """
+    report = load_report(path) or {"schema": 1, "suites": {}}
+    report["benchmark"] = suite
+    report["suites"][mode] = results
+    Path(path).write_text(
+        json.dumps(report, indent=2, sort_keys=True, default=str) + "\n"
+    )
+    return report
+
+
+def compare_to_baseline(
+    results: dict,
+    baseline: dict | None,
+    mode: str,
+    fields: tuple[str, ...],
+    max_regression: float,
+) -> list[tuple[str, float]]:
+    """Gated timings that regressed beyond ``max_regression``.
+
+    Compares each benchmark's ``fields`` against the same benchmark in
+    the baseline's ``mode`` results.  Returns ``("bench.field", ratio)``
+    pairs; empty when there is no baseline for ``mode`` (first run), the
+    gate is disabled (``max_regression <= 0``) or nothing regressed.
+    """
+    if baseline is None or max_regression <= 0:
+        return []
+    committed = baseline.get("suites", {}).get(mode, {})
+    regressions = []
+    for name, current in results.items():
+        reference = committed.get(name)
+        if not isinstance(reference, dict):
+            continue
+        for field in fields:
+            committed_s = reference.get(field)
+            if not committed_s or committed_s <= 0:
+                continue
+            ratio = current[field] / committed_s
+            if ratio > max_regression:
+                regressions.append((f"{name}.{field}", ratio))
+    return regressions
+
+
+#: ``bench-compare`` default: flag a benchmark whose ``new_s`` grew (or
+#: shrank) by more than this factor between the two reports.
+DEFAULT_DIFF_THRESHOLD = 1.25
+
+
+def diff_reports(
+    old: dict, new: dict, threshold: float = DEFAULT_DIFF_THRESHOLD
+) -> dict:
+    """Structured diff of two benchmark reports (``repro bench-compare``).
+
+    Works on any report using the shared ``{"suites": {mode: {benchmark:
+    {...}}}}`` layout (``BENCH_PR4.json``, ``BENCH_PR9.json``, ...).  For
+    every suite and benchmark present in both reports the diff carries
+    the ``new_s`` ratio (new report over old) and the ``speedup`` delta
+    when the entries record them; benchmarks and suites on one side only
+    are labelled ``added``/``removed``.  A benchmark is ``regressed``
+    when its timing ratio exceeds ``threshold``, ``improved`` below
+    ``1/threshold``, otherwise ``ok``.
+    """
+    suites: dict[str, dict] = {}
+    old_suites = old.get("suites", {})
+    new_suites = new.get("suites", {})
+    for mode in sorted(set(old_suites) | set(new_suites)):
+        a, b = old_suites.get(mode), new_suites.get(mode)
+        if a is None or b is None:
+            suites[mode] = {
+                "status": "removed" if b is None else "added",
+                "benchmarks": {},
+            }
+            continue
+        benches: dict[str, dict] = {}
+        for name in sorted(set(a) | set(b)):
+            ea, eb = a.get(name), b.get(name)
+            if ea is None or eb is None:
+                benches[name] = {
+                    "status": "removed" if eb is None else "added"
+                }
+                continue
+            entry: dict = {"status": "ok"}
+            benches[name] = entry
+            if not (isinstance(ea, dict) and isinstance(eb, dict)):
+                continue
+            old_t, new_t = ea.get("new_s"), eb.get("new_s")
+            if (
+                isinstance(old_t, (int, float))
+                and isinstance(new_t, (int, float))
+                and old_t > 0
+            ):
+                ratio = new_t / old_t
+                entry.update(
+                    {"old_s": old_t, "new_s": new_t, "time_ratio": ratio}
+                )
+                if threshold > 0 and ratio > threshold:
+                    entry["status"] = "regressed"
+                elif threshold > 0 and ratio < 1.0 / threshold:
+                    entry["status"] = "improved"
+            old_sp, new_sp = ea.get("speedup"), eb.get("speedup")
+            if isinstance(old_sp, (int, float)) and isinstance(
+                new_sp, (int, float)
+            ):
+                entry.update(
+                    {
+                        "old_speedup": old_sp,
+                        "new_speedup": new_sp,
+                        "speedup_delta": new_sp - old_sp,
+                    }
+                )
+        suites[mode] = {"status": "both", "benchmarks": benches}
+    return {"threshold": threshold, "suites": suites}
+
+
+def render_diff(diff: dict, old_path: str, new_path: str) -> str:
+    """Human-readable rendering of a :func:`diff_reports` result."""
+    lines = [f"bench-compare -- {old_path} vs {new_path}"]
+    regressed = 0
+    for mode, suite in diff["suites"].items():
+        if suite["status"] != "both":
+            lines.append(
+                f"  {mode}: suite only in "
+                f"{new_path if suite['status'] == 'added' else old_path}"
+            )
+            continue
+        lines.append(f"  {mode} suite:")
+        lines.append(
+            f"    {'benchmark':<18} {'old':>9} {'new':>9} {'ratio':>7} "
+            f"{'speedup':>15}"
+        )
+        for name, entry in suite["benchmarks"].items():
+            if entry["status"] in ("added", "removed"):
+                lines.append(
+                    f"    {name:<18} ({entry['status']} in {new_path})"
+                    if entry["status"] == "added"
+                    else f"    {name:<18} (removed in {new_path})"
+                )
+                continue
+            if "time_ratio" not in entry:
+                lines.append(f"    {name:<18} (no comparable timings)")
+                continue
+            speedups = (
+                f"{entry['old_speedup']:>6.2f}x->{entry['new_speedup']:.2f}x"
+                if "old_speedup" in entry
+                else ""
+            )
+            flag = ""
+            if entry["status"] == "regressed":
+                flag = "  <-- REGRESSED"
+                regressed += 1
+            elif entry["status"] == "improved":
+                flag = "  (improved)"
+            lines.append(
+                f"    {name:<18} {entry['old_s']:>8.3f}s "
+                f"{entry['new_s']:>8.3f}s {entry['time_ratio']:>6.2f}x "
+                f"{speedups:>15}{flag}"
+            )
+    lines.append(
+        f"  {regressed} regression(s) beyond {diff['threshold']:.2f}x"
+        if regressed
+        else f"  no regressions beyond {diff['threshold']:.2f}x"
+    )
+    return "\n".join(lines)
+
+
+# ----------------------------------------------------------------------
+# Suites without a module of their own: stage cache and online service
+# ----------------------------------------------------------------------
+
+
+def _small_deployment(seed: int):
+    """Three materials, 6 repetitions of 10 packets: an unfitted WiMi
+    plus the train and test sessions."""
+    catalog = default_catalog()
+    materials = [catalog.get(n) for n in ("pure_water", "pepsi", "oil")]
+    dataset = collect_dataset(
+        materials, scene=standard_scene("lab"), repetitions=6,
+        num_packets=10, seed=seed,
+    )
+    train, test = split_dataset(dataset)
+    wimi = WiMi(theory_reference_omegas(materials))
+    return wimi, train, test
+
+
+def run_cache(mode: str, seed: int, workers: int, progress=None) -> dict:
+    """Stage memoization: identify the same test sessions twice.
+
+    The repeat pass must execute zero ``amplitude_denoise`` stages and
+    give the same labels as the first pass.
+    """
+    wimi, train, test = _small_deployment(seed)
+    counter = StageCounter()
+    wimi.engine.add_hook(counter)
+    wimi.fit(train)
+    first = wimi.identify_batch(test)
+    first_denoise = counter.executions.get("amplitude_denoise", 0)
+    counter.reset()
+    second = wimi.identify_batch(test)
+    repeat_denoise = counter.executions.get("amplitude_denoise", 0)
+    return {
+        "seed": seed,
+        "train_sessions": len(train),
+        "test_sessions": len(test),
+        "stages": wimi.cache.snapshot(),
+        "denoise_executions": {
+            "first": first_denoise, "repeat": repeat_denoise
+        },
+        "gates": {
+            "repeat_pass_zero_denoise": repeat_denoise == 0,
+            "predictions_identical": first == second,
+        },
+    }
+
+
+def render_cache(results: dict) -> str:
+    denoise = results["denoise_executions"]
+    lines = [
+        f"cache -- stage memoization over one deployment "
+        f"(seed {results['seed']}, {results['train_sessions']} train / "
+        f"{results['test_sessions']} test)",
+        f"  {'stage':<22} {'executions':>10} {'memory':>8} {'disk':>6} "
+        f"{'hit rate':>9}",
+    ]
+    for stage, stats in sorted(results["stages"].items()):
+        lines.append(
+            f"  {stage:<22} {stats['misses']:>10d} "
+            f"{stats['memory_hits']:>8d} {stats['disk_hits']:>6d} "
+            f"{stats['hit_rate']:>8.1%}"
+        )
+    lines.append(
+        f"  denoiser stage executions: first identify pass "
+        f"{denoise['first']}, repeat pass {denoise['repeat']}"
+    )
+    return "\n".join(lines)
+
+
+def run_serve(mode: str, seed: int, workers: int, progress=None) -> dict:
+    """Online service vs sequential cold-cache requests.
+
+    Every test session re-arrives 2 (smoke) or 4 (full) times,
+    interleaved, like many deployed links re-measuring.  The service's
+    labels must equal the sequential ones.
+    """
+    wimi, train, test = _small_deployment(seed)
+    wimi.fit(train)
+    repeat = 2 if mode == "smoke" else 4
+    workload = [s for _ in range(repeat) for s in test]
+
+    t0 = time.perf_counter()
+    sequential = [
+        wimi.clone_view(cache=StageCache()).identify(s) for s in workload
+    ]
+    sequential_s = time.perf_counter() - t0
+
+    config = ServiceConfig(num_workers=workers)
+    service = IdentificationService(wimi, config)
+    t0 = time.perf_counter()
+    with service:
+        handles = [service.submit(s) for s in workload]
+        served = [h.result(timeout=60.0) for h in handles]
+    served_s = time.perf_counter() - t0
+    return {
+        "seed": seed,
+        "distinct_sessions": len(test),
+        "repeat": repeat,
+        "requests": len(workload),
+        "workers": workers,
+        "max_batch_size": config.max_batch_size,
+        "queue_capacity": config.queue_capacity,
+        "sequential_s": sequential_s,
+        "served_s": served_s,
+        "speedup": sequential_s / served_s,
+        "metrics": service.snapshot(),
+        "gates": {"predictions_identical": served == sequential},
+    }
+
+
+def render_serve(results: dict) -> str:
+    snap = results["metrics"]
+    latency = snap["histograms"]["latency_ms"]
+    batches = snap["histograms"]["batch_size"]
+    counters = snap["counters"]
+    requests = results["requests"]
+    lines = [
+        f"serve -- {requests} requests "
+        f"({results['distinct_sessions']} distinct sessions "
+        f"x{results['repeat']}, seed {results['seed']}), "
+        f"{results['workers']} workers, batch<= {results['max_batch_size']}, "
+        f"queue {results['queue_capacity']}",
+        f"  sequential (cold cache/request): {results['sequential_s']:.3f}s  "
+        f"({requests / results['sequential_s']:7.1f} req/s)",
+        f"  service (micro-batched):         {results['served_s']:.3f}s  "
+        f"({requests / results['served_s']:7.1f} req/s)",
+        f"  speedup: {results['speedup']:.1f}x",
+        f"  latency ms: p50 {latency['p50']:.2f}  p95 {latency['p95']:.2f}  "
+        f"p99 {latency['p99']:.2f}  max {latency['max']:.2f}",
+        f"  batches: {batches['count']} dispatched, mean size "
+        f"{batches['mean']:.2f}, size histogram {batches['buckets']}",
+        f"  requests: {counters['requests.completed']} completed, "
+        f"{counters['requests.failed']} failed, "
+        f"{counters['requests.rejected']} rejected, "
+        f"{counters['requests.retries']} retries, "
+        f"{counters['requests.expired']} expired",
+        f"  cache tiers: {counters['cache.memory_hits']} memory hits, "
+        f"{counters['cache.disk_hits']} disk hits, "
+        f"{counters['cache.misses']} misses",
+        "  stage cache (shared across workers):",
+    ]
+    for stage, stats in sorted(snap["stage_cache"].items()):
+        lines.append(
+            f"    {stage:<22} {stats['misses']:>6d} exec "
+            f"{stats['memory_hits']:>7d} mem {stats['disk_hits']:>5d} disk "
+            f"{stats['hit_rate']:>8.1%}"
+        )
+    return "\n".join(lines)
+
+
+# ----------------------------------------------------------------------
+# The suite table and the runner
+# ----------------------------------------------------------------------
+
+#: Every suite of ``repro bench``, by name.
+SUITES: dict[str, Suite] = {
+    "perf": Suite(
+        perfbench.run_suite, perfbench.render_report,
+        "vectorised-kernel timings vs their scalar references",
+        artifact="BENCH_PR4.json", gated_fields=("new_s",),
+        max_regression=2.0,
+    ),
+    # Looser than perf's 2.0: the gated quantities are millisecond-scale.
+    "stream": Suite(
+        streambench.run_suite, streambench.render_report,
+        "streaming time-to-first-estimate vs batch latency",
+        artifact="BENCH_PR8.json",
+        gated_fields=("time_to_first_estimate_s", "finalize_s"),
+        max_regression=3.0,
+    ),
+    "warm": Suite(
+        warmbench.run_suite, warmbench.render_report,
+        "cold train-and-serve vs registry warm start",
+        artifact="BENCH_PR6.json",
+    ),
+    "cluster": Suite(
+        clusterbench.run_suite, clusterbench.render_report,
+        "multi-process cluster vs single-process service, worker kill",
+        artifact="BENCH_PR7.json",
+    ),
+    "soak": Suite(
+        soakbench.run_suite, soakbench.render_report,
+        "chaos soak of the failure-control plane",
+        artifact="SOAK_PR10.json",
+    ),
+    "robustness": Suite(
+        robustness.run_suite, robustness.render_report,
+        "accuracy-under-fault sweeps (loss, dead antenna)",
+        artifact="ROBUSTNESS_PR5.json",
+    ),
+    "serve": Suite(
+        run_serve, render_serve, "online identification service load"
+    ),
+    "cache": Suite(
+        run_cache, render_cache, "stage-graph memoization hit rates"
+    ),
+}
+
+
+def render(
+    name: str,
+    results: dict,
+    regressions: Sequence[tuple[str, float]] = (),
+    max_regression: float = 0.0,
+) -> str:
+    """The suite's own summary followed by the gate verdict."""
+    gates = results.get("gates", {})
+    lines = [SUITES[name].render(results)]
+    for key, ratio in regressions:
+        lines.append(
+            f"  REGRESSION: {key} is {ratio:.2f}x the committed baseline "
+            f"(limit {max_regression:g}x)"
+        )
+    failed = sorted(gate for gate, passed in gates.items() if not passed)
+    if failed:
+        lines.append(f"  GATES FAILED: {', '.join(failed)}")
+    elif gates:
+        lines.append(f"  all gates passed ({len(gates)})")
+    else:
+        lines.append("  no gates (report only)")
+    return "\n".join(lines)
+
+
+def run_bench(
+    name: str,
+    *,
+    smoke: bool = False,
+    seed: int = 1,
+    workers: int = 2,
+    output: str | Path | None = None,
+    baseline: str | Path | None = None,
+    max_regression: float = 0.0,
+    progress: Callable[[str], None] | None = None,
+) -> tuple[str, bool]:
+    """Run one suite; returns ``(rendered report, every gate passed)``.
+
+    The baseline is read before the report is written, so ``output`` and
+    ``baseline`` may name the same committed artifact.
+    """
+    suite = SUITES[name]
+    mode = "smoke" if smoke else "full"
+    committed = (
+        load_report(baseline) if suite.gated_fields and baseline else None
+    )
+    results = suite.run(mode, seed, workers, progress)
+    gates = results.setdefault("gates", {})
+    regressions = []
+    if suite.gated_fields:
+        regressions = compare_to_baseline(
+            results, committed, mode, suite.gated_fields, max_regression
+        )
+        gates["no_regression"] = not regressions
+    text = render(name, results, regressions, max_regression)
+    if output is not None:
+        write_report(output, name, mode, results)
+        text += f"\n  report written to {output}"
+    return text, all(gates.values())

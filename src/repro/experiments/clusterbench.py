@@ -1,6 +1,6 @@
 """Cluster serving benchmark: sharded processes vs the thread service.
 
-``repro cluster-bench`` answers two questions about
+``repro bench cluster`` answers two questions about
 :mod:`repro.cluster` and commits the answers as ``BENCH_PR7.json``:
 
 1. **Throughput** -- on a wide re-measurement workload (hundreds of
@@ -25,12 +25,13 @@ The smoke preset (``--smoke``) shrinks the workload below the eviction
 threshold so it fits CI; in that regime the shared cache never thrashes
 and the cluster's IPC tax makes the speedup meaningless, so only the
 correctness and survival assertions apply (the report records the
-regime either way).
+regime either way).  Those assertions are the suite's gates: the killed
+worker restarted, zero requests were lost, and both phases' predictions
+match single-process serving.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import signal
 import time
@@ -218,11 +219,29 @@ def run_cluster_bench(
     }
 
 
-def write_report(path: str | Path, results: dict) -> dict:
-    """Write the committed artifact (sibling of ``BENCH_PR6.json``)."""
-    report = {"schema": 1, "benchmark": "cluster-serving", **results}
-    Path(path).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    return report
+def run_suite(
+    mode: str = "full", seed: int = 1, workers: int = DEFAULT_WORKERS,
+    progress=None,
+) -> dict:
+    """Both phases at ``mode`` size; adds the correctness gates."""
+    results = run_cluster_bench(
+        seed=seed,
+        repetitions=(
+            SMOKE_REPETITIONS if mode == "smoke" else DEFAULT_REPETITIONS
+        ),
+        workers=workers,
+        progress=progress,
+    )
+    kill = results["kill_survival"]
+    results["gates"] = {
+        "restarted": kill["restarts"] >= 1,
+        "zero_lost": kill["zero_lost"],
+        "kill_predictions_identical": kill["predictions_identical"],
+        "predictions_identical": (
+            results["throughput"]["predictions_identical"]
+        ),
+    }
+    return results
 
 
 def render_report(results: dict) -> str:
@@ -231,7 +250,7 @@ def render_report(results: dict) -> str:
     kill = results["kill_survival"]
     svc, cl = thr["service"], thr["cluster"]
     lines = [
-        f"cluster-bench -- {results['requests']} requests "
+        f"cluster -- {results['requests']} requests "
         f"({results['distinct_sessions']} distinct sessions x"
         f"{results['waves']} waves, seed {results['seed']}), "
         f"{results['workers']} workers",

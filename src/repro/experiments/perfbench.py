@@ -1,22 +1,19 @@
-"""Performance-regression harness behind ``repro perf-bench``.
+"""Kernel performance suite behind ``repro bench perf``.
 
 Runs a fixed suite of benchmarks over the hot paths this codebase
 vectorised -- batched wavelet denoising, the CSI simulator, batched
 feature extraction, SMO training, the end-to-end identification sweep
-and the online serving layer -- and writes the timings to a JSON report
-(:data:`DEFAULT_OUTPUT`, committed at the repo root).
+and the online serving layer.
 
 Each benchmark times the *current* implementation against its in-tree
 scalar reference (``_reference_*``), so the report carries both absolute
 timings and the speedup the vectorised kernels deliver, and it verifies
 on every run that the two implementations still agree numerically.
 
-The committed report doubles as the regression baseline: a later run
-(e.g. the CI ``perf-smoke`` job) compares its own ``new_s`` timings
-against the committed ones and fails when any benchmark got more than
-``max_regression`` times slower.  Timings for the ``smoke`` and ``full``
-suites are stored separately so a smoke run is only ever compared
-against committed smoke numbers.
+The committed report (``BENCH_PR4.json``) doubles as the regression
+baseline: :mod:`repro.experiments.bench` compares each benchmark's
+``new_s`` against the committed value for the same mode and fails the
+run when one got more than 2x slower.
 
 Latency percentiles for the serving benchmark come from the same
 :class:`repro.serve.metrics.Histogram` instruments the service exports
@@ -26,10 +23,8 @@ keeping its own sample buffers.
 
 from __future__ import annotations
 
-import json
 import time
 from contextlib import contextmanager
-from pathlib import Path
 
 import numpy as np
 
@@ -46,13 +41,6 @@ from repro.experiments.datasets import (
 )
 from repro.experiments.runner import mean_accuracy_over_seeds
 from repro.ml.svm import BinarySVC
-
-#: Report written by ``repro perf-bench`` and committed as the baseline.
-DEFAULT_OUTPUT = "BENCH_PR4.json"
-
-#: Default regression gate: fail when a benchmark's ``new_s`` exceeds
-#: this multiple of the committed baseline's.
-DEFAULT_MAX_REGRESSION = 2.0
 
 #: Per-suite workload sizes.  Smoke is sized for CI (seconds overall but
 #: still >= tens of milliseconds per benchmark, so a 2x gate is not
@@ -357,13 +345,14 @@ _BENCHMARKS = (
 )
 
 
-# ----------------------------------------------------------------------
-# Suite driver, report I/O and baseline comparison
-# ----------------------------------------------------------------------
+def run_suite(
+    mode: str = "full", seed: int = 0, workers: int = 1, progress=None
+) -> dict:
+    """Run every benchmark at ``mode`` ("smoke" or "full") sizes.
 
-
-def run_suite(mode: str = "full", progress=None) -> dict:
-    """Run every benchmark at ``mode`` ("smoke" or "full") sizes."""
+    ``seed`` and ``workers`` are ignored: the workloads are fixed so a
+    run stays comparable with the committed baseline.
+    """
     if mode not in _SIZES:
         raise ValueError(f"mode must be one of {sorted(_SIZES)}, got {mode!r}")
     sizes = _SIZES[mode]
@@ -375,185 +364,15 @@ def run_suite(mode: str = "full", progress=None) -> dict:
     return results
 
 
-def load_report(path: str | Path) -> dict | None:
-    """The committed report at ``path``, or None when absent/unreadable."""
-    path = Path(path)
-    if not path.is_file():
-        return None
-    try:
-        report = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError):
-        return None
-    return report if isinstance(report.get("suites"), dict) else None
-
-
-def write_report(path: str | Path, mode: str, results: dict) -> dict:
-    """Write/merge the report at ``path`` and return it.
-
-    Suites are stored side by side so a smoke-only run does not clobber
-    the committed full-suite timings.
-    """
-    report = load_report(path) or {"schema": 1, "suites": {}}
-    report["suites"][mode] = results
-    Path(path).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    return report
-
-
-def compare_to_baseline(
-    results: dict,
-    baseline: dict | None,
-    mode: str,
-    max_regression: float = DEFAULT_MAX_REGRESSION,
-) -> list[tuple[str, float]]:
-    """Benchmarks whose ``new_s`` regressed beyond ``max_regression``.
-
-    Returns ``(name, ratio)`` pairs; empty when there is no committed
-    baseline for ``mode`` (first run) or nothing regressed.
-    """
-    if baseline is None or max_regression <= 0:
-        return []
-    committed = baseline.get("suites", {}).get(mode, {})
-    regressions = []
-    for name, current in results.items():
-        reference = committed.get(name)
-        if not reference or reference.get("new_s", 0) <= 0:
-            continue
-        ratio = current["new_s"] / reference["new_s"]
-        if ratio > max_regression:
-            regressions.append((name, ratio))
-    return regressions
-
-
-#: ``bench-compare`` default: flag a benchmark whose ``new_s`` grew (or
-#: shrank) by more than this factor between the two reports.
-DEFAULT_DIFF_THRESHOLD = 1.25
-
-
-def diff_reports(
-    old: dict, new: dict, threshold: float = DEFAULT_DIFF_THRESHOLD
-) -> dict:
-    """Structured diff of two benchmark reports (``repro bench-compare``).
-
-    Works on any report using the shared ``{"schema": 1, "suites":
-    {mode: {benchmark: {...}}}}`` layout (``BENCH_PR4.json``,
-    ``BENCH_PR9.json``, ...).  For every suite and benchmark present in
-    both reports the diff carries the ``new_s`` ratio (new report over
-    old) and the ``speedup`` delta when the entries record them;
-    benchmarks and suites on one side only are labelled
-    ``added``/``removed``.  A benchmark is ``regressed`` when its
-    timing ratio exceeds ``threshold``, ``improved`` below
-    ``1/threshold``, otherwise ``ok``.
-    """
-    suites: dict[str, dict] = {}
-    old_suites = old.get("suites", {})
-    new_suites = new.get("suites", {})
-    for mode in sorted(set(old_suites) | set(new_suites)):
-        a, b = old_suites.get(mode), new_suites.get(mode)
-        if a is None or b is None:
-            suites[mode] = {
-                "status": "removed" if b is None else "added",
-                "benchmarks": {},
-            }
-            continue
-        benches: dict[str, dict] = {}
-        for name in sorted(set(a) | set(b)):
-            ea, eb = a.get(name), b.get(name)
-            if ea is None or eb is None:
-                benches[name] = {
-                    "status": "removed" if eb is None else "added"
-                }
-                continue
-            entry: dict = {"status": "ok"}
-            old_t, new_t = ea.get("new_s"), eb.get("new_s")
-            if (
-                isinstance(old_t, (int, float))
-                and isinstance(new_t, (int, float))
-                and old_t > 0
-            ):
-                ratio = new_t / old_t
-                entry.update(
-                    {"old_s": old_t, "new_s": new_t, "time_ratio": ratio}
-                )
-                if threshold > 0 and ratio > threshold:
-                    entry["status"] = "regressed"
-                elif threshold > 0 and ratio < 1.0 / threshold:
-                    entry["status"] = "improved"
-            old_sp, new_sp = ea.get("speedup"), eb.get("speedup")
-            if isinstance(old_sp, (int, float)) and isinstance(
-                new_sp, (int, float)
-            ):
-                entry.update(
-                    {
-                        "old_speedup": old_sp,
-                        "new_speedup": new_sp,
-                        "speedup_delta": new_sp - old_sp,
-                    }
-                )
-            benches[name] = entry
-        suites[mode] = {"status": "both", "benchmarks": benches}
-    return {"threshold": threshold, "suites": suites}
-
-
-def render_diff(diff: dict, old_path: str, new_path: str) -> str:
-    """Human-readable rendering of a :func:`diff_reports` result."""
-    lines = [f"bench-compare -- {old_path} vs {new_path}"]
-    regressed = 0
-    for mode, suite in diff["suites"].items():
-        if suite["status"] != "both":
-            lines.append(
-                f"  {mode}: suite only in "
-                f"{new_path if suite['status'] == 'added' else old_path}"
-            )
-            continue
-        lines.append(f"  {mode} suite:")
-        lines.append(
-            f"    {'benchmark':<18} {'old':>9} {'new':>9} {'ratio':>7} "
-            f"{'speedup':>15}"
-        )
-        for name, entry in suite["benchmarks"].items():
-            if entry["status"] in ("added", "removed"):
-                lines.append(
-                    f"    {name:<18} ({entry['status']} in {new_path})"
-                    if entry["status"] == "added"
-                    else f"    {name:<18} (removed in {new_path})"
-                )
-                continue
-            if "time_ratio" not in entry:
-                lines.append(f"    {name:<18} (no comparable timings)")
-                continue
-            speedups = (
-                f"{entry['old_speedup']:>6.2f}x->{entry['new_speedup']:.2f}x"
-                if "old_speedup" in entry
-                else ""
-            )
-            flag = ""
-            if entry["status"] == "regressed":
-                flag = "  <-- REGRESSED"
-                regressed += 1
-            elif entry["status"] == "improved":
-                flag = "  (improved)"
-            lines.append(
-                f"    {name:<18} {entry['old_s']:>8.3f}s "
-                f"{entry['new_s']:>8.3f}s {entry['time_ratio']:>6.2f}x "
-                f"{speedups:>15}{flag}"
-            )
-    lines.append(
-        f"  {regressed} regression(s) beyond {diff['threshold']:.2f}x"
-        if regressed
-        else f"  no regressions beyond {diff['threshold']:.2f}x"
-    )
-    return "\n".join(lines)
-
-
-def render_report(
-    mode: str, results: dict, regressions: list[tuple[str, float]]
-) -> str:
+def render_report(results: dict) -> str:
     """Human-readable summary of one suite run."""
     lines = [
-        f"perf-bench -- {mode} suite",
+        "perf -- vectorised kernels vs their scalar references",
         f"  {'benchmark':<14} {'new':>9} {'baseline':>9} {'speedup':>8}",
     ]
     for name, data in results.items():
+        if name == "gates":
+            continue
         lines.append(
             f"  {name:<14} {data['new_s']:>8.3f}s {data['baseline_s']:>8.3f}s "
             f"{data['speedup']:>7.2f}x"
@@ -566,12 +385,4 @@ def render_report(
             f"p50 {latency['p50']:.2f} p95 {latency['p95']:.2f} "
             f"p99 {latency['p99']:.2f}"
         )
-    if regressions:
-        for name, ratio in regressions:
-            lines.append(
-                f"  REGRESSION: {name} is {ratio:.2f}x slower than the "
-                "committed baseline"
-            )
-    else:
-        lines.append("  no regressions vs committed baseline")
     return "\n".join(lines)

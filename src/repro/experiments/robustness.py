@@ -26,10 +26,8 @@ spreads a sweep across processes bit-identically to the serial path.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 from repro.channel.materials import default_catalog
@@ -40,9 +38,6 @@ from repro.csi.faults import inject_session
 from repro.csi.quality import CorruptTraceError, DegradedTraceWarning
 from repro.experiments.datasets import collect_dataset, split_dataset
 from repro.experiments.runner import parallel_map
-
-#: Committed artifact, sibling of ``BENCH_PR4.json``.
-DEFAULT_OUTPUT = "ROBUSTNESS_PR5.json"
 
 #: A small, well-separated material set keeps the sweep fast while the
 #: clean-capture point still sits at or near 100% accuracy, so any drop
@@ -227,45 +222,29 @@ def antenna_dropout_sweep(
 
 
 def run_suite(
-    workers: int = 1,
-    seed: int = 0,
-    repetitions: int = DEFAULT_REPETITIONS,
-    num_packets: int = DEFAULT_PACKETS,
-    progress=None,
+    mode: str = "full", seed: int = 0, workers: int = 1, progress=None
 ) -> dict:
-    """Both sweeps; returns ``{sweep_name: [point dict, ...]}``."""
-    suite = {}
+    """Both sweeps (``mode`` is ignored: the sweeps are CI-sized).
+
+    Returns ``{"materials": [...], "sweeps": {sweep_name: [point dict,
+    ...]}}``; the sweeps report accuracy and carry no gates.
+    """
+    sweeps = {}
     for name, sweep in (
         ("packet_loss", packet_loss_sweep),
         ("antenna_dropout", antenna_dropout_sweep),
     ):
         if progress is not None:
             progress(name)
-        results = sweep(
-            seed=seed,
-            repetitions=repetitions,
-            num_packets=num_packets,
-            workers=workers,
-        )
-        suite[name] = [point.to_dict() for point in results]
-    return suite
-
-
-def write_report(path: str | Path, results: dict) -> dict:
-    """Write the sweep artifact (sibling of ``BENCH_PR4.json``)."""
-    report = {
-        "schema": 1,
-        "materials": list(DEFAULT_MATERIALS),
-        "sweeps": results,
-    }
-    Path(path).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    return report
+        results = sweep(seed=seed, workers=workers)
+        sweeps[name] = [point.to_dict() for point in results]
+    return {"materials": list(DEFAULT_MATERIALS), "sweeps": sweeps}
 
 
 def render_report(results: dict) -> str:
     """Human-readable sweep table for the CLI."""
     lines = ["robustness sweeps (clean training, faulty test captures):"]
-    for sweep, points in results.items():
+    for sweep, points in results["sweeps"].items():
         lines.append(f"  {sweep}:")
         for point in points:
             lines.append(

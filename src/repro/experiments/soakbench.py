@@ -1,6 +1,6 @@
 """Chaos soak harness: the failure-control plane under sustained abuse.
 
-``repro soak-bench`` drives one sharded cluster through a scripted
+``repro bench soak`` drives one sharded cluster through a scripted
 chaos schedule and commits the evidence as ``SOAK_PR10.json``.  Each
 phase targets one mechanism of the failure-control plane:
 
@@ -30,7 +30,7 @@ phase targets one mechanism of the failure-control plane:
    threshold and are speculatively re-enqueued on the sibling shard;
    first-reply-wins dedup absorbs the duplicates.
 
-The run **fails loudly** (``gates_passed`` false in the report, and
+The run **fails loudly** (a false entry in the report's ``gates``, and
 the CLI exits non-zero) unless every admitted request resolves, every
 clean prediction matches the fault-free run, and every mechanism
 actually fired: expired-deadline drops at all three points, breaker
@@ -40,7 +40,6 @@ quarantines all non-zero.
 
 from __future__ import annotations
 
-import json
 import os
 import signal
 import time
@@ -348,23 +347,28 @@ def run_soak_bench(
             "store_quarantined": quarantined,
         },
         "gates": gates,
-        "gates_passed": all(gates.values()),
     }
 
 
-def write_report(path: str | Path, results: dict) -> dict:
-    """Write the committed artifact (sibling of ``BENCH_PR7.json``)."""
-    report = {"schema": 1, "benchmark": "chaos-soak", **results}
-    Path(path).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    return report
+def run_suite(
+    mode: str = "full", seed: int = 1, workers: int = 2, progress=None
+) -> dict:
+    """The chaos schedule at ``mode`` size."""
+    return run_soak_bench(
+        seed=seed,
+        repetitions=(
+            SMOKE_REPETITIONS if mode == "smoke" else DEFAULT_REPETITIONS
+        ),
+        workers=workers,
+        progress=progress,
+    )
 
 
 def render_report(results: dict) -> str:
     """Human-readable summary of one run."""
-    gates = results["gates"]
     cc = results["counters"]["cluster"]
     lines = [
-        f"soak-bench -- {results['distinct_sessions']} distinct sessions, "
+        f"soak -- {results['distinct_sessions']} distinct sessions, "
         f"{results['workers']} workers, seed {results['seed']}",
         f"  sheds {cc['requests.shed']}, hedges {cc['cluster.hedges']}, "
         f"redeliveries {cc['cluster.redeliveries']}, "
@@ -379,9 +383,4 @@ def render_report(results: dict) -> str:
         f"  store entries quarantined: "
         f"{results['counters']['store_quarantined']:.0f}",
     ]
-    failed = sorted(name for name, passed in gates.items() if not passed)
-    if failed:
-        lines.append(f"  GATES FAILED: {', '.join(failed)}")
-    else:
-        lines.append("  all gates passed (zero lost requests)")
     return "\n".join(lines)

@@ -1,4 +1,4 @@
-"""Streaming-vs-batch latency harness behind ``repro stream-bench``.
+"""Streaming-vs-batch latency suite behind ``repro bench stream``.
 
 The batch pipeline cannot produce *anything* before the full trace is
 captured and denoised, so its identify latency is proportional to the
@@ -24,18 +24,16 @@ bench measures per trace length is:
 Every run also verifies the acceptance contract: the finalized
 streaming prediction equals the batch prediction on the same session.
 
-Report format follows :mod:`repro.experiments.perfbench`: suites are
-stored side by side in :data:`DEFAULT_OUTPUT` (committed at the repo
-root) and a later run -- e.g. the CI ``perf-smoke`` job running
-``repro stream-bench --smoke`` -- fails when a gated timing exceeds
-``max_regression`` times the committed value.
+The committed report (``BENCH_PR8.json``) is the regression baseline:
+:mod:`repro.experiments.bench` fails a run whose time-to-first-estimate
+or finalize time exceeds 3x the committed value for the same mode.
+The label match is reported but not gated, because the streamed
+windowed denoise may diverge from batch (DESIGN.md section 13).
 """
 
 from __future__ import annotations
 
-import json
 import time
-from pathlib import Path
 
 from repro.channel.materials import default_catalog
 from repro.core.feature import theory_reference_omegas
@@ -47,17 +45,6 @@ from repro.experiments.datasets import (
     split_dataset,
     standard_scene,
 )
-
-#: Report written by ``repro stream-bench`` and committed as the baseline.
-DEFAULT_OUTPUT = "BENCH_PR8.json"
-
-#: Default regression gate: fail when a gated timing exceeds this
-#: multiple of the committed baseline's.  Looser than perf-bench's 2.0
-#: because the gated quantities are millisecond-scale.
-DEFAULT_MAX_REGRESSION = 3.0
-
-#: Timings the regression gate checks (per trace length).
-GATED_FIELDS = ("time_to_first_estimate_s", "finalize_s")
 
 #: Per-suite workload sizes.  Smoke is sized for CI; full is the
 #: committed reference workload sweeping trace lengths so the
@@ -181,13 +168,14 @@ def bench_length(wimi: WiMi, collector, material, length: int,
     }
 
 
-# ----------------------------------------------------------------------
-# Suite driver, report I/O and baseline comparison
-# ----------------------------------------------------------------------
+def run_suite(
+    mode: str = "full", seed: int = 0, workers: int = 1, progress=None
+) -> dict:
+    """Run the streaming bench at ``mode`` ("smoke" or "full") sizes.
 
-
-def run_suite(mode: str = "full", progress=None) -> dict:
-    """Run the streaming bench at ``mode`` ("smoke" or "full") sizes."""
+    ``seed`` and ``workers`` are ignored: the workload is fixed so a run
+    stays comparable with the committed baseline.
+    """
     if mode not in _SIZES:
         raise ValueError(f"mode must be one of {sorted(_SIZES)}, got {mode!r}")
     sizes = _SIZES[mode]
@@ -203,69 +191,16 @@ def run_suite(mode: str = "full", progress=None) -> dict:
     return results
 
 
-def load_report(path: str | Path) -> dict | None:
-    """The committed report at ``path``, or None when absent/unreadable."""
-    path = Path(path)
-    if not path.is_file():
-        return None
-    try:
-        report = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError):
-        return None
-    return report if isinstance(report.get("suites"), dict) else None
-
-
-def write_report(path: str | Path, mode: str, results: dict) -> dict:
-    """Write/merge the report at ``path`` and return it.
-
-    Suites are stored side by side so a smoke-only run does not clobber
-    the committed full-suite timings.
-    """
-    report = load_report(path) or {"schema": 1, "suites": {}}
-    report["suites"][mode] = results
-    Path(path).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    return report
-
-
-def compare_to_baseline(
-    results: dict,
-    baseline: dict | None,
-    mode: str,
-    max_regression: float = DEFAULT_MAX_REGRESSION,
-) -> list[tuple[str, float]]:
-    """Gated timings that regressed beyond ``max_regression``.
-
-    Returns ``("bench.field", ratio)`` pairs; empty when there is no
-    committed baseline for ``mode`` (first run) or nothing regressed.
-    """
-    if baseline is None or max_regression <= 0:
-        return []
-    committed = baseline.get("suites", {}).get(mode, {})
-    regressions = []
-    for name, current in results.items():
-        reference = committed.get(name)
-        if not reference:
-            continue
-        for field in GATED_FIELDS:
-            committed_s = reference.get(field, 0)
-            if not committed_s or committed_s <= 0:
-                continue
-            ratio = current[field] / committed_s
-            if ratio > max_regression:
-                regressions.append((f"{name}.{field}", ratio))
-    return regressions
-
-
-def render_report(
-    mode: str, results: dict, regressions: list[tuple[str, float]]
-) -> str:
+def render_report(results: dict) -> str:
     """Human-readable summary of one suite run."""
     lines = [
-        f"stream-bench -- {mode} suite",
+        "stream -- streaming time-to-first-estimate vs batch identify",
         f"  {'benchmark':<16} {'batch':>9} {'1st est':>9} "
         f"{'finalize':>9} {'step max':>9} {'match':>6}",
     ]
     for name, data in results.items():
+        if name == "gates":
+            continue
         match = "yes" if data["predictions_identical"] else "NO"
         lines.append(
             f"  {name:<16} {data['batch_identify_s']:>8.3f}s "
@@ -278,12 +213,4 @@ def render_report(
             f"packets, {data['speedup_first_estimate']:.1f}x ahead of "
             "batch"
         )
-    if regressions:
-        for name, ratio in regressions:
-            lines.append(
-                f"  REGRESSION: {name} is {ratio:.2f}x slower than the "
-                "committed baseline"
-            )
-    else:
-        lines.append("  no regressions vs committed baseline")
     return "\n".join(lines)

@@ -14,13 +14,15 @@ measures that claim on one deployment:
 
 Both paths must produce bit-identical predictions, and the warm path
 must execute **zero** pipeline stages (every resolution is a disk hit)
-for a request the cold process already served.  The JSON artifact is
-committed as ``BENCH_PR6.json``.
+for a request the cold process already served, and the warm start must
+be at least :data:`MIN_SPEEDUP` times faster than the cold one.  These
+three conditions are the suite's gates; ``repro bench warm`` writes the
+committed ``BENCH_PR6.json``.
 """
 
 from __future__ import annotations
 
-import json
+import tempfile
 import time
 from pathlib import Path
 
@@ -36,12 +38,15 @@ from repro.experiments.datasets import (
 )
 from repro.persist.store import ArtifactStore
 
-#: Materials of the benchmark deployment (mirrors serve-bench).
+#: Materials of the benchmark deployment (mirrors the serve suite).
 DEFAULT_MATERIALS = ("pure_water", "pepsi", "oil")
 
 #: Paper-protocol capture sizes, kept small enough for CI.
 DEFAULT_REPETITIONS = 6
 DEFAULT_PACKETS = 10
+
+#: Gate: the warm start must beat the cold one by at least this factor.
+MIN_SPEEDUP = 5.0
 
 
 def run_warm_bench(
@@ -133,11 +138,27 @@ def run_warm_bench(
     }
 
 
-def write_report(path: str | Path, results: dict) -> dict:
-    """Write the committed artifact (sibling of ``BENCH_PR4.json``)."""
-    report = {"schema": 1, "benchmark": "warm-start", **results}
-    Path(path).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    return report
+def run_suite(
+    mode: str = "full", seed: int = 1, workers: int = 1, progress=None
+) -> dict:
+    """Cold vs warm over a fresh temporary store; adds the gates.
+
+    ``mode`` and ``workers`` are ignored: the workload is CI-sized.
+    """
+    with tempfile.TemporaryDirectory() as root:
+        results = run_warm_bench(
+            store_path=f"{root}/store",
+            registry_path=f"{root}/registry",
+            seed=seed,
+            progress=progress,
+        )
+    executions = sum(results["warm_first_stage_executions"].values())
+    results["gates"] = {
+        "predictions_identical": results["predictions_identical"],
+        "zero_warm_stage_executions": executions == 0,
+        "min_speedup": results["speedup"] >= MIN_SPEEDUP,
+    }
+    return results
 
 
 def render_report(results: dict) -> str:
@@ -146,7 +167,7 @@ def render_report(results: dict) -> str:
     warm = results["warm"]
     executions = sum(results["warm_first_stage_executions"].values())
     lines = [
-        f"warm-bench -- cold train-and-serve vs registry warm start "
+        f"warm -- cold train-and-serve vs registry warm start "
         f"(seed {results['seed']}, {results['train_sessions']} train / "
         f"{results['test_sessions']} test)",
         f"  cold: fit {cold['fit_s']:.3f}s + first identify "

@@ -1,8 +1,32 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
-from repro.cli import COMMANDS, build_parser, main
+from repro.cli import COMMANDS, build_parser, main, parse_args
+from repro.experiments import bench, clusterbench, warmbench
+
+#: Each suite's committed artifact (None: the suite commits no report).
+ARTIFACTS = {
+    "perf": "BENCH_PR4.json",
+    "stream": "BENCH_PR8.json",
+    "warm": "BENCH_PR6.json",
+    "cluster": "BENCH_PR7.json",
+    "soak": "SOAK_PR10.json",
+    "robustness": "ROBUSTNESS_PR5.json",
+    "serve": None,
+    "cache": None,
+}
+
+#: Per-bench flags that folded into --output/--baseline/--max-regression
+#: or went away with the per-bench commands.
+REMOVED_FLAGS = (
+    "--stream-output", "--stream-baseline", "--stream-max-regression",
+    "--warm-output", "--cluster-output", "--soak-output",
+    "--robustness-output", "--json-out", "--batch-size",
+    "--queue-capacity", "--repeat",
+)
 
 
 class TestRegistry:
@@ -11,10 +35,10 @@ class TestRegistry:
             assert expected in COMMANDS
 
     def test_benchmarks_registered_uniformly(self):
-        # bench-cache used to be special-cased outside the table; both
-        # benchmark commands must now dispatch from the same registry.
-        assert "bench-cache" in COMMANDS
-        assert "serve-bench" in COMMANDS
+        # Every benchmark suite dispatches through the one bench command.
+        assert "bench" in COMMANDS
+        assert set(bench.SUITES) == set(ARTIFACTS)
+        assert not any(name.endswith("-bench") for name in COMMANDS)
 
     def test_every_command_has_runner_and_description(self):
         for name, command in COMMANDS.items():
@@ -22,8 +46,7 @@ class TestRegistry:
             assert command.description, name
 
     def test_all_excludes_benchmarks(self):
-        assert not COMMANDS["bench-cache"].in_all
-        assert not COMMANDS["serve-bench"].in_all
+        assert not COMMANDS["bench"].in_all
         assert COMMANDS["fig15"].in_all
 
 
@@ -47,16 +70,6 @@ class TestParser:
         args = build_parser().parse_args(["fig15", "--seed", "7"])
         assert args.seed == 7
 
-    def test_serve_bench_options_parsed(self):
-        args = build_parser().parse_args(
-            ["serve-bench", "--workers", "4", "--batch-size", "16",
-             "--queue-capacity", "128", "--repeat", "2"]
-        )
-        assert args.workers == 4
-        assert args.batch_size == 16
-        assert args.queue_capacity == 128
-        assert args.repeat == 2
-
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             build_parser().parse_args(["--version"])
@@ -73,9 +86,9 @@ class TestExecution:
         out = capsys.readouterr().out
         assert "fig15" in out
         assert "ten-liquid" in out
-        # The listing is generated from the registry, benchmarks included.
-        assert "bench-cache" in out
-        assert "serve-bench" in out
+        # The listing is generated from the registries, suites included.
+        for name in ("bench", "bench-compare", *bench.SUITES):
+            assert name in out
 
     def test_fast_figure_runs(self, capsys):
         assert main(["fig08", "--seed", "1"]) == 0
@@ -89,34 +102,206 @@ class TestExecution:
         assert "angular fluctuation" in out
 
     def test_serve_bench_runs(self, capsys):
-        assert main(["serve-bench", "--repeat", "2", "--workers", "2"]) == 0
+        assert main(["bench", "serve", "--smoke", "--workers", "2"]) == 0
         out = capsys.readouterr().out
-        assert "serve-bench" in out
+        assert "serve --" in out
         assert "p50" in out and "p95" in out and "p99" in out
         assert "req/s" in out
         assert "batch" in out
         assert "rejected" in out and "retries" in out
         assert "stage cache" in out
-        assert "predictions identical: yes" in out
+        # Service labels equal the sequential labels (a gate now).
+        assert "all gates passed (1)" in out
 
 
-class TestRobustnessBench:
-    def test_registered_outside_all(self):
-        assert "robustness-bench" in COMMANDS
-        assert not COMMANDS["robustness-bench"].in_all
+class TestBenchSuites:
+    @pytest.mark.parametrize("name", sorted(ARTIFACTS))
+    def test_registered_outside_all(self, name):
+        assert name in bench.SUITES
+        assert name not in COMMANDS
+        assert not COMMANDS["bench"].in_all
 
-    def test_options_parsed(self):
-        args = build_parser().parse_args(
-            ["robustness-bench", "--robustness-output", "out.json",
-             "--workers", "3", "--seed", "4"]
+    @pytest.mark.parametrize("name", sorted(ARTIFACTS))
+    def test_options_parsed(self, name):
+        args = parse_args(
+            ["bench", name, "--smoke", "--output", "out.json",
+             "--seed", "4", "--workers", "3"]
         )
-        assert args.robustness_output == "out.json"
-        assert args.workers == 3
+        assert args.suite == name
+        assert args.smoke is True
+        assert args.output == "out.json"
         assert args.seed == 4
+        assert args.workers == 3
 
-    def test_default_output_is_the_committed_artifact(self):
-        args = build_parser().parse_args(["robustness-bench"])
-        assert args.robustness_output == "ROBUSTNESS_PR5.json"
+    @pytest.mark.parametrize("name", sorted(ARTIFACTS))
+    def test_default_output_is_the_committed_artifact(self, name):
+        args = parse_args(["bench", name])
+        assert args.output == ARTIFACTS[name]
+        assert args.baseline == ARTIFACTS[name]
+        assert args.max_regression == bench.SUITES[name].max_regression
+
+    def test_regression_factors(self):
+        assert bench.SUITES["perf"].gated_fields == ("new_s",)
+        assert bench.SUITES["perf"].max_regression == 2.0
+        assert bench.SUITES["stream"].gated_fields == (
+            "time_to_first_estimate_s", "finalize_s"
+        )
+        assert bench.SUITES["stream"].max_regression == 3.0
+
+    @pytest.mark.parametrize(
+        "argv", [["bench"], ["bench", "nope"]], ids=["missing", "unknown"]
+    )
+    def test_missing_or_unknown_suite_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        for name in bench.SUITES:
+            assert name in err
+
+    @pytest.mark.parametrize("flag", REMOVED_FLAGS)
+    def test_removed_flag_exits_2(self, flag):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench", "perf", flag, "1"])
+        assert excinfo.value.code == 2
+
+    def test_warm_runs_end_to_end(self, tmp_path, capsys):
+        path = tmp_path / "warm.json"
+        assert main(["bench", "warm", "--output", str(path)]) == 0
+        report = json.loads(path.read_text())
+        assert report["schema"] == 1
+        assert report["benchmark"] == "warm"
+        gates = report["suites"]["full"]["gates"]
+        assert set(gates) == {
+            "predictions_identical", "zero_warm_stage_executions",
+            "min_speedup",
+        }
+        assert all(gates.values())
+        assert "all gates passed (3)" in capsys.readouterr().out
+
+    def test_stream_smoke_gates_on_the_baseline(self, tmp_path):
+        path = tmp_path / "stream.json"
+        assert main(
+            ["bench", "stream", "--smoke", "--output", str(path),
+             "--baseline", str(tmp_path / "absent.json")]
+        ) == 0
+        report = json.loads(path.read_text())
+        assert report["benchmark"] == "stream"
+        smoke = report["suites"]["smoke"]
+        assert smoke["gates"] == {"no_regression": True}
+        # A baseline far faster than this machine trips the 3x gate.
+        fast = json.loads(path.read_text())
+        for name, entry in fast["suites"]["smoke"].items():
+            if name != "gates":
+                for field in bench.SUITES["stream"].gated_fields:
+                    entry[field] /= 10.0
+        fast_path = tmp_path / "fast.json"
+        fast_path.write_text(json.dumps(fast))
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                ["bench", "stream", "--smoke", "--output", str(path),
+                 "--baseline", str(fast_path)]
+            )
+        assert excinfo.value.code not in (None, 0)
+        assert "GATES FAILED: no_regression" in str(excinfo.value)
+
+
+def _warm_results(**overrides) -> dict:
+    """A passing raw warm-start result; ``overrides`` break one condition."""
+    results = {
+        "seed": 1,
+        "materials": ["pure_water", "pepsi", "oil"],
+        "train_sessions": 12,
+        "test_sessions": 6,
+        "cold": {"fit_s": 0.2, "first_identify_s": 0.01, "total_s": 0.21},
+        "warm": {"load_s": 0.002, "first_identify_s": 0.003, "total_s": 0.005},
+        "speedup": 42.0,
+        "predictions_identical": True,
+        "warm_first_stage_executions": {},
+        "warm_disk_hits": {"amplitude_denoise": 12},
+        "store": {"entries": 224, "bytes": 570896},
+    }
+    results.update(overrides)
+    return results
+
+
+def _cluster_results(**kill_overrides) -> dict:
+    """A passing raw cluster result; overrides break the kill phase."""
+    kill = {
+        "requests": 24, "killed_pid": 4242, "restarts": 1,
+        "redeliveries": 3, "completed": 24, "failed": 0,
+        "duplicate_replies": 0, "zero_lost": True,
+        "predictions_identical": True,
+    }
+    throughput_identical = kill_overrides.pop("throughput_identical", True)
+    kill.update(kill_overrides)
+    side = {"seconds": 1.0, "requests_per_s": 72.0, "memory_hits": 10,
+            "misses": 5}
+    return {
+        "seed": 1, "materials": ["pure_water", "pepsi", "oil"],
+        "workers": 2, "distinct_sessions": 36, "waves": 2, "requests": 72,
+        "num_packets": 6, "eviction_regime": False,
+        "throughput": {
+            "service": dict(side),
+            "cluster": {**side, "completed": 72, "failed": 0},
+            "speedup": 1.0,
+            "predictions_identical": throughput_identical,
+        },
+        "kill_survival": kill,
+    }
+
+
+class TestSuiteGates:
+    """The gates that used to live in CI heredocs, on synthetic results."""
+
+    @pytest.mark.parametrize(
+        "overrides, gate",
+        [
+            ({}, None),
+            ({"predictions_identical": False}, "predictions_identical"),
+            (
+                {"warm_first_stage_executions": {"amplitude_denoise": 2}},
+                "zero_warm_stage_executions",
+            ),
+            ({"speedup": 4.9}, "min_speedup"),
+        ],
+        ids=["passing", "predictions", "stage_executions", "speedup"],
+    )
+    def test_warm_gates(self, overrides, gate, monkeypatch, tmp_path):
+        monkeypatch.setattr(
+            warmbench, "run_warm_bench",
+            lambda *args, **kwargs: _warm_results(**overrides),
+        )
+        self._check("warm", gate, tmp_path)
+
+    @pytest.mark.parametrize(
+        "overrides, gate",
+        [
+            ({}, None),
+            ({"restarts": 0}, "restarted"),
+            ({"zero_lost": False}, "zero_lost"),
+            ({"predictions_identical": False}, "kill_predictions_identical"),
+            ({"throughput_identical": False}, "predictions_identical"),
+        ],
+        ids=["passing", "restart", "lost", "kill_predictions", "predictions"],
+    )
+    def test_cluster_gates(self, overrides, gate, monkeypatch, tmp_path):
+        monkeypatch.setattr(
+            clusterbench, "run_cluster_bench",
+            lambda **kwargs: _cluster_results(**overrides),
+        )
+        self._check("cluster", gate, tmp_path)
+
+    @staticmethod
+    def _check(name, gate, tmp_path):
+        argv = ["bench", name, "--smoke", "--output", str(tmp_path / "r.json")]
+        if gate is None:
+            assert main(argv) == 0
+            return
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code not in (None, 0)
+        assert f"GATES FAILED: {gate}" in str(excinfo.value)
 
 
 class TestBenchCompare:
@@ -193,9 +378,7 @@ class TestBenchCompare:
 class TestPersistCommands:
     def test_registered_outside_all(self):
         assert "store" in COMMANDS
-        assert "warm-bench" in COMMANDS
         assert not COMMANDS["store"].in_all
-        assert not COMMANDS["warm-bench"].in_all
 
     def test_store_options_parsed(self):
         args = build_parser().parse_args(
@@ -204,10 +387,9 @@ class TestPersistCommands:
         assert args.store_path == "/tmp/somewhere"
         assert args.gc is True
 
-    def test_warm_bench_defaults_are_the_committed_artifact(self):
-        args = build_parser().parse_args(["warm-bench"])
+    def test_store_defaults(self):
+        args = build_parser().parse_args(["store"])
         assert args.store_path == ".wimi-store"
-        assert args.warm_output == "BENCH_PR6.json"
         assert args.gc is False
 
     def test_store_command_runs_on_empty_store(self, tmp_path, capsys):

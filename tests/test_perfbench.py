@@ -1,27 +1,41 @@
-"""Report I/O and regression-gate logic of the perf-bench harness.
+"""Report I/O and regression-gate logic of the ``repro bench`` harness.
 
-The benchmarks themselves run in CI via ``repro perf-bench --smoke``;
-these tests cover the pure plumbing so the gate's semantics are pinned
-without paying for a benchmark run.
+The suites themselves run in CI via ``repro bench <suite> --smoke``;
+these tests cover the shared plumbing so the gate's semantics are
+pinned without paying for a benchmark run.  Both gated suites go
+through the same code, so every report and gate test takes each of
+them as one more input (:data:`GATED`).
 """
 
 import json
 
-from repro.experiments.perfbench import (
+from repro.experiments.bench import (
+    SUITES,
     compare_to_baseline,
     diff_reports,
     load_report,
+    render,
     render_diff,
-    render_report,
-    run_suite,
     write_report,
 )
+from repro.experiments.perfbench import run_suite
 
 import pytest
 
 
 def _result(new_s):
     return {"new_s": new_s, "baseline_s": new_s * 3, "speedup": 3.0}
+
+
+def _stream_result(seconds):
+    return {"time_to_first_estimate_s": seconds, "finalize_s": seconds}
+
+
+#: ``(suite, benchmark name, result factory)`` for each gated suite.
+GATED = (
+    ("perf", "denoise", _result),
+    ("stream", "stream_len48", _stream_result),
+)
 
 
 class TestReportIO:
@@ -36,44 +50,73 @@ class TestReportIO:
         assert load_report(path) is None
 
     def test_write_merges_suites(self, tmp_path):
-        path = tmp_path / "bench.json"
-        write_report(path, "full", {"denoise": _result(0.1)})
-        report = write_report(path, "smoke", {"denoise": _result(0.02)})
-        assert set(report["suites"]) == {"full", "smoke"}
-        on_disk = load_report(path)
-        assert on_disk["suites"]["full"]["denoise"]["new_s"] == 0.1
-        assert on_disk["suites"]["smoke"]["denoise"]["new_s"] == 0.02
+        for suite, bench, make in GATED:
+            path = tmp_path / f"{suite}.json"
+            write_report(path, suite, "full", {bench: make(0.1)})
+            report = write_report(path, suite, "smoke", {bench: make(0.02)})
+            assert report["schema"] == 1
+            assert report["benchmark"] == suite
+            assert set(report["suites"]) == {"full", "smoke"}
+            on_disk = load_report(path)
+            assert on_disk == report
+            assert on_disk["suites"]["full"][bench] == make(0.1)
+            assert on_disk["suites"]["smoke"][bench] == make(0.02)
+
+
+def _compare(suite, current, baseline, mode, max_regression=None):
+    entry = SUITES[suite]
+    if max_regression is None:
+        max_regression = entry.max_regression
+    return compare_to_baseline(
+        current, baseline, mode, entry.gated_fields, max_regression
+    )
 
 
 class TestRegressionGate:
-    BASELINE = {"suites": {"smoke": {"denoise": _result(0.1)}}}
+    @staticmethod
+    def _baseline(bench, make):
+        return {"suites": {"smoke": {bench: make(0.1)}}}
 
     def test_no_baseline_passes(self):
-        assert compare_to_baseline({"denoise": _result(9.9)}, None, "smoke") == []
+        for suite, bench, make in GATED:
+            assert _compare(suite, {bench: make(9.9)}, None, "smoke") == []
 
     def test_within_budget_passes(self):
-        current = {"denoise": _result(0.19)}
-        assert compare_to_baseline(current, self.BASELINE, "smoke") == []
+        for suite, bench, make in GATED:
+            # Just inside each suite's own factor (2.0 perf, 3.0 stream).
+            limit = SUITES[suite].max_regression
+            current = {bench: make(0.1 * limit * 0.95)}
+            baseline = self._baseline(bench, make)
+            assert _compare(suite, current, baseline, "smoke") == []
 
     def test_regression_flagged_with_ratio(self):
-        current = {"denoise": _result(0.5)}
-        flagged = compare_to_baseline(current, self.BASELINE, "smoke")
-        assert [name for name, _ in flagged] == ["denoise"]
-        assert flagged[0][1] == pytest.approx(5.0)
+        for suite, bench, make in GATED:
+            current = {bench: make(0.5)}
+            flagged = _compare(
+                suite, current, self._baseline(bench, make), "smoke"
+            )
+            assert [name for name, _ in flagged] == [
+                f"{bench}.{field}" for field in SUITES[suite].gated_fields
+            ]
+            assert all(ratio == pytest.approx(5.0) for _, ratio in flagged)
 
     def test_other_suite_not_compared(self):
-        current = {"denoise": _result(0.5)}
-        assert compare_to_baseline(current, self.BASELINE, "full") == []
+        for suite, bench, make in GATED:
+            current = {bench: make(0.5)}
+            baseline = self._baseline(bench, make)
+            assert _compare(suite, current, baseline, "full") == []
 
     def test_new_benchmark_not_compared(self):
-        current = {"brand_new": _result(0.5)}
-        assert compare_to_baseline(current, self.BASELINE, "smoke") == []
+        for suite, bench, make in GATED:
+            current = {"brand_new": make(0.5), "gates": {}}
+            baseline = self._baseline(bench, make)
+            assert _compare(suite, current, baseline, "smoke") == []
 
     def test_gate_disabled(self):
-        current = {"denoise": _result(0.5)}
-        assert (
-            compare_to_baseline(current, self.BASELINE, "smoke", 0.0) == []
-        )
+        for suite, bench, make in GATED:
+            current = {bench: make(0.5)}
+            baseline = self._baseline(bench, make)
+            assert _compare(suite, current, baseline, "smoke", 0.0) == []
 
 
 class TestDiffReports:
@@ -148,7 +191,11 @@ def test_unknown_mode_rejected():
 
 
 def test_render_report_mentions_regressions():
-    text = render_report("smoke", {"denoise": _result(0.5)}, [("denoise", 5.0)])
-    assert "REGRESSION" in text
-    clean = render_report("smoke", {"denoise": _result(0.5)}, [])
-    assert "no regressions" in clean
+    failing = {"denoise": _result(0.5), "gates": {"no_regression": False}}
+    text = render("perf", failing, [("denoise.new_s", 5.0)], 2.0)
+    assert "REGRESSION: denoise.new_s is 5.00x" in text
+    assert "GATES FAILED: no_regression" in text
+    passing = {"denoise": _result(0.5), "gates": {"no_regression": True}}
+    clean = render("perf", passing)
+    assert "REGRESSION" not in clean
+    assert "all gates passed" in clean

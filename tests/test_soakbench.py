@@ -10,7 +10,7 @@ import json
 
 import pytest
 
-from repro.experiments import soakbench
+from repro.experiments import bench, soakbench
 
 
 def _synthetic_results(**gate_overrides) -> dict:
@@ -49,22 +49,23 @@ def _synthetic_results(**gate_overrides) -> dict:
             "store_quarantined": 375.0,
         },
         "gates": gates,
-        "gates_passed": all(gates.values()),
     }
 
 
 class TestReportContract:
     def test_write_report_stamps_schema_and_benchmark(self, tmp_path):
         path = tmp_path / "SOAK.json"
-        report = soakbench.write_report(path, _synthetic_results())
+        report = bench.write_report(
+            path, "soak", "smoke", _synthetic_results()
+        )
         assert report["schema"] == 1
-        assert report["benchmark"] == "chaos-soak"
+        assert report["benchmark"] == "soak"
         on_disk = json.loads(path.read_text())
         assert on_disk == report
-        assert on_disk["gates_passed"] is True
+        assert all(on_disk["suites"]["smoke"]["gates"].values())
 
     def test_render_mentions_every_mechanism(self):
-        text = soakbench.render_report(_synthetic_results())
+        text = bench.render("soak", _synthetic_results())
         for needle in (
             "sheds 26", "hedges 45", "redeliveries 4", "restarts 4",
             "opened 1", "closed 1", "quarantined: 375",
@@ -74,8 +75,8 @@ class TestReportContract:
             assert needle in text
 
     def test_render_names_the_failed_gates(self):
-        text = soakbench.render_report(
-            _synthetic_results(breaker_opened=False, hedged=False)
+        text = bench.render(
+            "soak", _synthetic_results(breaker_opened=False, hedged=False)
         )
         assert "GATES FAILED" in text
         assert "breaker_opened" in text and "hedged" in text
@@ -90,7 +91,7 @@ class TestChaosSoak:
             repetitions=soakbench.SMOKE_REPETITIONS,
             store_root=tmp_path / "soak",
         )
-        assert results["gates_passed"], results["gates"]
+        assert all(results["gates"].values()), results["gates"]
         counters = results["counters"]["cluster"]
         assert counters["breaker.opened"] > 0
         assert counters["cluster.hedges"] > 0
