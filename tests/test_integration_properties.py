@@ -250,25 +250,11 @@ def _stream_omega(wimi, session):
     return stream.finalize().features.omega_mean
 
 
-#: The streaming path denoises 8-packet windows, where Eq. 13's keep
-#: test often meets an exact tie: a column whose finest-scale residual
-#: holds one nonzero coefficient gives ``|NCorr| == |W|`` in exact
-#: arithmetic, so the last rounding bit decides whether it is kept.  A
-#: 0.8 gain or a 1-ulp phase-rotation change in ``|H|`` flips such ties
-#: and moves Omega-bar by up to ~3e-3 here.  Breaking the tie changes
-#: float64 results, so it is tracked as an open item, not fixed here.
-_STREAM_TIE = pytest.mark.xfail(
-    strict=True,
-    reason="Eq. 13 single-coefficient ties in 8-packet stream windows "
-    "are decided by rounding",
-)
-
-
 @pytest.mark.parametrize(
     "omega_of",
     [
         pytest.param(_batch_omega, id="extract"),
-        pytest.param(_stream_omega, id="stream", marks=_STREAM_TIE),
+        pytest.param(_stream_omega, id="stream"),
     ],
 )
 @pytest.mark.parametrize(
