@@ -253,17 +253,11 @@ def waverec(decomposition: WaveletDecomposition) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 
-#: Above this signal length the periodized a-trous correlation switches
-#: from roll-accumulation (O(n * filter_length) per level) to the FFT
-#: product (O(n log n) independent of the dilated filter span).
-FFT_LENGTH_THRESHOLD = 4096
-
-
 def _reference_atrous_correlate(
     x: np.ndarray, filt: np.ndarray, hole: int
 ) -> np.ndarray:
     """Scalar (1-D, index-matrix) periodic correlation -- kept as the
-    bit-equivalence reference for the axis-aware kernels."""
+    oracle for the shifted-sum kernel."""
     n = x.size
     idx = (np.arange(n)[:, None] + hole * np.arange(filt.size)[None, :]) % n
     return x[idx] @ filt
@@ -278,56 +272,27 @@ def _reference_atrous_adjoint(
     return y[idx] @ filt
 
 
-def _upsampled_filter_spectrum(
-    filt: np.ndarray, hole: int, n: int
-) -> np.ndarray:
-    """Real FFT of the hole-upsampled filter, periodized to length ``n``."""
-    f_up = np.zeros(n)
-    np.add.at(f_up, (hole * np.arange(filt.size)) % n, filt)
-    return np.fft.rfft(f_up)
-
-
 def _atrous_correlate(x: np.ndarray, filt: np.ndarray, hole: int) -> np.ndarray:
     """Periodic correlation with the filter upsampled by ``hole``.
 
-    Axis-aware: ``x`` may be 1-D ``(time,)`` or 2-D ``(time, channels)``;
-    the correlation always runs along axis 0, so one call filters every
-    channel column.  Long signals go through the FFT identity
-    ``corr(x, f) = irfft(rfft(x) * conj(rfft(f_up)))``.
+    ``out[i] = sum_k filt[k] * x[(i + hole*k) mod n]`` along axis 0, for
+    any trailing shape: one call filters every channel column.  Each tap
+    adds a slice view of ``x`` doubled along axis 0, so the work is
+    element-wise and a column's result does not depend on how many
+    columns ride along.
     """
     n = x.shape[0]
-    if n >= FFT_LENGTH_THRESHOLD:
-        spectrum = np.conj(_upsampled_filter_spectrum(filt, hole, n))
-        if x.ndim == 2:
-            spectrum = spectrum[:, None]
-        return np.fft.irfft(np.fft.rfft(x, axis=0) * spectrum, n=n, axis=0)
-    # Index-matrix gather + matmul, the same tap-summation order as the
-    # scalar reference: each output element is one K-tap dot product, so
-    # the 1-D result is bit-identical to _reference_atrous_correlate and
-    # the 2-D result to its per-column application.  The denoiser's
-    # extract-and-repeat loop compares coefficients exactly, so ulp-level
-    # reassociation here would flip its masks.
-    idx = (np.arange(n)[:, None] + hole * np.arange(filt.size)[None, :]) % n
-    if x.ndim == 1:
-        return x[idx] @ filt
-    gathered = np.moveaxis(x[idx], 1, 2)  # (n, channels, taps)
-    return (gathered.reshape(-1, filt.size) @ filt).reshape(n, -1)
+    doubled = np.concatenate([x, x])
+    out = np.zeros(x.shape)
+    for k, tap in enumerate(filt):
+        shift = (hole * k) % n
+        out += tap * doubled[shift : shift + n]
+    return out
 
 
 def _atrous_adjoint(y: np.ndarray, filt: np.ndarray, hole: int) -> np.ndarray:
     """Adjoint of :func:`_atrous_correlate` (periodic convolution)."""
-    n = y.shape[0]
-    if n >= FFT_LENGTH_THRESHOLD:
-        spectrum = _upsampled_filter_spectrum(filt, hole, n)
-        if y.ndim == 2:
-            spectrum = spectrum[:, None]
-        return np.fft.irfft(np.fft.rfft(y, axis=0) * spectrum, n=n, axis=0)
-    # Same bit-exactness contract as _atrous_correlate's short path.
-    idx = (np.arange(n)[:, None] - hole * np.arange(filt.size)[None, :]) % n
-    if y.ndim == 1:
-        return y[idx] @ filt
-    gathered = np.moveaxis(y[idx], 1, 2)  # (n, channels, taps)
-    return (gathered.reshape(-1, filt.size) @ filt).reshape(n, -1)
+    return _atrous_correlate(y, filt, -hole)
 
 
 def max_swt_level(signal_length: int, wavelet: Wavelet) -> int:
@@ -406,8 +371,8 @@ def iswt(
 
 
 # ----------------------------------------------------------------------
-# Scalar reference implementations (pre-vectorization), kept for the
-# bit-equivalence regression tests and the perf-bench baseline.
+# Scalar reference implementations (pre-vectorization), kept as oracles
+# for the equivalence tests and the ``repro bench perf`` baseline.
 # ----------------------------------------------------------------------
 
 
