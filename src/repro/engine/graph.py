@@ -51,6 +51,7 @@ from repro.resilience.deadline import check_deadline
 from repro.engine.stages import (
     AMPLITUDE_DENOISE,
     CLASSIFY,
+    DENOISE_REVISION,
     FEATURE_EXTRACTION,
     OBSERVABLES,
     PHASE_CALIBRATION,
@@ -183,7 +184,9 @@ class PipelineEngine:
     def amplitude_denoise(self, trace: CsiTrace) -> DenoisedTraceArtifact:
         """Denoised amplitude cube of one trace (the hot stage)."""
         key = make_key(
-            trace_fingerprint(trace), self._config_key(AMPLITUDE_DENOISE)
+            trace_fingerprint(trace),
+            self._config_key(AMPLITUDE_DENOISE),
+            DENOISE_REVISION,
         )
 
         def compute() -> DenoisedTraceArtifact:
@@ -210,6 +213,7 @@ class PipelineEngine:
             array_fingerprint(rows),
             start,
             self._config_key(STREAM_WINDOW_DENOISE),
+            DENOISE_REVISION,
         )
 
         def compute() -> StreamWindowArtifact:

@@ -51,6 +51,13 @@ PHASE_CALIBRATION = StageSpec(
     description="wrapped Delta-Theta per subcarrier (Eq. 18 observable)",
 )
 
+#: Revision of the denoiser's numerics, hashed into the keys of
+#: ``amplitude_denoise`` and ``stream_window_denoise`` only.  Bump it when
+#: the denoiser's output changes for the same input and config, so an
+#: artifact store written by older code recomputes those stages instead
+#: of serving their old outputs.  Revision 1: Eq. 13 keeps exact ties.
+DENOISE_REVISION = 1
+
 #: Sec. III-C: outlier rejection + spatially-selective wavelet filtering
 #: of one trace's amplitude cube.  The pipeline's hot spot.
 AMPLITUDE_DENOISE = StageSpec(

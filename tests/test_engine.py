@@ -9,12 +9,14 @@ from repro.channel.materials import default_catalog
 from repro.core.config import WiMiConfig
 from repro.csi.collector import DataCollector
 from repro.csi.simulator import SimulationScene
+from repro.core.pipeline import WiMi
 from repro.engine import (
     ALL_STAGES,
     AMPLITUDE_DENOISE,
     CLASSIFY,
     FEATURE_EXTRACTION,
     PHASE_CALIBRATION,
+    STREAM_WINDOW_DENOISE,
     PhaseArtifact,
     StageCache,
     StageCounter,
@@ -25,6 +27,12 @@ from repro.engine import (
     stage_graph,
     trace_fingerprint,
 )
+from repro.engine.artifacts import (
+    DenoisedTraceArtifact,
+    StreamWindowArtifact,
+    make_key,
+)
+from repro.persist import ArtifactStore
 
 CATALOG = default_catalog()
 
@@ -97,6 +105,73 @@ class TestStageGraph:
         assert graph[PHASE_CALIBRATION.name] == ()
         assert AMPLITUDE_DENOISE.name in graph["observables"]
         assert FEATURE_EXTRACTION.name in graph[CLASSIFY.name]
+
+
+class TestDenoiseRevision:
+    """A store written before a denoiser revision cannot serve its output.
+
+    The sentinel sits under the key formula the denoise stages used
+    before ``DENOISE_REVISION`` entered their keys; a fresh process over
+    that store must recompute the stage instead of returning it.
+    """
+
+    @staticmethod
+    def _engine(store, counter):
+        wimi = WiMi({"pepsi": 1.0}, cache=StageCache(disk_store=store))
+        wimi.engine.add_hook(counter)
+        return wimi.engine
+
+    def test_amplitude_denoise_recomputes_old_key(self, sessions, tmp_path):
+        store = ArtifactStore(tmp_path / "store")
+        trace = sessions[0].baseline
+        old_key = make_key(
+            trace_fingerprint(trace),
+            config_fingerprint(WiMiConfig(), AMPLITUDE_DENOISE.config_fields),
+        )
+        sentinel = np.full(np.abs(trace.matrix()).shape, -1.0)
+        store.put(
+            AMPLITUDE_DENOISE.name,
+            old_key,
+            DenoisedTraceArtifact(key=old_key, amplitudes=sentinel),
+        )
+        counter = StageCounter()
+        artifact = self._engine(store, counter).amplitude_denoise(trace)
+        assert counter.executions == {AMPLITUDE_DENOISE.name: 1}
+        assert artifact.key != old_key
+        assert np.all(artifact.amplitudes > 0.0)
+
+    def test_stream_window_recomputes_old_key(self, sessions, tmp_path):
+        store = ArtifactStore(tmp_path / "store")
+        rows = np.abs(sessions[0].baseline.matrix()[:8]).reshape(8, -1)
+        old_key = make_key(
+            array_fingerprint(rows),
+            0,
+            config_fingerprint(
+                WiMiConfig(), STREAM_WINDOW_DENOISE.config_fields
+            ),
+        )
+        store.put(
+            STREAM_WINDOW_DENOISE.name,
+            old_key,
+            StreamWindowArtifact(
+                key=old_key, start=0, amplitudes=np.full(rows.shape, -1.0)
+            ),
+        )
+        counter = StageCounter()
+        artifact = self._engine(store, counter).stream_window_denoise(rows, 0)
+        assert counter.executions == {STREAM_WINDOW_DENOISE.name: 1}
+        assert np.all(artifact.amplitudes > 0.0)
+
+    def test_other_stage_keys_unchanged(self, sessions, tmp_path):
+        session = sessions[0]
+        events = []
+        engine = self._engine(ArtifactStore(tmp_path / "store"), events.append)
+        engine.phase_calibration(session, (0, 1))
+        assert events[0].key == make_key(
+            session_fingerprint(session),
+            (0, 1),
+            config_fingerprint(WiMiConfig(), PHASE_CALIBRATION.config_fields),
+        )
 
 
 class TestStageCache:
