@@ -9,6 +9,7 @@ Each benchmark times the *current* implementation against its in-tree
 scalar reference (``_reference_*``), so the report carries both absolute
 timings and the speedup the vectorised kernels deliver, and it verifies
 on every run that the two implementations still agree numerically.
+Those agreement fields are the suite's gates (:func:`run_suite`).
 
 The committed report (``BENCH_PR4.json``) doubles as the regression
 baseline: :mod:`repro.experiments.bench` compares each benchmark's
@@ -345,14 +346,15 @@ _BENCHMARKS = (
 )
 
 
-def run_suite(
-    mode: str = "full", seed: int = 0, workers: int = 1, progress=None
-) -> dict:
-    """Run every benchmark at ``mode`` ("smoke" or "full") sizes.
+#: Oracle bounds of the gated agreement fields: the denoiser and the
+#: extracted Omega-bar agree with the scalar references to rounding; the
+#: simulator's draw-then-compute split reassociates whole-block sums.
+ORACLE_ATOL = 1e-12
+SIMULATE_RTOL = 1e-9
 
-    ``seed`` and ``workers`` are ignored: the workloads are fixed so a
-    run stays comparable with the committed baseline.
-    """
+
+def run_perf_bench(mode: str = "full", progress=None) -> dict:
+    """Run every benchmark at ``mode`` ("smoke" or "full") sizes."""
     if mode not in _SIZES:
         raise ValueError(f"mode must be one of {sorted(_SIZES)}, got {mode!r}")
     sizes = _SIZES[mode]
@@ -361,6 +363,33 @@ def run_suite(
         if progress is not None:
             progress(name)
         results[name] = bench(sizes)
+    return results
+
+
+def run_suite(
+    mode: str = "full", seed: int = 0, workers: int = 1, progress=None
+) -> dict:
+    """Every benchmark at ``mode`` size; adds the oracle gates.
+
+    ``seed`` and ``workers`` are ignored: the workloads are fixed so a
+    run stays comparable with the committed baseline.
+    """
+    results = run_perf_bench(mode, progress)
+    results["gates"] = {
+        "serve_predictions_identical": (
+            results["serve"]["predictions_identical"]
+        ),
+        "denoise_max_abs_diff": (
+            results["denoise"]["max_abs_diff"] <= ORACLE_ATOL
+        ),
+        "extract_batch_max_omega_diff": (
+            results["extract_batch"]["max_omega_diff"] <= ORACLE_ATOL
+        ),
+        "simulate_max_rel_diff": (
+            results["simulate"]["max_rel_diff"] <= SIMULATE_RTOL
+        ),
+        "train_agreement": results["train"]["train_agreement"] == 1.0,
+    }
     return results
 
 

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.cli import COMMANDS, build_parser, main, parse_args
-from repro.experiments import bench, clusterbench, warmbench
+from repro.experiments import bench, clusterbench, perfbench, warmbench
 
 #: Each suite's committed artifact (None: the suite commits no report).
 ARTIFACTS = {
@@ -225,6 +225,27 @@ def _warm_results(**overrides) -> dict:
     return results
 
 
+def _perf_results(bench_name=None, field=None, value=None) -> dict:
+    """A passing raw perf result; ``bench_name.field = value`` breaks one
+    oracle check.  Timings are far below any committed baseline."""
+    timing = {"new_s": 1e-6, "baseline_s": 1e-5, "speedup": 10.0}
+    results = {
+        "denoise": {**timing, "max_abs_diff": 8.9e-16, "shape": [40, 90]},
+        "simulate": {**timing, "max_rel_diff": 0.0, "packets": 60},
+        "extract_batch": {**timing, "max_omega_diff": 1.1e-16,
+                          "sessions": 3},
+        "train": {**timing, "train_agreement": 1.0, "samples": 60},
+        "identify": {**timing, "mean_accuracy": 1.0, "seeds": 1},
+        "serve": {**timing, "throughput_rps": 200.0,
+                  "latency_ms": {"p50": 1.0, "p95": 2.0, "p99": 3.0,
+                                 "max": 4.0},
+                  "predictions_identical": True, "requests": 12},
+    }
+    if bench_name is not None:
+        results[bench_name][field] = value
+    return results
+
+
 def _cluster_results(**kill_overrides) -> dict:
     """A passing raw cluster result; overrides break the kill phase."""
     kill = {
@@ -291,6 +312,28 @@ class TestSuiteGates:
             lambda **kwargs: _cluster_results(**overrides),
         )
         self._check("cluster", gate, tmp_path)
+
+    @pytest.mark.parametrize(
+        "override, gate",
+        [
+            ((), None),
+            (("serve", "predictions_identical", False),
+             "serve_predictions_identical"),
+            (("denoise", "max_abs_diff", 2e-12), "denoise_max_abs_diff"),
+            (("extract_batch", "max_omega_diff", 2e-12),
+             "extract_batch_max_omega_diff"),
+            (("simulate", "max_rel_diff", 2e-9), "simulate_max_rel_diff"),
+            (("train", "train_agreement", 0.99), "train_agreement"),
+        ],
+        ids=["passing", "serve", "denoise", "extract_batch", "simulate",
+             "train"],
+    )
+    def test_perf_gates(self, override, gate, monkeypatch, tmp_path):
+        monkeypatch.setattr(
+            perfbench, "run_perf_bench",
+            lambda *args, **kwargs: _perf_results(*override),
+        )
+        self._check("perf", gate, tmp_path)
 
     @staticmethod
     def _check(name, gate, tmp_path):
