@@ -17,7 +17,7 @@ dependency-free metrics registry covering the whole path.
 * :mod:`repro.serve.streaming` -- packet-streaming identification
   sessions (submit packets, poll the converging estimate, finalize).
 
-``repro serve-bench`` replays a synthetic multi-material workload
+``repro bench serve`` replays a synthetic multi-material workload
 through the service and prints the whole dashboard.
 """
 
