@@ -113,53 +113,51 @@ class Worker(threading.Thread):
                     self.deadline_error(
                         "deadline passed while the request was queued"
                     ),
+                    expired="dequeue",
+                    inflight=False,
                 )
-                self.metrics.counter("deadline.expired_dequeue").inc()
-                self.metrics.counter("requests.expired").inc()
             else:
                 live.append(request)
         if not live:
             return
         self.metrics.gauge("inflight").inc(len(live))
+        for request in live:
+            request.handle.attempts += 1
+            request.handle.batch_size = len(live)
         try:
+            with deadline_scope(self._batch_deadline(live)):
+                labels = self.runner(
+                    self.view, [request.session for request in live]
+                )
+            if len(labels) != len(live):
+                raise RuntimeError(
+                    f"runner returned {len(labels)} labels for "
+                    f"{len(live)} sessions"
+                )
+        except DeadlineExpiredError as exc:
+            # The earliest deadline in the batch lapsed mid-pipeline.
+            # Requests that are themselves expired fail here; the rest
+            # re-run isolated under their own deadlines.
+            now = time.monotonic()
             for request in live:
-                request.handle.attempts += 1
-                request.handle.batch_size = len(live)
-            try:
-                with deadline_scope(self._batch_deadline(live)):
-                    labels = self.runner(
-                        self.view, [request.session for request in live]
+                if request.expired(now):
+                    self._fail(
+                        request, self.deadline_error(str(exc)),
+                        expired="stage",
                     )
-                if len(labels) != len(live):
-                    raise RuntimeError(
-                        f"runner returned {len(labels)} labels for "
-                        f"{len(live)} sessions"
-                    )
-            except DeadlineExpiredError as exc:
-                # The earliest deadline in the batch lapsed mid-pipeline.
-                # Requests that are themselves expired fail here; the
-                # rest re-run isolated under their own deadlines.
-                now = time.monotonic()
-                for request in live:
-                    if request.expired(now):
-                        self.metrics.counter("deadline.expired_stage").inc()
-                        self.metrics.counter("requests.expired").inc()
-                        self._fail(request, self.deadline_error(str(exc)))
-                    else:
-                        self._run_isolated(request)
-                return
-            except Exception as exc:
-                # Batch path failed: isolate the fault by running each
-                # request on its own (with its remaining retry budget).
-                self._record_fault(exc)
-                self.metrics.counter("faults.batch_isolated").inc()
-                for request in live:
+                else:
                     self._run_isolated(request)
-                return
-            for request, label in zip(live, labels):
-                self._resolve(request, str(label))
-        finally:
-            self.metrics.gauge("inflight").dec(len(live))
+            return
+        except Exception as exc:
+            # Batch path failed: isolate the fault by running each
+            # request on its own (with its remaining retry budget).
+            self._record_fault(exc)
+            self.metrics.counter("faults.batch_isolated").inc()
+            for request in live:
+                self._run_isolated(request)
+            return
+        for request, label in zip(live, labels):
+            self._resolve(request, str(label))
 
     def _run_isolated(self, request) -> None:
         """One request, attempted until success or budget exhaustion.
@@ -169,21 +167,21 @@ class Worker(threading.Thread):
         different (poisoned) co-rider.  Errors the policy classifies as
         non-retryable (by default :class:`CorruptTraceError` -- a
         structurally broken capture is deterministic) short-circuit the
-        budget: retrying them would only delay the rejection.
+        budget: retrying them would only delay the rejection.  Expiry
+        is re-checked after each backoff sleep.
         """
         error: BaseException | None = None
         for retry in range(self.retry_policy.budget + 1):
+            if retry > 0 and not request.expired(time.monotonic()):
+                self.metrics.counter("requests.retries").inc()
+                self.retry_policy.sleep(retry - 1)
             if request.expired(time.monotonic()):
-                self.metrics.counter("deadline.expired_retry").inc()
-                self.metrics.counter("requests.expired").inc()
                 self._fail(
                     request,
                     self.deadline_error("deadline passed during retries"),
+                    expired="retry",
                 )
                 return
-            if retry > 0:
-                self.metrics.counter("requests.retries").inc()
-                self.retry_policy.sleep(retry - 1)
             request.handle.attempts += 1
             try:
                 with deadline_scope(self._request_deadline(request)):
@@ -192,9 +190,9 @@ class Worker(threading.Thread):
                 return
             except DeadlineExpiredError as exc:
                 # No point retrying: the deadline will not un-expire.
-                self.metrics.counter("deadline.expired_stage").inc()
-                self.metrics.counter("requests.expired").inc()
-                self._fail(request, self.deadline_error(str(exc)))
+                self._fail(
+                    request, self.deadline_error(str(exc)), expired="stage"
+                )
                 return
             except Exception as exc:  # noqa: BLE001 -- isolation boundary
                 error = exc
@@ -234,11 +232,22 @@ class Worker(threading.Thread):
         if self.latency_observer is not None:
             self.latency_observer(latency_ms)
         self.metrics.counter("requests.completed").inc()
+        self.metrics.gauge("inflight").dec()
         request.handle._resolve(label)
 
-    def _fail(self, request, error: BaseException) -> None:
+    def _fail(self, request, error, expired=None, inflight=True) -> None:
+        """Fail one request; ``expired`` names its deadline drop point.
+
+        Both settle paths update metrics before the handle, so a caller
+        woken by ``result()`` reads them settled.
+        """
         request.handle.latency_s = time.monotonic() - request.submitted_at
+        if expired is not None:
+            self.metrics.counter(f"deadline.expired_{expired}").inc()
+            self.metrics.counter("requests.expired").inc()
         self.metrics.counter("requests.failed").inc()
+        if inflight:
+            self.metrics.gauge("inflight").dec()
         request.handle._fail(error)
 
     def _record_fault(self, error: BaseException) -> None:

@@ -22,7 +22,9 @@ from repro.experiments.datasets import (
     split_dataset,
     standard_scene,
 )
+from repro.resilience import RetryPolicy
 from repro.serve import DeadlineExceededError, IdentificationService, ServiceConfig
+from repro.serve.service import RequestHandle
 from repro.serve.workers import default_runner
 
 
@@ -187,6 +189,76 @@ class TestQueueNeverWedges:
             assert counters["requests.expired"] == 1
             assert service.metrics.gauge("inflight").value == 0
             assert service.metrics.gauge("workers.alive").value == 1
+
+    def test_deadline_lapsing_in_backoff_fails_typed(
+        self, deployment, monkeypatch
+    ):
+        """A retry whose backoff outlives the deadline never runs."""
+        wimi, _, test = deployment
+        calls = []
+
+        def always_down(view, sessions):
+            calls.append(len(sessions))
+            raise TimeoutError("backend down")
+
+        timeout = 0.5
+        # A fixed backoff longer than the whole deadline.
+        monkeypatch.setattr(
+            RetryPolicy, "sleep",
+            lambda self, attempt: time.sleep(1.5 * timeout),
+        )
+        config = ServiceConfig(num_workers=1, max_batch_size=1, retry_budget=1)
+        with IdentificationService(wimi, config, runner=always_down) as service:
+            doomed = service.submit(test[0], timeout=timeout)
+            with pytest.raises(DeadlineExceededError):
+                doomed.result(timeout=30.0)
+            counters = service.snapshot()["counters"]
+        assert counters["deadline.expired_retry"] == 1
+        assert counters["requests.retries"] == 1
+        # The batch attempt and the first isolated one; no attempt after
+        # the deadline.
+        assert calls == [1, 1]
+
+    def test_metrics_settle_before_the_handle_resolves(
+        self, deployment, monkeypatch
+    ):
+        """A caller woken by result() reads final counters and gauges."""
+        wimi, _, test = deployment
+        started, gate = threading.Event(), threading.Event()
+        seen = {}
+
+        def gated(view, sessions):
+            started.set()
+            gate.wait(30.0)
+            return ["water"] * len(sessions)
+
+        def reading(handle, name):
+            def settle(outcome):
+                seen[name] = (
+                    service.metrics.counter("requests.completed").value,
+                    service.metrics.counter("deadline.expired_dequeue").value,
+                    service.metrics.counter("requests.expired").value,
+                    service.metrics.gauge("inflight").value,
+                )
+                getattr(RequestHandle, name)(handle, outcome)
+            return settle
+
+        config = ServiceConfig(num_workers=1, max_batch_size=1, retry_budget=0)
+        with IdentificationService(wimi, config, runner=gated) as service:
+            running = service.submit(test[0])
+            assert started.wait(30.0)
+            doomed = service.submit(test[1], timeout=0.05)
+            time.sleep(0.2)  # expires while the only worker is busy
+            monkeypatch.setattr(
+                running, "_resolve", reading(running, "_resolve")
+            )
+            monkeypatch.setattr(doomed, "_fail", reading(doomed, "_fail"))
+            gate.set()
+            assert running.result(timeout=30.0) == "water"
+            with pytest.raises(DeadlineExceededError):
+                doomed.result(timeout=30.0)
+        assert seen["_resolve"] == (1, 0, 0, 0)
+        assert seen["_fail"] == (1, 1, 1, 0)
 
     def test_service_keeps_serving_after_fault_burst(self, deployment):
         wimi, _, test = deployment
