@@ -242,7 +242,10 @@ class PipelineEngine:
         """
         pair = (int(pair[0]), int(pair[1]))
         key = make_key(
-            session_fingerprint(session), pair, self._config_key(OBSERVABLES)
+            session_fingerprint(session),
+            pair,
+            self._config_key(OBSERVABLES),
+            DENOISE_REVISION,
         )
 
         def compute() -> ObservablesArtifact:
@@ -326,9 +329,10 @@ class PipelineEngine:
             int(include_coarse_feature),
             int(coarse_fallback),
             self._config_key(FEATURE_EXTRACTION),
-            # Observables config (wavelet etc.) shapes the inputs, so it
-            # must shape the key too.
+            # Observables config (wavelet etc.) and the denoiser revision
+            # shape the inputs, so they must shape the key too.
             self._config_key(OBSERVABLES),
+            DENOISE_REVISION,
         )
 
         def compute() -> FeatureArtifact:

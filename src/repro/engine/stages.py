@@ -52,10 +52,12 @@ PHASE_CALIBRATION = StageSpec(
 )
 
 #: Revision of the denoiser's numerics, hashed into the keys of
-#: ``amplitude_denoise`` and ``stream_window_denoise`` only.  Bump it when
-#: the denoiser's output changes for the same input and config, so an
-#: artifact store written by older code recomputes those stages instead
-#: of serving their old outputs.  Revision 1: Eq. 13 keeps exact ties.
+#: ``amplitude_denoise``, ``stream_window_denoise`` and the two stages
+#: built from denoised amplitudes, ``observables`` and
+#: ``feature_extraction``.  Bump it when the denoiser's output changes for
+#: the same input and config, so an artifact store written by older code
+#: recomputes those stages instead of serving their old outputs.
+#: Revision 1: Eq. 13 keeps exact ties.
 DENOISE_REVISION = 1
 
 #: Sec. III-C: outlier rejection + spatially-selective wavelet filtering

@@ -1,5 +1,7 @@
 """Unit tests: stage-graph artifacts, keying and the stage cache."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from repro.engine import (
     AMPLITUDE_DENOISE,
     CLASSIFY,
     FEATURE_EXTRACTION,
+    OBSERVABLES,
     PHASE_CALIBRATION,
     STREAM_WINDOW_DENOISE,
     PhaseArtifact,
@@ -29,6 +32,8 @@ from repro.engine import (
 )
 from repro.engine.artifacts import (
     DenoisedTraceArtifact,
+    FeatureArtifact,
+    ObservablesArtifact,
     StreamWindowArtifact,
     make_key,
 )
@@ -110,9 +115,10 @@ class TestStageGraph:
 class TestDenoiseRevision:
     """A store written before a denoiser revision cannot serve its output.
 
-    The sentinel sits under the key formula the denoise stages used
-    before ``DENOISE_REVISION`` entered their keys; a fresh process over
-    that store must recompute the stage instead of returning it.
+    The sentinel sits under the key formula a stage used before
+    ``DENOISE_REVISION`` entered its key; a fresh process over that store
+    must recompute the stage instead of returning it.  That covers the
+    two denoise stages and the two stages built from their output.
     """
 
     @staticmethod
@@ -161,6 +167,65 @@ class TestDenoiseRevision:
         artifact = self._engine(store, counter).stream_window_denoise(rows, 0)
         assert counter.executions == {STREAM_WINDOW_DENOISE.name: 1}
         assert np.all(artifact.amplitudes > 0.0)
+
+    def test_observables_recompute_old_key(self, sessions, tmp_path):
+        store = ArtifactStore(tmp_path / "store")
+        session = sessions[0]
+        old_key = make_key(
+            session_fingerprint(session),
+            (0, 1),
+            config_fingerprint(WiMiConfig(), OBSERVABLES.config_fields),
+        )
+        width = session.baseline.matrix().shape[1]
+        store.put(
+            OBSERVABLES.name,
+            old_key,
+            ObservablesArtifact(
+                key=old_key,
+                pair=(0, 1),
+                theta_wrapped=np.full(width, 99.0),
+                neg_log_psi=np.full(width, 99.0),
+            ),
+        )
+        counter = StageCounter()
+        artifact = self._engine(store, counter).observables(session, (0, 1))
+        assert counter.executions[OBSERVABLES.name] == 1
+        assert artifact.key != old_key
+        assert np.all(artifact.theta_wrapped != 99.0)
+
+    def test_feature_extraction_recomputes_old_key(self, sessions, tmp_path):
+        session = sessions[0]
+        subcarriers = tuple(range(8))
+        fresh = WiMi({"pepsi": 1.0}).engine.extract_feature(
+            session, (0, 1), subcarriers
+        )
+        old_key = make_key(
+            session_fingerprint(session),
+            (0, 1),
+            subcarriers,
+            None,
+            repr(None),
+            1,
+            0,
+            config_fingerprint(WiMiConfig(), FEATURE_EXTRACTION.config_fields),
+            config_fingerprint(WiMiConfig(), OBSERVABLES.config_fields),
+        )
+        store = ArtifactStore(tmp_path / "store")
+        store.put(
+            FEATURE_EXTRACTION.name,
+            old_key,
+            FeatureArtifact(
+                key=old_key,
+                measurement=dataclasses.replace(fresh.measurement, gamma=-99),
+            ),
+        )
+        counter = StageCounter()
+        artifact = self._engine(store, counter).extract_feature(
+            session, (0, 1), subcarriers
+        )
+        assert counter.executions[FEATURE_EXTRACTION.name] == 1
+        assert artifact.key == fresh.key != old_key
+        assert artifact.measurement.gamma == fresh.measurement.gamma != -99
 
     def test_other_stage_keys_unchanged(self, sessions, tmp_path):
         session = sessions[0]
