@@ -12,9 +12,9 @@ aggregates per-worker metrics into one dashboard.
   :class:`Broker` abstraction (local ``multiprocessing``-queue backend
   today, designed so an AMQP-style backend can slot in later) and the
   consistent-hash :class:`ShardRing` router;
-* :mod:`repro.cluster.worker` -- the worker-process main loop:
-  registry warm boot, micro-batched consumption, per-request fault
-  isolation, heartbeats, SIGTERM drain;
+* :mod:`repro.cluster.worker` -- the worker process: registry warm
+  boot, then a :class:`repro.serve.IdentificationService` behind a
+  broker adapter, heartbeats, SIGTERM drain;
 * :mod:`repro.cluster.orchestrator` -- process supervision, health
   checks, restart + redelivery, cross-process metrics aggregation;
 * :mod:`repro.cluster.client` -- :class:`ClusterClient`, the

@@ -125,7 +125,6 @@ class Reply:
     shard: int = -1
     attempts: int = 1
     batch_size: int = 1
-    handle_ms: float = 0.0
 
     @property
     def ok(self) -> bool:

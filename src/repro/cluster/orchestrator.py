@@ -92,6 +92,7 @@ class ClusterConfig:
             space is partitioned across them).
         queue_capacity: Cluster-wide unresolved-request cap; beyond it
             ``submit`` raises :class:`repro.serve.QueueFullError`.
+            Each worker's service queue gets the same depth.
         max_batch_size: Worker-side micro-batch limit.
         max_wait_s: Worker-side batch-fill wait.
         default_timeout_s: Deadline for submissions without their own.
@@ -464,6 +465,7 @@ class Orchestrator:
             artifact_store_path=store_path,
             max_batch_size=self.config.max_batch_size,
             max_wait_s=self.config.max_wait_s,
+            queue_capacity=self.config.queue_capacity,
             heartbeat_interval_s=self.config.heartbeat_interval_s,
             throttle_s=self.config.throttle_s,
         )

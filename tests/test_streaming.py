@@ -4,21 +4,16 @@ Pins the determinism contract of :mod:`repro.dsp.streaming` (identical
 final state however the packets were chunked), the accumulator
 primitives against their offline references, and the end-to-end
 streaming paths: :class:`repro.core.streaming.StreamingExtractor`,
-``WiMi.identify_streaming``, the serve-layer
-:class:`repro.serve.StreamingGateway`, and the cluster worker's
-clock-skew accounting.
+``WiMi.identify_streaming`` and the serve-layer
+:class:`repro.serve.StreamingGateway`.
 """
 
 import signal
-import time
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro.channel.materials import default_catalog
-from repro.cluster import Envelope
-from repro.cluster.worker import WorkerBoot, _WorkerRuntime
 from repro.core.feature import theory_reference_omegas
 from repro.core.pipeline import WiMi
 from repro.csi.collector import DataCollector, SessionConfig
@@ -38,7 +33,6 @@ from repro.experiments.datasets import (
     standard_scene,
 )
 from repro.serve import (
-    MetricsRegistry,
     StreamClosedError,
     StreamingGateway,
     StreamLimitError,
@@ -421,70 +415,6 @@ class TestStreamingGateway:
     def test_needs_fitted_pipeline(self):
         with pytest.raises(ValueError, match="fitted"):
             StreamingGateway(WiMi({"pepsi": 0.2}))
-
-
-# ----------------------------------------------------------------------
-# Cluster worker clock discipline
-# ----------------------------------------------------------------------
-
-
-def _stub_runtime(replies):
-    """A _WorkerRuntime with the boot-heavy pieces stubbed out."""
-    runtime = object.__new__(_WorkerRuntime)
-    runtime.worker_id = "w0"
-    runtime.shard = 0
-    runtime.boot = WorkerBoot(registry_path="unused", throttle_s=0.0)
-    runtime.endpoint = SimpleNamespace(send_reply=replies.append)
-    runtime.metrics = MetricsRegistry()
-    runtime.wimi = SimpleNamespace(
-        identify_batch=lambda sessions: ["oil"] * len(sessions)
-    )
-    return runtime
-
-
-class TestWorkerClockDiscipline:
-    def test_skewed_submit_clamps_and_counts(self):
-        """A future submitted_ts (cross-host skew) is clamped, not negative.
-
-        The clamp is counted in ``clock.skew_clamped`` so skew shows up
-        in the orchestrator's merged snapshot instead of silently
-        zeroing queue-wait samples.
-        """
-        replies = []
-        runtime = _stub_runtime(replies)
-        skewed = Envelope("r1", None, 0, submitted_ts=time.time() + 60.0)
-        normal = Envelope("r2", None, 0)
-        runtime._process([skewed, normal])
-
-        assert runtime.metrics.counter("clock.skew_clamped").value == 1
-        waits = runtime.metrics.snapshot()["histograms"]["queue_wait_ms"]
-        assert waits["count"] == 2
-        assert waits["min"] >= 0.0  # never a negative wait sample
-        assert sorted(r.request_id for r in replies) == ["r1", "r2"]
-        assert all(r.ok for r in replies)
-
-    def test_skew_counter_survives_snapshot_merge(self):
-        """The counter reaches the orchestrator's cross-process merge."""
-        replies = []
-        runtime = _stub_runtime(replies)
-        runtime._process(
-            [Envelope("r1", None, 0, submitted_ts=time.time() + 5.0)]
-        )
-        merged = MetricsRegistry.merge(
-            [runtime.metrics.snapshot(), MetricsRegistry().snapshot()]
-        )
-        assert merged["counters"]["clock.skew_clamped"] == 1
-
-    def test_unskewed_batch_counts_nothing(self):
-        replies = []
-        runtime = _stub_runtime(replies)
-        runtime._process([Envelope("r1", None, 0), Envelope("r2", None, 0)])
-        assert runtime.metrics.counter("clock.skew_clamped").value == 0
-        # Wall-clock deadlines still expire against wall-clock now.
-        stale = Envelope("r3", None, 0, deadline_ts=time.time() - 1.0)
-        runtime._process([stale])
-        assert runtime.metrics.counter("requests.expired").value == 1
-        assert replies[-1].error_type == "DeadlineExceededError"
 
 
 class TestGatewayGracefulDrain:
