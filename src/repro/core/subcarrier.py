@@ -18,7 +18,7 @@ import numpy as np
 from repro.csi.model import CsiTrace
 from repro.csi.quality import CorruptTraceError
 from repro.csi.subcarriers import validate_subcarrier_selection
-from repro.dsp.stats import phase_difference_variance
+from repro.dsp.stats import phase_difference_variance_axis
 from repro.core.phase import PhaseCalibrator
 
 
@@ -65,12 +65,7 @@ class SubcarrierSelector:
                 "need at least 2 packets to estimate variance, got "
                 f"{diffs.shape[0]}"
             )
-        return np.array(
-            [
-                phase_difference_variance(diffs[:, k], ignore_nan=True)
-                for k in range(diffs.shape[1])
-            ]
-        )
+        return phase_difference_variance_axis(diffs, axis=0)
 
     def combined_variances(
         self,

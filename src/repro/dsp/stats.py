@@ -61,27 +61,47 @@ def finite_mean(x: np.ndarray, axis: int | None = None) -> float | np.ndarray:
     return float(out) if axis is None else out
 
 
+def _sorted_median(
+    x: np.ndarray, axis: int, skip_nan: bool = True
+) -> np.ndarray:
+    """Median along ``axis`` of each slice's non-NaN entries; NaN where none.
+
+    One sort per slice, as a contiguous row: NaN sorts last, so a slice's
+    ``kept`` non-NaN entries lead, and the median is read from their
+    middle with ``np.median``'s order statistics ``(kept - 1) // 2`` and
+    ``kept // 2`` and its ``(lo + hi) / 2`` -- bit-identical to
+    ``np.median`` of the kept values.  Callers map the entries they want
+    dropped to NaN first.  With ``skip_nan=False`` a slice holding a NaN
+    gives NaN instead, as in ``np.median``.
+    """
+    moved = np.moveaxis(x, axis, -1)
+    n = moved.shape[-1]
+    rows = moved.reshape(-1, n).copy()
+    rows.sort(axis=-1)
+    lo, hi = rows[:, (n - 1) // 2], rows[:, n // 2]
+    median = hi.copy() if n % 2 == 1 else (lo + hi) / 2
+    holed = np.flatnonzero(np.isnan(rows[:, -1]))  # NaN sorts last
+    median[holed] = math.nan
+    if skip_nan and holed.size:
+        kept = n - np.isnan(rows).sum(axis=-1)[holed]
+        lo = rows[holed, np.maximum(kept - 1, 0) // 2]
+        hi = rows[holed, kept // 2]
+        median[holed] = np.where(kept % 2 == 1, lo, (lo + hi) / 2)
+    return median.reshape(moved.shape[:-1])
+
+
 def finite_median(x: np.ndarray, axis: int | None = None) -> float | np.ndarray:
     """Median over finite entries only; NaN where a slice has none.
 
-    Avoids ``np.nanmedian``'s all-NaN-slice RuntimeWarning (which the
-    robustness CI job promotes to an error) by pre-filling empty slices.
+    Silent on all-NaN slices, unlike ``np.nanmedian`` (whose
+    RuntimeWarning the robustness CI job promotes to an error).
     """
     x = np.asarray(x, dtype=float)
     mask = np.isfinite(x)
     if axis is None:
         values = x[mask]
         return float(np.median(values)) if values.size else math.nan
-    counts = mask.sum(axis=axis)
-    empty = counts == 0
-    if np.any(empty):
-        x = np.where(np.expand_dims(empty, axis), 0.0, x)
-        mask = np.isfinite(x)
-    if np.all(mask):
-        result = np.median(x, axis=axis)
-    else:
-        result = np.nanmedian(np.where(mask, x, math.nan), axis=axis)
-    return np.where(empty, math.nan, result)
+    return _sorted_median(np.where(mask, x, math.nan), axis)
 
 
 def circular_mean(angles_rad: np.ndarray, ignore_nan: bool = False) -> float:
@@ -255,12 +275,16 @@ def angular_spread_deg_axis(
 
 
 def mad_axis(x: np.ndarray, axis: int = 0) -> np.ndarray:
-    """Per-slice :func:`mad` along ``axis``."""
+    """Per-slice :func:`mad` along ``axis``.
+
+    Each median is one row sort, bit-identical to ``np.median``; as
+    there, a slice holding a NaN gives NaN.
+    """
     x = np.asarray(x, dtype=float)
     if x.size == 0:
         raise ValueError("mad of an empty array is undefined")
-    med = np.median(x, axis=axis, keepdims=True)
-    return np.median(np.abs(x - med), axis=axis)
+    centre = np.expand_dims(_sorted_median(x, axis, skip_nan=False), axis)
+    return _sorted_median(np.abs(x - centre), axis, skip_nan=False)
 
 
 def robust_sigma_axis(x: np.ndarray, axis: int = 0) -> np.ndarray:
@@ -293,3 +317,26 @@ def phase_difference_variance(
         return float(finite_mean(np.where(mask, centred, math.nan) ** 2))
     centred = circular_difference(diffs, np.full(diffs.shape, circular_mean(diffs)))
     return float(np.mean(centred ** 2))
+
+
+def phase_difference_variance_axis(
+    phase_diffs_rad: np.ndarray, axis: int = 0
+) -> np.ndarray:
+    """Per-slice :func:`phase_difference_variance` (``ignore_nan=True``)
+    along ``axis``: non-finite samples are excluded and a slice with no
+    finite sample scores NaN, silently.
+
+    Each slice is reduced as a contiguous row, as the scalar function
+    reduces its 1-D copy, so the sums run the same pairwise order and the
+    result is bit-identical to it.  A plain reduction down ``axis`` of
+    the ``(packets, subcarriers)`` matrix sums sequentially instead and
+    differs in the last bits, which can reorder near-tied subcarriers.
+    """
+    diffs = np.asarray(phase_diffs_rad, dtype=float)
+    if diffs.size == 0:
+        raise ValueError("variance of an empty series is undefined")
+    rows = np.ascontiguousarray(np.moveaxis(diffs, axis, -1))
+    mask = np.isfinite(rows)
+    centre = np.angle(_masked_unit_mean(rows, axis=-1))[..., None]
+    centred = circular_difference(np.where(mask, rows, centre), centre)
+    return finite_mean(np.where(mask, centred, math.nan) ** 2, axis=-1)

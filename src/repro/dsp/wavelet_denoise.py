@@ -50,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.dsp.stats import robust_sigma, robust_sigma_axis
+from repro.dsp.stats import _sorted_median, robust_sigma, robust_sigma_axis
 from repro.dsp.wavelet import (
     Wavelet,
     _reference_iswt,
@@ -137,14 +137,8 @@ def remove_outliers(
         np.abs(x[:, screened] - mu[screened])
         > num_sigmas * sigma[screened]
     )
-    # Same order statistics and (lo + hi) / 2 as np.median: bit-identical.
-    ordered = np.sort(np.where(mask, np.inf, x), axis=0)
-    n = x.shape[0] - mask.sum(axis=0)
-    cols = np.arange(x.shape[1])
-    lo = ordered[np.maximum(n - 1, 0) // 2, cols]
-    hi = ordered[n // 2, cols]
-    median = np.where(n % 2 == 1, lo, (lo + hi) / 2)
-    fill = np.where(n > 0, median, mu)
+    median = _sorted_median(np.where(mask, np.nan, x), axis=0)
+    fill = np.where(np.isnan(median), mu, median)  # no survivors: the mean
     cleaned = np.where(mask, fill, x)
     return cleaned.reshape(series.shape), mask.reshape(series.shape)
 

@@ -9,6 +9,7 @@ from repro.channel.materials import default_catalog
 from repro.core.subcarrier import SubcarrierSelector
 from repro.csi.collector import DataCollector, SessionConfig
 from repro.csi.simulator import SimulationScene
+from repro.dsp.stats import phase_difference_variance
 
 
 @pytest.fixture(scope="module")
@@ -32,6 +33,29 @@ class TestVariances:
         v = selector.variances(sessions[0].baseline, (0, 1))
         assert v.shape == (30,)
         assert np.all(v >= 0.0)
+
+    def test_matches_scalar_eq7_loop(self, sessions):
+        """One vectorised call, bit-identical to scoring each subcarrier
+        with the scalar Eq. 7 function, and silent."""
+        import warnings
+
+        selector = SubcarrierSelector()
+        for session in sessions:
+            for trace in (session.baseline, session.target):
+                for pair in ((0, 1), (0, 2), (1, 2)):
+                    diffs = selector.calibrator.phase_difference(trace, pair)
+                    expected = np.array(
+                        [
+                            phase_difference_variance(
+                                diffs[:, k], ignore_nan=True
+                            )
+                            for k in range(diffs.shape[1])
+                        ]
+                    )
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("error", RuntimeWarning)
+                        got = selector.variances(trace, pair)
+                    assert np.array_equal(got, expected, equal_nan=True)
 
     def test_needs_two_packets(self, sessions):
         selector = SubcarrierSelector()

@@ -193,12 +193,41 @@ def test_axis_stats_match_scalar_loops():
         assert angular_spread_deg_axis(angles, axis=0)[k] == pytest.approx(
             angular_spread_deg(angles[:, k]), abs=1e-9
         )
-        assert mad_axis(values, axis=0)[k] == pytest.approx(
-            mad(values[:, k]), abs=1e-12
+        assert mad_axis(values, axis=0)[k] == mad(values[:, k])
+        assert robust_sigma_axis(values, axis=0)[k] == robust_sigma(
+            values[:, k]
         )
-        assert robust_sigma_axis(values, axis=0)[k] == pytest.approx(
-            robust_sigma(values[:, k]), abs=1e-12
-        )
+
+
+@pytest.mark.parametrize("length", [1, 2, 7, 20, 199, 200])
+@pytest.mark.parametrize("axis", [0, 1])
+def test_mad_axis_exact_vs_median_formula(length, axis):
+    """Row-sort MAD equals the scalar two-``np.median`` :func:`mad` bit for
+    bit: odd and even lengths, 1- and 2-row inputs, both axes, ties
+    included."""
+    rng = np.random.default_rng(length)
+    values = rng.standard_normal((length, 9)) * 3.0
+    values[:, 4] = np.round(values[:, 4])
+    x = values if axis == 0 else values.T
+    expected = np.array(
+        [mad(values[:, k]) for k in range(values.shape[1])]
+    )
+    assert np.array_equal(mad_axis(x, axis=axis), expected)
+    assert np.array_equal(robust_sigma_axis(x, axis=axis), expected / 0.6745)
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_mad_axis_nan_slice_stays_nan(axis):
+    rng = np.random.default_rng(9)
+    values = rng.standard_normal((30, 5))
+    values[3, 1] = np.nan
+    values[:, 2] = np.nan
+    values[0, 3] = np.inf
+    x = values if axis == 0 else values.T
+    got = mad_axis(x, axis=axis)
+    expected = [mad(values[:, k]) for k in range(5)]
+    assert np.isnan(got[1]) and np.isnan(got[2])
+    assert np.array_equal(got, expected, equal_nan=True)
 
 
 # ----------------------------------------------------------------------

@@ -7,14 +7,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.channel.environment import make_environment
+from repro.channel.geometry import CylinderTarget, LinkGeometry
+from repro.channel.materials import default_catalog
+from repro.core.phase import PhaseCalibrator
+from repro.csi.collector import DataCollector, SessionConfig
+from repro.csi.simulator import SimulationScene
 from repro.dsp.stats import (
     angular_spread_deg,
     circular_difference,
     circular_mean,
     circular_std,
     circular_variance,
+    finite_median,
     mad,
     phase_difference_variance,
+    phase_difference_variance_axis,
     resultant_length,
     robust_sigma,
     sample_variance,
@@ -135,6 +143,82 @@ class TestPhaseDifferenceVariance:
             phase_difference_variance(np.array([]))
 
 
+def _eq7_column_loop(diffs):
+    """The scalar Eq. 7 scorer applied column by column (the oracle)."""
+    return np.array(
+        [
+            phase_difference_variance(diffs[:, k], ignore_nan=True)
+            for k in range(diffs.shape[1])
+        ]
+    )
+
+
+def _simulated_diffs(num_packets, seed):
+    """Eq. 6 phase differences ``(M, K)`` of a simulated target trace."""
+    scene = SimulationScene(
+        geometry=LinkGeometry(),
+        environment=make_environment("lab"),
+        target=CylinderTarget(lateral_offset=0.02),
+    )
+    session = DataCollector(scene, rng=seed).collect(
+        default_catalog().get("milk"), SessionConfig(num_packets=num_packets)
+    )
+    return PhaseCalibrator().phase_difference(session.target, (0, 1))
+
+
+class TestPhaseDifferenceVarianceAxis:
+    """The one-call Eq. 7 scorer equals the per-column scalar loop bit
+    for bit, NaN rules included, and stays silent on dead columns."""
+
+    def _assert_matches_loop(self, diffs):
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            batched = phase_difference_variance_axis(diffs, axis=0)
+            expected = _eq7_column_loop(diffs)
+        assert batched.shape == (diffs.shape[1],)
+        assert np.array_equal(batched, expected, equal_nan=True)
+
+    @pytest.mark.parametrize("num_packets", [20, 200])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_simulator_diffs(self, num_packets, seed):
+        self._assert_matches_loop(_simulated_diffs(num_packets, seed))
+
+    @pytest.mark.parametrize("num_packets", [20, 200])
+    def test_nan_packets(self, num_packets):
+        diffs = _simulated_diffs(num_packets, 3)
+        rng = np.random.default_rng(num_packets)
+        diffs[rng.choice(num_packets, num_packets // 4, replace=False)] = np.nan
+        diffs[rng.random(diffs.shape) < 0.1] = np.inf
+        self._assert_matches_loop(diffs)
+
+    def test_all_nan_column_scores_nan(self):
+        diffs = _simulated_diffs(20, 4)
+        diffs[:, 7] = np.nan
+        self._assert_matches_loop(diffs)
+        assert math.isnan(phase_difference_variance_axis(diffs)[7])
+
+    def test_cluster_straddling_pi(self):
+        rng = np.random.default_rng(8)
+        diffs = np.asarray(
+            wrap_phase(math.pi + rng.normal(0, 0.05, (200, 30)))
+        )
+        self._assert_matches_loop(diffs)
+        assert np.all(phase_difference_variance_axis(diffs) < 0.01)
+
+    def test_axis_one_reduces_rows(self):
+        diffs = _simulated_diffs(20, 5)
+        assert np.array_equal(
+            phase_difference_variance_axis(diffs.T, axis=1),
+            phase_difference_variance_axis(diffs, axis=0),
+        )
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError):
+            phase_difference_variance_axis(np.empty((0, 3)))
+
+
 class TestProperties:
     @given(
         st.lists(
@@ -241,3 +325,25 @@ class TestNanAwareStatistics:
             phase_difference_variance(self.HOLED, ignore_nan=True)
             finite_mean(self.HOLED)
             finite_median(self.HOLED)
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_finite_median_axis_matches_per_slice_median(self, axis):
+        import warnings
+
+        rng = np.random.default_rng(11)
+        for trial in range(40):
+            x = rng.standard_normal((int(rng.integers(1, 60)), 9))
+            x[rng.random(x.shape) < 0.2] = np.nan
+            x[rng.random(x.shape) < 0.05] = np.inf
+            x[rng.random(x.shape) < 0.05] = -np.inf
+            x[:, trial % 9] = np.nan
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                got = finite_median(x, axis=axis)
+            slices = x.T if axis == 0 else x
+            expected = [
+                np.median(v[np.isfinite(v)]) if np.isfinite(v).any()
+                else math.nan
+                for v in slices
+            ]
+            assert np.array_equal(got, expected, equal_nan=True)
