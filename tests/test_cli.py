@@ -144,7 +144,7 @@ class TestBenchSuites:
         assert bench.SUITES["perf"].gated_fields == ("new_s",)
         assert bench.SUITES["perf"].max_regression == 2.0
         assert bench.SUITES["stream"].gated_fields == (
-            "time_to_first_estimate_s", "finalize_s"
+            "time_to_first_estimate_s", "finalize_s", "stream_total_s",
         )
         assert bench.SUITES["stream"].max_regression == 3.0
 

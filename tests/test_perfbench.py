@@ -28,7 +28,11 @@ def _result(new_s):
 
 
 def _stream_result(seconds):
-    return {"time_to_first_estimate_s": seconds, "finalize_s": seconds}
+    return {
+        "time_to_first_estimate_s": seconds,
+        "finalize_s": seconds,
+        "stream_total_s": seconds,
+    }
 
 
 #: ``(suite, benchmark name, result factory)`` for each gated suite.

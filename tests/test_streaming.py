@@ -16,10 +16,11 @@ import pytest
 from repro.channel.materials import default_catalog
 from repro.core.feature import theory_reference_omegas
 from repro.core.pipeline import WiMi
+from repro.core.streaming import _TraceStream
 from repro.csi.collector import DataCollector, SessionConfig
 from repro.csi.faults import AntennaDropout, SubcarrierErasure, inject_session
 from repro.csi.quality import DegradedTraceWarning
-from repro.dsp.stats import circular_mean_axis, mad
+from repro.dsp.stats import circular_mean_axis, finite_mean, mad
 from repro.dsp.streaming import (
     OverlapWindowDenoiser,
     RollingMad,
@@ -120,10 +121,34 @@ class TestRollingMad:
         rolling = RollingMad(window=16)
         for v in values:
             rolling.add(v)
-        assert rolling.value() == pytest.approx(
-            mad(values[-16:]), abs=1e-12
-        )
+        assert rolling.value() == mad(np.asarray(values[-16:]))
         assert len(rolling) == 16
+
+    @pytest.mark.parametrize("window", [1, 2, 5, 16, 32])
+    def test_exact_at_every_step(self, window):
+        """``==`` the offline MAD after every sample.
+
+        Walks odd and even fill levels while the window fills, then
+        wraps around it many times; a third of the samples sit on a
+        coarse grid so medians and deviations tie, and non-finite
+        samples are skipped rather than kept.
+        """
+        rng = np.random.default_rng(window)
+        values = rng.standard_normal(6 * window + 40)
+        values[::3] = np.round(values[::3], 1)
+        values[5::7] = np.nan
+        values[9::17] = np.inf
+        values[11::19] = -np.inf
+        rolling = RollingMad(window=window)
+        kept: list[float] = []
+        for v in values:
+            rolling.add(v)
+            if np.isfinite(v):
+                kept.append(float(v))
+            last_window = kept[-window:]
+            assert len(rolling) == len(last_window)
+            if last_window:
+                assert rolling.value() == mad(np.asarray(last_window))
 
     def test_nan_while_empty_and_skips_non_finite(self):
         rolling = RollingMad(window=4)
@@ -230,15 +255,22 @@ def fitted():
     return wimi, session
 
 
-def _stream_result(wimi, session, chunk_size):
+def _stream_result(wimi, session, chunk_size, poll_every=None):
+    """Finalized stream of ``session``'s target in ``chunk_size`` chunks.
+
+    ``poll_every`` polls :meth:`estimate` after every that-many chunks
+    (None: never).
+    """
     stream = wimi.clone_view().streaming_extractor(
         scene=session.scene, material_name=session.material_name
     )
     stream.push_baseline(session.baseline)
     packets = list(session.target.packets)
     step = len(packets) if chunk_size is None else chunk_size
-    for start in range(0, len(packets), step):
+    for index, start in enumerate(range(0, len(packets), step)):
         stream.push_target(packets[start:start + step])
+        if poll_every is not None and index % poll_every == 0:
+            stream.estimate()
     return stream.finalize()
 
 
@@ -254,12 +286,27 @@ class TestChunkInvariance:
         assert np.array_equal(by_seven.features.vector(), reference)
         assert np.array_equal(all_at_once.features.vector(), reference)
         assert by_packet.label == by_seven.label == all_at_once.label
-        assert (
-            by_packet.estimate.gamma
-            == by_seven.estimate.gamma
-            == all_at_once.estimate.gamma
+        # Every estimate field, the confidence included.
+        assert by_seven.estimate == by_packet.estimate
+        assert all_at_once.estimate == by_packet.estimate
+
+    @pytest.mark.parametrize("poll_every", [1, 4, 16])
+    def test_poll_cadence_leaves_the_result_unchanged(
+        self, fitted, poll_every
+    ):
+        """Polling every 1, 4 or 16 packets finalizes as never polling.
+
+        The Omega-bar history behind the confidence is fed as windows
+        land, not when the caller happens to poll.
+        """
+        wimi, session = fitted
+        never = _stream_result(wimi, session, 1)
+        polled = _stream_result(wimi, session, 1, poll_every=poll_every)
+        assert polled.estimate == never.estimate
+        assert np.array_equal(
+            polled.features.vector(), never.features.vector()
         )
-        assert by_packet.estimate.omega == by_seven.estimate.omega
+        assert polled.label == never.label
 
     def test_identify_streaming_matches_identify(self, fitted):
         wimi, session = fitted
@@ -329,6 +376,99 @@ class TestStreamingExtractor:
         _stream_result(view, session, 7)  # different chunking, same stream
         assert stats.misses == misses_after_first
         assert stats.hits >= misses_after_first
+
+
+@pytest.fixture(scope="module")
+def long_session(fitted):
+    """A 200-packet session: 49 windows per trace."""
+    _, session = fitted
+    collector = DataCollector(session.scene, rng=3)
+    return collector.collect(
+        default_catalog().get("oil"), SessionConfig(num_packets=200)
+    )
+
+
+def _unmemoized_log_ratio(trace, pair):
+    """``mean_log_ratio`` as the plain formula over ``denoised()``."""
+    i, j = pair
+    den = trace.denoised()
+    return finite_mean(np.log(den[:, :, i] / den[:, :, j]), axis=0)
+
+
+class TestPollPath:
+    def test_every_poll_equals_an_unmemoized_recompute(
+        self, fitted, long_session, monkeypatch
+    ):
+        """Per-packet polls == the estimate rebuilt with no memo."""
+        wimi, _ = fitted
+        stream = wimi.clone_view().streaming_extractor(
+            scene=long_session.scene
+        )
+        stream.push_baseline(long_session.baseline)
+        ready = 0
+        for packet in long_session.target.packets:
+            stream.push_target(packet)
+            polled = stream.estimate()
+            with monkeypatch.context() as patch:
+                patch.setattr(
+                    _TraceStream, "mean_log_ratio", _unmemoized_log_ratio
+                )
+                reference = stream._snapshot(stream._resolve())
+            if polled.ready:
+                ready += 1
+                assert polled == reference
+            else:
+                assert not reference.ready
+                assert polled.target_packets == reference.target_packets
+            assert stream.estimate() is polled  # no new packet, no work
+        assert ready >= 190  # live from the first target window on
+
+    def test_log_ratio_reductions_are_bounded_by_windows(
+        self, fitted, long_session, monkeypatch
+    ):
+        """At most ``windows + 1`` full-cube reductions per trace and pair.
+
+        Counts reductions rather than timing them: a poll that
+        re-reduces the denoised cube makes the count grow with the
+        number of polls (about the packet count) instead.
+        """
+        reductions: dict[tuple[int, tuple[int, int]], int] = {}
+        resolves: dict[int, int] = {}
+        reduce = _TraceStream._reduce_log_ratio
+        denoised = _TraceStream.denoised
+
+        def counting_reduce(trace, pair):
+            key = (id(trace), pair)
+            reductions[key] = reductions.get(key, 0) + 1
+            return reduce(trace, pair)
+
+        def counting_denoised(trace):
+            resolves[id(trace)] = resolves.get(id(trace), 0) + 1
+            return denoised(trace)
+
+        monkeypatch.setattr(
+            _TraceStream, "_reduce_log_ratio", counting_reduce
+        )
+        monkeypatch.setattr(_TraceStream, "denoised", counting_denoised)
+        wimi, _ = fitted
+        stream = wimi.clone_view().streaming_extractor(
+            scene=long_session.scene
+        )
+        stream.push_baseline(long_session.baseline)
+        for packet in long_session.target.packets:
+            stream.push_target(packet)
+            stream.estimate()
+        stream.finalize()
+
+        traces = {id(t): t for t in (stream._baseline, stream._target)}
+        assert {trace for trace, _ in reductions} == set(traces)
+        assert (id(stream._target), tuple(wimi.calibrated_pair)) in reductions
+        for (trace, pair), count in reductions.items():
+            assert count <= traces[trace].windows_denoised + 1, pair
+        for trace, count in resolves.items():
+            assert count == sum(
+                n for (t, _), n in reductions.items() if t == trace
+            )
 
 
 class TestFaultInjectedStreaming:
