@@ -42,8 +42,10 @@ class AmplitudeProcessor:
         # Denoising all (subcarrier, antenna) series of a trace is the
         # pipeline's hot spot and several consumers (each antenna pair,
         # the coarse pair) ask for the same trace; memoise per trace
-        # identity.  Traces are de-facto immutable after capture.
-        self._cache: dict[int, np.ndarray] = {}
+        # identity.  Traces are de-facto immutable after capture.  Each
+        # entry holds its trace, so the trace stays alive and its id()
+        # cannot be reused by another trace while the entry exists.
+        self._cache: dict[int, tuple[CsiTrace, np.ndarray]] = {}
         self._cache_order: list[int] = []
 
     # ------------------------------------------------------------------
@@ -56,9 +58,9 @@ class AmplitudeProcessor:
         """
         key = id(trace)
         if key in self._cache:
-            return self._cache[key]
+            return self._cache[key][1]
         cleaned = self.compute_clean_amplitudes(trace)
-        self._cache[key] = cleaned
+        self._cache[key] = (trace, cleaned)
         self._cache_order.append(key)
         if len(self._cache_order) > 64:
             oldest = self._cache_order.pop(0)

@@ -48,14 +48,14 @@ class WiMiConfig:
             the feature vector (it is branch-independent and anchors the
             identify-time branch search).  Disable to study a single
             pair/subcarrier in isolation (Fig. 13).
-        stream_window_size: Packet window of the streaming denoiser
-            (:class:`repro.dsp.streaming.OverlapWindowDenoiser`): each
-            window of this many consecutive packets is denoised as soon
-            as it completes, so identify latency is bounded by the last
-            window instead of the trace length.
+        stream_window_size: Packet window of the streaming preview
+            (:func:`repro.dsp.streaming.window_log_sums`): each window of
+            this many consecutive packets is outlier-rejected and added
+            to the preview's running sums as soon as it completes.
         stream_hop: Stride (packets) between consecutive streaming
-            windows; ``hop < window`` overlaps windows and overlap-added
-            samples are averaged.  Must satisfy ``1 <= hop <= window``.
+            windows; ``hop < window`` overlaps windows, so a packet in
+            the overlap counts once per window that covers it.  Must
+            satisfy ``1 <= hop <= window``.
         degradation_policy: How the pipeline treats degraded captures:
             ``"degrade"`` (default -- hard failures raise
             ``CorruptTraceError``, soft issues warn and trigger

@@ -45,11 +45,17 @@ class PhaseCalibrator:
         """Eq. 6: per-packet inter-antenna phase difference, shape ``(M, K)``.
 
         Computed as ``angle(H_i * conj(H_j))``, which is inherently wrapped
-        to ``(-pi, pi]`` and immune to the common clock corruption.
+        to ``(-pi, pi]`` and immune to the common clock corruption.  A
+        reading of exactly 0 (an attenuated chain quantised to zero) has
+        no phase: ``np.angle`` would return 0 or pi from the signs of the
+        zeros, so those entries are NaN and the NaN-aware means skip them.
         """
         i, j = self._check_pair(trace, pair)
         matrix = trace.matrix()
-        return np.angle(matrix[:, :, i] * np.conj(matrix[:, :, j]))
+        product = matrix[:, :, i] * np.conj(matrix[:, :, j])
+        phase = np.angle(product)
+        phase[product == 0] = np.nan
+        return phase
 
     def averaged_phase_difference(
         self, trace: CsiTrace, pair: tuple[int, int]

@@ -783,58 +783,40 @@ class WiMi:
     # Streaming identification
     # ------------------------------------------------------------------
 
-    def streaming_extractor(
-        self,
-        scene=None,
-        window_size: int | None = None,
-        hop: int | None = None,
-        material_name: str = "",
-    ):
+    def streaming_extractor(self, scene=None, material_name: str = ""):
         """A :class:`repro.core.streaming.StreamingExtractor` bound to
         this fitted pipeline.
 
         Push CSI packets as they arrive (``push_baseline`` /
         ``push_target``), poll :meth:`~repro.core.streaming
-        .StreamingExtractor.estimate` for the converging Omega-bar, and
+        .StreamingExtractor.estimate` for the converging preview, and
         :meth:`~repro.core.streaming.StreamingExtractor.finalize` for
-        the classified result.  See :mod:`repro.core.streaming` for the
-        window/overlap semantics and the batch-equivalence contract.
+        the classified result, which is :meth:`extract` of the buffered
+        session.  See :mod:`repro.core.streaming` for the window
+        semantics (``config.stream_window_size``/``stream_hop``).
         """
         from repro.core.streaming import StreamingExtractor
 
         return StreamingExtractor(
-            self,
-            scene=scene,
-            window_size=window_size,
-            hop=hop,
-            material_name=material_name,
+            self, scene=scene, material_name=material_name
         )
 
     def identify_streaming(
-        self,
-        session: CaptureSession,
-        chunk_size: int = 1,
-        window_size: int | None = None,
-        hop: int | None = None,
+        self, session: CaptureSession, chunk_size: int = 1
     ) -> str:
         """Identify a session by replaying it through the streaming path.
 
-        Functionally the streaming analogue of :meth:`identify`: the
-        baseline is pushed whole, the target in ``chunk_size``-packet
-        chunks, and the finalized label is returned.  The finalized
-        features are invariant to ``chunk_size`` (accumulators ingest
-        one packet at a time regardless); they differ from the batch
-        path only through the windowed amplitude denoise.
+        The baseline is pushed whole, the target in ``chunk_size``-packet
+        chunks, and the finalized label is returned.  Finalize runs
+        :meth:`extract` on the buffered packets, so the label is the
+        :meth:`identify` label for any ``chunk_size``.
         """
         if self._classifier is None:
             raise RuntimeError("WiMi is not fitted; call fit() first")
         from repro.csi.model import CsiTrace
 
         stream = self.streaming_extractor(
-            scene=session.scene,
-            window_size=window_size,
-            hop=hop,
-            material_name=session.material_name,
+            scene=session.scene, material_name=session.material_name
         )
         stream.push_baseline(session.baseline)
         packets = list(session.target.packets)

@@ -3,42 +3,40 @@
 The batch pipeline buffers a whole paired capture before the first DSP
 stage runs, so identify latency grows with trace length.
 :class:`StreamingExtractor` consumes packets *one at a time* (or in
-micro-chunks) and keeps per-trace running state instead:
+micro-chunks), keeps cheap running state for a converging preview, and
+hands the buffered capture to the batch pipeline when the stream ends:
 
 * phase side -- one ``(subcarrier, antenna pair)`` grid of circular
   resultants (:class:`repro.dsp.streaming.RunningCircularStats`),
   updated in O(K) per packet, converging to exactly the batch circular
   mean;
-* amplitude side -- raw amplitude rows buffered and denoised in
-  fixed-size overlapping windows as each window completes (the
-  ``stream_window_denoise`` engine stage, so windows are cached by
-  content), overlap-added into a running denoised estimate.
+* amplitude side -- every fixed-size window of raw amplitude rows is
+  median-imputed and outlier-rejected as it completes (the
+  ``stream_window_denoise`` engine stage, cached by content), and its
+  per-channel sums of clipped log-amplitude and finite counts are added
+  to two running ``(channels,)`` arrays.
 
-``estimate()`` can be polled at any time for the current Omega-bar with
-a per-window confidence.  A poll does O(K) new work: the amplitude
-observables only change when a window lands, so each trace memoizes
-its per-pair mean log ratio per window.  ``finalize()`` emits a tail
-window covering the last packets, runs the session through the same
-quality gate and degraded-capture fallbacks as the batch path, and
-extracts :class:`~repro.core.feature.SessionFeatures` via the existing
-``measure_from_observables`` + gamma-resolution machinery.
+``estimate()`` can be polled at any time for the preview Omega-bar with
+a per-window confidence; a poll is O(K): the mean log amplitude ratio of
+a pair is the difference of two running means.  The preview skips the
+Eq. 8-13 correlation filter, so it tracks but does not equal the final
+answer.  ``finalize()`` builds the :class:`CaptureSession` from the
+buffered packets and returns exactly ``wimi.extract(session)`` and its
+classification: one extraction path, one quality gate, one set of
+degraded-capture fallbacks.
 
 Determinism: all accumulators ingest one packet per step and the window
-schedule depends only on the final packet count, so the finalized
-features are a pure function of the packet sequence -- chunk sizes 1, 7
-and full-trace give bit-identical results.  The Omega-bar history
-behind the confidence is fed as each window lands, not when the caller
-polls, so the finalized estimate does not depend on the poll cadence
-either.  The finalized *values* differ from the batch path only
-through the windowed-vs-full-trace wavelet denoise (documented
-tolerance in ``tests/test_perf_equivalence.py``); predictions match.
+schedule depends only on the packet count, so the preview state is a
+pure function of the packet sequence -- chunk sizes 1, 7 and full-trace
+give bit-identical results.  The Omega-bar history behind the
+confidence is fed as each window lands, not when the caller polls, so
+the finalized estimate does not depend on the poll cadence either.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -54,7 +52,6 @@ from repro.csi.model import CsiPacket, CsiTrace
 from repro.dsp.ringbuffer import RowRingBuffer
 from repro.dsp.stats import circular_mean, finite_mean, finite_median, wrap_phase
 from repro.dsp.streaming import (
-    OverlapWindowDenoiser,
     RollingMad,
     RunningCircularStats,
     RunningVariance,
@@ -67,14 +64,15 @@ class StreamingEstimate:
 
     Attributes:
         omega: Current Omega-bar estimate (NaN until at least one
-            denoised window exists on each trace).
+            window has landed on each trace).
         gamma: Phase-wrap integer resolved for the current estimate.
         confidence: Heuristic in [0, 1]: phase-resultant concentration
             of both traces times a convergence score of the per-window
             Omega-bar history.  0 while no estimate exists.
         baseline_packets: Packets ingested into the baseline trace.
         target_packets: Packets ingested into the target trace.
-        windows_denoised: Denoised windows so far (both traces).
+        windows_denoised: Preview windows landed so far (both
+            traces).
         amplitude_mad: Rolling MAD of the target's per-packet log
             amplitude ratio (raw-data noise diagnostic; NaN while
             empty).
@@ -117,10 +115,10 @@ class StreamingResult:
 class _TraceStream:
     """Running state of one trace (baseline or target) of a stream."""
 
-    def __init__(self, num_subcarriers: int, num_antennas: int, denoise):
+    def __init__(self, num_subcarriers: int, num_antennas: int, engine):
         self.num_subcarriers = num_subcarriers
         self.num_antennas = num_antennas
-        self._denoise = denoise  # (rows, start) -> denoised rows
+        self._engine = engine
         pairs = [
             (i, j)
             for i in range(num_antennas)
@@ -133,17 +131,16 @@ class _TraceStream:
         self._phase = RunningCircularStats((num_subcarriers, len(pairs)))
         self.packets: list[CsiPacket] = []
         channels = num_subcarriers * num_antennas
-        # Raw |H| rows in one contiguous arena: each denoise window is a
+        # Raw |H| rows in one contiguous arena: each window is a
         # zero-copy view of it instead of an np.stack over a row list.
         self._rows = RowRingBuffer(channels)
-        self._den_sum = np.zeros((0, channels))
-        self._weight = np.zeros((0, channels), dtype=np.int64)
+        #: Running per-channel sum of clipped log |H| over landed windows.
+        self._log_sum = np.zeros(channels)
+        #: Running per-channel count of the samples in ``_log_sum``.
+        self._count = np.zeros(channels, dtype=np.int64)
         self._next_start = 0
-        self._covered_end = 0
         self.windows_denoised = 0
         self.carrier_hz: float | None = None
-        #: pair -> (windows_denoised when computed, mean log ratio).
-        self._ratio_memo: dict[tuple[int, int], tuple[int, np.ndarray]] = {}
 
     def __len__(self) -> int:
         return len(self.packets)
@@ -153,7 +150,7 @@ class _TraceStream:
     def push(
         self, packet: CsiPacket, window_size: int, hop: int
     ) -> np.ndarray:
-        """Ingest one packet; denoise any window it completes.
+        """Ingest one packet; add any window it completes to the sums.
 
         Returns the packet's raw amplitude row (for diagnostics).
         """
@@ -165,48 +162,24 @@ class _TraceStream:
         self.packets.append(packet)
         row = self._rows.append(np.abs(packet.csi).ravel())
         csi = packet.csi
-        self._phase.add(
-            np.angle(csi[:, self._first] * np.conj(csi[:, self._second]))
-        )
+        # A zero reading has no phase; NaN keeps it out of the mean, as
+        # in the batch phase calibration.
+        product = csi[:, self._first] * np.conj(csi[:, self._second])
+        phase = np.angle(product)
+        phase[product == 0] = np.nan
+        self._phase.add(phase)
         n = len(self._rows)
         while self._next_start + window_size <= n:
-            self._emit_window(self._next_start, window_size)
+            start = self._next_start
+            # Zero-copy: the window is a read-only view of the row arena.
+            window = self._engine.stream_window_denoise(
+                self._rows.window(start, start + window_size), start
+            )
+            self._log_sum += window.log_sum
+            self._count += window.count
+            self.windows_denoised += 1
             self._next_start += hop
         return row
-
-    def _emit_window(self, start: int, window_size: int) -> None:
-        stop = min(start + window_size, len(self._rows))
-        # Zero-copy: the window is a contiguous read-only view of the
-        # row arena; the denoise stage hashes and reads it, never
-        # mutates it (its outputs are fresh arrays).
-        slab = self._rows.window(start, stop)
-        out = np.asarray(self._denoise(slab, start), dtype=float)
-        self._ensure_capacity(stop)
-        OverlapWindowDenoiser.accumulate(
-            self._den_sum, self._weight, start, out
-        )
-        self._covered_end = max(self._covered_end, stop)
-        self.windows_denoised += 1
-
-    def finalize_windows(self, window_size: int) -> None:
-        """Emit the tail window so every packet is denoised at least once."""
-        n = len(self._rows)
-        if n == 0 or self._covered_end >= n:
-            return
-        self._emit_window(max(n - window_size, 0), window_size)
-
-    def _ensure_capacity(self, rows: int) -> None:
-        have = self._den_sum.shape[0]
-        if have >= rows:
-            return
-        capacity = max(16, 2 * have, rows)
-        channels = self._den_sum.shape[1]
-        den_sum = np.zeros((capacity, channels))
-        den_sum[:have] = self._den_sum
-        weight = np.zeros((capacity, channels), dtype=np.int64)
-        weight[:have] = self._weight
-        self._den_sum = den_sum
-        self._weight = weight
 
     # ------------------------------------------------------------------
 
@@ -230,44 +203,18 @@ class _TraceStream:
         column, _ = self._column(pair)
         return self._phase.resultant_length()[:, column]
 
-    def denoised(self) -> np.ndarray:
-        """Current denoised cube ``(n, K, A)``; NaN where not yet covered.
-
-        Resolves the overlap buffers on every call, so it costs O(n);
-        the poll path reads :meth:`mean_log_ratio`, which calls this
-        once per pair per window.
-        """
-        n = len(self._rows)
-        if n == 0:
-            raise ValueError("empty stream")
-        self._ensure_capacity(n)
-        den = OverlapWindowDenoiser.resolve(
-            self._den_sum[:n], self._weight[:n]
-        )
-        den = np.clip(den, _AMPLITUDE_EPS, None)
-        return den.reshape(n, self.num_subcarriers, self.num_antennas)
-
     def mean_log_ratio(self, pair: tuple[int, int]) -> np.ndarray:
-        """Per-subcarrier mean log amplitude ratio over denoised packets.
+        """Per-subcarrier mean log amplitude ratio over landed windows.
 
-        Memoized per window: rows no window covers yet are NaN and the
-        finite mean skips them, so the value only changes when a window
-        lands.  The returned array is read-only.
+        The difference of the two antennas' running mean log amplitudes,
+        so O(K) whatever the stream length.  NaN on a subcarrier where
+        either antenna has no sample yet (no window, or a column dead in
+        every window).
         """
-        key = (int(pair[0]), int(pair[1]))
-        memo = self._ratio_memo.get(key)
-        if memo is not None and memo[0] == self.windows_denoised:
-            return memo[1]
-        value = self._reduce_log_ratio(key)
-        value.setflags(write=False)
-        self._ratio_memo[key] = (self.windows_denoised, value)
-        return value
-
-    def _reduce_log_ratio(self, pair: tuple[int, int]) -> np.ndarray:
-        """The full-cube reduction behind :meth:`mean_log_ratio`."""
-        i, j = pair
-        den = self.denoised()
-        return finite_mean(np.log(den[:, :, i] / den[:, :, j]), axis=0)
+        mean = np.full(self._count.shape, math.nan)
+        np.divide(self._log_sum, self._count, out=mean, where=self._count > 0)
+        mean = mean.reshape(self.num_subcarriers, self.num_antennas)
+        return mean[:, int(pair[0])] - mean[:, int(pair[1])]
 
     def to_trace(self, label: str) -> CsiTrace:
         """The accumulated packets as a :class:`CsiTrace`."""
@@ -280,30 +227,22 @@ class _TraceStream:
 class StreamingExtractor:
     """Consumes CSI packets incrementally, emits converging Omega-bar.
 
-    Built from a *fitted* :class:`~repro.core.pipeline.WiMi`; reuses its
-    deployment calibration (antenna pairs, good subcarriers), its
-    engine (streaming windows are cached ``stream_window_denoise``
-    stage artifacts) and, at :meth:`finalize`, its quality gate,
-    degraded-capture fallbacks and classifier.
+    Built from a *fitted* :class:`~repro.core.pipeline.WiMi`; the
+    preview reuses its deployment calibration (antenna pair, good
+    subcarriers, coarse pair) and its engine (preview windows are
+    cached ``stream_window_denoise`` stage artifacts), and
+    :meth:`finalize` is its batch ``extract`` and classifier.  Windows
+    are ``config.stream_window_size`` packets long and start every
+    ``config.stream_hop`` packets.
 
     Args:
         wimi: Fitted pipeline facade.
         scene: Deployment scene recorded on the finalized session
             (optional; replays pass the original session's scene).
-        window_size: Streaming window override (default
-            ``config.stream_window_size``).
-        hop: Window stride override (default ``config.stream_hop``).
         material_name: Ground-truth label, when known (replays).
     """
 
-    def __init__(
-        self,
-        wimi,
-        scene=None,
-        window_size: int | None = None,
-        hop: int | None = None,
-        material_name: str = "",
-    ):
+    def __init__(self, wimi, scene=None, material_name: str = ""):
         if not wimi.is_fitted:
             raise RuntimeError(
                 "WiMi is not fitted; streaming extraction needs the "
@@ -312,21 +251,8 @@ class StreamingExtractor:
         self._wimi = wimi
         self._scene = scene
         self._material_name = material_name
-        config = wimi.config
-        self.window_size = (
-            int(window_size) if window_size is not None
-            else config.stream_window_size
-        )
-        self.hop = int(hop) if hop is not None else config.stream_hop
-        if self.window_size < 1:
-            raise ValueError(
-                f"window_size must be >= 1, got {self.window_size}"
-            )
-        if not 1 <= self.hop <= self.window_size:
-            raise ValueError(
-                f"hop must be in [1, window_size={self.window_size}], "
-                f"got {self.hop}"
-            )
+        self.window_size = wimi.config.stream_window_size
+        self.hop = wimi.config.stream_hop
         self._pair = wimi.calibrated_pair
         self._subcarriers = wimi.calibrated_subcarriers
         if self._pair is None or not self._subcarriers:
@@ -374,14 +300,7 @@ class StreamingExtractor:
                 f"the paired trace's "
                 f"({other.num_subcarriers}, {other.num_antennas})"
             )
-        engine = self._wimi.engine
-        stream = _TraceStream(
-            num_sc,
-            num_ant,
-            denoise=lambda rows, start: engine.stream_window_denoise(
-                rows, start
-            ).amplitudes,
-        )
+        stream = _TraceStream(num_sc, num_ant, self._wimi.engine)
         if which == "baseline":
             self._baseline = stream
         else:
@@ -427,12 +346,12 @@ class StreamingExtractor:
     def _observables(
         self, pair: tuple[int, int]
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Eq. 18/19 observables for ``pair`` from the running state.
+        """Preview Eq. 18/19 observables for ``pair``.
 
         Same construction as the batch ``observables`` stage, with the
         running circular resultants standing in for the packet-axis
-        circular mean and the overlap-added windows standing in for the
-        full-trace denoised cubes.
+        circular mean and the running window means of log amplitude
+        standing in for the full-trace denoised cubes.
         """
         base = self._baseline
         target = self._target
@@ -459,13 +378,12 @@ class StreamingExtractor:
         """Current Omega-bar estimate from the data so far.
 
         A poll does O(K) work on top of what ingest already paid: the
-        phase resultants are running sums, the amplitude observables are
-        memoized per window, and repeated polls between two packets
-        return the same snapshot.  NaN omega / zero confidence until
-        both traces have at least one denoised window.  Unlike
-        :meth:`finalize` this aggregates NaN-tolerantly (a degraded
-        subcarrier is simply excluded mid-stream; the hard quality
-        gate runs at finalize).
+        phase resultants and the window log-amplitude sums are running
+        sums, and repeated polls between two packets return the same
+        snapshot.  NaN omega / zero confidence until both traces have at
+        least one landed window.  Unlike :meth:`finalize` this
+        aggregates NaN-tolerantly (a degraded subcarrier is simply
+        excluded mid-stream; the quality gate runs at finalize).
         """
         if self._result is not None:
             return self._result.estimate
@@ -474,7 +392,7 @@ class StreamingExtractor:
         return self._poll
 
     def _track(self) -> None:
-        """Feed the Omega-bar history once per newly denoised window.
+        """Feed the Omega-bar history once per newly landed window.
 
         Runs after every ingested packet, so the history behind the
         confidence is a function of the packet sequence alone, not of
@@ -576,13 +494,13 @@ class StreamingExtractor:
     # ------------------------------------------------------------------
 
     def finalize(self) -> StreamingResult:
-        """Close the stream: tail windows, quality gate, features, label.
+        """Close the stream: batch features of the buffered capture, label.
 
-        Runs the exact batch-path session machinery -- quality gating
-        (warns/raises per ``config.degradation_policy``), dead-pair
-        substitution, subcarrier exclusion + top-up, coarse re-derivation
-        -- over observables assembled from the streaming state, then
-        classifies.  Idempotent: repeated calls return the same result.
+        Returns exactly what ``wimi.extract`` and the classifier give for
+        the reassembled session -- quality gating (warns/raises per
+        ``config.degradation_policy``) and every degraded-capture
+        fallback included.  Idempotent: repeated calls return the same
+        result.
         """
         if self._result is not None:
             return self._result
@@ -592,67 +510,16 @@ class StreamingExtractor:
                 "required"
             )
         wimi = self._wimi
-        self._baseline.finalize_windows(self.window_size)
-        self._target.finalize_windows(self.window_size)
-
         session = CaptureSession(
             baseline=self._baseline.to_trace("baseline/stream"),
             target=self._target.to_trace("target/stream"),
             material_name=self._material_name,
             scene=self._scene,
         )
-        quality = wimi._gate(session)
-        pairs = wimi._session_pairs(session)
-        coarse = wimi.calibrated_coarse_pair
-        exclude_sc: tuple[int, ...] = ()
-        coarse_fallback = False
-        if quality is not None and quality.is_degraded:
-            pairs, coarse = wimi._degraded_plan(session, quality, pairs)
-            exclude_sc = tuple(quality.bad_subcarriers)
-            coarse_fallback = wimi.config.include_coarse_feature
-        if (
-            coarse is None
-            and not coarse_fallback
-            and wimi.config.use_coarse_pair
-            and session.num_antennas >= 3
-        ):
-            # Uncalibrated coarse pair: fall back to the batch derivation
-            # (one full denoiser pass; only reachable when calibrate()
-            # found no coarse pair, never on the streaming hot path).
-            coarse = wimi._find_coarse_pair(session, pairs[0])
-
-        coarse_obs = None
-        if coarse is not None:
-            coarse_obs = self._observables(coarse)
-        measurements = []
-        for pair in pairs:
-            subcarriers = wimi._subcarriers_for(
-                session, pair, exclude=exclude_sc
-            )
-            theta_all, neg_all = self._observables(pair)
-            measurement = wimi.extractor.measure_from_observables(
-                pair,
-                list(subcarriers),
-                theta_all,
-                neg_all,
-                coarse_observables=(
-                    coarse_obs if coarse is not None and coarse != pair
-                    else None
-                ),
-                true_omega=None,
-                include_coarse_feature=wimi.config.include_coarse_feature,
-                material_name=session.material_name,
-                coarse_fallback=coarse_fallback,
-            )
-            measurements.append(measurement)
-        features = SessionFeatures(
-            measurements=measurements,
-            material_name=session.material_name,
-            quality=quality,
-        )
+        features = wimi.extract(session)
         artifact = wimi._classify(features)
 
-        main = measurements[0]
+        main = features.measurements[0]
         estimate = StreamingEstimate(
             omega=float(main.omega_mean),
             gamma=int(main.gamma),

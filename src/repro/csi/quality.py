@@ -74,8 +74,8 @@ class QualityThresholds:
         min_finite_fraction: Hard floor on the whole-trace finite
             fraction.
         min_channel_live_fraction: An antenna or subcarrier whose live
-            (finite and non-zero) sample fraction falls below this is
-            disqualified -- excluded from selection, reported as
+            fraction (see :class:`TraceQualityReport`) falls below this
+            is disqualified -- excluded from selection, reported as
             dead/bad.
         min_live_antennas: Hard floor on qualified antennas (the
             phase-difference calibration needs a pair).
@@ -126,8 +126,13 @@ class TraceQualityReport:
     """Measured quality of one CSI trace, gated against thresholds.
 
     All fractions are in ``[0, 1]``.  "Finite" counts entries whose real
-    and imaginary parts are finite; "live" additionally requires a
-    non-negligible magnitude (a zeroed antenna is finite but dead).
+    and imaginary parts are finite.  "Live" is judged per packet, because
+    the report quantises every packet against its own peak and a strongly
+    attenuated chain reads exactly 0 on many samples while it is alive:
+    an antenna is live in a packet when at least one of its subcarriers
+    reads a finite non-zero value (a zeroed or NaN chain is dead), and a
+    subcarrier sample is live when it is finite and some live antenna
+    reads non-zero on that subcarrier in that packet.
 
     Attributes:
         num_packets: Packets in the trace.
@@ -138,9 +143,10 @@ class TraceQualityReport:
         subcarrier_finite_fraction: Per-subcarrier finite share, ``(K,)``,
             measured over live antennas only (a dead chain must read as
             an antenna failure, not as a whole-band one).
-        antenna_live_fraction: Per-antenna live share, shape ``(A,)``.
-        subcarrier_live_fraction: Per-subcarrier live share, ``(K,)``,
-            over live antennas only.
+        antenna_live_fraction: Per-antenna share of live packets, shape
+            ``(A,)``.
+        subcarrier_live_fraction: Per-subcarrier live sample share,
+            ``(K,)``, over live antennas only.
         loss_rate: Missing share of the sequence-number span.
         sequence_gaps: Count of missing sequence numbers.
         duplicate_packets: Packets re-using an already-seen sequence.
@@ -407,18 +413,25 @@ def assess_trace(
         live = finite & (np.abs(np.where(finite, matrix, 0.0)) > _LIVE_EPS)
     finite_fraction = float(finite.mean()) if finite.size else 0.0
 
-    # Per-antenna fractions see all subcarriers; per-subcarrier fractions
-    # see *live antennas only*.  Otherwise one dead chain of three drags
-    # every subcarrier to a 2/3 live fraction and a single antenna
-    # failure masquerades as a whole-band failure.
-    antenna_live = _fraction(live, axis=(0, 1))
+    # An exact zero alone does not mean death: the report quantises each
+    # packet against its own peak, so a strongly attenuated chain reads 0
+    # on a large share of its samples while staying live.  A chain is
+    # dead in a packet only when none of its subcarriers reads a finite
+    # non-zero value there.
+    antenna_live = _fraction(live.any(axis=1), axis=(0,))
     alive = antenna_live >= thresholds.min_channel_live_fraction
-    if alive.any() and not alive.all():
-        sc_finite = _fraction(finite[:, :, alive], axis=(0, 2))
-        sc_live = _fraction(live[:, :, alive], axis=(0, 2))
-    else:
-        sc_finite = _fraction(finite, axis=(0, 2))
-        sc_live = _fraction(live, axis=(0, 2))
+    # Per-subcarrier fractions see *live antennas only*; otherwise one
+    # dead chain of three drags every subcarrier to a 2/3 live fraction
+    # and a single antenna failure masquerades as a whole-band failure.
+    # A sample is live when it is finite and its subcarrier reads
+    # non-zero on some live antenna in that packet: a non-finite cell is
+    # always dead, a zero only when the whole subcarrier is silent.
+    columns = alive if alive.any() else slice(None)
+    sc_finite = _fraction(finite[:, :, columns], axis=(0, 2))
+    sc_live = _fraction(
+        finite[:, :, columns] & live[:, :, columns].any(axis=2, keepdims=True),
+        axis=(0, 2),
+    )
 
     sequences = [int(p.sequence) for p in trace]
     unique = len(set(sequences))

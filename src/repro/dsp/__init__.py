@@ -29,7 +29,6 @@ from repro.dsp.stats import (
     robust_sigma,
 )
 from repro.dsp.streaming import (
-    OverlapWindowDenoiser,
     RollingMad,
     RunningCircularStats,
     RunningVariance,
@@ -50,7 +49,6 @@ from repro.dsp.wavelet_denoise import (
 )
 
 __all__ = [
-    "OverlapWindowDenoiser",
     "RollingMad",
     "RunningCircularStats",
     "RunningVariance",

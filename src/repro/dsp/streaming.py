@@ -1,9 +1,9 @@
-"""Single-pass (streaming) statistics and windowed amplitude denoising.
+"""Single-pass (streaming) statistics and windowed amplitude sums.
 
 WiMi's capture regime is one packet every ~10 ms, but the batch pipeline
 buffers a whole trace before the first DSP stage runs.  This module holds
-the incremental primitives that let feature extraction run *while* the
-trace is still arriving:
+the incremental primitives behind the streaming preview that runs
+*while* the trace is still arriving:
 
 * :class:`RunningCircularStats` -- element-wise circular mean/variance
   accumulated as resultant vectors, one packet at a time.  Mirrors the
@@ -13,12 +13,11 @@ trace is still arriving:
 * :class:`RunningVariance` -- Welford's online mean/variance.
 * :class:`RollingMad` -- median absolute deviation over a sliding window
   of recent samples (a bounded-memory noise-level diagnostic).
-* :class:`OverlapWindowDenoiser` -- the Sec. III-C outlier + wavelet
-  denoiser applied to fixed-size packet windows as they complete, with
-  overlap-add recombination.  Each window mirrors the per-trace
-  treatment of ``AmplitudeProcessor.compute_clean_amplitudes`` (median
-  imputation of non-finite samples, dead-in-window columns restored to
-  NaN, windows shorter than 4 packets get outlier rejection only).
+* :func:`window_log_sums` -- one fixed-size packet window of raw
+  amplitudes reduced to per-channel sums of clipped log amplitude and
+  sample counts, after median imputation and the Sec. III-C outlier
+  rejection (not the Eq. 8-13 correlation filter).  Streams add these
+  to running sums, so a preview mean costs O(channels).
 
 Determinism contract: every accumulator ingests exactly one packet per
 ``add``/window step, so the final state after a stream is a function of
@@ -35,7 +34,7 @@ from collections import deque
 import numpy as np
 
 from repro.dsp.stats import finite_median
-from repro.dsp.wavelet_denoise import SpatiallySelectiveDenoiser, remove_outliers
+from repro.dsp.wavelet_denoise import remove_outliers
 
 
 class RunningCircularStats:
@@ -187,153 +186,31 @@ def _sorted_list_median(values: list[float]) -> float:
     return (values[(n - 1) // 2] + values[n // 2]) / 2
 
 
-def denoise_window(
-    rows: np.ndarray, denoiser: SpatiallySelectiveDenoiser
-) -> np.ndarray:
-    """Denoise one ``(window, channels)`` slab of raw amplitude rows.
+def window_log_sums(
+    rows: np.ndarray, floor: float, outlier_sigmas: float | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-channel sum of clipped log amplitude over one window, and counts.
 
-    Mirrors the per-trace treatment of
-    ``AmplitudeProcessor.compute_clean_amplitudes`` scaled down to one
-    window: non-finite samples are imputed with the column's in-window
-    finite median, columns dead for the whole window are restored to NaN
-    afterwards (quality gating, not silent garbage, decides their fate),
-    and windows shorter than 4 packets get outlier rejection only.  No
-    amplitude clipping here -- the consumer clips once after
-    overlap-add, like the batch path clips once per cube.
+    ``rows`` is one ``(window, channels)`` slab of raw amplitudes.
+    Non-finite samples are imputed with their column's in-window finite
+    median, then ``outlier_sigmas``-sigma outliers are replaced by the
+    survivors' median (``None`` skips that step), and every sample is
+    clipped at ``floor`` before the log.  A column with no finite sample
+    in the window contributes a zero sum and a zero count, so the
+    consumer's running mean leaves it NaN instead of inventing a level.
     """
     rows = np.asarray(rows, dtype=float)
-    if rows.ndim != 2:
+    if rows.ndim != 2 or rows.size == 0:
         raise ValueError(
-            f"expected (window, channels) rows, got shape {rows.shape}"
+            f"expected non-empty (window, channels) rows, got {rows.shape}"
         )
-    if rows.size == 0:
-        raise ValueError("empty window")
     finite = np.isfinite(rows)
-    dead_columns = None
+    live = finite.any(axis=0)
     if not finite.all():
         medians = finite_median(rows, axis=0)
-        fill = np.where(np.isfinite(medians), medians, 0.0)
-        rows = np.where(finite, rows, fill[None, :])
-        dead = ~finite.any(axis=0)
-        if dead.any():
-            dead_columns = dead
-    if rows.shape[0] < 4:
-        cleaned, _ = remove_outliers(rows, denoiser.outlier_sigmas)
-    else:
-        cleaned = denoiser.denoise(rows)
-    if dead_columns is not None:
-        cleaned = np.where(dead_columns[None, :], np.nan, cleaned)
-    return cleaned
-
-
-class OverlapWindowDenoiser:
-    """Windowed overlap-add variant of the Sec. III-C amplitude denoiser.
-
-    Windows of ``window_size`` consecutive packets start every ``hop``
-    packets; each window is denoised independently as soon as its last
-    packet arrives, and overlapping window outputs are averaged per
-    sample.  At stream end a tail window covering the final packets is
-    emitted so every packet is denoised at least once.
-
-    The window schedule depends only on the total packet count, so the
-    overlap-add result is a pure function of the packet sequence
-    (chunk-size invariant), and each window's output is content-hashable
-    for the stage cache.
-    """
-
-    def __init__(
-        self,
-        denoiser: SpatiallySelectiveDenoiser | None = None,
-        window_size: int = 8,
-        hop: int = 4,
-    ):
-        if window_size < 1:
-            raise ValueError(f"window_size must be >= 1, got {window_size}")
-        if not 1 <= hop <= window_size:
-            raise ValueError(
-                f"hop must be in [1, window_size={window_size}], got {hop}"
-            )
-        self.denoiser = (
-            denoiser if denoiser is not None else SpatiallySelectiveDenoiser()
-        )
-        self.window_size = window_size
-        self.hop = hop
-
-    def complete_starts(self, num_rows: int) -> list[int]:
-        """Start indices of every complete window within ``num_rows``."""
-        return list(
-            range(0, max(num_rows - self.window_size, 0) + 1, self.hop)
-        ) if num_rows >= self.window_size else []
-
-    def tail_start(self, num_rows: int) -> int | None:
-        """Start of the finalize-time tail window, or None if covered.
-
-        The tail window spans the last ``window_size`` packets (the whole
-        stream when shorter) whenever the complete-window schedule leaves
-        trailing packets uncovered.
-        """
-        if num_rows == 0:
-            return None
-        starts = self.complete_starts(num_rows)
-        covered_end = starts[-1] + self.window_size if starts else 0
-        if covered_end >= num_rows:
-            return None
-        return max(num_rows - self.window_size, 0)
-
-    def window_starts(self, num_rows: int) -> list[int]:
-        """All window starts for a finished stream of ``num_rows`` packets."""
-        starts = self.complete_starts(num_rows)
-        tail = self.tail_start(num_rows)
-        if tail is not None:
-            starts.append(tail)
-        return starts
-
-    def denoise_window(self, rows: np.ndarray) -> np.ndarray:
-        """Denoise one window slab (see :func:`denoise_window`)."""
-        return denoise_window(rows, self.denoiser)
-
-    @staticmethod
-    def accumulate(
-        den_sum: np.ndarray,
-        weight: np.ndarray,
-        start: int,
-        window_out: np.ndarray,
-    ) -> None:
-        """Overlap-add one denoised window into the running buffers.
-
-        NaN outputs (dead-in-window columns) contribute nothing; a
-        sample is NaN in the final result only if *every* window that
-        covered it said NaN (``weight`` stays 0 there).
-        """
-        stop = start + window_out.shape[0]
-        finite = np.isfinite(window_out)
-        region = den_sum[start:stop]
-        region[finite] += window_out[finite]
-        weight[start:stop] += finite
-
-    @staticmethod
-    def resolve(den_sum: np.ndarray, weight: np.ndarray) -> np.ndarray:
-        """Final denoised samples: overlap-average, NaN where uncovered."""
-        safe = np.where(weight > 0, weight, 1)
-        return np.where(weight > 0, den_sum / safe, math.nan)
-
-    def denoise(self, series: np.ndarray) -> np.ndarray:
-        """Offline reference: full windowed overlap-add over a series.
-
-        Produces exactly what the incremental path converges to after
-        its tail window -- the equivalence target of the streaming
-        tests.  ``series`` is ``(time, channels)``.
-        """
-        series = np.asarray(series, dtype=float)
-        if series.ndim != 2:
-            raise ValueError(
-                f"expected (time, channels) series, got shape {series.shape}"
-            )
-        den_sum = np.zeros_like(series)
-        weight = np.zeros(series.shape, dtype=np.int64)
-        for start in self.window_starts(series.shape[0]):
-            out = self.denoise_window(
-                series[start:start + self.window_size]
-            )
-            self.accumulate(den_sum, weight, start, out)
-        return self.resolve(den_sum, weight)
+        rows = np.where(finite, rows, np.where(live, medians, 0.0)[None, :])
+    if outlier_sigmas is not None:
+        rows, _ = remove_outliers(rows, outlier_sigmas)
+    log_sum = np.log(np.clip(rows, floor, None)).sum(axis=0)
+    count = np.where(live, rows.shape[0], 0)
+    return np.where(live, log_sum, 0.0), count

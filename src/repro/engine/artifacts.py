@@ -185,19 +185,23 @@ class DenoisedTraceArtifact(Artifact):
 
 @dataclass(frozen=True)
 class StreamWindowArtifact(Artifact):
-    """Output of ``stream_window_denoise``: cleaned rows of one window.
+    """Output of ``stream_window_denoise``: one window's preview sums.
 
     Attributes:
         start: Absolute packet index of the window's first row.
-        amplitudes: Denoised ``(window, channels)`` rows; NaN where a
-            channel column was dead for the whole window.
+        log_sum: Per-channel sum of clipped log amplitude over the
+            window's outlier-rejected rows, shape ``(channels,)``.
+        count: Per-channel number of samples in ``log_sum``; 0 where
+            the channel was dead for the whole window.
     """
 
     start: int
-    amplitudes: np.ndarray
+    log_sum: np.ndarray
+    count: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "amplitudes", _freeze(self.amplitudes))
+        object.__setattr__(self, "log_sum", _freeze(self.log_sum))
+        object.__setattr__(self, "count", _freeze(self.count))
 
 
 @dataclass(frozen=True)

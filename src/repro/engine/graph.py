@@ -22,14 +22,14 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from repro.core.amplitude import AmplitudeProcessor
+from repro.core.amplitude import _AMPLITUDE_EPS, AmplitudeProcessor
 from repro.core.config import WiMiConfig
 from repro.core.feature import MaterialFeatureExtractor, SessionFeatures
 from repro.core.subcarrier import SubcarrierSelector
 from repro.csi.collector import CaptureSession
 from repro.csi.model import CsiTrace
 from repro.csi.quality import TraceQualityReport, assess_trace
-from repro.dsp.streaming import denoise_window
+from repro.dsp.streaming import window_log_sums
 from repro.engine.artifacts import (
     ClassificationArtifact,
     DenoisedTraceArtifact,
@@ -56,6 +56,7 @@ from repro.engine.stages import (
     OBSERVABLES,
     PHASE_CALIBRATION,
     STREAM_WINDOW_DENOISE,
+    STREAM_WINDOW_REVISION,
     SUBCARRIER_SELECTION,
     TRACE_QUALITY,
     StageSpec,
@@ -198,34 +199,36 @@ class PipelineEngine:
     def stream_window_denoise(
         self, rows: np.ndarray, start: int
     ) -> StreamWindowArtifact:
-        """Denoised amplitude rows of one streaming window.
+        """Preview sums of one streaming window.
 
         ``rows`` is the raw ``(window, channels)`` |H| slab whose first
-        row sits at absolute packet index ``start``.  The key is the
-        slab's content hash plus the start index (a partial-input
-        artifact: the trace is still growing, so there is no finished
-        object to fingerprint) -- replaying the same stream resolves
-        every window from cache regardless of how the packets were
-        chunked on the way in.
+        row sits at absolute packet index ``start``; the artifact holds
+        its per-channel clipped log-amplitude sums and counts after
+        median imputation and outlier rejection (no outlier rejection
+        under the Fig. 14 ``denoise_amplitude=False`` ablation).  The
+        key is the slab's content hash plus the start index (a
+        partial-input artifact: the trace is still growing, so there is
+        no finished object to fingerprint) -- replaying the same stream
+        resolves every window from cache regardless of how the packets
+        were chunked on the way in.
         """
         start = int(start)
         key = make_key(
             array_fingerprint(rows),
             start,
             self._config_key(STREAM_WINDOW_DENOISE),
-            DENOISE_REVISION,
+            STREAM_WINDOW_REVISION,
         )
 
         def compute() -> StreamWindowArtifact:
-            if self.config.denoise_amplitude:
-                cleaned = denoise_window(
-                    rows, self.extractor.amplitude.denoiser
-                )
-            else:
-                # Fig. 14 ablation: raw amplitudes straight through.
-                cleaned = np.asarray(rows, dtype=float).copy()
+            log_sum, count = window_log_sums(
+                rows,
+                _AMPLITUDE_EPS,
+                self.config.outlier_sigmas
+                if self.config.denoise_amplitude else None,
+            )
             return StreamWindowArtifact(
-                key=key, start=start, amplitudes=cleaned
+                key=key, start=start, log_sum=log_sum, count=count
             )
 
         return self._resolve(STREAM_WINDOW_DENOISE, key, compute)

@@ -52,13 +52,19 @@ PHASE_CALIBRATION = StageSpec(
 )
 
 #: Revision of the denoiser's numerics, hashed into the keys of
-#: ``amplitude_denoise``, ``stream_window_denoise`` and the two stages
-#: built from denoised amplitudes, ``observables`` and
-#: ``feature_extraction``.  Bump it when the denoiser's output changes for
-#: the same input and config, so an artifact store written by older code
-#: recomputes those stages instead of serving their old outputs.
+#: ``amplitude_denoise`` and the two stages built from denoised
+#: amplitudes, ``observables`` and ``feature_extraction``.  Bump it when
+#: the denoiser's output changes for the same input and config, so an
+#: artifact store written by older code recomputes those stages instead
+#: of serving their old outputs.
 #: Revision 1: Eq. 13 keeps exact ties.
 DENOISE_REVISION = 1
+
+#: Revision of the ``stream_window_denoise`` artifact, hashed into its
+#: key for the same reason.  Revision 2: per-channel log-amplitude sums
+#: and counts of an outlier-rejected window (revision 1 stored the
+#: window's denoised rows).
+STREAM_WINDOW_REVISION = 2
 
 #: Sec. III-C: outlier rejection + spatially-selective wavelet filtering
 #: of one trace's amplitude cube.  The pipeline's hot spot.
@@ -74,18 +80,22 @@ AMPLITUDE_DENOISE = StageSpec(
     description="denoised |H| cube of one trace",
 )
 
-#: Incremental sibling of ``amplitude_denoise``: one fixed-size packet
-#: window of raw amplitude rows, denoised as soon as the window
-#: completes.  Partial-input stage: the key hashes the window's *rows*
-#: plus its absolute start index, so a replayed stream (same packets,
-#: any chunking) resolves every window from cache while a divergent
-#: stream misses from the first differing window.
+#: Streaming preview: one fixed-size packet window of raw amplitude
+#: rows, outlier-rejected and reduced to per-channel log-amplitude sums
+#: as soon as the window completes.  Partial-input stage: the key hashes
+#: the window's *rows* plus its absolute start index, so a replayed
+#: stream (same packets, any chunking) resolves every window from cache
+#: while a divergent stream misses from the first differing window.
 STREAM_WINDOW_DENOISE = StageSpec(
     name="stream_window_denoise",
-    config_fields=AMPLITUDE_DENOISE.config_fields
-    + ("stream_window_size", "stream_hop"),
+    config_fields=(
+        "denoise_amplitude",
+        "outlier_sigmas",
+        "stream_window_size",
+        "stream_hop",
+    ),
     inputs=(),
-    description="denoised |H| rows of one streaming window",
+    description="log |H| sums of one outlier-rejected streaming window",
 )
 
 #: Eq. 19 observable assembled from the denoised cubes of both traces.

@@ -4,9 +4,9 @@ The batch pipeline cannot produce *anything* before the full trace is
 captured and denoised, so its identify latency is proportional to the
 trace length.  The streaming path
 (:class:`repro.core.streaming.StreamingExtractor`) emits its first
-Omega-bar estimate after one denoise window (``stream_window_size``
-packets) and pays a bounded per-packet cost after that, so what this
-bench measures per trace length is:
+preview Omega-bar after one window (``stream_window_size`` packets)
+and pays a bounded per-packet cost after that, so what this bench
+measures per trace length is:
 
 * ``time_to_first_estimate_s`` -- compute from the first *target*
   packet until ``estimate()`` first reports a finite Omega-bar.  The
@@ -17,20 +17,21 @@ bench measures per trace length is:
   likewise the compute after all packets are present;
 * ``last_window_ms`` -- the worst single-packet step (push + poll),
   i.e. the bounded incremental latency;
-* ``finalize_s`` -- tail window + quality gate + classify at the end;
+* ``finalize_s`` -- batch ``extract`` of the buffered packets (quality
+  gate included) + classify at the end;
 * ``batch_identify_s`` -- the cold full-trace ``identify`` the
   streaming path replaces.
 
 Every run also verifies the acceptance contract: the finalized
 streaming prediction equals the batch prediction on the same session.
+``finalize()`` is the batch ``extract``, so this holds by construction
+and is gated (``predictions_identical``).
 
 The committed report (``BENCH_PR8.json``) is the regression baseline:
 :mod:`repro.experiments.bench` fails a run whose time-to-first-estimate,
 finalize time or whole-stream time exceeds 3x the committed value for
 the same mode.  The whole-stream time catches per-packet work that
 grows with the trace length.
-The label match is reported but not gated, because the streamed
-windowed denoise may diverge from batch (DESIGN.md section 13).
 """
 
 from __future__ import annotations
@@ -190,6 +191,11 @@ def run_suite(
         results[name] = bench_length(
             wimi, collector, material, length, sizes["repeats"]
         )
+    results["gates"] = {
+        "predictions_identical": all(
+            data["predictions_identical"] for data in results.values()
+        )
+    }
     return results
 
 

@@ -218,7 +218,8 @@ def serialize_artifact(artifact: Artifact) -> bytes:
         arrays["amplitudes"] = artifact.amplitudes
     elif isinstance(artifact, StreamWindowArtifact):
         meta["start"] = artifact.start
-        arrays["amplitudes"] = artifact.amplitudes
+        arrays["log_sum"] = artifact.log_sum
+        arrays["count"] = artifact.count
     elif isinstance(artifact, ObservablesArtifact):
         meta["pair"] = list(artifact.pair)
         arrays["theta_wrapped"] = artifact.theta_wrapped
@@ -281,7 +282,8 @@ def deserialize_artifact(data: bytes) -> Artifact:
         return StreamWindowArtifact(
             key=key,
             start=int(meta["start"]),
-            amplitudes=np.asarray(arrays["amplitudes"]),
+            log_sum=np.asarray(arrays["log_sum"]),
+            count=np.asarray(arrays["count"]),
         )
     if kind == "ObservablesArtifact":
         return ObservablesArtifact(

@@ -10,7 +10,9 @@ full trace client-side first.
 Isolation follows the worker-pool pattern: every session runs on its
 own ``wimi.clone_view()`` (private engine + hook list, shared stage
 cache and classifier), so concurrent sessions never contend on engine
-state while still sharing denoised-window artifacts.  The gateway caps
+state while still sharing preview-window and batch-stage artifacts.
+A session's finalized result is the batch ``extract`` and classify of
+its buffered packets.  The gateway caps
 concurrent sessions (explicit rejection, never silent queueing of an
 unbounded number of half-open streams) and tracks the fleet in a
 :class:`repro.serve.metrics.MetricsRegistry`.
@@ -86,8 +88,8 @@ class StreamingSession:
         """Close the stream and classify; idempotent.
 
         Returns the :class:`~repro.core.streaming.StreamingResult`.
-        Runs the quality gate, so it may warn or raise exactly like the
-        batch ``identify`` path would for the same data.
+        Runs the batch ``extract`` on the buffered packets, so it warns
+        or raises exactly as ``identify`` would for the same data.
         """
         with self._lock:
             if self._result is not None:
@@ -147,13 +149,7 @@ class StreamingGateway:
         with self._lock:
             return len(self._sessions)
 
-    def open(
-        self,
-        scene=None,
-        window_size: int | None = None,
-        hop: int | None = None,
-        material_name: str = "",
-    ) -> StreamingSession:
+    def open(self, scene=None, material_name: str = "") -> StreamingSession:
         """Open a new streaming session.
 
         Raises:
@@ -174,10 +170,7 @@ class StreamingGateway:
             stream_id = f"stream-{self._next_id}"
             self._next_id += 1
             extractor = self.wimi.clone_view().streaming_extractor(
-                scene=scene,
-                window_size=window_size,
-                hop=hop,
-                material_name=material_name,
+                scene=scene, material_name=material_name
             )
             session = StreamingSession(
                 stream_id, extractor, on_close=self._close

@@ -188,7 +188,10 @@ class TestBenchSuites:
         report = json.loads(path.read_text())
         assert report["benchmark"] == "stream"
         smoke = report["suites"]["smoke"]
-        assert smoke["gates"] == {"no_regression": True}
+        assert smoke["gates"] == {
+            "no_regression": True,
+            "predictions_identical": True,
+        }
         # A baseline far faster than this machine trips the 3x gate.
         fast = json.loads(path.read_text())
         for name, entry in fast["suites"]["smoke"].items():

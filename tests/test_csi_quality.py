@@ -159,6 +159,75 @@ class TestAssessFaults:
         assert assess_trace(trace).clipped_packets == 0
 
 
+class TestAttenuationIsNotDeath:
+    """Exact zeros from per-packet quantisation do not kill a chain."""
+
+    @staticmethod
+    def _attenuated(trace, antenna=2, zero_share=0.4, seed=0):
+        """``trace`` with ``zero_share`` of one chain's samples set to 0,
+        never a whole packet row (what int8 rounding does to a chain
+        whose level sits near the packet's quantisation step)."""
+        rng = np.random.default_rng(seed)
+        matrix = trace.matrix().copy()
+        zeros = rng.random(matrix.shape[:2]) < zero_share
+        zeros[:, 0] = False
+        matrix[:, :, antenna][zeros] = 0.0
+        return CsiTrace.from_matrix(matrix)
+
+    def test_quantised_zeros_leave_the_chain_live(self, trace):
+        report = assess_trace(self._attenuated(trace))
+        assert report.dead_antennas == ()
+        assert report.bad_subcarriers == ()
+        assert report.is_clean
+
+    def test_all_zero_packets_still_count_against_the_chain(self, trace):
+        matrix = trace.matrix().copy()
+        matrix[: len(trace) // 2, :, 1] = 0.0
+        report = assess_trace(CsiTrace.from_matrix(matrix))
+        assert report.antenna_live_fraction[1] == 0.5
+        assert report.dead_antennas == (1,)
+
+    def test_zeroed_subcarrier_columns_stay_bad(self, trace):
+        report = assess_trace(
+            inject(
+                trace,
+                (SubcarrierErasure(0.2, mode="zero", scope="column"),),
+                seed=0,
+            )
+        )
+        assert len(report.bad_subcarriers) == 6
+        assert report.dead_antennas == ()
+
+    def test_one_chain_non_finite_on_a_subcarrier_flags_it(self, trace):
+        matrix = self._attenuated(trace).matrix().copy()
+        matrix[:, 4, 1] = np.nan
+        report = assess_trace(CsiTrace.from_matrix(matrix))
+        assert report.bad_subcarriers == (4,)
+        assert report.dead_antennas == ()
+
+    @pytest.mark.parametrize("environment", ["lab", "library"])
+    def test_fault_free_catalogue_captures_pass_silently(self, environment):
+        """Every catalogue liquid, strong absorbers included, gates clean.
+
+        The strongly attenuating liquids (soy, pepsi, salt water) leave
+        one chain a few quantisation steps above zero; pyproject turns
+        any DegradedTraceWarning into an error here.
+        """
+        from repro.channel.materials import default_catalog
+        from repro.csi.collector import DataCollector, SessionConfig
+        from repro.experiments.datasets import standard_scene
+
+        catalog = default_catalog()
+        for seed in (0, 11):
+            collector = DataCollector(standard_scene(environment), rng=seed)
+            for name in catalog.names:
+                session = collector.collect(
+                    catalog.get(name), SessionConfig(num_packets=20)
+                )
+                report = gate_session(session, label=name)
+                assert not report.is_degraded, (name, report.issues)
+
+
 class TestClippedPacketCountOracle:
     """The whole-array clip count equals the per-packet loop exactly."""
 

@@ -37,6 +37,7 @@ from repro.engine.artifacts import (
     StreamWindowArtifact,
     make_key,
 )
+from repro.engine.stages import DENOISE_REVISION
 from repro.persist import ArtifactStore
 
 CATALOG = default_catalog()
@@ -147,26 +148,38 @@ class TestDenoiseRevision:
         assert np.all(artifact.amplitudes > 0.0)
 
     def test_stream_window_recomputes_old_key(self, sessions, tmp_path):
+        """Neither the pre-revision key nor the revision-1 key (denoised
+        rows, before the stage became log-amplitude sums) is served."""
         store = ArtifactStore(tmp_path / "store")
         rows = np.abs(sessions[0].baseline.matrix()[:8]).reshape(8, -1)
-        old_key = make_key(
+        old_fields = AMPLITUDE_DENOISE.config_fields + (
+            "stream_window_size",
+            "stream_hop",
+        )
+        base = (
             array_fingerprint(rows),
             0,
-            config_fingerprint(
-                WiMiConfig(), STREAM_WINDOW_DENOISE.config_fields
-            ),
+            config_fingerprint(WiMiConfig(), old_fields),
         )
-        store.put(
-            STREAM_WINDOW_DENOISE.name,
-            old_key,
-            StreamWindowArtifact(
-                key=old_key, start=0, amplitudes=np.full(rows.shape, -1.0)
-            ),
-        )
+        old_keys = (make_key(*base), make_key(*base, DENOISE_REVISION))
+        channels = rows.shape[1]
+        for old_key in old_keys:
+            store.put(
+                STREAM_WINDOW_DENOISE.name,
+                old_key,
+                StreamWindowArtifact(
+                    key=old_key,
+                    start=0,
+                    log_sum=np.full(channels, 99.0),
+                    count=np.full(channels, -1),
+                ),
+            )
         counter = StageCounter()
         artifact = self._engine(store, counter).stream_window_denoise(rows, 0)
         assert counter.executions == {STREAM_WINDOW_DENOISE.name: 1}
-        assert np.all(artifact.amplitudes > 0.0)
+        assert artifact.key not in old_keys
+        assert np.all(artifact.count == 8)
+        assert np.all(artifact.log_sum != 99.0)
 
     def test_observables_recompute_old_key(self, sessions, tmp_path):
         store = ArtifactStore(tmp_path / "store")

@@ -41,6 +41,7 @@ from repro.experiments.datasets import (
 )
 from repro.ml.multiclass import OneVsOneSVC
 from repro.ml.svm import BinarySVC
+from tests.test_streaming import assert_stream_equals_batch
 
 _CATALOG = default_catalog()
 
@@ -341,32 +342,14 @@ def test_one_vs_one_shared_gram_matches_per_machine():
 # Streaming extraction vs the batch pipeline
 # ----------------------------------------------------------------------
 
-#: Documented streaming-vs-batch Omega-bar tolerance.  The streaming
-#: path denoises amplitudes in overlap-added windows instead of one
-#: full-trace SWT pass, which perturbs ``-ln DeltaPsi`` by a small
-#: absolute amount.  For strong absorbers (water, pepsi) that is well
-#: under 1% of Omega-bar; a weakly-absorbing target like oil has
-#: ``-ln DeltaPsi`` near the denoiser's noise floor, so its Omega-bar
-#: moves by up to ~0.013 in absolute terms (observed across seeds).
-#: The bound is therefore relative-or-absolute, with the absolute
-#: floor kept below the tightest inter-material spacing in the catalog
-#: (water vs pepsi, 0.019) -- the scale that label stability actually
-#: requires, and the label equality below is the exact check.
-STREAMING_OMEGA_RTOL = 0.05
-STREAMING_OMEGA_ATOL = 0.015
 
-
-@pytest.mark.filterwarnings(
-    "ignore::repro.csi.quality.DegradedTraceWarning"
-)
 @pytest.mark.parametrize("material_name", ["pure_water", "pepsi", "oil"])
-def test_streaming_omega_within_tolerance_of_batch(material_name):
-    """Final streaming Omega-bar tracks batch; predictions identical.
+def test_streaming_features_equal_batch(material_name):
+    """The finalized stream is the batch answer, field for field.
 
-    The acceptance contract of the streaming subsystem: same gamma
-    branch, Omega-bar within the documented rel/abs tolerance, and the
-    classified label exactly equal to the batch ``identify`` output on
-    every session of the equivalence sweep.
+    ``finalize()`` runs ``WiMi.extract`` on the buffered packets, so
+    every feature field, the quality report and the label are ``==``
+    the batch path's at chunk sizes 1, 7 and the whole trace.
     """
     materials = [_CATALOG.get(n) for n in ("pure_water", "pepsi", "oil")]
     scene = standard_scene("lab")
@@ -381,19 +364,5 @@ def test_streaming_omega_within_tolerance_of_batch(material_name):
     session = collector.collect(
         _CATALOG.get(material_name), SessionConfig(num_packets=48)
     )
-
-    batch = wimi.extract(session)
-    stream = wimi.clone_view().streaming_extractor(
-        scene=session.scene, material_name=session.material_name
-    )
-    stream.push_baseline(session.baseline)
-    stream.push_target(session.target)
-    result = stream.finalize()
-
-    assert result.estimate.gamma == batch.measurements[0].gamma
-    assert result.estimate.omega == pytest.approx(
-        batch.measurements[0].omega_mean,
-        rel=STREAMING_OMEGA_RTOL,
-        abs=STREAMING_OMEGA_ATOL,
-    )
-    assert result.label == wimi.identify(session)
+    for chunk_size in (1, 7, None):
+        assert_stream_equals_batch(wimi, session, chunk_size)

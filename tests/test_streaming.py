@@ -1,13 +1,17 @@
-"""Streaming feature extraction: chunk invariance, faults, serving.
+"""Streaming feature extraction: batch equality, previews, serving.
 
 Pins the determinism contract of :mod:`repro.dsp.streaming` (identical
-final state however the packets were chunked), the accumulator
-primitives against their offline references, and the end-to-end
-streaming paths: :class:`repro.core.streaming.StreamingExtractor`,
+state however the packets were chunked), the accumulator primitives
+against their offline references, the poll-path preview against a plain
+recompute, the finalized stream against the batch pipeline (``==``), and
+the end-to-end streaming paths:
+:class:`repro.core.streaming.StreamingExtractor`,
 ``WiMi.identify_streaming`` and the serve-layer
 :class:`repro.serve.StreamingGateway`.
 """
 
+import dataclasses
+import math
 import signal
 
 import numpy as np
@@ -15,18 +19,21 @@ import pytest
 
 from repro.channel.materials import default_catalog
 from repro.core.feature import theory_reference_omegas
+from repro.core.config import WiMiConfig
 from repro.core.pipeline import WiMi
+from repro.core.amplitude import _AMPLITUDE_EPS
 from repro.core.streaming import _TraceStream
 from repro.csi.collector import DataCollector, SessionConfig
 from repro.csi.faults import AntennaDropout, SubcarrierErasure, inject_session
 from repro.csi.quality import DegradedTraceWarning
-from repro.dsp.stats import circular_mean_axis, finite_mean, mad
+from repro.dsp.stats import circular_mean_axis, mad
 from repro.dsp.streaming import (
-    OverlapWindowDenoiser,
     RollingMad,
     RunningCircularStats,
     RunningVariance,
+    window_log_sums,
 )
+from repro.dsp.wavelet_denoise import remove_outliers
 from repro.engine.cache import StageCache
 from repro.experiments.datasets import (
     collect_dataset,
@@ -37,14 +44,6 @@ from repro.serve import (
     StreamClosedError,
     StreamingGateway,
     StreamLimitError,
-)
-
-# The simulated int8 CSI quantization legitimately zeroes a
-# deep-faded antenna in some deployments, so the quality gate's
-# DegradedTraceWarning is expected here; everything else is an error
-# (see pyproject filterwarnings).
-pytestmark = pytest.mark.filterwarnings(
-    "ignore::repro.csi.quality.DegradedTraceWarning"
 )
 
 
@@ -157,78 +156,27 @@ class TestRollingMad:
         assert len(rolling) == 0
 
 
-# ----------------------------------------------------------------------
-# Overlap-add window denoiser: incremental == offline
-# ----------------------------------------------------------------------
+class TestWindowLogSums:
+    def test_dead_column_counts_nothing_and_gaps_are_imputed(self):
+        rng = np.random.default_rng(3)
+        rows = 1.0 + 0.01 * rng.standard_normal((8, 6))
+        rows[:, 2] = np.nan  # dead for the whole window
+        rows[5, 4] = np.nan  # one lost sample: imputed with the median
+        log_sum, count = window_log_sums(rows, 1e-9, 3.0)
+        assert count.tolist() == [8, 8, 0, 8, 8, 8]
+        assert log_sum[2] == 0.0
+        filled = rows[:, 4].copy()
+        filled[5] = np.median(rows[np.isfinite(rows[:, 4]), 4])
+        assert log_sum[4] == pytest.approx(np.log(filled).sum(), rel=1e-12)
 
-
-def _noisy_series(length, channels=6, seed=3):
-    rng = np.random.default_rng(seed)
-    series = 1.0 + 0.05 * np.sin(
-        2 * np.pi * np.arange(length)[:, None] / 16.0 + np.arange(channels)
-    )
-    series += 0.01 * rng.standard_normal(series.shape)
-    spikes = rng.random(series.shape) < 0.03
-    series[spikes] += 3.0
-    return series
-
-
-class TestOverlapWindowDenoiser:
-    @pytest.mark.parametrize("length", [3, 8, 11, 40])
-    def test_incremental_emission_matches_offline(self, length):
-        """Emitting windows as packets arrive == the offline reference.
-
-        The incremental driver mirrors what ``_TraceStream`` does: emit
-        every complete window the moment its last packet lands, then the
-        tail window at stream end.
-        """
-        denoiser = OverlapWindowDenoiser(window_size=8, hop=4)
-        series = _noisy_series(length)
-
-        den_sum = np.zeros_like(series)
-        weight = np.zeros(series.shape, dtype=np.int64)
-        next_start = 0
-        for n in range(1, length + 1):
-            while next_start + denoiser.window_size <= n:
-                out = denoiser.denoise_window(
-                    series[next_start:next_start + denoiser.window_size]
-                )
-                denoiser.accumulate(den_sum, weight, next_start, out)
-                next_start += denoiser.hop
-        tail = denoiser.tail_start(length)
-        if tail is not None:
-            out = denoiser.denoise_window(
-                series[tail:tail + denoiser.window_size]
-            )
-            denoiser.accumulate(den_sum, weight, tail, out)
-
-        incremental = denoiser.resolve(den_sum, weight)
-        offline = denoiser.denoise(series)
-        assert np.array_equal(incremental, offline)
-        assert np.isfinite(incremental).all()  # every packet covered
-
-    def test_window_schedule_covers_every_packet(self):
-        denoiser = OverlapWindowDenoiser(window_size=8, hop=4)
-        for length in range(1, 30):
-            covered = np.zeros(length, dtype=bool)
-            for start in denoiser.window_starts(length):
-                covered[start:start + denoiser.window_size] = True
-            assert covered.all(), f"length {length} left packets uncovered"
-
-    def test_dead_column_stays_nan(self):
-        denoiser = OverlapWindowDenoiser(window_size=8, hop=4)
-        series = _noisy_series(16)
-        series[:, 2] = np.nan
-        out = denoiser.denoise(series)
-        assert np.isnan(out[:, 2]).all()
-        other = np.delete(out, 2, axis=1)
-        assert np.isfinite(other).all()
-
-    def test_validates_window_and_hop(self):
-        with pytest.raises(ValueError, match="window_size"):
-            OverlapWindowDenoiser(window_size=0)
-        with pytest.raises(ValueError, match="hop"):
-            OverlapWindowDenoiser(window_size=8, hop=9)
+    def test_outliers_are_replaced_before_the_log(self):
+        rows = np.ones((16, 2))
+        rows[7, 0] = 50.0  # a 3-sigma spike needs >= 11 samples
+        kept, _ = window_log_sums(rows, 1e-9, None)
+        rejected, _ = window_log_sums(rows, 1e-9, 3.0)
+        assert kept[0] == np.log(50.0)
+        assert rejected[0] == 0.0
+        assert rejected[1] == kept[1] == 0.0
 
 
 # ----------------------------------------------------------------------
@@ -274,6 +222,55 @@ def _stream_result(wimi, session, chunk_size, poll_every=None):
     return stream.finalize()
 
 
+def _same(a, b) -> bool:
+    """Exact equality of two feature fields (arrays, floats, lists)."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return (
+            isinstance(a, np.ndarray)
+            and isinstance(b, np.ndarray)
+            and a.dtype == b.dtype
+            and np.array_equal(a, b, equal_nan=a.dtype.kind in "fc")
+        )
+    if isinstance(a, float) and isinstance(b, float):
+        return a == b or (math.isnan(a) and math.isnan(b))
+    return a == b
+
+
+def assert_stream_equals_batch(wimi, session, chunk_size):
+    """The finalized stream of ``session`` is the batch answer, ``==``.
+
+    Every :class:`~repro.core.feature.FeatureMeasurement` field, the
+    quality report and the label equal ``wimi.extract``/``identify``;
+    ``chunk_size`` None pushes the whole target at once.
+    """
+    result = _stream_result(wimi, session, chunk_size)
+    batch = wimi.extract(session)
+    streamed = result.features
+    assert streamed.material_name == batch.material_name
+    assert len(streamed.measurements) == len(batch.measurements)
+    for got, want in zip(streamed.measurements, batch.measurements):
+        for field in dataclasses.fields(want):
+            assert _same(
+                getattr(got, field.name), getattr(want, field.name)
+            ), field.name
+    assert (streamed.quality is None) == (batch.quality is None)
+    if batch.quality is not None:
+        assert streamed.quality.to_dict() == batch.quality.to_dict()
+        for trace in ("baseline", "target"):
+            got = getattr(streamed.quality, trace)
+            want = getattr(batch.quality, trace)
+            for field in dataclasses.fields(want):
+                assert _same(
+                    getattr(got, field.name), getattr(want, field.name)
+                ), (trace, field.name)
+    assert np.array_equal(streamed.vector(), batch.vector())
+    assert result.label == wimi.identify(session)
+    main = batch.measurements[0]
+    assert result.estimate.omega == main.omega_mean
+    assert result.estimate.gamma == main.gamma
+    return result
+
+
 class TestChunkInvariance:
     def test_chunk_sizes_yield_identical_final_features(self, fitted):
         """Chunks of 1, 7 and the whole trace are bit-identical."""
@@ -315,6 +312,20 @@ class TestChunkInvariance:
         )
 
 
+class TestBatchEquality:
+    """``finalize()`` is batch ``extract``: features and label ``==``."""
+
+    @pytest.mark.parametrize("chunk_size", [1, 7, None])
+    def test_held_out_session(self, fitted, chunk_size):
+        wimi, session = fitted
+        assert_stream_equals_batch(wimi, session, chunk_size)
+
+    @pytest.mark.parametrize("chunk_size", [1, 7, None])
+    def test_long_session(self, fitted, long_session, chunk_size):
+        wimi, _ = fitted
+        assert_stream_equals_batch(wimi, long_session, chunk_size)
+
+
 class TestStreamingExtractor:
     def test_estimate_converges_after_first_window(self, fitted):
         wimi, session = fitted
@@ -339,9 +350,8 @@ class TestStreamingExtractor:
         result = stream.finalize()
         assert result.label
         assert result.estimate.ready
-        # The final polled estimate and the finalized one agree on the
-        # resolved branch; omega differs only by the tail window.
-        assert stream.estimate().gamma == result.estimate.gamma
+        # After finalize a poll returns the sealed batch answer.
+        assert stream.estimate() is result.estimate
 
     def test_finalize_is_idempotent_and_seals_the_stream(self, fitted):
         wimi, session = fitted
@@ -358,6 +368,12 @@ class TestStreamingExtractor:
         stream = wimi.clone_view().streaming_extractor()
         with pytest.raises(RuntimeError, match="baseline|target|packet"):
             stream.finalize()
+
+    def test_window_and_hop_are_validated_by_the_config(self):
+        with pytest.raises(ValueError, match="stream_window_size"):
+            WiMiConfig(stream_window_size=0)
+        with pytest.raises(ValueError, match="stream_hop"):
+            WiMiConfig(stream_window_size=8, stream_hop=9)
 
     def test_requires_fitted_pipeline(self):
         wimi = WiMi({"pepsi": 0.2})
@@ -388,87 +404,138 @@ def long_session(fitted):
     )
 
 
-def _unmemoized_log_ratio(trace, pair):
-    """``mean_log_ratio`` as the plain formula over ``denoised()``."""
-    i, j = pair
-    den = trace.denoised()
-    return finite_mean(np.log(den[:, :, i] / den[:, :, j]), axis=0)
+def _window_oracle(config):
+    """``mean_log_ratio`` recomputed from the outlier-rejected windows.
+
+    Walks every window the trace has completed, rejects outliers in the
+    raw rows, clips and logs them, and averages each channel over all
+    windows -- no running state.
+    """
+    size, hop = config.stream_window_size, config.stream_hop
+
+    def mean_log_ratio(trace, pair):
+        rows = np.array([np.abs(p.csi).ravel() for p in trace.packets])
+        total = np.zeros(rows.shape[1])
+        count = 0
+        for start in range(0, len(rows) - size + 1, hop):
+            cleaned, _ = remove_outliers(
+                rows[start:start + size], config.outlier_sigmas
+            )
+            total = total + np.log(np.clip(cleaned, _AMPLITUDE_EPS, None)).sum(
+                axis=0
+            )
+            count += size
+        if count == 0:
+            return np.full(trace.num_subcarriers, np.nan)
+        mean = (total / count).reshape(
+            trace.num_subcarriers, trace.num_antennas
+        )
+        return mean[:, pair[0]] - mean[:, pair[1]]
+
+    return mean_log_ratio
+
+
+@pytest.fixture(scope="module")
+def wide_window(fitted):
+    """The ``fitted`` deployment with 16-packet windows every 8 packets.
+
+    A 3-sigma outlier needs at least 11 samples (the largest z-score
+    among n samples is (n - 1) / sqrt(n)), so only windows this wide let
+    the preview's outlier rejection change anything.
+    """
+    wimi, session = fitted
+    catalog = default_catalog()
+    materials = [catalog.get(n) for n in ("pure_water", "pepsi", "oil")]
+    dataset = collect_dataset(
+        materials, scene=session.scene, repetitions=4, num_packets=8, seed=0
+    )
+    train, _ = split_dataset(dataset)
+    config = WiMiConfig(stream_window_size=16, stream_hop=8)
+    return WiMi(theory_reference_omegas(materials), config).fit(train)
 
 
 class TestPollPath:
     def test_every_poll_equals_an_unmemoized_recompute(
-        self, fitted, long_session, monkeypatch
+        self, fitted, wide_window, long_session, monkeypatch
     ):
-        """Per-packet polls == the estimate rebuilt with no memo."""
-        wimi, _ = fitted
-        stream = wimi.clone_view().streaming_extractor(
-            scene=long_session.scene
-        )
-        stream.push_baseline(long_session.baseline)
-        ready = 0
-        for packet in long_session.target.packets:
-            stream.push_target(packet)
-            polled = stream.estimate()
-            with monkeypatch.context() as patch:
-                patch.setattr(
-                    _TraceStream, "mean_log_ratio", _unmemoized_log_ratio
-                )
-                reference = stream._snapshot(stream._resolve())
-            if polled.ready:
-                ready += 1
-                assert polled == reference
-            else:
-                assert not reference.ready
-                assert polled.target_packets == reference.target_packets
-            assert stream.estimate() is polled  # no new packet, no work
-        assert ready >= 190  # live from the first target window on
+        """Per-packet polls == the preview rebuilt from the windows."""
+        for wimi in (fitted[0], wide_window):
+            stream = wimi.clone_view().streaming_extractor(
+                scene=long_session.scene
+            )
+            stream.push_baseline(long_session.baseline)
+            oracle = _window_oracle(wimi.config)
+            ready = 0
+            for packet in long_session.target.packets:
+                stream.push_target(packet)
+                polled = stream.estimate()
+                with monkeypatch.context() as patch:
+                    patch.setattr(_TraceStream, "mean_log_ratio", oracle)
+                    reference = stream._snapshot(stream._resolve())
+                if polled.ready:
+                    ready += 1
+                    assert polled == reference
+                else:
+                    assert not reference.ready
+                    assert polled.target_packets == reference.target_packets
+                assert stream.estimate() is polled  # no new packet, no work
+            # Live from the first target window on.
+            window = wimi.config.stream_window_size
+            assert ready == len(long_session.target) - window + 1
 
     def test_log_ratio_reductions_are_bounded_by_windows(
         self, fitted, long_session, monkeypatch
     ):
-        """At most ``windows + 1`` full-cube reductions per trace and pair.
+        """No per-window step reduces more than one window of rows.
 
-        Counts reductions rather than timing them: a poll that
-        re-reduces the denoised cube makes the count grow with the
-        number of polls (about the packet count) instead.
+        Counts work rather than timing it: every window reduction sees
+        exactly ``stream_window_size`` rows, there is one per completed
+        window, polls and finalize add none, and each trace keeps only
+        ``(channels,)`` running sums besides its raw rows.
         """
-        reductions: dict[tuple[int, tuple[int, int]], int] = {}
-        resolves: dict[int, int] = {}
-        reduce = _TraceStream._reduce_log_ratio
-        denoised = _TraceStream.denoised
+        import repro.dsp.streaming as dsp_streaming
 
-        def counting_reduce(trace, pair):
-            key = (id(trace), pair)
-            reductions[key] = reductions.get(key, 0) + 1
-            return reduce(trace, pair)
+        reduced: list[int] = []
+        rejected: list[int] = []
+        window_log_sums = dsp_streaming.window_log_sums
+        reject = dsp_streaming.remove_outliers
 
-        def counting_denoised(trace):
-            resolves[id(trace)] = resolves.get(id(trace), 0) + 1
-            return denoised(trace)
+        def counting_sums(rows, *args):
+            reduced.append(len(rows))
+            return window_log_sums(rows, *args)
+
+        def counting_reject(rows, *args):
+            rejected.append(len(rows))
+            return reject(rows, *args)
 
         monkeypatch.setattr(
-            _TraceStream, "_reduce_log_ratio", counting_reduce
+            "repro.engine.graph.window_log_sums", counting_sums
         )
-        monkeypatch.setattr(_TraceStream, "denoised", counting_denoised)
+        monkeypatch.setattr(dsp_streaming, "remove_outliers", counting_reject)
         wimi, _ = fitted
-        stream = wimi.clone_view().streaming_extractor(
+        size, hop = wimi.config.stream_window_size, wimi.config.stream_hop
+        stream = wimi.clone_view(cache=StageCache()).streaming_extractor(
             scene=long_session.scene
         )
         stream.push_baseline(long_session.baseline)
         for packet in long_session.target.packets:
             stream.push_target(packet)
             stream.estimate()
+        windows = len(reduced)
         stream.finalize()
 
-        traces = {id(t): t for t in (stream._baseline, stream._target)}
-        assert {trace for trace, _ in reductions} == set(traces)
-        assert (id(stream._target), tuple(wimi.calibrated_pair)) in reductions
-        for (trace, pair), count in reductions.items():
-            assert count <= traces[trace].windows_denoised + 1, pair
-        for trace, count in resolves.items():
-            assert count == sum(
-                n for (t, _), n in reductions.items() if t == trace
-            )
+        expected = sum(
+            (len(trace) - size) // hop + 1
+            for trace in (long_session.baseline, long_session.target)
+        )
+        assert windows == len(reduced) == expected
+        assert stream.estimate().windows_denoised == expected
+        assert set(reduced) == set(rejected) == {size}
+        channels = long_session.target.num_subcarriers * (
+            long_session.target.num_antennas
+        )
+        for trace in (stream._baseline, stream._target):
+            assert trace._log_sum.shape == trace._count.shape == (channels,)
 
 
 class TestFaultInjectedStreaming:
@@ -489,20 +556,26 @@ class TestFaultInjectedStreaming:
         assert 0 in result.features.quality.dead_antennas
         # The surviving measurement avoided the dead chain.
         assert 0 not in result.features.measurements[0].pair
+        # Its preview is NaN (0/0 over zero counts, silently).
+        for trace in (stream._baseline, stream._target):
+            assert np.isnan(trace.mean_log_ratio((0, 1))).all()
+            assert np.isfinite(trace.mean_log_ratio((1, 2))).all()
+        with pytest.warns(DegradedTraceWarning):
+            assert_stream_equals_batch(wimi, faulty, None)
 
     def test_streaming_matches_batch_on_degraded_session(self, fitted):
-        """Fault fallbacks route identically through both paths."""
+        """Fault fallbacks route identically through both paths, ``==``
+        at chunk sizes 1, 7 and the whole trace."""
         wimi, session = fitted
         faulty = inject_session(
             session,
             [SubcarrierErasure(rate=0.1), AntennaDropout(antenna=2)],
             seed=7,
         )
-        with pytest.warns(DegradedTraceWarning):
-            batch_label = wimi.identify(faulty)
-        with pytest.warns(DegradedTraceWarning):
-            result = _stream_result(wimi, faulty, 1)
-        assert result.label == batch_label
+        for chunk_size in (1, 7, None):
+            with pytest.warns(DegradedTraceWarning):
+                result = assert_stream_equals_batch(wimi, faulty, chunk_size)
+            assert result.features.quality.is_degraded
 
 
 # ----------------------------------------------------------------------
