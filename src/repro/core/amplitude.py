@@ -39,14 +39,6 @@ class AmplitudeProcessor:
             denoiser if denoiser is not None else SpatiallySelectiveDenoiser()
         )
         self.denoise = denoise
-        # Denoising all (subcarrier, antenna) series of a trace is the
-        # pipeline's hot spot and several consumers (each antenna pair,
-        # the coarse pair) ask for the same trace; memoise per trace
-        # identity.  Traces are de-facto immutable after capture.  Each
-        # entry holds its trace, so the trace stays alive and its id()
-        # cannot be reused by another trace while the entry exists.
-        self._cache: dict[int, tuple[CsiTrace, np.ndarray]] = {}
-        self._cache_order: list[int] = []
 
     # ------------------------------------------------------------------
 
@@ -54,27 +46,10 @@ class AmplitudeProcessor:
         """Denoised ``|H|`` series, shape ``(M, K, A)``.
 
         With ``denoise=False`` the raw amplitudes are returned (the
-        Fig. 14 ablation).
-        """
-        key = id(trace)
-        if key in self._cache:
-            return self._cache[key][1]
-        cleaned = self.compute_clean_amplitudes(trace)
-        self._cache[key] = (trace, cleaned)
-        self._cache_order.append(key)
-        if len(self._cache_order) > 64:
-            oldest = self._cache_order.pop(0)
-            self._cache.pop(oldest, None)
-        return cleaned
-
-    def compute_clean_amplitudes(self, trace: CsiTrace) -> np.ndarray:
-        """Uncached denoising pass over one trace, shape ``(M, K, A)``.
-
-        This is the single entry point the stage-graph engine's
-        ``amplitude_denoise`` stage calls: the engine memoizes the result
-        in its :class:`repro.engine.cache.StageCache` (keyed by the
-        trace's *content* hash, not object identity), so every denoiser
-        invocation in the engine path is observable through stage hooks.
+        Fig. 14 ablation).  Uncached: the stage-graph engine's
+        ``amplitude_denoise`` stage memoizes it in its
+        :class:`repro.engine.cache.StageCache`, keyed by the trace's
+        content hash.
         """
         amps = trace.amplitudes()
         if amps.size == 0:
@@ -140,7 +115,7 @@ class AmplitudeProcessor:
 
         Lets the stage-graph engine form every antenna pair's ratio from
         one cached denoiser pass: ``cleaned`` is the ``(M, K, A)`` output
-        of :meth:`compute_clean_amplitudes`.
+        of :meth:`clean_amplitudes`.
         """
         i, j = validate_antenna_pair(pair, cleaned.shape[2])
         ratio = cleaned[:, :, i] / cleaned[:, :, j]

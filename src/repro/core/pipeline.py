@@ -813,22 +813,14 @@ class WiMi:
         """
         if self._classifier is None:
             raise RuntimeError("WiMi is not fitted; call fit() first")
-        from repro.csi.model import CsiTrace
-
         stream = self.streaming_extractor(
             scene=session.scene, material_name=session.material_name
         )
         stream.push_baseline(session.baseline)
-        packets = list(session.target.packets)
+        target = session.target
         step = max(int(chunk_size), 1)
-        for start in range(0, len(packets), step):
-            stream.push_target(
-                CsiTrace(
-                    packets=packets[start:start + step],
-                    carrier_hz=session.target.carrier_hz,
-                    label=session.target.label,
-                )
-            )
+        for start in range(0, len(target), step):
+            stream.push_target(target.select(slice(start, start + step)))
         return stream.finalize().label
 
     # ------------------------------------------------------------------

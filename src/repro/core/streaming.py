@@ -221,7 +221,7 @@ class _TraceStream:
         kwargs = {}
         if self.carrier_hz is not None:
             kwargs["carrier_hz"] = self.carrier_hz
-        return CsiTrace(packets=list(self.packets), label=label, **kwargs)
+        return CsiTrace.from_packets(self.packets, label=label, **kwargs)
 
 
 class StreamingExtractor:
@@ -281,7 +281,7 @@ class StreamingExtractor:
         if isinstance(packets, CsiPacket):
             return [packets], None
         if isinstance(packets, CsiTrace):
-            return list(packets.packets), packets.carrier_hz
+            return packets.packets, packets.carrier_hz
         return list(packets), None
 
     def _stream_for(

@@ -21,8 +21,10 @@ exactly reproducible.  :func:`truncate_file` and :func:`flip_bits`
 damage on-disk ``.wimi`` logs for exercising :mod:`repro.csi.io`'s
 corruption handling.
 
-None of the injectors mutate their input; every application returns a
-new :class:`~repro.csi.model.CsiTrace` built from fresh packet arrays.
+None of the injectors mutate their input (a trace is read-only): every
+application returns a new :class:`~repro.csi.model.CsiTrace`.  Packet
+faults are one index selection of the trace, matrix faults write into a
+copy of its CSI array.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from typing import Protocol, Sequence, runtime_checkable
 import numpy as np
 
 from repro.csi.collector import CaptureSession
-from repro.csi.model import CsiPacket, CsiTrace
+from repro.csi.model import CsiTrace
 
 
 @runtime_checkable
@@ -49,22 +51,6 @@ class TraceFault(Protocol):
 def _check_rate(name: str, value: float, upper: float = 1.0) -> None:
     if not 0.0 <= value <= upper:
         raise ValueError(f"{name} must be in [0, {upper}], got {value}")
-
-
-def _rebuild(
-    trace: CsiTrace,
-    matrix: np.ndarray,
-    packets: Sequence[CsiPacket] | None = None,
-) -> CsiTrace:
-    """New trace with per-packet CSI replaced by ``matrix`` rows."""
-    source = list(packets) if packets is not None else trace.packets
-    rebuilt = [
-        replace(p, csi=np.ascontiguousarray(matrix[m]))
-        for m, p in enumerate(source)
-    ]
-    return CsiTrace(
-        packets=rebuilt, carrier_hz=trace.carrier_hz, label=trace.label
-    )
 
 
 @dataclass(frozen=True)
@@ -92,10 +78,7 @@ class PacketLoss:
         if keep.sum() < min(self.min_keep, n):
             forced = rng.choice(n, size=min(self.min_keep, n), replace=False)
             keep[forced] = True
-        packets = [trace.packets[m] for m in range(n) if keep[m]]
-        return CsiTrace(
-            packets=packets, carrier_hz=trace.carrier_hz, label=trace.label
-        )
+        return trace.select(np.flatnonzero(keep))
 
 
 @dataclass(frozen=True)
@@ -108,16 +91,14 @@ class PacketReorder:
         _check_rate("fraction", self.fraction)
 
     def apply(self, trace: CsiTrace, rng: np.random.Generator) -> CsiTrace:
-        packets = list(trace.packets)
-        n = len(packets)
+        n = len(trace)
+        order = np.arange(n)
         num_swaps = int(round(self.fraction * max(n - 1, 0)))
         if num_swaps > 0:
             positions = rng.choice(n - 1, size=num_swaps, replace=False)
             for pos in positions:
-                packets[pos], packets[pos + 1] = packets[pos + 1], packets[pos]
-        return CsiTrace(
-            packets=packets, carrier_hz=trace.carrier_hz, label=trace.label
-        )
+                order[[pos, pos + 1]] = order[[pos + 1, pos]]
+        return trace.select(order)
 
 
 @dataclass(frozen=True)
@@ -131,14 +112,7 @@ class DuplicatePackets:
 
     def apply(self, trace: CsiTrace, rng: np.random.Generator) -> CsiTrace:
         duplicated = rng.random(len(trace)) < self.rate
-        packets: list[CsiPacket] = []
-        for m, packet in enumerate(trace.packets):
-            packets.append(packet)
-            if duplicated[m]:
-                packets.append(replace(packet, csi=packet.csi.copy()))
-        return CsiTrace(
-            packets=packets, carrier_hz=trace.carrier_hz, label=trace.label
-        )
+        return trace.select(np.repeat(np.arange(len(trace)), 1 + duplicated))
 
 
 @dataclass(frozen=True)
@@ -175,7 +149,7 @@ class AntennaDropout:
         fill = complex("nan+nanj") if self.mode == "nan" else 0.0 + 0.0j
         matrix = trace.matrix().copy()
         matrix[:, :, victim] = fill
-        return _rebuild(trace, matrix)
+        return replace(trace, csi=matrix)
 
 
 @dataclass(frozen=True)
@@ -202,19 +176,17 @@ class AgcClipping:
             return trace
         start = int(rng.integers(max(n - burst, 0) + 1))
         matrix = trace.matrix().copy()
-        for m in range(start, start + burst):
-            csi = matrix[m]
-            components = np.stack([np.abs(csi.real), np.abs(csi.imag)])
-            finite = np.isfinite(components)
-            if not finite.any():
-                continue
-            rail = self.level * float(np.where(finite, components, 0.0).max())
-            if rail <= 0.0:
-                continue
-            matrix[m] = np.clip(csi.real, -rail, rail) + 1j * np.clip(
-                csi.imag, -rail, rail
-            )
-        return _rebuild(trace, matrix)
+        rows = matrix[start:start + burst]
+        components = np.stack([np.abs(rows.real), np.abs(rows.imag)], axis=1)
+        peaks = np.where(np.isfinite(components), components, 0.0)
+        rails = self.level * peaks.max(axis=(1, 2, 3))
+        # A burst packet without a finite non-zero component stays as is.
+        live = rails > 0.0
+        rail, clipped = rails[live, None, None], rows[live]
+        rows[live] = np.clip(clipped.real, -rail, rail) + 1j * np.clip(
+            clipped.imag, -rail, rail
+        )
+        return replace(trace, csi=matrix)
 
 
 @dataclass(frozen=True)
@@ -254,7 +226,7 @@ class SubcarrierErasure:
         else:
             mask = rng.random(matrix.shape) < self.rate
             matrix[mask] = fill
-        return _rebuild(trace, matrix)
+        return replace(trace, csi=matrix)
 
 
 @dataclass(frozen=True)
@@ -269,13 +241,7 @@ class TimestampJitter:
 
     def apply(self, trace: CsiTrace, rng: np.random.Generator) -> CsiTrace:
         offsets = rng.normal(0.0, self.std_s, size=len(trace))
-        packets = [
-            replace(p, timestamp_s=float(p.timestamp_s + offsets[m]))
-            for m, p in enumerate(trace.packets)
-        ]
-        return CsiTrace(
-            packets=packets, carrier_hz=trace.carrier_hz, label=trace.label
-        )
+        return replace(trace, timestamps_s=trace.timestamps_s + offsets)
 
 
 # ----------------------------------------------------------------------

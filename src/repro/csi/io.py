@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.csi.collector import CaptureSession
-from repro.csi.model import CsiPacket, CsiTrace
+from repro.csi.model import CsiTrace
 from repro.csi.quality import CorruptTraceError
 
 #: Magic bytes and version of the binary trace format.
@@ -50,8 +50,9 @@ def save_trace(trace: CsiTrace, path: str | Path) -> None:
         f.write(
             _FILE_HEADER.pack(_MAGIC, _VERSION, len(trace), trace.carrier_hz)
         )
-        for packet in trace:
-            csi = packet.csi
+        for csi, timestamp, sequence in zip(
+            trace.csi, trace.timestamps_s, trace.sequences
+        ):
             peak = max(
                 float(np.abs(csi.real).max(initial=0.0)),
                 float(np.abs(csi.imag).max(initial=0.0)),
@@ -59,17 +60,10 @@ def save_trace(trace: CsiTrace, path: str | Path) -> None:
             scale = peak / 32767.0 if peak > 0 else 1.0
             f.write(
                 _PACKET_HEADER.pack(
-                    packet.timestamp_s,
-                    packet.sequence,
-                    packet.num_subcarriers,
-                    packet.num_antennas,
-                    scale,
+                    float(timestamp), int(sequence), *csi.shape, scale
                 )
             )
-            quantised = np.empty(
-                (packet.num_subcarriers, packet.num_antennas, 2),
-                dtype=np.int16,
-            )
+            quantised = np.empty(csi.shape + (2,), dtype=np.int16)
             quantised[:, :, 0] = np.round(csi.real / scale)
             quantised[:, :, 1] = np.round(csi.imag / scale)
             f.write(quantised.tobytes())
@@ -109,8 +103,7 @@ def load_trace(path: str | Path) -> CsiTrace:
             byte_offset=10,
         )
     offset = _FILE_HEADER.size
-    packets: list[CsiPacket] = []
-    shape: tuple[int, int] | None = None
+    csi = timestamps = sequences = None
     for index in range(count):
         if offset + _PACKET_HEADER.size > len(data):
             raise CorruptTraceError(
@@ -128,13 +121,19 @@ def load_trace(path: str | Path) -> CsiTrace:
                 f"empty dimensions ({num_sc} subcarriers x {num_ant} antennas)",
                 byte_offset=offset,
             )
-        if shape is None:
-            shape = (num_sc, num_ant)
-        elif (num_sc, num_ant) != shape:
+        if csi is None:
+            # Preallocate from the first header, for no more packets than
+            # the file can hold (a corrupt count must not size the array).
+            record = _PACKET_HEADER.size + num_sc * num_ant * 2 * 2
+            capacity = min(count, (len(data) - offset) // record)
+            csi = np.empty((capacity, num_sc, num_ant), dtype=np.complex128)
+            timestamps = np.empty(capacity)
+            sequences = np.empty(capacity, dtype=np.int64)
+        elif (num_sc, num_ant) != csi.shape[1:]:
             raise CorruptTraceError(
                 f"{path}: corrupt packet {index} header at offset {offset}: "
                 f"dimensions ({num_sc}, {num_ant}) disagree with the "
-                f"trace's {shape}",
+                f"trace's {csi.shape[1:]}",
                 byte_offset=offset,
             )
         if not math.isfinite(scale) or scale <= 0:
@@ -162,11 +161,12 @@ def load_trace(path: str | Path) -> CsiTrace:
             data, dtype=np.int16, count=num_sc * num_ant * 2, offset=offset
         ).reshape(num_sc, num_ant, 2)
         offset += body
-        csi = (raw[:, :, 0].astype(float) + 1j * raw[:, :, 1]) * scale
-        packets.append(
-            CsiPacket(csi=csi, timestamp_s=timestamp, sequence=sequence)
-        )
-    return CsiTrace(packets=packets, carrier_hz=carrier, label=path.stem)
+        csi[index] = (raw[:, :, 0].astype(float) + 1j * raw[:, :, 1]) * scale
+        timestamps[index] = timestamp
+        sequences[index] = sequence
+    if csi is None:
+        return CsiTrace(carrier_hz=carrier, label=path.stem)
+    return CsiTrace(csi, timestamps, sequences, carrier, path.stem)
 
 
 def save_session(session: CaptureSession, path: str | Path) -> None:

@@ -4,11 +4,17 @@ These are the interchange types of the whole system: the simulator emits
 them, the pre-processing modules consume them.  A real deployment would
 construct the same objects from Intel 5300 CSI Tool ``.dat`` parses, which
 is why nothing downstream of this module knows the data is synthetic.
+
+A :class:`CsiTrace` is one read-only ``(packets, subcarriers, antennas)``
+array, so every stage reads it without a copy and the content fingerprint
+keying cached stage artifacts cannot go stale.  :class:`CsiPacket` is the
+per-packet type streams ingest and traces hand out as views.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -56,68 +62,129 @@ class CsiPacket:
         return np.angle(self.csi)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class CsiTrace:
-    """A time-ordered sequence of CSI packets from one capture session.
+    """A time-ordered CSI capture session, stored as one dense array.
 
-    The canonical dense view is :meth:`matrix`, a complex array of shape
-    ``(num_packets, num_subcarriers, num_antennas)``.
+    ``csi`` is complex128 ``(packets, subcarriers, antennas)``;
+    ``timestamps_s`` (receive times from session start) and ``sequences``
+    are ``(packets,)``.  All three are C-contiguous and read-only, taken
+    without a copy when they already are (the caller hands them over).
     """
 
-    packets: list[CsiPacket] = field(default_factory=list)
+    csi: np.ndarray = field(
+        default_factory=lambda: np.zeros((0, 0, 0), complex)
+    )
+    timestamps_s: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    sequences: np.ndarray = field(default_factory=lambda: np.zeros(0, int))
     carrier_hz: float = 5.32e9
     label: str = ""
 
     def __post_init__(self) -> None:
-        shapes = {p.csi.shape for p in self.packets}
-        if len(shapes) > 1:
-            raise ValueError(f"inconsistent packet shapes in trace: {shapes}")
+        for name, dtype, ndim in (
+            ("csi", np.complex128, 3),
+            ("timestamps_s", np.float64, 1),
+            ("sequences", np.int64, 1),
+        ):
+            array = np.ascontiguousarray(getattr(self, name), dtype=dtype)
+            if array.ndim != ndim:
+                raise ValueError(f"{name} must be {ndim}-D, got {array.shape}")
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
+        if not self.timestamps_s.shape == self.sequences.shape == (len(self),):
+            raise ValueError(
+                f"{len(self)} packets need as many timestamps and sequences"
+            )
+
+    def __reduce__(self):
+        # numpy unpickles arrays writeable; __init__ freezes them again.
+        return CsiTrace, (
+            self.csi, self.timestamps_s, self.sequences, self.carrier_hz,
+            self.label,
+        )
 
     def __len__(self) -> int:
-        return len(self.packets)
+        return self.csi.shape[0]
 
-    def __iter__(self):
-        return iter(self.packets)
+    def __iter__(self) -> Iterator[CsiPacket]:
+        return (self[m] for m in range(len(self)))
 
     def __getitem__(self, index: int) -> CsiPacket:
-        return self.packets[index]
+        """Packet ``index`` as a read-only view of the trace."""
+        index = int(index)
+        return CsiPacket(
+            csi=self.csi[index],
+            timestamp_s=float(self.timestamps_s[index]),
+            sequence=int(self.sequences[index]),
+        )
+
+    @property
+    def packets(self) -> list[CsiPacket]:
+        """Every packet as a read-only :class:`CsiPacket` view."""
+        return list(self)
 
     @property
     def num_subcarriers(self) -> int:
-        """Subcarriers per packet (0 for an empty trace)."""
-        return self.packets[0].num_subcarriers if self.packets else 0
+        """Subcarriers per packet."""
+        return self.csi.shape[1]
 
     @property
     def num_antennas(self) -> int:
-        """Antennas per packet (0 for an empty trace)."""
-        return self.packets[0].num_antennas if self.packets else 0
+        """Antennas per packet."""
+        return self.csi.shape[2]
 
     def matrix(self) -> np.ndarray:
-        """Dense ``(packets, subcarriers, antennas)`` complex array."""
-        if not self.packets:
-            return np.zeros((0, 0, 0), dtype=complex)
-        return np.stack([p.csi for p in self.packets])
+        """The stored ``(packets, subcarriers, antennas)`` array (no copy)."""
+        return self.csi
 
     def amplitudes(self) -> np.ndarray:
         """``|H|`` over the whole trace, same shape as :meth:`matrix`."""
-        return np.abs(self.matrix())
+        return np.abs(self.csi)
 
     def phases(self) -> np.ndarray:
         """``angle(H)`` over the whole trace, same shape as :meth:`matrix`."""
-        return np.angle(self.matrix())
+        return np.angle(self.csi)
 
     def timestamps(self) -> np.ndarray:
         """Packet receive times (seconds from session start)."""
-        return np.array([p.timestamp_s for p in self.packets])
+        return self.timestamps_s
+
+    def select(self, index) -> "CsiTrace":
+        """The packets at ``index`` (a slice or an index array) as a trace.
+
+        A slice gives views of this trace's arrays; an index array (loss,
+        reordering, duplication) gives new ones.
+        """
+        return replace(
+            self, csi=self.csi[index], timestamps_s=self.timestamps_s[index],
+            sequences=self.sequences[index],
+        )
 
     def subset(self, num_packets: int) -> "CsiTrace":
         """First ``num_packets`` packets as a new trace (paper Fig. 18)."""
         if num_packets < 0:
             raise ValueError(f"num_packets must be >= 0, got {num_packets}")
+        return self.select(slice(0, num_packets))
+
+    @staticmethod
+    def from_packets(
+        packets: Iterable[CsiPacket],
+        carrier_hz: float = 5.32e9,
+        label: str = "",
+    ) -> "CsiTrace":
+        """Stack per-packet CSI (stream ingest, tests) into one trace."""
+        packets = list(packets)
+        if not packets:
+            return CsiTrace(carrier_hz=carrier_hz, label=label)
+        shapes = {p.csi.shape for p in packets}
+        if len(shapes) > 1:
+            raise ValueError(f"inconsistent packet shapes in trace: {shapes}")
         return CsiTrace(
-            packets=self.packets[:num_packets],
-            carrier_hz=self.carrier_hz,
-            label=self.label,
+            csi=np.stack([p.csi for p in packets]),
+            timestamps_s=[p.timestamp_s for p in packets],
+            sequences=[p.sequence for p in packets],
+            carrier_hz=carrier_hz,
+            label=label,
         )
 
     @staticmethod
@@ -128,16 +195,14 @@ class CsiTrace:
         label: str = "",
     ) -> "CsiTrace":
         """Build a trace from a dense ``(packets, subcarriers, antennas)``
-        array, with evenly spaced timestamps (10 ms default, as the paper's
-        receiver logs CSI every 10 ms)."""
-        matrix = np.asarray(matrix, dtype=complex)
-        if matrix.ndim != 3:
-            raise ValueError(
-                f"matrix must be 3-D (packets, subcarriers, antennas), "
-                f"got shape {matrix.shape}"
-            )
-        packets = [
-            CsiPacket(csi=matrix[m], timestamp_s=m * packet_interval_s, sequence=m)
-            for m in range(matrix.shape[0])
-        ]
-        return CsiTrace(packets=packets, carrier_hz=carrier_hz, label=label)
+        array (stored as is when C-contiguous complex128), with evenly
+        spaced timestamps (10 ms default, as the paper's receiver logs CSI
+        every 10 ms) and sequence numbers from 0."""
+        sequences = np.arange(np.shape(matrix)[0])
+        return CsiTrace(
+            csi=matrix,
+            timestamps_s=sequences * packet_interval_s,
+            sequences=sequences,
+            carrier_hz=carrier_hz,
+            label=label,
+        )

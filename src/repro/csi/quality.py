@@ -404,9 +404,7 @@ def assess_trace(
     """
     thresholds = thresholds if thresholds is not None else DEFAULT_THRESHOLDS
     matrix = trace.matrix()
-    num_packets, num_sc, num_ant = (
-        matrix.shape if matrix.ndim == 3 else (0, 0, 0)
-    )
+    num_packets, num_sc, num_ant = matrix.shape
 
     finite = np.isfinite(matrix.real) & np.isfinite(matrix.imag)
     with np.errstate(invalid="ignore"):
@@ -433,15 +431,13 @@ def assess_trace(
         axis=(0, 2),
     )
 
-    sequences = [int(p.sequence) for p in trace]
-    unique = len(set(sequences))
-    duplicates = len(sequences) - unique
-    span = (max(sequences) - min(sequences) + 1) if sequences else 0
+    sequences = trace.sequences
+    unique = np.unique(sequences).size
+    duplicates = sequences.size - unique
+    span = int(sequences.max() - sequences.min() + 1) if sequences.size else 0
     gaps = max(span - unique, 0)
     loss_rate = gaps / span if span > 0 else 0.0
-    reordered = sum(
-        1 for a, b in zip(sequences, sequences[1:]) if b < a
-    )
+    reordered = int(np.count_nonzero(np.diff(sequences) < 0))
 
     clipped = _clipped_packet_count(matrix)
 

@@ -309,14 +309,6 @@ class CsiSimulator:
         num_ant = self.channel.num_antennas
         num_sc = self.frequencies_hz.size
 
-        if num_packets == 0:
-            return CsiTrace.from_matrix(
-                np.zeros((0, num_sc, num_ant), dtype=complex),
-                carrier_hz=self.scene.carrier_hz,
-                packet_interval_s=PACKET_INTERVAL_S,
-                label=label,
-            )
-
         # Draw pass: consume the RNG stream packet by packet in *exactly*
         # the legacy order (jitter, gains, noise, impairments), so a seed
         # maps to the same trace as the original per-packet loop.  Every
@@ -369,10 +361,10 @@ class CsiSimulator:
             ).copy()
         if noise is not None:
             clean = clean + env.noise_floor * noise / math.sqrt(2.0)
-        packets = self.profile.apply_to_packets(clean, draws)
+        csi = self.profile.apply_to_packets(clean, draws)
 
         return CsiTrace.from_matrix(
-            packets,
+            csi,
             carrier_hz=self.scene.carrier_hz,
             packet_interval_s=PACKET_INTERVAL_S,
             label=label,

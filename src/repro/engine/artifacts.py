@@ -8,9 +8,9 @@ declared fields -- so two ``WiMi`` instances (or two calls years apart in
 one process) that see the same data and the same relevant knobs share the
 same artifacts, while any change to either produces a fresh key.
 
-The hashing contract mirrors the repo-wide assumption that CSI traces are
-immutable after capture: a trace's fingerprint is computed once and pinned
-on the object.
+A :class:`repro.csi.model.CsiTrace` is immutable (a frozen dataclass over
+read-only arrays), so a trace's fingerprint is computed once and pinned on
+the object: no write can make it stale.
 """
 
 from __future__ import annotations
@@ -38,10 +38,10 @@ def _hash_array(h: "hashlib._Hash", array: np.ndarray) -> None:
 def trace_fingerprint(trace) -> str:
     """Content hash of one :class:`repro.csi.model.CsiTrace`.
 
-    Hashes the dense complex matrix, so two traces with identical CSI get
-    the same fingerprint regardless of labels or timestamps.  The result
-    is pinned on the trace (traces are de-facto immutable after capture),
-    so repeated calls are O(1).
+    Hashes the stored complex array, so two traces with identical CSI
+    get the same fingerprint regardless of labels or timestamps.  The
+    result is pinned on the trace (its arrays are read-only), so repeated
+    calls are O(1).
     """
     cached = getattr(trace, _FINGERPRINT_ATTR, None)
     if cached is not None:

@@ -191,7 +191,7 @@ class PipelineEngine:
         )
 
         def compute() -> DenoisedTraceArtifact:
-            cleaned = self.extractor.amplitude.compute_clean_amplitudes(trace)
+            cleaned = self.extractor.amplitude.clean_amplitudes(trace)
             return DenoisedTraceArtifact(key=key, amplitudes=cleaned)
 
         return self._resolve(AMPLITUDE_DENOISE, key, compute)

@@ -26,7 +26,6 @@ spreads a sweep across processes bit-identically to the serial path.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -35,9 +34,8 @@ from repro.core.feature import theory_reference_omegas
 from repro.core.pipeline import WiMi
 from repro.csi.faults import AntennaDropout, PacketLoss, TraceFault
 from repro.csi.faults import inject_session
-from repro.csi.quality import CorruptTraceError, DegradedTraceWarning
 from repro.experiments.datasets import collect_dataset, split_dataset
-from repro.experiments.runner import parallel_map
+from repro.experiments.runner import fit_and_identify_gated, parallel_map
 
 #: A small, well-separated material set keeps the sweep fast while the
 #: clean-capture point still sits at or near 100% accuracy, so any drop
@@ -95,9 +93,10 @@ class ScenarioResult:
 def _scenario_task(payload: tuple) -> ScenarioResult:
     """Picklable worker: one fault scenario, end to end.
 
-    Collects its own deployment (deterministic in ``seed``), fits on the
-    clean train split, injects ``faults`` into every test session under
-    a per-session seed, and scores.  Fully self-contained so
+    Collects its own deployment (deterministic in ``seed``), injects
+    ``faults`` into every test session under a per-session seed, and
+    scores through :func:`repro.experiments.runner.fit_and_identify_gated`
+    (fit on the clean train sessions the gate passes).  Fully self-contained so
     :func:`parallel_map` can ship it to a spawn-context process.
     """
     (sweep, scenario, parameter, material_names, faults, seed,
@@ -111,36 +110,26 @@ def _scenario_task(payload: tuple) -> ScenarioResult:
         seed=seed,
     )
     train, test = split_dataset(dataset, train_fraction)
-    wimi = WiMi(theory_reference_omegas(materials))
-    wimi.fit(train)
-
-    correct = rejected = degraded = 0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DegradedTraceWarning)
-        for index, session in enumerate(test):
-            faulty = (
-                inject_session(session, faults, seed=1000 * seed + index)
-                if faults
-                else session
-            )
-            try:
-                features = wimi.extract(faulty)
-            except CorruptTraceError:
-                rejected += 1
-                continue
-            quality = features.quality
-            if quality is not None and quality.is_degraded:
-                degraded += 1
-            if wimi.identify_measurement(features) == session.material_name:
-                correct += 1
+    if faults:
+        test = [
+            inject_session(session, faults, seed=1000 * seed + index)
+            for index, session in enumerate(test)
+        ]
+    score = fit_and_identify_gated(
+        WiMi(theory_reference_omegas(materials)), train, test
+    )
+    correct = sum(
+        label == session.material_name
+        for session, label in zip(test, score.predictions)
+    )
     return ScenarioResult(
         sweep=sweep,
         scenario=scenario,
         parameter=parameter,
         total=len(test),
         correct=correct,
-        rejected=rejected,
-        degraded=degraded,
+        rejected=score.rejected,
+        degraded=score.degraded,
     )
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import multiprocessing
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
@@ -14,6 +15,11 @@ from repro.core.config import WiMiConfig
 from repro.core.feature import theory_reference_omegas
 from repro.core.pipeline import WiMi
 from repro.csi.impairments import HardwareProfile
+from repro.csi.quality import (
+    CorruptTraceError,
+    DegradedTraceWarning,
+    gate_report,
+)
 from repro.csi.simulator import SimulationScene
 from repro.engine.cache import StageCache
 from repro.experiments.datasets import collect_dataset, split_dataset
@@ -25,17 +31,23 @@ class ExperimentResult:
     """Outcome of one identification experiment.
 
     Attributes:
-        confusion: Full confusion matrix over the tested materials.
+        confusion: Confusion matrix of the answered test sessions.
         extras: Free-form experiment-specific diagnostics.
+        unanswered: Test sessions without a label (quality-gate rejects,
+            or every one when no training session was clean).
     """
 
     confusion: ConfusionMatrix
     extras: dict = field(default_factory=dict)
+    unanswered: int = 0
 
     @property
     def accuracy(self) -> float:
-        """Overall identification accuracy."""
-        return self.confusion.accuracy
+        """Overall identification accuracy; unanswered sessions are wrong."""
+        total = self.confusion.matrix.sum() + self.unanswered
+        if total == 0:
+            raise ValueError("no test sessions")
+        return float(np.trace(self.confusion.matrix) / total)
 
     def per_class_accuracy(self) -> dict:
         """Per-material accuracy (confusion diagonal)."""
@@ -75,9 +87,6 @@ def run_identification(
     """
     if len(materials) < 2:
         raise ValueError("need at least two materials to identify")
-    refs_src = reference_materials if reference_materials else materials
-    refs = theory_reference_omegas(refs_src)
-
     dataset = collect_dataset(
         materials,
         scene=scene,
@@ -87,24 +96,84 @@ def run_identification(
         profile=profile,
     )
     train, test = split_dataset(dataset, train_fraction)
-
-    wimi = WiMi(refs, config, cache=cache)
-    wimi.fit(train)
-
-    y_true = np.array([s.material_name for s in test])
-    y_pred = np.array(wimi.identify_batch(test))
-    labels = [m.name for m in materials]
-    cm = confusion_matrix(y_true, y_pred, labels=labels)
-    return ExperimentResult(
-        confusion=cm,
-        extras={
-            "selected_subcarriers": wimi.calibrated_subcarriers,
-            "antenna_pair": wimi.calibrated_pair,
-            "coarse_pair": wimi.calibrated_coarse_pair,
-            "num_train": len(train),
-            "num_test": len(test),
-        },
+    result = fit_and_score(
+        train,
+        test,
+        [m.name for m in materials],
+        reference_materials if reference_materials else materials,
+        config,
+        cache,
     )
+    result.extras.update(num_train=len(train), num_test=len(test))
+    return result
+
+
+@dataclass(frozen=True)
+class GatedScore:
+    """Answers for a test split under the quality gate.
+
+    Attributes:
+        predictions: Label per test session; None where it went
+            unanswered (rejected by the gate, or no model to answer with).
+        trained: Clean training sessions the model was fitted on.
+        rejected: Test sessions the gate refused.
+        degraded: Test sessions answered through the degradation path.
+    """
+
+    predictions: list
+    trained: int
+    rejected: int
+    degraded: int
+
+
+def _rejected(wimi: WiMi, session) -> bool:
+    """Whether the quality gate refuses ``session`` under the config."""
+    try:
+        gate_report(wimi.assess(session), wimi.config.degradation_policy)
+    except CorruptTraceError:
+        return True
+    return False
+
+
+def _trainable(wimi: WiMi, session) -> bool:
+    """Whether ``session`` may enter the feature database: the gate finds
+    nothing wrong with it (calibration pools every training session, so
+    one dead chain would void a whole antenna pair), or gating is off."""
+    if wimi.config.degradation_policy == "skip":
+        return True
+    report = wimi.assess(session)
+    return not (report.is_corrupt or report.is_degraded)
+
+
+def fit_and_identify_gated(wimi: WiMi, train: list, test: list) -> GatedScore:
+    """Fit on the clean training sessions; identify every test session.
+
+    A test session the quality gate rejects is unanswered and so scores
+    as wrong: a deployment that refuses to answer has not identified the
+    target.  When no training session is clean, nothing is answered.
+    Degraded test sessions are answered through the fallbacks and
+    counted; their :class:`DegradedTraceWarning` is not raised.
+    """
+    trainable = [s for s in train if _trainable(wimi, s)]
+    if not trainable:
+        rejected = sum(_rejected(wimi, s) for s in test)
+        return GatedScore([None] * len(test), 0, rejected, 0)
+    wimi.fit(trainable)
+    predictions: list = []
+    rejected = degraded = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegradedTraceWarning)
+        for session in test:
+            try:
+                features = wimi.extract(session)
+            except CorruptTraceError:
+                rejected += 1
+                predictions.append(None)
+                continue
+            if features.quality is not None and features.quality.is_degraded:
+                degraded += 1
+            predictions.append(wimi.identify_measurement(features))
+    return GatedScore(predictions, len(trainable), rejected, degraded)
 
 
 def fit_and_score(
@@ -120,6 +189,10 @@ def fit_and_score(
     Lower-level sibling of :func:`run_identification` for experiments that
     reuse one dataset under several configurations (e.g. the Fig. 18
     packet sweep truncates the same sessions to different lengths).
+    Scored through :func:`fit_and_identify_gated`: only clean captures
+    train, and test captures the quality gate rejects count as wrong;
+    ``extras`` carries the ``trained`` count and the ``rejected`` and
+    ``degraded`` test counts.
 
     Args:
         cache: Optional shared :class:`repro.engine.StageCache`.  Pass
@@ -133,16 +206,25 @@ def fit_and_score(
         raise ValueError("need non-empty train and test session lists")
     refs = theory_reference_omegas(reference_materials)
     wimi = WiMi(refs, config, cache=cache)
-    wimi.fit(train)
-    y_true = np.array([s.material_name for s in test])
-    y_pred = np.array(wimi.identify_batch(test))
-    cm = confusion_matrix(y_true, y_pred, labels=labels)
+    score = fit_and_identify_gated(wimi, train, test)
+    y_true = [
+        s.material_name
+        for s, label in zip(test, score.predictions)
+        if label is not None
+    ]
+    y_pred = [label for label in score.predictions if label is not None]
+    cm = confusion_matrix(np.array(y_true), np.array(y_pred), labels=labels)
     return ExperimentResult(
         confusion=cm,
         extras={
             "selected_subcarriers": wimi.calibrated_subcarriers,
             "antenna_pair": wimi.calibrated_pair,
+            "coarse_pair": wimi.calibrated_coarse_pair,
+            "trained": score.trained,
+            "rejected": score.rejected,
+            "degraded": score.degraded,
         },
+        unanswered=len(test) - len(y_pred),
     )
 
 

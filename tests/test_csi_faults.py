@@ -27,7 +27,7 @@ def make_trace(num_packets=20, num_sc=30, num_ant=3, seed=0):
             size=(num_sc, num_ant)
         )
         packets.append(CsiPacket(csi=csi, timestamp_s=0.01 * m, sequence=m))
-    return CsiTrace(packets=packets, label="synthetic")
+    return CsiTrace.from_packets(packets, label="synthetic")
 
 
 @pytest.fixture()

@@ -81,7 +81,7 @@ class TestAssessClean:
         assert report.is_corrupt
 
     def test_empty_trace_is_corrupt(self):
-        report = assess_trace(CsiTrace(packets=[]))
+        report = assess_trace(CsiTrace())
         assert report.num_packets == 0
         assert report.is_corrupt
 

@@ -1,9 +1,13 @@
 """Tests for the experiment harness (datasets, runner, reporting)."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from repro.channel.materials import default_catalog
+from repro.csi.faults import AntennaDropout, inject_session
+from repro.csi.quality import DegradedTraceWarning
 from repro.experiments.datasets import (
     collect_dataset,
     paper_liquids,
@@ -113,6 +117,62 @@ class TestRunner:
             train, test, [m.name for m in materials], materials
         )
         assert result.accuracy >= 0.7
+
+    def test_gate_rejected_test_session_scores_as_wrong(self):
+        """A capture the quality gate refuses is an unanswered session
+        that counts against accuracy, not an exception."""
+        catalog = default_catalog()
+        materials = [catalog.get("oil"), catalog.get("soy")]
+        labels = [m.name for m in materials]
+        train, test = split_dataset(
+            collect_dataset(materials, repetitions=6, num_packets=8, seed=1)
+        )
+        # Two dead chains leave one live antenna: a hard gate failure.
+        dead = inject_session(
+            test[0], (AntennaDropout(1, "zero"), AntennaDropout(2, "zero")),
+            seed=0,
+        )
+        result = fit_and_score(train, [dead, *test[1:]], labels, materials)
+        rest = fit_and_score(train, test[1:], labels, materials)
+        assert result.extras["rejected"] == 1
+        assert result.unanswered == 1
+        assert result.accuracy == (
+            np.trace(rest.confusion.matrix) / len(test)
+        )
+
+    def test_degraded_sessions_are_counted_not_raised(self):
+        catalog = default_catalog()
+        materials = [catalog.get("oil"), catalog.get("soy")]
+        labels = [m.name for m in materials]
+        train, test = split_dataset(
+            collect_dataset(materials, repetitions=6, num_packets=8, seed=1)
+        )
+        fault = (AntennaDropout(2, "zero"),)
+        train[0] = inject_session(train[0], fault, seed=0)
+        test[0] = inject_session(test[0], fault, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DegradedTraceWarning)
+            result = fit_and_score(train, test, labels, materials)
+        assert result.extras["trained"] == len(train) - 1
+        assert result.extras["degraded"] == 1
+        assert result.extras["rejected"] == 0
+        assert result.unanswered == 0
+
+    def test_no_trainable_session_scores_zero(self):
+        """The Fig. 19 6.1 cm beaker: every target capture reads 0 on two
+        of three chains, so the gate rejects every session."""
+        catalog = default_catalog()
+        materials = [catalog.get(n) for n in ("pure_water", "pepsi")]
+        target = standard_target(diameter=0.061, lateral_offset=0.015)
+        result = run_identification(
+            materials,
+            scene=standard_scene("lab", target=target),
+            repetitions=3,
+            seed=1,
+        )
+        assert result.accuracy == 0.0
+        assert result.extras["trained"] == 0
+        assert result.extras["rejected"] == result.extras["num_test"]
 
     def test_fit_and_score_empty_rejected(self):
         catalog = default_catalog()

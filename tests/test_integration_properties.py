@@ -21,7 +21,6 @@ from repro.core.feature import theory_reference_omegas
 from repro.core.pipeline import WiMi
 from repro.csi.collector import CaptureSession, DataCollector
 from repro.csi.io import load_session, save_session
-from repro.csi.model import CsiTrace
 from repro.csi.simulator import SimulationScene
 from repro.csi.subcarriers import intel5300_subcarrier_indices
 from repro.experiments.datasets import collect_dataset, paper_liquids
@@ -211,15 +210,7 @@ def _transformed(session, transform, rng):
     """
 
     def remap(trace):
-        matrix = transform(trace.matrix(), rng)
-        return CsiTrace(
-            packets=[
-                replace(packet, csi=csi)
-                for packet, csi in zip(trace.packets, matrix)
-            ],
-            carrier_hz=trace.carrier_hz,
-            label=trace.label,
-        )
+        return replace(trace, csi=transform(trace.matrix(), rng))
 
     return CaptureSession(
         baseline=remap(session.baseline),
