@@ -6,7 +6,7 @@ Usage::
     python -m repro fig15                # ten-liquid confusion matrix
     python -m repro fig17 --seed 3       # distance sweep, another deployment
     python -m repro all --seed 1         # every figure, in order
-    python -m repro bench perf --smoke   # one benchmark suite (CI size)
+    python -m repro bench e2e --smoke    # speed gate: change vs parent
     python -m repro bench cache          # stage-cache hit rates
     python -m repro --version
 
@@ -183,43 +183,6 @@ def _bench(args) -> str:
     return report
 
 
-def _bench_compare(args) -> str:
-    """``repro bench-compare``: diff two benchmark JSON reports.
-
-    Compares per-suite timings and speedups between two reports sharing
-    the ``{"suites": {mode: {benchmark: ...}}}`` layout (e.g. a
-    committed ``BENCH_PR9.json`` against a freshly written one),
-    highlighting benchmarks whose timing moved beyond
-    ``--compare-threshold`` in either direction.  Exits non-zero when
-    any benchmark regressed.
-    """
-    old = bench.load_report(args.compare_old)
-    new = bench.load_report(args.compare_new)
-    missing = [
-        path
-        for path, report in (
-            (args.compare_old, old),
-            (args.compare_new, new),
-        )
-        if report is None
-    ]
-    if missing:
-        raise SystemExit(
-            "bench-compare: not a readable benchmark report: "
-            + ", ".join(missing)
-        )
-    diff = bench.diff_reports(old, new, args.compare_threshold)
-    report = bench.render_diff(diff, args.compare_old, args.compare_new)
-    regressed = any(
-        entry.get("status") == "regressed"
-        for suite in diff["suites"].values()
-        for entry in suite["benchmarks"].values()
-    )
-    if regressed:
-        raise SystemExit(report)
-    return report
-
-
 def _store(args) -> str:
     """``repro store``: inspect (and optionally gc) the artifact store.
 
@@ -296,9 +259,6 @@ COMMANDS: dict[str, Command] = {
     "bench": Command(
         _bench, "run one benchmark suite: repro bench <suite>", in_all=False
     ),
-    "bench-compare": Command(
-        _bench_compare, "diff two benchmark JSON reports", in_all=False
-    ),
     "store": Command(
         _store, "inspect/gc the persistent artifact store", in_all=False
     ),
@@ -346,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     suites.add_argument(
         "--output", default=None,
         help="JSON report to write/merge (default: the suite's committed "
-        "artifact, none for serve and cache)",
+        "artifact, none for e2e, serve and cache)",
     )
     suites.add_argument(
         "--baseline", default=None,
@@ -356,21 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     suites.add_argument(
         "--max-regression", type=float, default=None,
         help="fail when a gated timing exceeds this multiple of the "
-        "baseline's (default: perf 2.0, stream 3.0; <= 0 disables)",
-    )
-    compare = parser.add_argument_group("bench-compare options")
-    compare.add_argument(
-        "--compare-old", default="BENCH_PR4.json",
-        help="older/committed report (default BENCH_PR4.json)",
-    )
-    compare.add_argument(
-        "--compare-new", default="BENCH_PR9.json",
-        help="newer report to diff against it (default BENCH_PR9.json)",
-    )
-    compare.add_argument(
-        "--compare-threshold", type=float, default=1.25,
-        help="flag benchmarks whose timing moved beyond this factor "
-        "(default 1.25; <= 0 reports deltas without flagging)",
+        "baseline's (default: stream 3.0; <= 0 disables)",
     )
     persist = parser.add_argument_group("store options")
     persist.add_argument(

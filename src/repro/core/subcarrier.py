@@ -113,7 +113,11 @@ class SubcarrierSelector:
 
         The shared scoring behind :meth:`rank_pooled` /
         :meth:`select_pooled`; also what the stage-graph engine's
-        ``subcarrier_selection`` stage memoizes.
+        ``subcarrier_selection`` stage memoizes.  A session that scores
+        every subcarrier of ``pair`` non-finite (a dead chain) is left out
+        of the pool, which it would otherwise void; raises
+        :class:`~repro.csi.quality.CorruptTraceError` when no session is
+        left.
         """
         if not sessions:
             raise ValueError("need at least one session to pool over")
@@ -122,7 +126,14 @@ class SubcarrierSelector:
             scores = self.combined_variances(
                 session.baseline, session.target, pair
             )
+            if not np.isfinite(scores).any():
+                continue
             total = scores if total is None else total + scores
+        if total is None:
+            raise CorruptTraceError(
+                f"all {len(sessions)} sessions score antenna pair {pair} "
+                f"non-finite on every subcarrier (dead chain)"
+            )
         return total
 
     def rank_pooled(

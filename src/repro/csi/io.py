@@ -178,8 +178,25 @@ def save_session(session: CaptureSession, path: str | Path) -> None:
         target=session.target.matrix(),
         baseline_timestamps=session.baseline.timestamps(),
         target_timestamps=session.target.timestamps(),
+        baseline_sequences=session.baseline.sequences,
+        target_sequences=session.target.sequences,
         carrier_hz=np.array([session.baseline.carrier_hz]),
         material_name=np.array([session.material_name]),
+    )
+
+
+def _archived_trace(archive, name: str, carrier_hz: float) -> CsiTrace:
+    """Trace ``name`` of a session archive, with its saved receive times
+    and sequence numbers (loss and reordering stay visible); archives
+    written without them get evenly spaced ones."""
+    times, sequences = f"{name}_timestamps", f"{name}_sequences"
+    if times not in archive.files or sequences not in archive.files:
+        return CsiTrace.from_matrix(archive[name], carrier_hz=carrier_hz)
+    return CsiTrace(
+        csi=archive[name],
+        timestamps_s=archive[times],
+        sequences=archive[sequences],
+        carrier_hz=carrier_hz,
     )
 
 
@@ -198,8 +215,8 @@ def load_session(path: str | Path) -> CaptureSession:
         if missing:
             raise ValueError(f"{path}: missing arrays {sorted(missing)}")
         carrier = float(archive["carrier_hz"][0])
-        baseline = CsiTrace.from_matrix(archive["baseline"], carrier_hz=carrier)
-        target = CsiTrace.from_matrix(archive["target"], carrier_hz=carrier)
+        baseline = _archived_trace(archive, "baseline", carrier)
+        target = _archived_trace(archive, "target", carrier)
         material = str(archive["material_name"][0])
     return CaptureSession(
         baseline=baseline,

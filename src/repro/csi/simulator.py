@@ -380,8 +380,7 @@ class CsiSimulator:
         """Original per-packet capture loop.
 
         Still the implementation of record for moving targets, and the
-        baseline the equivalence tests and ``repro bench perf`` compare
-        against.
+        baseline the equivalence tests compare against.
         """
         if num_packets < 0:
             raise ValueError(f"num_packets must be >= 0, got {num_packets}")

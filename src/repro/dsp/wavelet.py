@@ -372,7 +372,7 @@ def iswt(
 
 # ----------------------------------------------------------------------
 # Scalar reference implementations (pre-vectorization), kept as oracles
-# for the equivalence tests and the ``repro bench perf`` baseline.
+# for the equivalence tests (``tests/test_perf_equivalence.py``).
 # ----------------------------------------------------------------------
 
 

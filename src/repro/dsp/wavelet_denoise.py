@@ -39,8 +39,7 @@ can differ from its own 1-D call only where numpy sums a per-column
 power in a different order and that sum lands within rounding of a
 threshold.)  The original scalar implementations are kept as
 ``_reference_*`` oracles for the equivalence tests
-(``tests/test_perf_equivalence.py``, <= 1e-12 relative) and the
-``repro bench perf`` baseline.
+(``tests/test_perf_equivalence.py``, <= 1e-12 relative).
 """
 
 from __future__ import annotations
@@ -302,7 +301,7 @@ class SpatiallySelectiveDenoiser:
 
     # ------------------------------------------------------------------
     # Scalar reference path (pre-vectorization), the oracle of the
-    # equivalence tests and the ``repro bench perf`` baseline.
+    # equivalence tests.
     # ------------------------------------------------------------------
 
     def _reference_denoise(self, x: np.ndarray) -> np.ndarray:

@@ -14,8 +14,10 @@ carries a ``gates`` dict of named booleans; the runner adds a
 ``no_regression`` gate for suites with gated timing fields and fails
 when any gate is false.
 
-The end-to-end benchmark of the paper's identify path is ``wimibench/``;
-these suites measure components and guard their contracts.
+The ``e2e`` suite is the speed gate: it runs the end-to-end benchmark
+(``wimibench/``) on the change and on its parent and judges them by the
+bounds ``BENCHMARK.json`` declares.  The other suites measure components
+and guard their contracts.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from repro.core.pipeline import WiMi
 from repro.engine import StageCache, StageCounter
 from repro.experiments import (
     clusterbench,
-    perfbench,
+    e2ebench,
     robustness,
     soakbench,
     streambench,
@@ -128,128 +130,6 @@ def compare_to_baseline(
             if ratio > max_regression:
                 regressions.append((f"{name}.{field}", ratio))
     return regressions
-
-
-#: ``bench-compare`` default: flag a benchmark whose ``new_s`` grew (or
-#: shrank) by more than this factor between the two reports.
-DEFAULT_DIFF_THRESHOLD = 1.25
-
-
-def diff_reports(
-    old: dict, new: dict, threshold: float = DEFAULT_DIFF_THRESHOLD
-) -> dict:
-    """Structured diff of two benchmark reports (``repro bench-compare``).
-
-    Works on any report using the shared ``{"suites": {mode: {benchmark:
-    {...}}}}`` layout (``BENCH_PR4.json``, ``BENCH_PR9.json``, ...).  For
-    every suite and benchmark present in both reports the diff carries
-    the ``new_s`` ratio (new report over old) and the ``speedup`` delta
-    when the entries record them; benchmarks and suites on one side only
-    are labelled ``added``/``removed``.  A benchmark is ``regressed``
-    when its timing ratio exceeds ``threshold``, ``improved`` below
-    ``1/threshold``, otherwise ``ok``.
-    """
-    suites: dict[str, dict] = {}
-    old_suites = old.get("suites", {})
-    new_suites = new.get("suites", {})
-    for mode in sorted(set(old_suites) | set(new_suites)):
-        a, b = old_suites.get(mode), new_suites.get(mode)
-        if a is None or b is None:
-            suites[mode] = {
-                "status": "removed" if b is None else "added",
-                "benchmarks": {},
-            }
-            continue
-        benches: dict[str, dict] = {}
-        for name in sorted(set(a) | set(b)):
-            ea, eb = a.get(name), b.get(name)
-            if ea is None or eb is None:
-                benches[name] = {
-                    "status": "removed" if eb is None else "added"
-                }
-                continue
-            entry: dict = {"status": "ok"}
-            benches[name] = entry
-            if not (isinstance(ea, dict) and isinstance(eb, dict)):
-                continue
-            old_t, new_t = ea.get("new_s"), eb.get("new_s")
-            if (
-                isinstance(old_t, (int, float))
-                and isinstance(new_t, (int, float))
-                and old_t > 0
-            ):
-                ratio = new_t / old_t
-                entry.update(
-                    {"old_s": old_t, "new_s": new_t, "time_ratio": ratio}
-                )
-                if threshold > 0 and ratio > threshold:
-                    entry["status"] = "regressed"
-                elif threshold > 0 and ratio < 1.0 / threshold:
-                    entry["status"] = "improved"
-            old_sp, new_sp = ea.get("speedup"), eb.get("speedup")
-            if isinstance(old_sp, (int, float)) and isinstance(
-                new_sp, (int, float)
-            ):
-                entry.update(
-                    {
-                        "old_speedup": old_sp,
-                        "new_speedup": new_sp,
-                        "speedup_delta": new_sp - old_sp,
-                    }
-                )
-        suites[mode] = {"status": "both", "benchmarks": benches}
-    return {"threshold": threshold, "suites": suites}
-
-
-def render_diff(diff: dict, old_path: str, new_path: str) -> str:
-    """Human-readable rendering of a :func:`diff_reports` result."""
-    lines = [f"bench-compare -- {old_path} vs {new_path}"]
-    regressed = 0
-    for mode, suite in diff["suites"].items():
-        if suite["status"] != "both":
-            lines.append(
-                f"  {mode}: suite only in "
-                f"{new_path if suite['status'] == 'added' else old_path}"
-            )
-            continue
-        lines.append(f"  {mode} suite:")
-        lines.append(
-            f"    {'benchmark':<18} {'old':>9} {'new':>9} {'ratio':>7} "
-            f"{'speedup':>15}"
-        )
-        for name, entry in suite["benchmarks"].items():
-            if entry["status"] in ("added", "removed"):
-                lines.append(
-                    f"    {name:<18} ({entry['status']} in {new_path})"
-                    if entry["status"] == "added"
-                    else f"    {name:<18} (removed in {new_path})"
-                )
-                continue
-            if "time_ratio" not in entry:
-                lines.append(f"    {name:<18} (no comparable timings)")
-                continue
-            speedups = (
-                f"{entry['old_speedup']:>6.2f}x->{entry['new_speedup']:.2f}x"
-                if "old_speedup" in entry
-                else ""
-            )
-            flag = ""
-            if entry["status"] == "regressed":
-                flag = "  <-- REGRESSED"
-                regressed += 1
-            elif entry["status"] == "improved":
-                flag = "  (improved)"
-            lines.append(
-                f"    {name:<18} {entry['old_s']:>8.3f}s "
-                f"{entry['new_s']:>8.3f}s {entry['time_ratio']:>6.2f}x "
-                f"{speedups:>15}{flag}"
-            )
-    lines.append(
-        f"  {regressed} regression(s) beyond {diff['threshold']:.2f}x"
-        if regressed
-        else f"  no regressions beyond {diff['threshold']:.2f}x"
-    )
-    return "\n".join(lines)
 
 
 # ----------------------------------------------------------------------
@@ -410,13 +290,11 @@ def render_serve(results: dict) -> str:
 
 #: Every suite of ``repro bench``, by name.
 SUITES: dict[str, Suite] = {
-    "perf": Suite(
-        perfbench.run_suite, perfbench.render_report,
-        "vectorised-kernel timings vs their scalar references",
-        artifact="BENCH_PR4.json", gated_fields=("new_s",),
-        max_regression=2.0,
+    "e2e": Suite(
+        e2ebench.run_suite, e2ebench.render_report,
+        "wimibench on the change vs its parent, by BENCHMARK.json bounds",
     ),
-    # Looser than perf's 2.0: the gated quantities are millisecond-scale.
+    # The gated quantities are millisecond-scale, hence the loose 3x.
     # ``stream_total_s`` catches per-packet work that grows with the
     # trace length (an O(n^2) stream) even when the first estimate and
     # the finalize stay fast.

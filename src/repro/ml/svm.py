@@ -144,8 +144,8 @@ class BinarySVC:
 
         Kept as the behavioural baseline: same pair-selection heuristics
         and update rules, but each error lookup is an O(n) reduction over
-        the Gram column.  The equivalence tests and ``repro bench perf``
-        compare :meth:`fit` against this.
+        the Gram column.  The equivalence tests compare :meth:`fit`
+        against this.
         """
         x, y, gram = self._prepare_fit(x, y, None)
         n = x.shape[0]

@@ -5,11 +5,11 @@ import json
 import pytest
 
 from repro.cli import COMMANDS, build_parser, main, parse_args
-from repro.experiments import bench, clusterbench, perfbench, warmbench
+from repro.experiments import bench, clusterbench, warmbench
 
 #: Each suite's committed artifact (None: the suite commits no report).
 ARTIFACTS = {
-    "perf": "BENCH_PR4.json",
+    "e2e": None,
     "stream": "BENCH_PR8.json",
     "warm": "BENCH_PR6.json",
     "cluster": "BENCH_PR7.json",
@@ -20,12 +20,13 @@ ARTIFACTS = {
 }
 
 #: Per-bench flags that folded into --output/--baseline/--max-regression
-#: or went away with the per-bench commands.
+#: or went away with the per-bench commands and ``bench-compare``.
 REMOVED_FLAGS = (
     "--stream-output", "--stream-baseline", "--stream-max-regression",
     "--warm-output", "--cluster-output", "--soak-output",
     "--robustness-output", "--json-out", "--batch-size",
-    "--queue-capacity", "--repeat",
+    "--queue-capacity", "--repeat", "--compare-old", "--compare-new",
+    "--compare-threshold",
 )
 
 
@@ -39,6 +40,7 @@ class TestRegistry:
         assert "bench" in COMMANDS
         assert set(bench.SUITES) == set(ARTIFACTS)
         assert not any(name.endswith("-bench") for name in COMMANDS)
+        assert "bench-compare" not in COMMANDS
 
     def test_every_command_has_runner_and_description(self):
         for name, command in COMMANDS.items():
@@ -87,7 +89,7 @@ class TestExecution:
         assert "fig15" in out
         assert "ten-liquid" in out
         # The listing is generated from the registries, suites included.
-        for name in ("bench", "bench-compare", *bench.SUITES):
+        for name in ("bench", *bench.SUITES):
             assert name in out
 
     def test_fast_figure_runs(self, capsys):
@@ -141,8 +143,6 @@ class TestBenchSuites:
         assert args.max_regression == bench.SUITES[name].max_regression
 
     def test_regression_factors(self):
-        assert bench.SUITES["perf"].gated_fields == ("new_s",)
-        assert bench.SUITES["perf"].max_regression == 2.0
         assert bench.SUITES["stream"].gated_fields == (
             "time_to_first_estimate_s", "finalize_s", "stream_total_s",
         )
@@ -162,7 +162,7 @@ class TestBenchSuites:
     @pytest.mark.parametrize("flag", REMOVED_FLAGS)
     def test_removed_flag_exits_2(self, flag):
         with pytest.raises(SystemExit) as excinfo:
-            main(["bench", "perf", flag, "1"])
+            main(["bench", "stream", flag, "1"])
         assert excinfo.value.code == 2
 
     def test_warm_runs_end_to_end(self, tmp_path, capsys):
@@ -225,27 +225,6 @@ def _warm_results(**overrides) -> dict:
         "store": {"entries": 224, "bytes": 570896},
     }
     results.update(overrides)
-    return results
-
-
-def _perf_results(bench_name=None, field=None, value=None) -> dict:
-    """A passing raw perf result; ``bench_name.field = value`` breaks one
-    oracle check.  Timings are far below any committed baseline."""
-    timing = {"new_s": 1e-6, "baseline_s": 1e-5, "speedup": 10.0}
-    results = {
-        "denoise": {**timing, "max_abs_diff": 8.9e-16, "shape": [40, 90]},
-        "simulate": {**timing, "max_rel_diff": 0.0, "packets": 60},
-        "extract_batch": {**timing, "max_omega_diff": 1.1e-16,
-                          "sessions": 3},
-        "train": {**timing, "train_agreement": 1.0, "samples": 60},
-        "identify": {**timing, "mean_accuracy": 1.0, "seeds": 1},
-        "serve": {**timing, "throughput_rps": 200.0,
-                  "latency_ms": {"p50": 1.0, "p95": 2.0, "p99": 3.0,
-                                 "max": 4.0},
-                  "predictions_identical": True, "requests": 12},
-    }
-    if bench_name is not None:
-        results[bench_name][field] = value
     return results
 
 
@@ -316,28 +295,6 @@ class TestSuiteGates:
         )
         self._check("cluster", gate, tmp_path)
 
-    @pytest.mark.parametrize(
-        "override, gate",
-        [
-            ((), None),
-            (("serve", "predictions_identical", False),
-             "serve_predictions_identical"),
-            (("denoise", "max_abs_diff", 2e-12), "denoise_max_abs_diff"),
-            (("extract_batch", "max_omega_diff", 2e-12),
-             "extract_batch_max_omega_diff"),
-            (("simulate", "max_rel_diff", 2e-9), "simulate_max_rel_diff"),
-            (("train", "train_agreement", 0.99), "train_agreement"),
-        ],
-        ids=["passing", "serve", "denoise", "extract_batch", "simulate",
-             "train"],
-    )
-    def test_perf_gates(self, override, gate, monkeypatch, tmp_path):
-        monkeypatch.setattr(
-            perfbench, "run_perf_bench",
-            lambda *args, **kwargs: _perf_results(*override),
-        )
-        self._check("perf", gate, tmp_path)
-
     @staticmethod
     def _check(name, gate, tmp_path):
         argv = ["bench", name, "--smoke", "--output", str(tmp_path / "r.json")]
@@ -348,77 +305,6 @@ class TestSuiteGates:
             main(argv)
         assert excinfo.value.code not in (None, 0)
         assert f"GATES FAILED: {gate}" in str(excinfo.value)
-
-
-class TestBenchCompare:
-    def test_registered_outside_all(self):
-        assert "bench-compare" in COMMANDS
-        assert not COMMANDS["bench-compare"].in_all
-
-    def test_options_parsed(self):
-        args = build_parser().parse_args(
-            ["bench-compare", "--compare-old", "a.json",
-             "--compare-new", "b.json", "--compare-threshold", "1.5"]
-        )
-        assert args.compare_old == "a.json"
-        assert args.compare_new == "b.json"
-        assert args.compare_threshold == 1.5
-
-    def test_identical_reports_compare_clean(self, tmp_path, capsys):
-        import json
-
-        report = {
-            "schema": 1,
-            "suites": {
-                "full": {
-                    "denoise": {
-                        "new_s": 0.1, "baseline_s": 0.2, "speedup": 2.0
-                    }
-                }
-            },
-        }
-        path = tmp_path / "bench.json"
-        path.write_text(json.dumps(report))
-        assert main(
-            ["bench-compare", "--compare-old", str(path),
-             "--compare-new", str(path)]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "no regressions" in out
-
-    def test_regressed_report_exits_nonzero(self, tmp_path, capsys):
-        import copy
-        import json
-
-        old = {
-            "schema": 1,
-            "suites": {
-                "full": {
-                    "denoise": {
-                        "new_s": 0.1, "baseline_s": 0.2, "speedup": 2.0
-                    }
-                }
-            },
-        }
-        new = copy.deepcopy(old)
-        new["suites"]["full"]["denoise"]["new_s"] = 0.5
-        old_path, new_path = tmp_path / "old.json", tmp_path / "new.json"
-        old_path.write_text(json.dumps(old))
-        new_path.write_text(json.dumps(new))
-        with pytest.raises(SystemExit) as excinfo:
-            main(
-                ["bench-compare", "--compare-old", str(old_path),
-                 "--compare-new", str(new_path)]
-            )
-        assert "REGRESSED" in str(excinfo.value)
-
-    def test_missing_report_exits_with_message(self, tmp_path):
-        with pytest.raises(SystemExit, match="not a readable"):
-            main(
-                ["bench-compare",
-                 "--compare-old", str(tmp_path / "absent.json"),
-                 "--compare-new", str(tmp_path / "absent.json")]
-            )
 
 
 class TestPersistCommands:

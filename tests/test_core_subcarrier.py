@@ -8,6 +8,8 @@ from repro.channel.geometry import CylinderTarget, LinkGeometry
 from repro.channel.materials import default_catalog
 from repro.core.subcarrier import SubcarrierSelector
 from repro.csi.collector import DataCollector, SessionConfig
+from repro.csi.faults import AntennaDropout, inject_session
+from repro.csi.quality import CorruptTraceError
 from repro.csi.simulator import SimulationScene
 from repro.dsp.stats import phase_difference_variance
 
@@ -108,6 +110,14 @@ class TestSelection:
     def test_pooled_requires_sessions(self):
         with pytest.raises(ValueError, match="at least one session"):
             SubcarrierSelector().select_pooled([], (0, 1))
+
+    def test_pool_of_dead_chains_rejected(self, sessions):
+        dead = [
+            inject_session(s, (AntennaDropout(antenna=1),), seed=0)
+            for s in sessions
+        ]
+        with pytest.raises(CorruptTraceError, match="dead chain"):
+            SubcarrierSelector().pooled_variances(dead, (0, 1))
 
     def test_rank_pooled_full_ordering(self, sessions):
         selector = SubcarrierSelector()

@@ -7,7 +7,9 @@ from repro.channel.environment import make_environment
 from repro.channel.geometry import CylinderTarget, LinkGeometry
 from repro.channel.materials import default_catalog
 from repro.csi.collector import DataCollector, SessionConfig
+from repro.csi.faults import PacketLoss, inject_session
 from repro.csi.io import load_session, load_trace, save_session, save_trace
+from repro.csi.quality import assess_trace
 from repro.csi.simulator import SimulationScene
 
 
@@ -77,15 +79,39 @@ class TestBinaryTrace:
 
 class TestSessionArchive:
     def test_roundtrip(self, session, tmp_path):
+        # A lossy capture keeps its sequence gaps and receive times.
+        for loss in (0.0, 0.3):
+            saved = inject_session(session, (PacketLoss(loss),), seed=1)
+            path = tmp_path / f"session-{loss}.npz"
+            save_session(saved, path)
+            loaded = load_session(path)
+            assert loaded.material_name == "milk"
+            for before, after in (
+                (saved.baseline, loaded.baseline),
+                (saved.target, loaded.target),
+            ):
+                np.testing.assert_allclose(after.matrix(), before.matrix())
+                assert np.array_equal(after.timestamps(), before.timestamps())
+                assert np.array_equal(after.sequences, before.sequences)
+                assert (
+                    assess_trace(after).loss_rate
+                    == assess_trace(before).loss_rate
+                )
+            assert (assess_trace(loaded.target).loss_rate > 0) == (loss > 0)
+
+    def test_archive_without_bookkeeping_loads(self, session, tmp_path):
         path = tmp_path / "session.npz"
-        save_session(session, path)
-        loaded = load_session(path)
-        assert loaded.material_name == "milk"
-        np.testing.assert_allclose(
-            loaded.target.matrix(), session.target.matrix()
+        np.savez(
+            path,
+            baseline=session.baseline.matrix(),
+            target=session.target.matrix(),
+            carrier_hz=np.array([session.baseline.carrier_hz]),
+            material_name=np.array([session.material_name]),
         )
+        loaded = load_session(path)
+        assert np.array_equal(loaded.target.sequences, np.arange(6))
         np.testing.assert_allclose(
-            loaded.baseline.matrix(), session.baseline.matrix()
+            loaded.target.timestamps(), np.arange(6) * 0.01
         )
 
     def test_missing_arrays_rejected(self, tmp_path):

@@ -34,6 +34,7 @@ from repro.dsp.wavelet import (
     swt,
 )
 from repro.dsp.wavelet_denoise import SpatiallySelectiveDenoiser
+from repro.engine.cache import StageCache
 from repro.experiments.datasets import (
     collect_dataset,
     split_dataset,
@@ -343,24 +344,55 @@ def test_one_vs_one_shared_gram_matches_per_machine():
 # ----------------------------------------------------------------------
 
 
+@pytest.fixture(scope="module")
+def deployment():
+    """A WiMi fitted on three liquids, and its held-out test sessions."""
+    materials = [_CATALOG.get(n) for n in ("pure_water", "pepsi", "oil")]
+    dataset = collect_dataset(
+        materials, scene=standard_scene("lab"), repetitions=4,
+        num_packets=8, seed=0,
+    )
+    train, test = split_dataset(dataset)
+    wimi = WiMi(theory_reference_omegas(materials))
+    wimi.fit(train)
+    return wimi, test
+
+
+def _column_reference_denoise(self, x):
+    """The scalar 1-D reference denoiser, applied column by column."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 1:
+        return self._reference_denoise(x)
+    return np.column_stack(
+        [self._reference_denoise(x[:, k]) for k in range(x.shape[1])]
+    )
+
+
+def test_extract_batch_matches_scalar_reference(deployment, monkeypatch):
+    """Batched extraction on the vectorised kernels gives the Omega-bar
+    of per-session extraction on the scalar reference denoiser."""
+    wimi, test = deployment
+    batched = wimi.clone_view(cache=StageCache()).extract_batch(test)
+    monkeypatch.setattr(
+        SpatiallySelectiveDenoiser, "denoise", _column_reference_denoise
+    )
+    view = wimi.clone_view(cache=StageCache())
+    reference = [view.extract(session) for session in test]
+    assert max(
+        abs(a.omega_mean - b.omega_mean) for a, b in zip(batched, reference)
+    ) <= 1e-12
+
+
 @pytest.mark.parametrize("material_name", ["pure_water", "pepsi", "oil"])
-def test_streaming_features_equal_batch(material_name):
+def test_streaming_features_equal_batch(deployment, material_name):
     """The finalized stream is the batch answer, field for field.
 
     ``finalize()`` runs ``WiMi.extract`` on the buffered packets, so
     every feature field, the quality report and the label are ``==``
     the batch path's at chunk sizes 1, 7 and the whole trace.
     """
-    materials = [_CATALOG.get(n) for n in ("pure_water", "pepsi", "oil")]
-    scene = standard_scene("lab")
-    dataset = collect_dataset(
-        materials, scene=scene, repetitions=4, num_packets=8, seed=0
-    )
-    train, _ = split_dataset(dataset)
-    wimi = WiMi(theory_reference_omegas(materials))
-    wimi.fit(train)
-
-    collector = DataCollector(scene, rng=13)
+    wimi, _ = deployment
+    collector = DataCollector(standard_scene("lab"), rng=13)
     session = collector.collect(
         _CATALOG.get(material_name), SessionConfig(num_packets=48)
     )

@@ -1,30 +1,25 @@
-"""Report I/O and regression-gate logic of the ``repro bench`` harness.
+"""Report I/O, regression-gate and end-to-end gate logic of ``repro bench``.
 
 The suites themselves run in CI via ``repro bench <suite> --smoke``;
-these tests cover the shared plumbing so the gate's semantics are
-pinned without paying for a benchmark run.  Both gated suites go
-through the same code, so every report and gate test takes each of
-them as one more input (:data:`GATED`).
+these tests cover the shared plumbing so the gates' semantics are
+pinned without paying for a benchmark run.  Every report and baseline
+test takes each suite with gated timings as one more input
+(:data:`GATED`); the end-to-end gate is fed synthetic runs.
 """
 
 import json
+from pathlib import Path
 
 from repro.experiments.bench import (
     SUITES,
     compare_to_baseline,
-    diff_reports,
     load_report,
     render,
-    render_diff,
     write_report,
 )
-from repro.experiments.perfbench import run_suite
+from repro.experiments.e2ebench import e2e_verdict, render_report
 
 import pytest
-
-
-def _result(new_s):
-    return {"new_s": new_s, "baseline_s": new_s * 3, "speedup": 3.0}
 
 
 def _stream_result(seconds):
@@ -37,7 +32,6 @@ def _stream_result(seconds):
 
 #: ``(suite, benchmark name, result factory)`` for each gated suite.
 GATED = (
-    ("perf", "denoise", _result),
     ("stream", "stream_len48", _stream_result),
 )
 
@@ -87,7 +81,7 @@ class TestRegressionGate:
 
     def test_within_budget_passes(self):
         for suite, bench, make in GATED:
-            # Just inside each suite's own factor (2.0 perf, 3.0 stream).
+            # Just inside the suite's own factor (3.0 for stream).
             limit = SUITES[suite].max_regression
             current = {bench: make(0.1 * limit * 0.95)}
             baseline = self._baseline(bench, make)
@@ -123,83 +117,112 @@ class TestRegressionGate:
             assert _compare(suite, current, baseline, "smoke", 0.0) == []
 
 
-class TestDiffReports:
-    def _report(self, **benches):
-        return {"schema": 1, "suites": {"full": benches}}
-
-    def test_unchanged_report_is_all_ok(self):
-        report = self._report(denoise=_result(0.1))
-        diff = diff_reports(report, report)
-        entry = diff["suites"]["full"]["benchmarks"]["denoise"]
-        assert entry["status"] == "ok"
-        assert entry["time_ratio"] == pytest.approx(1.0)
-        assert entry["speedup_delta"] == pytest.approx(0.0)
-
-    def test_regression_and_improvement_flagged(self):
-        old = self._report(a=_result(0.1), b=_result(0.1))
-        new = self._report(a=_result(0.2), b=_result(0.05))
-        benches = diff_reports(old, new)["suites"]["full"]["benchmarks"]
-        assert benches["a"]["status"] == "regressed"
-        assert benches["b"]["status"] == "improved"
-
-    def test_within_threshold_is_ok(self):
-        old = self._report(a=_result(0.1))
-        new = self._report(a=_result(0.11))
-        benches = diff_reports(old, new)["suites"]["full"]["benchmarks"]
-        assert benches["a"]["status"] == "ok"
-
-    def test_added_and_removed_benchmarks_labelled(self):
-        old = self._report(gone=_result(0.1))
-        new = self._report(fresh=_result(0.1))
-        benches = diff_reports(old, new)["suites"]["full"]["benchmarks"]
-        assert benches["gone"]["status"] == "removed"
-        assert benches["fresh"]["status"] == "added"
-
-    def test_suite_on_one_side_only(self):
-        old = {"schema": 1, "suites": {"full": {"a": _result(0.1)}}}
-        new = {"schema": 1, "suites": {"smoke": {"a": _result(0.1)}}}
-        diff = diff_reports(old, new)
-        assert diff["suites"]["full"]["status"] == "removed"
-        assert diff["suites"]["smoke"]["status"] == "added"
-
-    def test_entries_without_timings_not_compared(self):
-        # Reports like BENCH_PR8.json carry benchmark-specific fields
-        # instead of new_s; the diff must pass them through untouched.
-        old = self._report(stream={"first_estimate_packets": 4})
-        new = self._report(stream={"first_estimate_packets": 5})
-        entry = diff_reports(old, new)["suites"]["full"]["benchmarks"]["stream"]
-        assert entry["status"] == "ok"
-        assert "time_ratio" not in entry
-
-    def test_threshold_disabled_reports_without_flagging(self):
-        old = self._report(a=_result(0.1))
-        new = self._report(a=_result(1.0))
-        benches = diff_reports(old, new, threshold=0)["suites"]["full"][
-            "benchmarks"
-        ]
-        assert benches["a"]["status"] == "ok"
-        assert benches["a"]["time_ratio"] == pytest.approx(10.0)
-
-    def test_render_diff_highlights_regressions(self):
-        old = self._report(a=_result(0.1))
-        new = self._report(a=_result(0.5))
-        text = render_diff(diff_reports(old, new), "old.json", "new.json")
-        assert "REGRESSED" in text
-        clean = render_diff(diff_reports(old, old), "old.json", "new.json")
-        assert "no regressions" in clean
-
-
-def test_unknown_mode_rejected():
-    with pytest.raises(ValueError, match="mode must be one of"):
-        run_suite("warp-speed")
-
-
 def test_render_report_mentions_regressions():
-    failing = {"denoise": _result(0.5), "gates": {"no_regression": False}}
-    text = render("perf", failing, [("denoise.new_s", 5.0)], 2.0)
-    assert "REGRESSION: denoise.new_s is 5.00x" in text
+    entry = {
+        **_stream_result(0.5),
+        "batch_identify_s": 0.1,
+        "last_window_ms": 1.0,
+        "predictions_identical": True,
+        "first_estimate_packets": 4,
+        "speedup_first_estimate": 2.0,
+    }
+    failing = {"stream_len48": entry, "gates": {"no_regression": False}}
+    text = render(
+        "stream", failing, [("stream_len48.finalize_s", 5.0)], 3.0
+    )
+    assert "REGRESSION: stream_len48.finalize_s is 5.00x" in text
     assert "GATES FAILED: no_regression" in text
-    passing = {"denoise": _result(0.5), "gates": {"no_regression": True}}
-    clean = render("perf", passing)
+    passing = {"stream_len48": entry, "gates": {"no_regression": True}}
+    clean = render("stream", passing)
     assert "REGRESSION" not in clean
     assert "all gates passed" in clean
+
+
+DECLARED = json.loads(
+    (Path(__file__).resolve().parent.parent / "BENCHMARK.json").read_text()
+)
+WORKLOADS = [workload["name"] for workload in DECLARED["workloads"]]
+BASE = {
+    "setup_s": 0.3, "identify_ms": 8.0, "accuracy": 1.0, "ok_frac": 1.0,
+    "peak_rss_mb": 120.0,
+}
+#: ``identify_ms`` of three runs with a tight (1%) spread.
+TIGHT = (7.9, 8.0, 8.1)
+
+
+def _run(correct=True, failed=0, **metrics):
+    """The last-line JSON of one wimibench run."""
+    values = {**BASE, **metrics}
+    return {
+        "correct": correct, "attempted": 100, "failed": failed,
+        "metrics": {name: {"value": v} for name, v in values.items()},
+    }
+
+
+def _verdict(parent_batch=(), change_batch=()):
+    """The gate over three identical runs per workload on each side,
+    except the ``batch`` runs given."""
+    def side(batch):
+        runs = {name: [_run() for _ in range(3)] for name in WORKLOADS}
+        if batch:
+            runs["batch"] = list(batch)
+        return runs
+
+    return e2e_verdict(side(parent_batch), side(change_batch), DECLARED)
+
+
+def _failed(verdict):
+    return sorted(gate for gate, ok in verdict["gates"].items() if not ok)
+
+
+class TestE2eVerdict:
+    def test_identical_runs_pass(self):
+        verdict = _verdict()
+        assert _failed(verdict) == []
+        assert set(verdict["workloads"]) == set(WORKLOADS)
+        for workload in verdict["workloads"].values():
+            assert {row["verdict"] for row in workload["metrics"].values()} \
+                == {"pass"}
+
+    def test_slower_identify_fails_and_is_named(self):
+        verdict = _verdict(
+            [_run(identify_ms=v) for v in TIGHT],
+            [_run(identify_ms=1.5 * v) for v in TIGHT],
+        )
+        assert _failed(verdict) == ["batch/identify_ms"]
+        row = verdict["workloads"]["batch"]["metrics"]["identify_ms"]
+        assert row["verdict"] == "fail"
+        assert row["n"] == [3, 3]
+        assert row["change"]["median"] == pytest.approx(12.0)
+        text = render_report(
+            {"parent_revision": "0" * 40, "pairs": 3, "seconds": 3.0,
+             "seed": 1, **verdict}
+        )
+        assert "batch/identify_ms" in text and "fail" in text
+
+    def test_memory_within_bound_passes(self):
+        verdict = _verdict(change_batch=[_run(peak_rss_mb=126.0)] * 3)
+        assert _failed(verdict) == []
+
+    def test_wide_parent_spread_is_unresolved(self):
+        wide = [_run(identify_ms=v) for v in (5.0, 8.0, 11.0)]
+        verdict = _verdict(wide, [_run(identify_ms=12.0)] * 3)
+        assert _failed(verdict) == []
+        rows = verdict["workloads"]["batch"]["metrics"]
+        assert rows["identify_ms"]["verdict"] == "unresolved"
+        # Unless every change run beats every parent run.
+        faster = _verdict(wide, [_run(identify_ms=4.0)] * 3)
+        rows = faster["workloads"]["batch"]["metrics"]
+        assert rows["identify_ms"]["verdict"] == "pass"
+
+    def test_incorrect_change_run_fails(self):
+        verdict = _verdict(change_batch=[_run(correct=False), _run(), _run()])
+        assert _failed(verdict) == ["batch/correct"]
+
+    def test_higher_failed_share_fails(self):
+        verdict = _verdict(change_batch=[_run(failed=1), _run(), _run()])
+        assert _failed(verdict) == ["batch/failed_share"]
+
+    def test_nonzero_exit_fails(self):
+        verdict = _verdict(change_batch=[None, _run(), _run()])
+        assert _failed(verdict) == ["batch/exit"]

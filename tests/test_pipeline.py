@@ -10,6 +10,7 @@ from repro.core.config import WiMiConfig
 from repro.core.feature import theory_reference_omegas
 from repro.core.pipeline import WiMi
 from repro.csi.collector import DataCollector
+from repro.csi.faults import AntennaDropout, inject_session
 from repro.csi.simulator import SimulationScene
 
 # The simulated int8 CSI quantization legitimately zeroes a
@@ -93,6 +94,23 @@ class TestCalibration:
     def test_empty_calibration_rejected(self):
         with pytest.raises(ValueError, match="calibration session"):
             WiMi(REFS).calibrate([])
+
+    def test_fit_survives_one_dead_chain_session(self, deployment):
+        # One training capture with a dead antenna 2 scores every
+        # subcarrier of the pairs touching it NaN; Eq. 7 pooling leaves
+        # it out instead of voiding those pairs for the deployment.
+        _, dataset = deployment
+        sessions = [s for group in dataset.values() for s in group[:3]]
+        sessions[-1] = inject_session(
+            sessions[-1], (AntennaDropout(antenna=2),), seed=0,
+            baseline_faults=(),
+        )
+        wimi = WiMi(REFS).fit(sessions)
+        for pair, subcarriers in wimi._subcarriers_by_pair.items():
+            assert subcarriers == wimi.subcarrier_selector.select_pooled(
+                sessions[:-1], pair, 4
+            )
+        assert any(2 in pair for pair in wimi._subcarriers_by_pair)
 
 
 class TestEndToEnd:
