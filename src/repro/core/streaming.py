@@ -18,7 +18,9 @@ hands the buffered capture to the batch pipeline when the stream ends:
 
 ``estimate()`` can be polled at any time for the preview Omega-bar with
 a per-window confidence; a poll is O(K): the mean log amplitude ratio of
-a pair is the difference of two running means.  The preview skips the
+a pair is the difference of two running means, and each preview term is
+rebuilt only when its input changes (phase grids per pushed packet,
+amplitude aggregates per landed window).  The preview skips the
 Eq. 8-13 correlation filter, so it tracks but does not equal the final
 answer.  ``finalize()`` builds the :class:`CaptureSession` from the
 buffered packets and returns exactly ``wimi.extract(session)`` and its
@@ -138,6 +140,10 @@ class _TraceStream:
         self._log_sum = np.zeros(channels)
         #: Running per-channel count of the samples in ``_log_sum``.
         self._count = np.zeros(channels, dtype=np.int64)
+        # The phase grids, built on first use and dropped by the one
+        # event that changes their input, a pushed packet.  Read-only, as
+        # callers get views of them.
+        self._phase_grids: dict[str, np.ndarray] = {}
         self._next_start = 0
         self.windows_denoised = 0
         self.carrier_hz: float | None = None
@@ -168,6 +174,7 @@ class _TraceStream:
         phase = np.angle(product)
         phase[product == 0] = np.nan
         self._phase.add(phase)
+        self._phase_grids.clear()
         n = len(self._rows)
         while self._next_start + window_size <= n:
             start = self._next_start
@@ -190,10 +197,22 @@ class _TraceStream:
             return self._pair_column[(i, j)], False
         return self._pair_column[(j, i)], True
 
+    def _phase_grid(self, statistic: str) -> np.ndarray:
+        """The ``(K, pairs)`` grid of a :class:`RunningCircularStats`
+        statistic (``"mean"``, ``"resultant_length"``), built at most
+        once per pushed packet."""
+        grid = self._phase_grids.get(statistic)
+        if grid is None:
+            grid = self._phase_grids[statistic] = getattr(
+                self._phase, statistic
+            )()
+            grid.flags.writeable = False
+        return grid
+
     def phase_mean(self, pair: tuple[int, int]) -> np.ndarray:
         """Per-subcarrier circular mean of the pair's phase difference."""
         column, reversed_pair = self._column(pair)
-        mean = self._phase.mean()[:, column]
+        mean = self._phase_grid("mean")[:, column]
         # angle(H_j conj H_i) = -angle(H_i conj H_j) per packet, and the
         # circular mean commutes with negation.
         return -mean if reversed_pair else mean
@@ -201,7 +220,7 @@ class _TraceStream:
     def phase_resultant(self, pair: tuple[int, int]) -> np.ndarray:
         """Per-subcarrier resultant length (concentration) of the pair."""
         column, _ = self._column(pair)
-        return self._phase.resultant_length()[:, column]
+        return self._phase_grid("resultant_length")[:, column]
 
     def mean_log_ratio(self, pair: tuple[int, int]) -> np.ndarray:
         """Per-subcarrier mean log amplitude ratio over landed windows.
@@ -264,6 +283,9 @@ class StreamingExtractor:
         self._omega_track = RunningVariance()
         self._tracked_windows = 0
         self._ratio_mad = RollingMad(window=4 * self.window_size)
+        #: Landed windows per trace and the amplitude aggregates built
+        #: from them (:meth:`_amplitude_aggregates`).
+        self._amplitude_memo = ((-1, -1), (math.nan, math.nan))
         #: The poll answer for the packets ingested so far (None: stale).
         self._poll: StreamingEstimate | None = None
         self._result: StreamingResult | None = None
@@ -343,25 +365,27 @@ class StreamingExtractor:
     # Observables from running state
     # ------------------------------------------------------------------
 
-    def _observables(
-        self, pair: tuple[int, int]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Preview Eq. 18/19 observables for ``pair``.
+    # Preview Eq. 18/19 observables for a pair: the same construction as
+    # the batch ``observables`` stage, with the running circular
+    # resultants standing in for the packet-axis circular mean and the
+    # running window means of log amplitude for the full-trace denoised
+    # cubes.
 
-        Same construction as the batch ``observables`` stage, with the
-        running circular resultants standing in for the packet-axis
-        circular mean and the running window means of log amplitude
-        standing in for the full-trace denoised cubes.
-        """
-        base = self._baseline
-        target = self._target
-        theta = -np.asarray(
-            wrap_phase(target.phase_mean(pair) - base.phase_mean(pair))
+    def _theta(self, pair: tuple[int, int]) -> np.ndarray:
+        """Per-subcarrier Eq. 18 phase observable of ``pair``."""
+        return -np.asarray(
+            wrap_phase(
+                self._target.phase_mean(pair)
+                - self._baseline.phase_mean(pair)
+            )
         )
-        neg_log_psi = -(
-            target.mean_log_ratio(pair) - base.mean_log_ratio(pair)
+
+    def _neg_log_psi(self, pair: tuple[int, int]) -> np.ndarray:
+        """Per-subcarrier Eq. 19 amplitude observable of ``pair``."""
+        return -(
+            self._target.mean_log_ratio(pair)
+            - self._baseline.mean_log_ratio(pair)
         )
-        return theta, neg_log_psi
 
     # ------------------------------------------------------------------
     # Polling
@@ -379,7 +403,9 @@ class StreamingExtractor:
 
         A poll does O(K) work on top of what ingest already paid: the
         phase resultants and the window log-amplitude sums are running
-        sums, and repeated polls between two packets return the same
+        sums, a trace's phase grids are rebuilt only after it took a
+        packet and the amplitude aggregates only after a window landed,
+        and repeated polls between two packets return the same
         snapshot.  NaN omega / zero confidence until both traces have at
         least one landed window.  Unlike :meth:`finalize` this
         aggregates NaN-tolerantly (a degraded subcarrier is simply
@@ -415,25 +441,18 @@ class StreamingExtractor:
         if self._baseline is None or self._target is None:
             return None
         wimi = self._wimi
-        pair = self._pair
-        sel = self._subcarriers
-        theta_all, neg_all = self._observables(pair)
-        theta_sel = theta_all[sel]
-        n_sel = neg_all[sel]
-        if not np.isfinite(theta_sel).any() or not np.isfinite(n_sel).any():
-            return None
-        theta_agg = circular_mean(theta_sel, ignore_nan=True)
-        n_agg = float(finite_mean(n_sel))
+        n_agg, c_n_agg = self._amplitude_aggregates()
+        theta_agg = circular_mean(
+            self._theta(self._pair)[self._subcarriers], ignore_nan=True
+        )
         if not (math.isfinite(theta_agg) and math.isfinite(n_agg)):
             return None
 
         # Coarse anchor from the calibrated small-lever pair, when live.
         omega_coarse = math.nan
-        coarse = wimi.calibrated_coarse_pair
-        if coarse is not None and tuple(coarse) != tuple(pair):
-            c_theta, c_n = self._observables(coarse)
-            c_theta_agg = circular_mean(c_theta, ignore_nan=True)
-            c_n_agg = float(finite_median(c_n))
+        coarse = self._coarse_pair()
+        if coarse is not None:
+            c_theta_agg = circular_mean(self._theta(coarse), ignore_nan=True)
             if math.isfinite(c_theta_agg) and math.isfinite(c_n_agg):
                 omega_coarse = coarse_omega_estimate(
                     c_theta_agg, c_n_agg, wimi.extractor.reference_omegas
@@ -451,6 +470,34 @@ class StreamingExtractor:
                 wimi.config.gamma_strategy,
             )
         return int(gamma), float(omega)
+
+    def _coarse_pair(self) -> tuple[int, int] | None:
+        """The calibrated coarse pair, when distinct from the main one."""
+        coarse = self._wimi.calibrated_coarse_pair
+        if coarse is None or tuple(coarse) == tuple(self._pair):
+            return None
+        return coarse
+
+    def _amplitude_aggregates(self) -> tuple[float, float]:
+        """Finite mean of the main pair's selected Eq. 19 observable and
+        finite median of the coarse pair's (NaN when absent or empty).
+
+        Both read only the landed windows, so they are rebuilt once per
+        landed window, not once per poll.
+        """
+        key = (self._baseline.windows_denoised, self._target.windows_denoised)
+        if self._amplitude_memo[0] != key:
+            n_agg = float(
+                finite_mean(self._neg_log_psi(self._pair)[self._subcarriers])
+            )
+            coarse = self._coarse_pair()
+            c_n_agg = (
+                math.nan
+                if coarse is None
+                else float(finite_median(self._neg_log_psi(coarse)))
+            )
+            self._amplitude_memo = (key, (n_agg, c_n_agg))
+        return self._amplitude_memo[1]
 
     def _snapshot(
         self, resolved: tuple[int, float] | None

@@ -70,9 +70,12 @@ def _sorted_median(
     ``kept`` non-NaN entries lead, and the median is read from their
     middle with ``np.median``'s order statistics ``(kept - 1) // 2`` and
     ``kept // 2`` and its ``(lo + hi) / 2`` -- bit-identical to
-    ``np.median`` of the kept values.  Callers map the entries they want
-    dropped to NaN first.  With ``skip_nan=False`` a slice holding a NaN
-    gives NaN instead, as in ``np.median``.
+    ``np.median`` of the kept values (up to the sign of a zero median
+    where ``-0.0`` and ``0.0`` tie at the middle: they compare equal, so
+    neither the sort nor ``np.median``'s partition orders them).
+    Callers map the entries they want dropped to NaN first.  With
+    ``skip_nan=False`` a slice holding a NaN gives NaN instead, as in
+    ``np.median``.
     """
     moved = np.moveaxis(x, axis, -1)
     n = moved.shape[-1]
@@ -94,13 +97,15 @@ def finite_median(x: np.ndarray, axis: int | None = None) -> float | np.ndarray:
     """Median over finite entries only; NaN where a slice has none.
 
     Silent on all-NaN slices, unlike ``np.nanmedian`` (whose
-    RuntimeWarning the robustness CI job promotes to an error).
+    RuntimeWarning the robustness CI job promotes to an error).  Every
+    median is one :func:`_sorted_median` row sort, bit-identical to
+    ``np.median`` of the finite entries.
     """
     x = np.asarray(x, dtype=float)
     mask = np.isfinite(x)
     if axis is None:
         values = x[mask]
-        return float(np.median(values)) if values.size else math.nan
+        return float(_sorted_median(values, 0)) if values.size else math.nan
     return _sorted_median(np.where(mask, x, math.nan), axis)
 
 

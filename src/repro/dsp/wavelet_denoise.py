@@ -120,6 +120,17 @@ def remove_outliers(
     ``x`` may be 1-D or 2-D ``(time, channels)``; in the 2-D form every
     channel column is screened against its own mean/std.
 
+    Fewer than ``num_sigmas**2`` samples cannot hold an outlier, so such
+    input is returned unchanged without the screen.  ``np.std`` measures
+    the spread about the same computed mean the screen centres on, and
+    about any centre one sample's squared deviation is at most the sum
+    of all ``n``, so no z-score exceeds ``sqrt(n)``, whatever the
+    rounding of the mean.  At ``num_sigmas = 3`` that skips up to 8
+    samples (the default 8-packet stream windows), where ``sqrt(n)`` is
+    at least 6% below the threshold, far beyond rounding.  From
+    ``n = num_sigmas**2`` on the screen runs: Samuelson's ``sqrt(n - 1)``
+    bound about the exact mean does not cover a rounded one.
+
     Returns:
         ``(cleaned, outlier_mask)``.
     """
@@ -128,6 +139,8 @@ def remove_outliers(
         raise ValueError("expected a non-empty signal")
     if num_sigmas <= 0:
         raise ValueError(f"num_sigmas must be positive, got {num_sigmas}")
+    if x.shape[0] < num_sigmas**2:
+        return series.copy(), np.zeros(series.shape, dtype=bool)
     mu = np.mean(x, axis=0)
     sigma = np.std(x, axis=0)
     mask = np.zeros(x.shape, dtype=bool)

@@ -347,3 +347,37 @@ class TestNanAwareStatistics:
                 for v in slices
             ]
             assert np.array_equal(got, expected, equal_nan=True)
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 8, 9, 30, 31, 200])
+    def test_finite_median_scalar_is_median_of_finite_entries(self, size):
+        """``axis=None``: bit for bit ``np.median`` of the finite entries,
+        on odd, even and single-element inputs, ties included."""
+        import warnings
+
+        rng = np.random.default_rng(size)
+        for trial in range(20):
+            values = rng.standard_normal(size)
+            if trial % 2:
+                values = np.round(values, 1)  # ties at the middle
+                # Neither a sort nor np.median's partition orders -0.0
+                # against 0.0, so only the sign of a zero median could
+                # differ; keep the zeros positive.
+                values[values == 0.0] = 0.0
+            holed = np.concatenate(
+                [values, [np.nan, np.inf, -np.inf][: trial % 4]]
+            )
+            rng.shuffle(holed)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                got = finite_median(holed)
+            want = np.median(holed[np.isfinite(holed)])
+            assert isinstance(got, float)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    def test_finite_median_scalar_nan_when_nothing_is_finite(self):
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for x in ([], [np.nan], [np.inf, -np.inf, np.nan]):
+                assert math.isnan(finite_median(np.asarray(x, dtype=float)))

@@ -22,7 +22,7 @@ from repro.core.feature import theory_reference_omegas
 from repro.core.config import WiMiConfig
 from repro.core.pipeline import WiMi
 from repro.core.amplitude import _AMPLITUDE_EPS
-from repro.core.streaming import _TraceStream
+from repro.core.streaming import StreamingExtractor, _TraceStream
 from repro.csi.collector import DataCollector, SessionConfig
 from repro.csi.faults import AntennaDropout, SubcarrierErasure, inject_session
 from repro.csi.quality import DegradedTraceWarning
@@ -439,9 +439,9 @@ def _window_oracle(config):
 def wide_window(fitted):
     """The ``fitted`` deployment with 16-packet windows every 8 packets.
 
-    A 3-sigma outlier needs at least 11 samples (the largest z-score
-    among n samples is (n - 1) / sqrt(n)), so only windows this wide let
-    the preview's outlier rejection change anything.
+    A 3-sigma outlier needs at least 11 samples (the largest population
+    z-score among n samples is sqrt(n - 1)), so only windows this wide
+    let the preview's outlier rejection change anything.
     """
     wimi, session = fitted
     catalog = default_catalog()
@@ -454,11 +454,33 @@ def wide_window(fitted):
     return WiMi(theory_reference_omegas(materials), config).fit(train)
 
 
+def _swap_memos(stream, memos=None):
+    """Install ``memos`` as ``stream``'s memoized preview terms (None:
+    none at all) and return the ones it held."""
+    traces = (stream._baseline, stream._target)
+    held = (
+        [trace._phase_grids for trace in traces],
+        stream._amplitude_memo,
+    )
+    if memos is None:
+        memos = ([{}, {}], ((-1, -1), (math.nan, math.nan)))
+    grids, stream._amplitude_memo = memos
+    for trace, phase in zip(traces, grids):
+        trace._phase_grids = dict(phase)
+    return held
+
+
 class TestPollPath:
     def test_every_poll_equals_an_unmemoized_recompute(
         self, fitted, wide_window, long_session, monkeypatch
     ):
-        """Per-packet polls == the preview rebuilt from the windows."""
+        """Per-packet polls == the preview rebuilt from the windows.
+
+        The reference side reads no memo: every memo is dropped before
+        the recompute, and the stream's own memos are put back after it,
+        so the next poll neither reads what the reference built nor
+        misses a stale memo the stream failed to drop.
+        """
         for wimi in (fitted[0], wide_window):
             stream = wimi.clone_view().streaming_extractor(
                 scene=long_session.scene
@@ -469,9 +491,11 @@ class TestPollPath:
             for packet in long_session.target.packets:
                 stream.push_target(packet)
                 polled = stream.estimate()
+                held = _swap_memos(stream)
                 with monkeypatch.context() as patch:
                     patch.setattr(_TraceStream, "mean_log_ratio", oracle)
                     reference = stream._snapshot(stream._resolve())
+                _swap_memos(stream, held)
                 if polled.ready:
                     ready += 1
                     assert polled == reference
@@ -536,6 +560,82 @@ class TestPollPath:
         )
         for trace in (stream._baseline, stream._target):
             assert trace._log_sum.shape == trace._count.shape == (channels,)
+
+    @pytest.mark.parametrize("chunk_size", [1, 7])
+    def test_preview_terms_rebuild_only_on_their_event(
+        self, fitted, long_session, monkeypatch, chunk_size
+    ):
+        """Counted work: a poll rebuilds only what the last packet changed.
+
+        The baseline's phase grids are built once after its last packet,
+        however many polls follow; the target's at most once per packet;
+        and the amplitude aggregates once per landed window, not per
+        poll.
+        """
+        builds: dict[tuple[int, str], int] = {}
+
+        def counted(name):
+            statistic = getattr(RunningCircularStats, name)
+
+            def build(self):
+                key = (id(self), name)
+                builds[key] = builds.get(key, 0) + 1
+                return statistic(self)
+
+            monkeypatch.setattr(RunningCircularStats, name, build)
+
+        counted("mean")
+        counted("resultant_length")
+        aggregates: list[tuple[int, int]] = []
+        neg_log_psi = StreamingExtractor._neg_log_psi
+
+        def counting_neg_log_psi(self, pair):
+            if pair == self._pair:
+                aggregates.append(
+                    (self._baseline.windows_denoised,
+                     self._target.windows_denoised)
+                )
+            return neg_log_psi(self, pair)
+
+        monkeypatch.setattr(
+            StreamingExtractor, "_neg_log_psi", counting_neg_log_psi
+        )
+
+        wimi, _ = fitted
+        stream = wimi.clone_view(cache=StageCache()).streaming_extractor(
+            scene=long_session.scene
+        )
+        stream.push_baseline(long_session.baseline)
+        packets = list(long_session.target.packets)
+        per_chunk: list[dict] = []
+        for start in range(0, len(packets), chunk_size):
+            before = dict(builds)
+            stream.push_target(packets[start:start + chunk_size])
+            for _ in range(3):
+                stream.estimate()
+                stream._poll = None  # force a recompute, as a new caller
+            per_chunk.append(
+                {k: builds.get(k, 0) - before.get(k, 0) for k in builds}
+            )
+        stream.finalize()
+
+        base = id(stream._baseline._phase)
+        target = id(stream._target._phase)
+        assert builds[(base, "mean")] == 1
+        assert builds[(base, "resultant_length")] == 1
+        for counts, start in zip(
+            per_chunk, range(0, len(packets), chunk_size)
+        ):
+            pushed = len(packets[start:start + chunk_size])
+            assert 1 <= counts[(target, "mean")] <= pushed
+            assert counts.get((target, "resultant_length"), 0) <= pushed
+        # Each window state is aggregated once, whatever the polls: the
+        # state before the first target window, then one per window.
+        baseline_windows = stream._baseline.windows_denoised
+        assert aggregates == [
+            (baseline_windows, w)
+            for w in range(stream._target.windows_denoised + 1)
+        ]
 
 
 class TestFaultInjectedStreaming:

@@ -1,5 +1,7 @@
 """Tests for the spatially-selective wavelet denoiser (Eq. 8-13)."""
 
+import importlib
+import math
 import pickle
 import threading
 import tracemalloc
@@ -161,6 +163,87 @@ class TestOutlierRemovalOracle:
         mask = self._assert_matches_oracle(x)
         assert mask[:, [0, 3]].any(axis=0).all()
         assert not mask[:, [2, 5, 6]].any()
+
+
+class TestOutlierScreenGuard:
+    """Below ``num_sigmas**2`` samples the screen is skipped.
+
+    About any centre, and so about the rounded mean ``np.std`` shares
+    with the screen, the z-score of a sample among ``n`` is at most
+    ``sqrt(n)``, so a shorter input can flag nothing and the guard
+    returns it as is.
+    """
+
+    SIGMAS = (3.0, 2.0, 1.5, math.sqrt(7.0) + 1e-12)
+
+    @staticmethod
+    def _columns(n, rng):
+        """A random column, a single spike, a spike on noise, a constant."""
+        spike = np.zeros(n)
+        spike[n // 2] = 5.0
+        noisy = 1.0 + 0.01 * rng.standard_normal(n)
+        noisy[-1] = -40.0
+        return np.column_stack(
+            [rng.standard_normal(n), spike, noisy, np.full(n, 2.0)]
+        )
+
+    @staticmethod
+    def _count_screens(monkeypatch):
+        # The package re-exports a function of the module's name.
+        wd = importlib.import_module("repro.dsp.wavelet_denoise")
+        calls = []
+        sorted_median = wd._sorted_median
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return sorted_median(*args, **kwargs)
+
+        monkeypatch.setattr(wd, "_sorted_median", counting)
+        return calls
+
+    @pytest.mark.parametrize("num_sigmas", SIGMAS)
+    def test_guarded_equals_the_full_screen(self, num_sigmas, monkeypatch):
+        calls = self._count_screens(monkeypatch)
+        rng = np.random.default_rng(3)
+        for n in range(1, 11):
+            x = self._columns(n, rng)
+            calls.clear()
+            cleaned, mask = remove_outliers(x, num_sigmas)
+            guarded = n < num_sigmas**2
+            assert (not calls) == guarded, n  # the guard does no sort
+            ref_clean, ref_mask = _oracle_remove_outliers(x, num_sigmas)
+            assert np.array_equal(mask, ref_mask), n
+            assert np.array_equal(cleaned, ref_clean), n
+            if guarded:
+                assert not ref_mask.any()
+                assert cleaned is not x
+            for c in range(x.shape[1]):  # the 1-D form takes the same path
+                got, got_mask = remove_outliers(x[:, c], num_sigmas)
+                assert np.array_equal(got, ref_clean[:, c])
+                assert np.array_equal(got_mask, ref_mask[:, c])
+
+    def test_tie_and_longer_inputs_run_the_screen(self, monkeypatch):
+        calls = self._count_screens(monkeypatch)
+        rng = np.random.default_rng(4)
+        # n = 9, 10 at 3 sigma: the z-score bound about the rounded mean,
+        # sqrt(n), reaches 3, so only rounding keeps these from a flag.
+        for n in (9, 10):
+            x = self._columns(n, rng)
+            # Equal values and one a few ulps off: the computed mean can
+            # round onto the common value.
+            x[:, 3] = 2.0
+            x[-1, 3] = np.nextafter(np.nextafter(2.0, 3.0), 3.0)
+            calls.clear()
+            cleaned, mask = remove_outliers(x, 3.0)
+            assert len(calls) == 1, n
+            ref_clean, ref_mask = _oracle_remove_outliers(x, 3.0)
+            assert np.array_equal(mask, ref_mask), n
+            assert np.array_equal(cleaned, ref_clean), n
+        x = self._columns(16, rng)
+        calls.clear()
+        _, mask = remove_outliers(x, 3.0)
+        assert len(calls) == 1
+        assert mask[8, 1] and mask[-1, 2]  # sqrt(15) > 3: spikes flagged
 
 
 class TestDenoiser:
