@@ -174,8 +174,6 @@ def _bench(args) -> str:
         seed=args.seed,
         workers=args.workers,
         output=args.output,
-        baseline=args.baseline,
-        max_regression=args.max_regression,
         progress=lambda name: print(f"  {name}...", flush=True),
     )
     if not passed:
@@ -306,17 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     suites.add_argument(
         "--output", default=None,
         help="JSON report to write/merge (default: the suite's committed "
-        "artifact, none for e2e, serve and cache)",
-    )
-    suites.add_argument(
-        "--baseline", default=None,
-        help="report to compare gated timings against (default: the "
-        "suite's committed artifact)",
-    )
-    suites.add_argument(
-        "--max-regression", type=float, default=None,
-        help="fail when a gated timing exceeds this multiple of the "
-        "baseline's (default: stream 3.0; <= 0 disables)",
+        "artifact; none for e2e, serve and cache, which commit no report)",
     )
     persist = parser.add_argument_group("store options")
     persist.add_argument(
@@ -331,7 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
-    """Parse ``argv``, filling a bench suite's defaults from its table entry.
+    """Parse ``argv``, defaulting a bench suite's ``--output`` to its
+    committed artifact.
 
     ``bench`` without a suite, or a suite after any other command, exits
     with argparse's status 2 and names the suites.
@@ -345,13 +334,8 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
         return args
     if args.suite is None:
         parser.error(f"bench needs a suite, one of: {names}")
-    suite = bench.SUITES[args.suite]
     if args.output is None:
-        args.output = suite.artifact
-    if args.baseline is None:
-        args.baseline = suite.artifact
-    if args.max_regression is None:
-        args.max_regression = suite.max_regression
+        args.output = bench.SUITES[args.suite].artifact
     return args
 
 

@@ -1,23 +1,21 @@
 """One harness behind ``repro bench <suite>``.
 
-Every component benchmark is one :class:`Suite` in :data:`SUITES`: how
-to run it, how to render its results, which committed artifact it
-writes, and which timing fields the regression gate compares against
-that artifact.  The runner (:func:`run_bench`) is the only code that
-loads baselines, writes reports and decides the exit status, so every
-suite shares one report layout::
+Every benchmark is one :class:`Suite` in :data:`SUITES`: how to run it,
+how to render its results and which committed artifact it writes.  The
+runner (:func:`run_bench`) is the only code that writes reports and
+decides the exit status, so every suite shares one report layout::
 
     {"schema": 1, "benchmark": <suite>, "suites": {<mode>: results}}
 
 with ``smoke`` and ``full`` results stored side by side.  Each result
-carries a ``gates`` dict of named booleans; the runner adds a
-``no_regression`` gate for suites with gated timing fields and fails
-when any gate is false.
+carries a ``gates`` dict of named booleans, and the runner fails when
+any gate is false.
 
-The ``e2e`` suite is the speed gate: it runs the end-to-end benchmark
-(``wimibench/``) on the change and on its parent and judges them by the
-bounds ``BENCHMARK.json`` declares.  The other suites measure components
-and guard their contracts.
+The ``e2e`` suite is the only timing gate: it runs the end-to-end
+benchmark (``wimibench/``) on the change and on its parent and judges
+them by the bounds ``BENCHMARK.json`` declares, the streamed session's
+first estimate and finalize included.  The other suites measure
+components and guard their contracts.
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ from __future__ import annotations
 import json
 import time
 from pathlib import Path
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 from repro.channel.materials import default_catalog
 from repro.core.feature import theory_reference_omegas
@@ -36,7 +34,6 @@ from repro.experiments import (
     e2ebench,
     robustness,
     soakbench,
-    streambench,
     warmbench,
 )
 from repro.experiments.datasets import (
@@ -57,17 +54,13 @@ class Suite(NamedTuple):
     #: runner, not by the suite).
     render: Callable[[dict], str]
     description: str
-    #: Committed report the suite writes by default and compares its
-    #: gated timings against; None for suites without one.
+    #: Committed report the suite writes by default; None for suites
+    #: without one.
     artifact: str | None = None
-    #: Per-benchmark timing fields the regression gate compares.
-    gated_fields: tuple[str, ...] = ()
-    #: Default regression factor for ``gated_fields``.
-    max_regression: float = 0.0
 
 
 # ----------------------------------------------------------------------
-# Report I/O and the baseline comparison (shared by every suite)
+# Report I/O (shared by every suite)
 # ----------------------------------------------------------------------
 
 
@@ -98,38 +91,6 @@ def write_report(
         json.dumps(report, indent=2, sort_keys=True, default=str) + "\n"
     )
     return report
-
-
-def compare_to_baseline(
-    results: dict,
-    baseline: dict | None,
-    mode: str,
-    fields: tuple[str, ...],
-    max_regression: float,
-) -> list[tuple[str, float]]:
-    """Gated timings that regressed beyond ``max_regression``.
-
-    Compares each benchmark's ``fields`` against the same benchmark in
-    the baseline's ``mode`` results.  Returns ``("bench.field", ratio)``
-    pairs; empty when there is no baseline for ``mode`` (first run), the
-    gate is disabled (``max_regression <= 0``) or nothing regressed.
-    """
-    if baseline is None or max_regression <= 0:
-        return []
-    committed = baseline.get("suites", {}).get(mode, {})
-    regressions = []
-    for name, current in results.items():
-        reference = committed.get(name)
-        if not isinstance(reference, dict):
-            continue
-        for field in fields:
-            committed_s = reference.get(field)
-            if not committed_s or committed_s <= 0:
-                continue
-            ratio = current[field] / committed_s
-            if ratio > max_regression:
-                regressions.append((f"{name}.{field}", ratio))
-    return regressions
 
 
 # ----------------------------------------------------------------------
@@ -294,19 +255,6 @@ SUITES: dict[str, Suite] = {
         e2ebench.run_suite, e2ebench.render_report,
         "wimibench on the change vs its parent, by BENCHMARK.json bounds",
     ),
-    # The gated quantities are millisecond-scale, hence the loose 3x.
-    # ``stream_total_s`` catches per-packet work that grows with the
-    # trace length (an O(n^2) stream) even when the first estimate and
-    # the finalize stay fast.
-    "stream": Suite(
-        streambench.run_suite, streambench.render_report,
-        "streaming time-to-first-estimate vs batch latency",
-        artifact="BENCH_PR8.json",
-        gated_fields=(
-            "time_to_first_estimate_s", "finalize_s", "stream_total_s",
-        ),
-        max_regression=3.0,
-    ),
     "warm": Suite(
         warmbench.run_suite, warmbench.render_report,
         "cold train-and-serve vs registry warm start",
@@ -336,20 +284,10 @@ SUITES: dict[str, Suite] = {
 }
 
 
-def render(
-    name: str,
-    results: dict,
-    regressions: Sequence[tuple[str, float]] = (),
-    max_regression: float = 0.0,
-) -> str:
+def render(name: str, results: dict) -> str:
     """The suite's own summary followed by the gate verdict."""
     gates = results.get("gates", {})
     lines = [SUITES[name].render(results)]
-    for key, ratio in regressions:
-        lines.append(
-            f"  REGRESSION: {key} is {ratio:.2f}x the committed baseline "
-            f"(limit {max_regression:g}x)"
-        )
     failed = sorted(gate for gate, passed in gates.items() if not passed)
     if failed:
         lines.append(f"  GATES FAILED: {', '.join(failed)}")
@@ -367,29 +305,13 @@ def run_bench(
     seed: int = 1,
     workers: int = 2,
     output: str | Path | None = None,
-    baseline: str | Path | None = None,
-    max_regression: float = 0.0,
     progress: Callable[[str], None] | None = None,
 ) -> tuple[str, bool]:
-    """Run one suite; returns ``(rendered report, every gate passed)``.
-
-    The baseline is read before the report is written, so ``output`` and
-    ``baseline`` may name the same committed artifact.
-    """
-    suite = SUITES[name]
+    """Run one suite; returns ``(rendered report, every gate passed)``."""
     mode = "smoke" if smoke else "full"
-    committed = (
-        load_report(baseline) if suite.gated_fields and baseline else None
-    )
-    results = suite.run(mode, seed, workers, progress)
+    results = SUITES[name].run(mode, seed, workers, progress)
     gates = results.setdefault("gates", {})
-    regressions = []
-    if suite.gated_fields:
-        regressions = compare_to_baseline(
-            results, committed, mode, suite.gated_fields, max_regression
-        )
-        gates["no_regression"] = not regressions
-    text = render(name, results, regressions, max_regression)
+    text = render(name, results)
     if output is not None:
         write_report(output, name, mode, results)
         text += f"\n  report written to {output}"

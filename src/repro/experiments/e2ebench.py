@@ -15,7 +15,9 @@ The change's ``wimibench/`` and ``BENCHMARK.json`` are copied over the
 parent worktree first, so both sides run the same benchmark code.  Runs
 alternate which side goes first, pair by pair, for every workload
 ``BENCHMARK.json`` declares.  :func:`e2e_verdict` turns the runs into the
-gate by ``BENCHMARK.json``'s own bounds.
+gate by ``BENCHMARK.json``'s own bounds.  The ``stream`` workload's
+first estimate and finalize, from wimibench's details line, are judged
+as two more rows by the ``identify_ms`` bound.
 """
 
 from __future__ import annotations
@@ -35,6 +37,11 @@ PLAN = {"smoke": (3, 3.0), "full": (10, None)}
 #: A run still going this many seconds past its ``--seconds`` is killed
 #: and counts as a failed run.
 RUN_GRACE_S = 600.0
+
+#: Latencies from wimibench's details line that get a row of their own,
+#: judged by the ``identify_ms`` bound, on any workload whose runs all
+#: report them (today ``stream``).
+DETAIL_METRICS = ("first_estimate_ms", "finalize_ms")
 
 
 def _git(root: Path, *args: str) -> subprocess.CompletedProcess:
@@ -66,7 +73,11 @@ def run_once(
     seconds: float,
 ) -> dict | None:
     """The last-line JSON of one benchmark run, or None when the run
-    exited non-zero, timed out or printed no JSON."""
+    exited non-zero, timed out or printed no JSON.
+
+    The details line printed just before it is kept under ``"details"``
+    (empty when there is none or it is not JSON).
+    """
     try:
         proc = subprocess.run(
             [*command, "--workload", workload, "--seed", str(seed),
@@ -80,9 +91,15 @@ def run_once(
     if proc.returncode != 0 or not lines:
         return None
     try:
-        return json.loads(lines[-1])
+        result = json.loads(lines[-1])
     except json.JSONDecodeError:
         return None
+    try:
+        details = json.loads(lines[-2]) if len(lines) > 1 else {}
+    except json.JSONDecodeError:
+        details = {}
+    result["details"] = details if isinstance(details, dict) else {}
+    return result
 
 
 def _quartiles(values: list[float]) -> dict:
@@ -131,15 +148,19 @@ def e2e_verdict(
 ) -> dict:
     """The gate over both sides' runs, per workload.
 
-    ``*_runs`` map each workload to the last-line JSON of its runs (None
-    for a run that exited non-zero); ``declared`` is ``BENCHMARK.json``.
-    Every end-to-end metric gets a row (:func:`_metric_row`), and every
-    workload three more gates: all runs exited zero (``exit``), no change
+    ``*_runs`` map each workload to :func:`run_once`'s result for each
+    of its runs (None for a failed run); ``declared`` is
+    ``BENCHMARK.json``.
+    Every end-to-end metric gets a row (:func:`_metric_row`), and so does
+    each of :data:`DETAIL_METRICS` that every run on both sides reports
+    in its ``details``, by the ``identify_ms`` spec.  Every workload has
+    three more gates: all runs exited zero (``exit``), no change
     run printed ``"correct": false`` (``correct``), and the change's
     summed ``failed/attempted`` is no higher than the parent's
     (``failed_share``).  ``gates`` names each as ``workload/check``.
     """
     sides = {"parent": parent_runs, "change": change_runs}
+    specs = {spec["name"]: spec for spec in declared["end_to_end"]}
     workloads: dict[str, dict] = {}
     gates: dict[str, bool] = {}
     for name in change_runs:
@@ -158,7 +179,18 @@ def e2e_verdict(
                 rows[metric] = _metric_row(
                     values["parent"], values["change"], spec
                 )
-                gates[f"{name}/{metric}"] = rows[metric]["verdict"] != "fail"
+            for metric in DETAIL_METRICS:
+                values = {
+                    side: [r["details"].get(metric) for r in ran[side]]
+                    for side in ran
+                }
+                if None not in values["parent"] + values["change"]:
+                    rows[metric] = _metric_row(
+                        values["parent"], values["change"],
+                        specs["identify_ms"],
+                    )
+            for metric, row in rows.items():
+                gates[f"{name}/{metric}"] = row["verdict"] != "fail"
         shares = {side: _failed_share(ran[side]) for side in ran}
         gates[f"{name}/exit"] = all(
             None not in runs[name] for runs in sides.values()

@@ -10,7 +10,6 @@ from repro.experiments import bench, clusterbench, warmbench
 #: Each suite's committed artifact (None: the suite commits no report).
 ARTIFACTS = {
     "e2e": None,
-    "stream": "BENCH_PR8.json",
     "warm": "BENCH_PR6.json",
     "cluster": "BENCH_PR7.json",
     "soak": "SOAK_PR10.json",
@@ -19,14 +18,15 @@ ARTIFACTS = {
     "cache": None,
 }
 
-#: Per-bench flags that folded into --output/--baseline/--max-regression
-#: or went away with the per-bench commands and ``bench-compare``.
+#: Per-bench flags that folded into --output or went away with the
+#: per-bench commands, ``bench-compare`` and the committed-baseline
+#: regression gate.
 REMOVED_FLAGS = (
     "--stream-output", "--stream-baseline", "--stream-max-regression",
     "--warm-output", "--cluster-output", "--soak-output",
     "--robustness-output", "--json-out", "--batch-size",
     "--queue-capacity", "--repeat", "--compare-old", "--compare-new",
-    "--compare-threshold",
+    "--compare-threshold", "--baseline", "--max-regression",
 )
 
 
@@ -139,17 +139,10 @@ class TestBenchSuites:
     def test_default_output_is_the_committed_artifact(self, name):
         args = parse_args(["bench", name])
         assert args.output == ARTIFACTS[name]
-        assert args.baseline == ARTIFACTS[name]
-        assert args.max_regression == bench.SUITES[name].max_regression
-
-    def test_regression_factors(self):
-        assert bench.SUITES["stream"].gated_fields == (
-            "time_to_first_estimate_s", "finalize_s", "stream_total_s",
-        )
-        assert bench.SUITES["stream"].max_regression == 3.0
 
     @pytest.mark.parametrize(
-        "argv", [["bench"], ["bench", "nope"]], ids=["missing", "unknown"]
+        "argv", [["bench"], ["bench", "nope"], ["bench", "stream"]],
+        ids=["missing", "unknown", "removed"],
     )
     def test_missing_or_unknown_suite_exits_2(self, argv, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -162,7 +155,7 @@ class TestBenchSuites:
     @pytest.mark.parametrize("flag", REMOVED_FLAGS)
     def test_removed_flag_exits_2(self, flag):
         with pytest.raises(SystemExit) as excinfo:
-            main(["bench", "stream", flag, "1"])
+            main(["bench", "cache", flag, "1"])
         assert excinfo.value.code == 2
 
     def test_warm_runs_end_to_end(self, tmp_path, capsys):
@@ -178,35 +171,6 @@ class TestBenchSuites:
         }
         assert all(gates.values())
         assert "all gates passed (3)" in capsys.readouterr().out
-
-    def test_stream_smoke_gates_on_the_baseline(self, tmp_path):
-        path = tmp_path / "stream.json"
-        assert main(
-            ["bench", "stream", "--smoke", "--output", str(path),
-             "--baseline", str(tmp_path / "absent.json")]
-        ) == 0
-        report = json.loads(path.read_text())
-        assert report["benchmark"] == "stream"
-        smoke = report["suites"]["smoke"]
-        assert smoke["gates"] == {
-            "no_regression": True,
-            "predictions_identical": True,
-        }
-        # A baseline far faster than this machine trips the 3x gate.
-        fast = json.loads(path.read_text())
-        for name, entry in fast["suites"]["smoke"].items():
-            if name != "gates":
-                for field in bench.SUITES["stream"].gated_fields:
-                    entry[field] /= 10.0
-        fast_path = tmp_path / "fast.json"
-        fast_path.write_text(json.dumps(fast))
-        with pytest.raises(SystemExit) as excinfo:
-            main(
-                ["bench", "stream", "--smoke", "--output", str(path),
-                 "--baseline", str(fast_path)]
-            )
-        assert excinfo.value.code not in (None, 0)
-        assert "GATES FAILED: no_regression" in str(excinfo.value)
 
 
 def _warm_results(**overrides) -> dict:

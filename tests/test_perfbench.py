@@ -1,39 +1,39 @@
-"""Report I/O, regression-gate and end-to-end gate logic of ``repro bench``.
+"""Report I/O, gate rendering and end-to-end gate logic of ``repro bench``.
 
 The suites themselves run in CI via ``repro bench <suite> --smoke``;
 these tests cover the shared plumbing so the gates' semantics are
-pinned without paying for a benchmark run.  Every report and baseline
-test takes each suite with gated timings as one more input
-(:data:`GATED`); the end-to-end gate is fed synthetic runs.
+pinned without paying for a benchmark run.  Report tests take a
+``cache`` result (:func:`_cache_result`); the end-to-end gate is fed
+synthetic runs.
 """
 
 import json
+import sys
 from pathlib import Path
 
-from repro.experiments.bench import (
-    SUITES,
-    compare_to_baseline,
-    load_report,
-    render,
-    write_report,
-)
-from repro.experiments.e2ebench import e2e_verdict, render_report
+from repro.experiments.bench import load_report, render, write_report
+from repro.experiments.e2ebench import e2e_verdict, render_report, run_once
 
 import pytest
 
 
-def _stream_result(seconds):
+def _cache_result(repeat_denoise=0):
+    """A raw ``cache`` suite result; a non-zero ``repeat_denoise`` fails
+    its ``repeat_pass_zero_denoise`` gate."""
     return {
-        "time_to_first_estimate_s": seconds,
-        "finalize_s": seconds,
-        "stream_total_s": seconds,
+        "seed": 1, "train_sessions": 12, "test_sessions": 6,
+        "stages": {
+            "amplitude_denoise": {
+                "misses": 18, "memory_hits": 6, "disk_hits": 0,
+                "hit_rate": 0.25,
+            },
+        },
+        "denoise_executions": {"first": 6, "repeat": repeat_denoise},
+        "gates": {
+            "repeat_pass_zero_denoise": repeat_denoise == 0,
+            "predictions_identical": True,
+        },
     }
-
-
-#: ``(suite, benchmark name, result factory)`` for each gated suite.
-GATED = (
-    ("stream", "stream_len48", _stream_result),
-)
 
 
 class TestReportIO:
@@ -48,94 +48,25 @@ class TestReportIO:
         assert load_report(path) is None
 
     def test_write_merges_suites(self, tmp_path):
-        for suite, bench, make in GATED:
-            path = tmp_path / f"{suite}.json"
-            write_report(path, suite, "full", {bench: make(0.1)})
-            report = write_report(path, suite, "smoke", {bench: make(0.02)})
-            assert report["schema"] == 1
-            assert report["benchmark"] == suite
-            assert set(report["suites"]) == {"full", "smoke"}
-            on_disk = load_report(path)
-            assert on_disk == report
-            assert on_disk["suites"]["full"][bench] == make(0.1)
-            assert on_disk["suites"]["smoke"][bench] == make(0.02)
+        path = tmp_path / "cache.json"
+        write_report(path, "cache", "full", _cache_result())
+        report = write_report(path, "cache", "smoke", _cache_result(2))
+        assert report["schema"] == 1
+        assert report["benchmark"] == "cache"
+        assert set(report["suites"]) == {"full", "smoke"}
+        on_disk = load_report(path)
+        assert on_disk == report
+        assert on_disk["suites"]["full"] == _cache_result()
+        assert on_disk["suites"]["smoke"] == _cache_result(2)
 
 
-def _compare(suite, current, baseline, mode, max_regression=None):
-    entry = SUITES[suite]
-    if max_regression is None:
-        max_regression = entry.max_regression
-    return compare_to_baseline(
-        current, baseline, mode, entry.gated_fields, max_regression
-    )
-
-
-class TestRegressionGate:
-    @staticmethod
-    def _baseline(bench, make):
-        return {"suites": {"smoke": {bench: make(0.1)}}}
-
-    def test_no_baseline_passes(self):
-        for suite, bench, make in GATED:
-            assert _compare(suite, {bench: make(9.9)}, None, "smoke") == []
-
-    def test_within_budget_passes(self):
-        for suite, bench, make in GATED:
-            # Just inside the suite's own factor (3.0 for stream).
-            limit = SUITES[suite].max_regression
-            current = {bench: make(0.1 * limit * 0.95)}
-            baseline = self._baseline(bench, make)
-            assert _compare(suite, current, baseline, "smoke") == []
-
-    def test_regression_flagged_with_ratio(self):
-        for suite, bench, make in GATED:
-            current = {bench: make(0.5)}
-            flagged = _compare(
-                suite, current, self._baseline(bench, make), "smoke"
-            )
-            assert [name for name, _ in flagged] == [
-                f"{bench}.{field}" for field in SUITES[suite].gated_fields
-            ]
-            assert all(ratio == pytest.approx(5.0) for _, ratio in flagged)
-
-    def test_other_suite_not_compared(self):
-        for suite, bench, make in GATED:
-            current = {bench: make(0.5)}
-            baseline = self._baseline(bench, make)
-            assert _compare(suite, current, baseline, "full") == []
-
-    def test_new_benchmark_not_compared(self):
-        for suite, bench, make in GATED:
-            current = {"brand_new": make(0.5), "gates": {}}
-            baseline = self._baseline(bench, make)
-            assert _compare(suite, current, baseline, "smoke") == []
-
-    def test_gate_disabled(self):
-        for suite, bench, make in GATED:
-            current = {bench: make(0.5)}
-            baseline = self._baseline(bench, make)
-            assert _compare(suite, current, baseline, "smoke", 0.0) == []
-
-
-def test_render_report_mentions_regressions():
-    entry = {
-        **_stream_result(0.5),
-        "batch_identify_s": 0.1,
-        "last_window_ms": 1.0,
-        "predictions_identical": True,
-        "first_estimate_packets": 4,
-        "speedup_first_estimate": 2.0,
-    }
-    failing = {"stream_len48": entry, "gates": {"no_regression": False}}
-    text = render(
-        "stream", failing, [("stream_len48.finalize_s", 5.0)], 3.0
-    )
-    assert "REGRESSION: stream_len48.finalize_s is 5.00x" in text
-    assert "GATES FAILED: no_regression" in text
-    passing = {"stream_len48": entry, "gates": {"no_regression": True}}
-    clean = render("stream", passing)
-    assert "REGRESSION" not in clean
-    assert "all gates passed" in clean
+def test_render_names_failed_gates():
+    text = render("cache", _cache_result(repeat_denoise=2))
+    assert "denoiser stage executions: first identify pass 6" in text
+    assert "GATES FAILED: repeat_pass_zero_denoise" in text
+    clean = render("cache", _cache_result())
+    assert "GATES FAILED" not in clean
+    assert "all gates passed (2)" in clean
 
 
 DECLARED = json.loads(
@@ -150,22 +81,27 @@ BASE = {
 TIGHT = (7.9, 8.0, 8.1)
 
 
-def _run(correct=True, failed=0, **metrics):
-    """The last-line JSON of one wimibench run."""
+#: A ``stream`` run's details line (``first_estimate_ms``, ``finalize_ms``).
+STREAM_DETAILS = {"first_estimate_ms": 2.0, "finalize_ms": 23.0}
+
+
+def _run(correct=True, failed=0, details=None, **metrics):
+    """One wimibench run as :func:`run_once` returns it."""
     values = {**BASE, **metrics}
     return {
         "correct": correct, "attempted": 100, "failed": failed,
         "metrics": {name: {"value": v} for name, v in values.items()},
+        "details": dict(details or {}),
     }
 
 
-def _verdict(parent_batch=(), change_batch=()):
+def _verdict(parent_batch=(), change_batch=(), workload="batch"):
     """The gate over three identical runs per workload on each side,
-    except the ``batch`` runs given."""
+    except the runs given for ``workload``."""
     def side(batch):
         runs = {name: [_run() for _ in range(3)] for name in WORKLOADS}
         if batch:
-            runs["batch"] = list(batch)
+            runs[workload] = list(batch)
         return runs
 
     return e2e_verdict(side(parent_batch), side(change_batch), DECLARED)
@@ -226,3 +162,59 @@ class TestE2eVerdict:
     def test_nonzero_exit_fails(self):
         verdict = _verdict(change_batch=[None, _run(), _run()])
         assert _failed(verdict) == ["batch/exit"]
+
+    def test_identical_detail_runs_pass(self):
+        runs = [_run(details=STREAM_DETAILS) for _ in range(3)]
+        verdict = _verdict(runs, runs, workload="stream")
+        assert _failed(verdict) == []
+        rows = verdict["workloads"]["stream"]["metrics"]
+        assert rows["first_estimate_ms"]["verdict"] == "pass"
+        assert rows["finalize_ms"]["verdict"] == "pass"
+        assert rows["finalize_ms"]["bound"] == 0.25
+        assert "stream/first_estimate_ms" in verdict["gates"]
+
+    @pytest.mark.parametrize("metric", ["first_estimate_ms", "finalize_ms"])
+    def test_slower_detail_fails_and_is_named(self, metric):
+        def runs(scale):
+            return [
+                _run(details={**STREAM_DETAILS, metric: scale * v})
+                for v in TIGHT
+            ]
+
+        verdict = _verdict(runs(1.0), runs(1.5), workload="stream")
+        assert _failed(verdict) == [f"stream/{metric}"]
+        text = render_report(
+            {"parent_revision": "0" * 40, "pairs": 3, "seconds": 3.0,
+             "seed": 1, **verdict}
+        )
+        assert f"stream/{metric}" in text
+
+    def test_runs_without_details_get_no_detail_rows(self):
+        verdict = _verdict()
+        declared = {spec["name"] for spec in DECLARED["end_to_end"]}
+        for workload in verdict["workloads"].values():
+            assert set(workload["metrics"]) == declared
+        # One run lacking a metric drops that row from its workload.
+        some = [_run(details=STREAM_DETAILS) for _ in range(2)] + [_run()]
+        verdict = _verdict(some, some, workload="stream")
+        assert set(verdict["workloads"]["stream"]["metrics"]) == declared
+
+
+LAST_LINE = {"correct": True, "attempted": 1, "failed": 0, "metrics": {}}
+
+
+@pytest.mark.parametrize(
+    "lines, details",
+    [
+        ([STREAM_DETAILS, LAST_LINE], STREAM_DETAILS),
+        ([LAST_LINE], {}),
+    ],
+    ids=["details_line", "last_line_only"],
+)
+def test_run_once_keeps_the_details_line(tmp_path, lines, details):
+    script = tmp_path / "fake_bench.py"
+    script.write_text(
+        "".join(f"print({json.dumps(json.dumps(line))})\n" for line in lines)
+    )
+    result = run_once(tmp_path, [sys.executable, str(script)], "stream", 1, 1.0)
+    assert result == {**LAST_LINE, "details": details}
