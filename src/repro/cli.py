@@ -1,4 +1,4 @@
-"""Command-line interface: figures, cache and serving benchmarks.
+"""Command-line interface: figures, benchmark suites and the artifact store.
 
 Usage::
 
@@ -7,7 +7,7 @@ Usage::
     python -m repro fig17 --seed 3       # distance sweep, another deployment
     python -m repro all --seed 1         # every figure, in order
     python -m repro bench e2e --smoke    # speed gate: change vs parent
-    python -m repro bench cache          # stage-cache hit rates
+    python -m repro bench robustness     # accuracy under injected faults
     python -m repro --version
 
 Every figure command prints the same rows/series the paper's figure
@@ -304,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     suites.add_argument(
         "--output", default=None,
         help="JSON report to write/merge (default: the suite's committed "
-        "artifact; none for e2e, serve and cache, which commit no report)",
+        "artifact; none for e2e, which commits no report)",
     )
     persist = parser.add_argument_group("store options")
     persist.add_argument(

@@ -21,8 +21,10 @@ aggregates per-worker metrics into one dashboard.
   ``submit()/identify()`` facade mirroring
   :class:`repro.serve.IdentificationService`.
 
-``repro bench cluster`` measures the cluster against the
-single-process service and commits ``BENCH_PR7.json``.
+``tests/test_cluster.py`` holds its contracts: labels equal to the
+single-process engine, and a SIGKILLed worker restarted with zero lost
+requests.  ``BENCH_PR7.json`` records one cluster vs single-process
+service run.
 """
 
 from repro.cluster.broker import (

@@ -7,8 +7,8 @@ tier (any object with ``get(stage, key) -> artifact | None`` and
 :class:`repro.persist.ArtifactStore`).  Lookups fall through
 memory -> disk -> compute; disk hits are promoted into the memory LRU,
 and computed artifacts are written through to both tiers.  Per-stage
-statistics distinguish the tiers so ``repro bench cache`` and the serve
-metrics can report memory vs disk vs compute.
+statistics distinguish the tiers so :meth:`StageCache.snapshot` and the
+serve metrics can report memory vs disk vs compute.
 
 The cache still supports sharing across several ``WiMi`` instances
 (the experiment runner's classifier sweeps reuse calibration and
@@ -48,8 +48,8 @@ class StageStats:
     """Per-tier hit/miss counters of one stage.
 
     ``hits`` (all tiers combined) is kept as a property so existing
-    consumers -- tests, the ``repro bench cache`` renderer, perf
-    baselines -- keep reading the same number they always did.
+    consumers -- tests and perf benchmarks -- keep reading the same
+    number they always did.
     """
 
     memory_hits: int = 0

@@ -1,8 +1,10 @@
 """Chaos soak harness: the failure-control plane under sustained abuse.
 
-``repro bench soak`` drives one sharded cluster through a scripted
-chaos schedule and commits the evidence as ``SOAK_PR10.json``.  Each
-phase targets one mechanism of the failure-control plane:
+:func:`run_soak_bench` drives one sharded cluster through a scripted
+chaos schedule; ``tests/test_soakbench.py::TestChaosSoak`` (the CI
+``soak`` job) runs it and asserts every gate.  ``SOAK_PR10.json`` is
+the record of one run of the full 24-repetition schedule.  Each phase
+targets one mechanism of the failure-control plane:
 
 1. **baseline** -- a clean wave; every label must match a fault-free
    ``identify_batch`` run and the per-shard artifact stores warm up.
@@ -30,12 +32,11 @@ phase targets one mechanism of the failure-control plane:
    threshold and are speculatively re-enqueued on the sibling shard;
    first-reply-wins dedup absorbs the duplicates.
 
-The run **fails loudly** (a false entry in the report's ``gates``, and
-the CLI exits non-zero) unless every admitted request resolves, every
-clean prediction matches the fault-free run, and every mechanism
-actually fired: expired-deadline drops at all three points, breaker
-opens *and* re-closes, sheds, hedges, redeliveries, restarts and
-quarantines all non-zero.
+Every entry of the result's ``gates`` is true only when every admitted
+request resolves, every clean prediction matches the fault-free run,
+and every mechanism actually fired: expired-deadline drops at all
+three points, breaker opens *and* re-closes, sheds, hedges,
+redeliveries, restarts and quarantines all non-zero.
 """
 
 from __future__ import annotations
@@ -64,8 +65,11 @@ DEFAULT_MATERIALS = ("pure_water", "pepsi", "oil")
 #: for kills, hedges and stage-deadline expiries to land mid-load.
 THROTTLE_S = 0.03
 
-DEFAULT_REPETITIONS = 24
+#: Bench sessions per material of the CI-sized schedule.
 SMOKE_REPETITIONS = 6
+#: Packets per capture and cluster shards (one worker process each).
+NUM_PACKETS = 6
+WORKERS = 2
 
 
 def _flatten(dataset: dict) -> list:
@@ -93,50 +97,40 @@ def _wait_all(handles, collect=None) -> tuple[int, int]:
 
 
 def run_soak_bench(
+    store_root: str | Path,
     seed: int = 1,
-    repetitions: int = DEFAULT_REPETITIONS,
-    num_packets: int = 6,
-    workers: int = 2,
-    store_root: str | Path | None = None,
-    progress=None,
+    repetitions: int = SMOKE_REPETITIONS,
 ) -> dict:
-    """Run the full chaos schedule; returns the result dict."""
-
-    def note(message: str) -> None:
-        if progress is not None:
-            progress(message)
-
-    import tempfile
-
+    """Run the chaos schedule over stores under ``store_root``; returns
+    the result dict."""
     catalog = default_catalog()
     materials = [catalog.get(name) for name in DEFAULT_MATERIALS]
-    note("collecting deployment")
     train = _flatten(collect_dataset(
         materials, scene=standard_scene("lab"), repetitions=4,
-        num_packets=num_packets, seed=seed,
+        num_packets=NUM_PACKETS, seed=seed,
     ))
     bench = _flatten(collect_dataset(
         materials, scene=standard_scene("lab"), repetitions=repetitions,
-        num_packets=num_packets, seed=seed + 6,
+        num_packets=NUM_PACKETS, seed=seed + 6,
     ))
     # Never-seen sessions for the stage-deadline phase: their artifacts
     # are cold everywhere, so the engine must actually execute stages
     # (a warm memory tier would short-circuit the deadline checks).
     fresh = _flatten(collect_dataset(
         materials, scene=standard_scene("lab"), repetitions=3,
-        num_packets=num_packets, seed=seed + 17,
+        num_packets=NUM_PACKETS, seed=seed + 17,
     ))
     wimi = WiMi(theory_reference_omegas(materials))
     wimi.fit(train)
     expected = [str(x) for x in wimi.identify_batch(bench)]
 
-    root = Path(store_root) if store_root else Path(tempfile.mkdtemp())
+    root = Path(store_root)
     registry = root / "registry"
     wimi.save_to_registry(registry, name="wimi")
 
     capacity = 32
     config = ClusterConfig(
-        num_workers=workers,
+        num_workers=WORKERS,
         queue_capacity=capacity,
         max_batch_size=4,
         boot_timeout_s=120.0,
@@ -154,7 +148,6 @@ def run_soak_bench(
     lost = 0
     try:
         # ------------------------------------------------ 1. baseline
-        note(f"baseline: {len(bench)} clean requests")
         labels: list[str] = []
         for start in range(0, len(bench), capacity // 2):
             chunk = bench[start:start + capacity // 2]
@@ -168,7 +161,6 @@ def run_soak_bench(
         }
 
         # ---------------------------------------------- 2. shed spike
-        note("shed spike: best-effort flood past the depth threshold")
         admitted, shed = [], 0
         for session in bench * 3:
             try:
@@ -186,7 +178,6 @@ def run_soak_bench(
         }
 
         # ----------------------------------------- 3. kill/redeliver
-        note("kill phase: SIGKILL shard 0 mid-load")
         handles = client.submit_many(bench[:capacity // 2], timeout=None)
         time.sleep(THROTTLE_S * 4)
         os.kill(client.orchestrator._slots[0].process.pid, signal.SIGKILL)
@@ -201,9 +192,8 @@ def run_soak_bench(
         }
 
         # --------------------------------- 4. corruption + quarantine
-        note("quarantine phase: bit-flip stores, SIGKILL both shards")
         flipped = 0
-        for shard in range(workers):
+        for shard in range(WORKERS):
             objects = root / "stores" / f"shard-{shard}" / "objects"
             for index, entry in enumerate(sorted(objects.rglob("*.art"))):
                 flip_bits(entry, num_flips=8, seed=seed + index)
@@ -234,7 +224,7 @@ def run_soak_bench(
                 time.sleep(0.05)
             raise RuntimeError(f"shards {list(shards)} never restarted")
 
-        _kill_and_await_restart(range(workers))
+        _kill_and_await_restart(range(WORKERS))
         # Kill shard 0 again before it serves a single reply: two
         # consecutive failures with no success in between trip its
         # circuit breaker open (replies are the only thing that resets
@@ -257,7 +247,6 @@ def run_soak_bench(
         }
 
         # ------------------------------------------------ 5. deadlines
-        note("deadline phase: admission, dequeue and stage drop points")
         admission = client.submit_many(bench[:4], timeout=0.0)
         burst = client.submit_many(
             bench[:capacity // 2], timeout=THROTTLE_S * 2
@@ -276,7 +265,6 @@ def run_soak_bench(
         }
 
         # -------------------------------------------- 6. capture fault
-        note("capture-fault phase: hopeless session fails typed")
         hopeless = inject_session(
             bench[0],
             (
@@ -297,7 +285,6 @@ def run_soak_bench(
         phases["capture_fault"] = {"typed_failure": fault_typed}
 
         # ------------------------------------------------ 7. hedge
-        note("hedge phase: wide wave, stragglers re-enqueued on sibling")
         hedge_labels: list[str] = []
         handles = client.submit_many(bench[:capacity - 2], timeout=None)
         completed, failed = _wait_all(handles, collect=hedge_labels)
@@ -338,7 +325,7 @@ def run_soak_bench(
     return {
         "seed": seed,
         "materials": list(DEFAULT_MATERIALS),
-        "workers": workers,
+        "workers": WORKERS,
         "distinct_sessions": len(bench),
         "phases": phases,
         "counters": {
@@ -349,38 +336,3 @@ def run_soak_bench(
         "gates": gates,
     }
 
-
-def run_suite(
-    mode: str = "full", seed: int = 1, workers: int = 2, progress=None
-) -> dict:
-    """The chaos schedule at ``mode`` size."""
-    return run_soak_bench(
-        seed=seed,
-        repetitions=(
-            SMOKE_REPETITIONS if mode == "smoke" else DEFAULT_REPETITIONS
-        ),
-        workers=workers,
-        progress=progress,
-    )
-
-
-def render_report(results: dict) -> str:
-    """Human-readable summary of one run."""
-    cc = results["counters"]["cluster"]
-    lines = [
-        f"soak -- {results['distinct_sessions']} distinct sessions, "
-        f"{results['workers']} workers, seed {results['seed']}",
-        f"  sheds {cc['requests.shed']}, hedges {cc['cluster.hedges']}, "
-        f"redeliveries {cc['cluster.redeliveries']}, "
-        f"restarts {cc['cluster.restarts']}",
-        f"  breaker opened {cc['breaker.opened']} / closed "
-        f"{cc['breaker.closed']} / diverted {cc['breaker.diverted']}",
-        f"  expired: admission {cc['deadline.expired_admission']}, "
-        "dequeue "
-        f"{results['counters']['worker_merged'].get('deadline.expired_dequeue', 0)}, "
-        "stage "
-        f"{results['counters']['worker_merged'].get('deadline.expired_stage', 0)}",
-        f"  store entries quarantined: "
-        f"{results['counters']['store_quarantined']:.0f}",
-    ]
-    return "\n".join(lines)

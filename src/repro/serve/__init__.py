@@ -17,8 +17,8 @@ dependency-free metrics registry covering the whole path.
 * :mod:`repro.serve.streaming` -- packet-streaming identification
   sessions (submit packets, poll the converging estimate, finalize).
 
-``repro bench serve`` replays a synthetic multi-material workload
-through the service and prints the whole dashboard.
+``benchmarks/test_perf_serve.py`` replays a synthetic multi-material
+workload through the service and prints the whole dashboard.
 """
 
 from repro.serve.metrics import (

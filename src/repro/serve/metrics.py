@@ -12,8 +12,8 @@ Three instrument kinds, all thread-safe and allocation-light:
   no unbounded sample storage.
 
 :class:`MetricsRegistry` names and owns the instruments and renders a
-``snapshot()`` dict (for programmatic consumers such as
-``repro bench serve``) or a human-readable text block.  It is
+``snapshot()`` dict (for programmatic consumers such as the cluster's
+heartbeats and ``wimibench``) or a human-readable text block.  It is
 deliberately free of third-party dependencies so the serving layer stays
 importable everywhere the pipeline is.
 """

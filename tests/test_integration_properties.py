@@ -4,8 +4,8 @@ These exercise claims that span multiple modules: the size independence
 of the material feature at pipeline level, graceful degradation on
 reduced hardware (two antennas), determinism, serialisation round trips
 through the full identification path, a recorded float64 golden corpus,
-and the paper's Omega-bar invariances under common gain and common
-phase (Eq. 5-6, 19).
+and the paper's Omega-bar invariances under common gain, common phase
+and per-antenna cable phase (Eq. 5-6, 19).
 """
 
 from dataclasses import replace
@@ -237,6 +237,18 @@ def _common_phase(matrix, rng):
     return matrix * np.exp(1j * phase)[:, :, None]
 
 
+#: One constant phase per antenna, the same in every capture.
+CABLE_OFFSETS = np.array([0.0, 1.3, -2.7])
+
+
+def _cable_phase(matrix, rng):
+    """``exp(j c_a)`` on antenna ``a``: cable-length offsets (ESPARGOS
+    ``CSICalibration`` removes these).  Fixed, not drawn from ``rng``,
+    so baseline and target carry the same offsets; they cancel in the
+    target-minus-baseline antenna difference (Eq. 5-6)."""
+    return matrix * np.exp(1j * CABLE_OFFSETS)
+
+
 def _batch_omega(wimi, session):
     return wimi.extract(session).omega_mean
 
@@ -260,6 +272,7 @@ def _stream_omega(wimi, session):
     [
         pytest.param(_common_gain, id="gain"),
         pytest.param(_common_phase, id="phase"),
+        pytest.param(_cable_phase, id="cable"),
     ],
 )
 def test_omega_invariant_to_common_impairment(golden, omega_of, transform):

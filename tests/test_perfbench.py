@@ -1,10 +1,10 @@
 """Report I/O, gate rendering and end-to-end gate logic of ``repro bench``.
 
-The suites themselves run in CI via ``repro bench <suite> --smoke``;
-these tests cover the shared plumbing so the gates' semantics are
-pinned without paying for a benchmark run.  Report tests take a
-``cache`` result (:func:`_cache_result`); the end-to-end gate is fed
-synthetic runs.
+The suites themselves run in CI via ``repro bench <suite>``; these
+tests cover the shared plumbing so the gates' semantics are pinned
+without paying for a benchmark run.  Report tests take a
+``robustness`` result (:func:`_robustness_result`); the end-to-end gate
+is fed synthetic runs.
 """
 
 import json
@@ -17,21 +17,15 @@ from repro.experiments.e2ebench import e2e_verdict, render_report, run_once
 import pytest
 
 
-def _cache_result(repeat_denoise=0):
-    """A raw ``cache`` suite result; a non-zero ``repeat_denoise`` fails
-    its ``repeat_pass_zero_denoise`` gate."""
+def _robustness_result(accuracy=1.0):
+    """A raw ``robustness`` suite result with one sweep point."""
     return {
-        "seed": 1, "train_sessions": 12, "test_sessions": 6,
-        "stages": {
-            "amplitude_denoise": {
-                "misses": 18, "memory_hits": 6, "disk_hits": 0,
-                "hit_rate": 0.25,
-            },
-        },
-        "denoise_executions": {"first": 6, "repeat": repeat_denoise},
-        "gates": {
-            "repeat_pass_zero_denoise": repeat_denoise == 0,
-            "predictions_identical": True,
+        "materials": ["pure_water", "pepsi", "oil"],
+        "sweeps": {
+            "packet_loss": [{
+                "scenario": "loss=0.10", "accuracy": accuracy,
+                "correct": 6, "total": 6, "rejected": 0, "degraded": 0,
+            }],
         },
     }
 
@@ -44,29 +38,39 @@ class TestReportIO:
         path = tmp_path / "bad.json"
         path.write_text("not json at all")
         assert load_report(path) is None
-        path.write_text(json.dumps({"something": "else"}))
-        assert load_report(path) is None
+        # Valid JSON that is not a report object.
+        for value in ({"something": "else"}, [1, 2], None, "a string"):
+            path.write_text(json.dumps(value))
+            assert load_report(path) is None, value
 
     def test_write_merges_suites(self, tmp_path):
-        path = tmp_path / "cache.json"
-        write_report(path, "cache", "full", _cache_result())
-        report = write_report(path, "cache", "smoke", _cache_result(2))
+        path = tmp_path / "robustness.json"
+        write_report(path, "robustness", "full", _robustness_result())
+        report = write_report(
+            path, "robustness", "smoke", _robustness_result(0.5)
+        )
         assert report["schema"] == 1
-        assert report["benchmark"] == "cache"
+        assert report["benchmark"] == "robustness"
         assert set(report["suites"]) == {"full", "smoke"}
         on_disk = load_report(path)
         assert on_disk == report
-        assert on_disk["suites"]["full"] == _cache_result()
-        assert on_disk["suites"]["smoke"] == _cache_result(2)
+        assert on_disk["suites"]["full"] == _robustness_result()
+        assert on_disk["suites"]["smoke"] == _robustness_result(0.5)
 
 
 def test_render_names_failed_gates():
-    text = render("cache", _cache_result(repeat_denoise=2))
-    assert "denoiser stage executions: first identify pass 6" in text
-    assert "GATES FAILED: repeat_pass_zero_denoise" in text
-    clean = render("cache", _cache_result())
+    def results(verdict):
+        return {"parent_revision": "0" * 40, "pairs": 3, "seconds": 3.0,
+                "seed": 1, **verdict}
+
+    text = render("e2e", results(_verdict(change_batch=[None] * 3)))
+    assert "batch/failed_share" in text
+    assert "GATES FAILED: batch/exit" in text
+    clean = render("e2e", results(_verdict()))
     assert "GATES FAILED" not in clean
-    assert "all gates passed (2)" in clean
+    assert f"all gates passed ({len(_verdict()['gates'])})" in clean
+    sweep = render("robustness", _robustness_result())
+    assert "loss=0.10" in sweep and "no gates (report only)" in sweep
 
 
 DECLARED = json.loads(
