@@ -8,12 +8,12 @@ isolated one-shot call (a fresh artifact cache per request -- the
 status quo before the service existed, where every CLI invocation
 rebuilt its artifacts from scratch).
 
-Also asserts the serving path is *correct* (same predictions as the
+The win is counted as work, not wall time: pipeline stages executed
+(stage-cache misses) by the service against the one-shot calls.  Also
+asserts the serving path is *correct* (same predictions as the
 sequential baseline) and that the batch-size histogram actually shows
 co-scheduling.
 """
-
-import time
 
 from conftest import repetitions
 
@@ -42,16 +42,21 @@ def _fitted_deployment(seed, reps):
     return wimi, test
 
 
+def _misses(cache: StageCache) -> int:
+    """Stage executions so far: misses summed over every stage."""
+    return sum(stage["misses"] for stage in cache.snapshot().values())
+
+
 def test_batched_serving_beats_sequential(benchmark, seed):
     wimi, test = _fitted_deployment(seed, repetitions(6, 10))
     # Repeated-material workload: each distinct session re-arrives 4x.
     workload = [s for _ in range(4) for s in test]
 
-    t0 = time.perf_counter()
-    sequential = [
-        wimi.clone_view(cache=StageCache()).identify(s) for s in workload
-    ]
-    sequential_s = time.perf_counter() - t0
+    sequential, sequential_misses = [], 0
+    for session in workload:
+        cache = StageCache()
+        sequential.append(wimi.clone_view(cache=cache).identify(session))
+        sequential_misses += _misses(cache)
 
     config = ServiceConfig(num_workers=2, max_batch_size=8, queue_capacity=256)
 
@@ -61,30 +66,27 @@ def test_batched_serving_beats_sequential(benchmark, seed):
             labels = [h.result(timeout=60.0) for h in handles]
         return labels, service
 
-    (served, service), serve_s = _timed(benchmark, serve)
+    before = _misses(wimi.cache)
+    served, service = benchmark.pedantic(serve, rounds=1, iterations=1)
+    served_misses = _misses(wimi.cache) - before
 
     snap = service.snapshot()
     batches = snap["histograms"]["batch_size"]
     print()
     print(
-        f"sequential (cold cache/request): {sequential_s:.3f}s, "
-        f"service: {serve_s:.3f}s "
-        f"({sequential_s / serve_s:.1f}x), "
+        f"stage executions: sequential (cold cache/request) "
+        f"{sequential_misses}, service {served_misses}; "
         f"{batches['count']} batches of mean size {batches['mean']:.2f}"
     )
 
     # Correctness first: serving changes scheduling, never predictions.
     assert served == sequential
-    # The tentpole claim: batched serving beats sequential one-shots.
-    assert serve_s < sequential_s
+    # The claim: the shared cache runs each distinct session's stages
+    # about once.  Two workers may both miss a key they resolve at the
+    # same time (see repro.engine.cache), so the count varies by one or
+    # two from run to run; a third of the one-shot work is far above it.
+    assert served_misses < sequential_misses / 3
     # And it does so by actually co-scheduling work.
     assert batches["mean"] > 1.0
     assert snap["counters"]["requests.completed"] == len(workload)
     assert snap["counters"]["requests.failed"] == 0
-
-
-def _timed(benchmark, fn):
-    """Run ``fn`` once under the benchmark timer, returning (result, s)."""
-    start = time.perf_counter()
-    result = benchmark.pedantic(fn, rounds=1, iterations=1)
-    return result, time.perf_counter() - start

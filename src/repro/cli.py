@@ -172,7 +172,6 @@ def _bench(args) -> str:
         args.suite,
         smoke=args.smoke,
         seed=args.seed,
-        workers=args.workers,
         output=args.output,
         progress=lambda name: print(f"  {name}...", flush=True),
     )
@@ -294,12 +293,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     suites = parser.add_argument_group("bench options")
     suites.add_argument(
-        "--workers", type=int, default=2,
-        help="worker threads or processes (default 2)",
-    )
-    suites.add_argument(
         "--smoke", action="store_true",
-        help="run the small CI-sized workload instead of the full one",
+        help="run the small CI-sized workload instead of the full one "
+        "(e2e only; robustness has one size)",
     )
     suites.add_argument(
         "--output", default=None,
@@ -322,8 +318,8 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     """Parse ``argv``, defaulting a bench suite's ``--output`` to its
     committed artifact.
 
-    ``bench`` without a suite, or a suite after any other command, exits
-    with argparse's status 2 and names the suites.
+    ``bench`` without a suite, a suite after any other command, or
+    ``--smoke`` on a suite with one size exits with argparse's status 2.
     """
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -334,6 +330,8 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
         return args
     if args.suite is None:
         parser.error(f"bench needs a suite, one of: {names}")
+    if args.smoke and not bench.SUITES[args.suite].smoke:
+        parser.error(f"bench {args.suite} has one size; drop --smoke")
     if args.output is None:
         args.output = bench.SUITES[args.suite].artifact
     return args

@@ -1,4 +1,4 @@
-"""Broker abstraction: enveloped requests over per-shard work queues.
+"""Broker: enveloped requests over per-shard work queues.
 
 The cluster never hands raw sessions between processes -- everything
 crosses the process boundary as a small picklable message:
@@ -12,20 +12,19 @@ crosses the process boundary as a small picklable message:
   Exceptions do not cross the boundary as objects (a worker-side
   exception class may not unpickle in the parent); they travel as
   ``(error_type, error)`` strings and are re-raised by the client as
-  :class:`repro.cluster.orchestrator.RemoteError` or a mapped
-  service-level type.
+  :class:`repro.cluster.client.RemoteError` or a mapped service-level
+  type.
 * :class:`Heartbeat` -- liveness + a full metrics snapshot, so health
   checking and cross-process metrics aggregation ride one channel.
 * :class:`Shutdown` -- the poison pill.  The request queues are FIFO,
   so a pill published after the last request *is* drain semantics: the
   worker finishes everything ahead of the pill, then exits.
 
-:class:`Broker` is the abstract transport: the parent publishes
-envelopes and consumes replies/heartbeats; a worker obtains a picklable
-:class:`BrokerEndpoint` for its shard and consumes/replies through it.
-:class:`LocalQueueBroker` implements it on ``multiprocessing`` queues.
-Every channel is **per-shard** -- request, reply and health queues
-alike.  Sharing any queue across workers would be fatal under SIGKILL:
+:class:`LocalQueueBroker` is the transport, on ``multiprocessing``
+queues: the parent publishes envelopes and consumes replies/heartbeats;
+a worker obtains a picklable :class:`LocalQueueEndpoint` for its shard
+and consumes/replies through it.  Every channel is **per-shard** --
+request, reply and health queues alike.  Sharing any queue across workers would be fatal under SIGKILL:
 a ``multiprocessing`` queue write holds a cross-process lock, and a
 worker killed between writing its bytes and releasing that lock leaves
 the lock held forever, deadlocking every other writer (on a one-core
@@ -33,10 +32,9 @@ host the reader typically wakes *before* the writer's feeder thread
 gets rescheduled to release, so the window is wide, not exotic).  With
 queue-per-worker channels a dead worker can only jam its own queues,
 and :meth:`LocalQueueBroker.reset_shard` replaces them wholesale before
-the replacement process spawns.  The topology matches what an AMQP
-deployment would use (a channel per producer), so a rabbit-backed
-broker can slot in behind the identical interface with workers on
-other hosts.
+the replacement process spawns.  Delivery is at-least-once -- the
+client redelivers on worker death and deduplicates replies -- so the
+transport needs no exactly-once machinery.
 
 :class:`ShardRing` is the router: consistent hashing (virtual nodes on
 a blake2b ring) from a session's content fingerprint to a shard, so a
@@ -51,7 +49,6 @@ import hashlib
 import multiprocessing
 import queue as queue_module
 import time
-from abc import ABC, abstractmethod
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from multiprocessing import connection as mp_connection
@@ -157,71 +154,7 @@ class Shutdown:
 # ----------------------------------------------------------------------
 
 
-class BrokerEndpoint(ABC):
-    """Worker-side view of one shard's queues (must be picklable)."""
-
-    @abstractmethod
-    def consume(self, timeout: float) -> Envelope | Shutdown | None:
-        """Next message for this shard, or None after ``timeout``."""
-
-    @abstractmethod
-    def send_reply(self, reply: Reply) -> None:
-        """Publish a resolution back to the parent."""
-
-    @abstractmethod
-    def send_heartbeat(self, heartbeat: Heartbeat) -> None:
-        """Publish a liveness beacon (droppable, never blocks long)."""
-
-
-class Broker(ABC):
-    """Parent-side transport: publish requests, collect replies/beats.
-
-    The contract an alternative backend (AMQP, Redis streams...) must
-    satisfy: per-shard FIFO request/reply/health channels, a picklable
-    per-shard endpoint a worker process can consume through, and a
-    :meth:`reset_shard` that replaces one shard's channels so a crashed
-    consumer cannot poison its successor.  Delivery is at-least-once --
-    the orchestrator redelivers on worker death and deduplicates
-    replies -- so a backend needs no exactly-once machinery.
-    """
-
-    @abstractmethod
-    def publish(self, envelope: Envelope) -> None:
-        """Enqueue an envelope onto its shard's request channel."""
-
-    @abstractmethod
-    def publish_shutdown(self, shard: int, drain: bool = True) -> None:
-        """Send the poison pill to one shard."""
-
-    @abstractmethod
-    def next_reply(self, timeout: float) -> Reply | None:
-        """Next reply from any worker, or None after ``timeout``."""
-
-    @abstractmethod
-    def next_heartbeat(self, timeout: float) -> Heartbeat | None:
-        """Next heartbeat from any worker, or None after ``timeout``."""
-
-    @abstractmethod
-    def endpoint(self, shard: int) -> BrokerEndpoint:
-        """The picklable worker-side endpoint of one shard."""
-
-    @abstractmethod
-    def reset_shard(self, shard: int) -> list[Envelope]:
-        """Replace one shard's channels with fresh ones, returning the
-        envelopes salvaged from the old request channel.
-
-        Called before respawning a crashed worker: whatever state the
-        dead consumer left behind (held locks, half-written frames) is
-        abandoned with the old channels, and the replacement worker's
-        endpoint binds to the new ones.
-        """
-
-    @abstractmethod
-    def close(self) -> None:
-        """Release transport resources; queued data may be dropped."""
-
-
-class LocalQueueEndpoint(BrokerEndpoint):
+class LocalQueueEndpoint:
     """``multiprocessing``-queue endpoint; travels to the worker via
     the spawn pickling of ``Process`` arguments."""
 
@@ -232,22 +165,25 @@ class LocalQueueEndpoint(BrokerEndpoint):
         self._health = health
 
     def consume(self, timeout: float) -> Envelope | Shutdown | None:
+        """Next message for this shard, or None after ``timeout``."""
         try:
             return self._requests.get(timeout=timeout)
         except queue_module.Empty:
             return None
 
     def send_reply(self, reply: Reply) -> None:
+        """Publish a resolution back to the parent."""
         self._replies.put(reply)
 
     def send_heartbeat(self, heartbeat: Heartbeat) -> None:
+        """Publish a liveness beacon (droppable, never blocks long)."""
         try:
             self._health.put_nowait(heartbeat)
         except queue_module.Full:  # pragma: no cover - bounded overflow
             pass  # liveness is periodic; dropping one beat is harmless
 
 
-class LocalQueueBroker(Broker):
+class LocalQueueBroker:
     """Single-host backend over ``multiprocessing`` spawn-context queues.
 
     Every shard owns a private request, reply and health queue
@@ -288,15 +224,19 @@ class LocalQueueBroker(Broker):
         return self._ctx
 
     def publish(self, envelope: Envelope) -> None:
+        """Enqueue an envelope onto its shard's request channel."""
         self._requests[envelope.shard].put(envelope)
 
     def publish_shutdown(self, shard: int, drain: bool = True) -> None:
+        """Send the poison pill to one shard."""
         self._requests[shard].put(Shutdown(drain=drain))
 
     def next_reply(self, timeout: float) -> Reply | None:
+        """Next reply from any worker, or None after ``timeout``."""
         return self._next(self._replies, timeout)
 
     def next_heartbeat(self, timeout: float) -> Heartbeat | None:
+        """Next heartbeat from any worker, or None after ``timeout``."""
         return self._next(self._health, timeout)
 
     def _next(self, queues, timeout: float):
@@ -321,6 +261,7 @@ class LocalQueueBroker(Broker):
             mp_connection.wait(readers, timeout=min(remaining, 0.05))
 
     def endpoint(self, shard: int) -> LocalQueueEndpoint:
+        """The picklable worker-side endpoint of one shard."""
         return LocalQueueEndpoint(
             shard,
             self._requests[shard],
@@ -329,6 +270,14 @@ class LocalQueueBroker(Broker):
         )
 
     def reset_shard(self, shard: int) -> list[Envelope]:
+        """Replace one shard's channels with fresh ones, returning the
+        envelopes salvaged from the old request channel.
+
+        Called before respawning a crashed worker: whatever state the
+        dead consumer left behind (held locks, half-written frames) is
+        abandoned with the old channels, and the replacement worker's
+        endpoint binds to the new ones.
+        """
         salvaged = []
         while True:
             try:
@@ -346,6 +295,7 @@ class LocalQueueBroker(Broker):
         return salvaged
 
     def close(self) -> None:
+        """Release transport resources; queued data may be dropped."""
         for q in (*self._requests, *self._replies, *self._health,
                   *self._retired):
             q.close()

@@ -4,14 +4,15 @@
 arguments pickle across the process boundary).  Serving -- micro-
 batching, dequeue expiry, the batch deadline scope, batch-to-single
 fallback -- is one :class:`repro.serve.IdentificationService` per
-worker (one thread, ``retry_budget=0``: the orchestrator owns
-redelivery).  The adapter owns only what exists per process:
+worker (one thread, ``retry_budget=0``: the
+:class:`repro.cluster.client.ClusterClient` owns redelivery).  The
+adapter owns only what exists per process:
 
 1. **Boot.**  :meth:`repro.core.pipeline.WiMi.from_registry` with
    ``artifact_store_path`` overridden to this worker's own shard, so
    workers never share a disk tier and a restarted worker finds its
    shard's artifacts warm.  A boot failure is reported as a
-   ``"failed"`` heartbeat before a non-zero exit, so the orchestrator
+   ``"failed"`` heartbeat before a non-zero exit, so the client
    tells "cannot boot" (give the shard up) from "crashed" (restart).
 2. **Consume.**  Each :class:`repro.cluster.broker.Envelope` becomes a
    service request: its wall-clock deadline a timeout, its wall-clock
@@ -20,7 +21,7 @@ redelivery).  The adapter owns only what exists per process:
    includes broker transit, and an envelope already expired resolves
    as a dequeue expiry.  At most ``max_batch_size`` admitted requests
    are unanswered at a time; the backlog stays in the broker, so a
-   crash strands one micro-batch and the orchestrator salvages the
+   crash strands one micro-batch and the client salvages the
    rest as never picked up.
 3. **Reply.**  A done-callback on the request's handle sends the
    :class:`repro.cluster.broker.Reply` -- a label, or the error's type
@@ -48,9 +49,9 @@ import traceback
 from dataclasses import dataclass
 
 from repro.cluster.broker import (
-    BrokerEndpoint,
     Envelope,
     Heartbeat,
+    LocalQueueEndpoint,
     Reply,
     Shutdown,
 )
@@ -64,6 +65,12 @@ from repro.serve.service import (
 
 #: How often the consume loop re-checks for work / drain (seconds).
 _IDLE_POLL_S = 0.02
+#: Worker beacon period (seconds).
+HEARTBEAT_INTERVAL_S = 0.1
+#: Beacon silence after which the client declares a live worker wedged
+#: and restarts it.  It must exceed HEARTBEAT_INTERVAL_S by a wide
+#: margin, or a healthy worker would be restarted between two beats.
+HEARTBEAT_TIMEOUT_S = 2.0
 
 
 @dataclass(frozen=True)
@@ -77,10 +84,8 @@ class WorkerBoot:
         artifact_store_path: This worker's artifact-store shard; None
             keeps whatever the restored bundle config says.
         max_batch_size: Micro-batch limit (mirrors the service knob).
-        max_wait_s: Longest to hold an incomplete batch open.
         queue_capacity: The worker service's request-queue depth (the
             cluster's ``queue_capacity``).
-        heartbeat_interval_s: Beacon period.
         throttle_s: Artificial per-request service time (benchmark /
             chaos-test hook; 0 in production).
     """
@@ -90,9 +95,7 @@ class WorkerBoot:
     version: str | None = None
     artifact_store_path: str | None = None
     max_batch_size: int = 8
-    max_wait_s: float = 0.005
     queue_capacity: int = 256
-    heartbeat_interval_s: float = 0.1
     throttle_s: float = 0.0
 
 
@@ -104,7 +107,7 @@ class _WorkerRuntime:
         worker_id: str,
         shard: int,
         boot: WorkerBoot,
-        endpoint: BrokerEndpoint,
+        endpoint: LocalQueueEndpoint,
         wimi,
     ):
         self.worker_id = worker_id
@@ -121,9 +124,8 @@ class _WorkerRuntime:
             ServiceConfig(
                 queue_capacity=boot.queue_capacity,
                 max_batch_size=boot.max_batch_size,
-                max_wait_s=boot.max_wait_s,
                 num_workers=1,
-                # The orchestrator owns redelivery; a worker never retries.
+                # The client owns redelivery; a worker never retries.
                 retry_budget=0,
             ),
             runner=self._run,
@@ -140,7 +142,7 @@ class _WorkerRuntime:
 
         The snapshot is *source-stamped* with ``(worker_id, seq)`` --
         the worker id already encodes the incarnation epoch
-        (``worker-0.1``, ``worker-0.2``, ...) -- so the orchestrator's
+        (``worker-0.1``, ``worker-0.2``, ...) -- so the client's
         :meth:`MetricsRegistry.merge` can keep the latest snapshot per
         incarnation and drop re-sent beats instead of double-counting.
         Artifact-store counters are mirrored as gauges first so
@@ -213,7 +215,7 @@ class _WorkerRuntime:
         if waited_s < 0.0:
             # Cross-host clock skew (or a step between submit and
             # consume): count it so skew is diagnosable from the
-            # orchestrator's merged snapshot instead of invisible.
+            # client's merged snapshot instead of invisible.
             self.metrics.counter("clock.skew_clamped").inc()
             waited_s = 0.0
         timeout = (
@@ -287,7 +289,7 @@ def worker_main(
     worker_id: str,
     shard: int,
     boot: WorkerBoot,
-    endpoint: BrokerEndpoint,
+    endpoint: LocalQueueEndpoint,
 ) -> None:
     """Spawn entry point of one cluster worker process."""
     from repro.core.pipeline import WiMi
@@ -331,7 +333,7 @@ def worker_main(
     stop_beats = threading.Event()
 
     def heartbeat_loop() -> None:
-        while not stop_beats.wait(boot.heartbeat_interval_s):
+        while not stop_beats.wait(HEARTBEAT_INTERVAL_S):
             state = "draining" if runtime.draining.is_set() else "serving"
             try:
                 runtime.beat(state)

@@ -679,19 +679,6 @@ class WiMi:
         self._train_classifier()
         return self
 
-    def fit_measurements(
-        self, measurements: list[SessionFeatures] | list[FeatureMeasurement]
-    ) -> "WiMi":
-        """Train from pre-extracted measurements (lets experiments reuse
-        feature extraction across classifier configurations)."""
-        if not measurements:
-            raise ValueError("need at least one measurement")
-        self.database = MaterialDatabase()
-        for measurement in measurements:
-            self.database.add(measurement)
-        self._train_classifier()
-        return self
-
     def _train_classifier(self) -> None:
         """Fit the configured classifier on the current database."""
         self._classifier = DatabaseClassifier(
@@ -772,12 +759,6 @@ class WiMi:
             raise RuntimeError("WiMi is not fitted; call fit() first")
         artifact = self._classify(self.extract(session))
         return artifact.label, artifact.confidence
-
-    def predict_vectors(self, vectors: np.ndarray) -> np.ndarray:
-        """Identify a batch of raw feature vectors."""
-        if self._classifier is None:
-            raise RuntimeError("WiMi is not fitted; call fit() first")
-        return self._classifier.predict(vectors)
 
     # ------------------------------------------------------------------
     # Streaming identification

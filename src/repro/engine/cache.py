@@ -151,11 +151,6 @@ class StageCache:
             stats.misses += 1
         return None, TIER_COMPUTE
 
-    def lookup(self, stage: str, key: str) -> tuple[Any, bool]:
-        """``(artifact, True)`` on any-tier hit, ``(None, False)`` on a miss."""
-        artifact, tier = self.lookup_tier(stage, key)
-        return artifact, tier != TIER_COMPUTE
-
     def _store_memory(self, stage: str, key: str, artifact: Any) -> None:
         with self._lock:
             self._entries[(stage, key)] = artifact
@@ -183,13 +178,6 @@ class StageCache:
         artifact = compute()
         self.store(stage, key, artifact)
         return artifact, TIER_COMPUTE
-
-    def resolve(
-        self, stage: str, key: str, compute: Callable[[], Any]
-    ) -> tuple[Any, bool]:
-        """Memoized computation: ``(artifact, cache_hit)``."""
-        artifact, tier = self.resolve_tier(stage, key, compute)
-        return artifact, tier != TIER_COMPUTE
 
     # ------------------------------------------------------------------
 

@@ -60,7 +60,6 @@ from repro.engine.stages import (
     SUBCARRIER_SELECTION,
     TRACE_QUALITY,
     StageSpec,
-    stage_graph,
 )
 
 Hook = Callable[[StageEvent], None]
@@ -94,24 +93,12 @@ class PipelineEngine:
         self._config_keys: dict[str, str] = {}
 
     # ------------------------------------------------------------------
-    # Hooks + introspection
+    # Hooks
     # ------------------------------------------------------------------
 
     def add_hook(self, hook: Hook) -> None:
         """Register a callable fired on every stage resolution."""
         self._hooks.append(hook)
-
-    def remove_hook(self, hook: Hook) -> None:
-        """Unregister a hook (no-op if it was never added)."""
-        try:
-            self._hooks.remove(hook)
-        except ValueError:
-            pass
-
-    @staticmethod
-    def describe() -> dict[str, tuple[str, ...]]:
-        """The stage graph as ``{stage: upstream stages}``."""
-        return stage_graph()
 
     # ------------------------------------------------------------------
     # Core resolution machinery

@@ -32,9 +32,9 @@ from repro.experiments import e2ebench, robustness
 class Suite(NamedTuple):
     """One benchmark suite of ``repro bench``."""
 
-    #: ``run(mode, seed, workers, progress) -> results``; ``mode`` is
+    #: ``run(mode, seed, progress) -> results``; ``mode`` is
     #: ``"smoke"`` (CI-sized) or ``"full"``.
-    run: Callable[[str, int, int, Callable[[str], None] | None], dict]
+    run: Callable[[str, int, Callable[[str], None] | None], dict]
     #: Human-readable summary of one result (gates are rendered by the
     #: runner, not by the suite).
     render: Callable[[dict], str]
@@ -42,6 +42,9 @@ class Suite(NamedTuple):
     #: Committed report the suite writes by default; None for suites
     #: without one.
     artifact: str | None = None
+    #: Whether the suite has a ``"smoke"`` size; a suite without one
+    #: runs only ``"full"``.
+    smoke: bool = False
 
 
 # ----------------------------------------------------------------------
@@ -90,6 +93,7 @@ SUITES: dict[str, Suite] = {
     "e2e": Suite(
         e2ebench.run_suite, e2ebench.render_report,
         "wimibench on the change vs its parent, by BENCHMARK.json bounds",
+        smoke=True,
     ),
     "robustness": Suite(
         robustness.run_suite, robustness.render_report,
@@ -118,13 +122,12 @@ def run_bench(
     *,
     smoke: bool = False,
     seed: int = 1,
-    workers: int = 2,
     output: str | Path | None = None,
     progress: Callable[[str], None] | None = None,
 ) -> tuple[str, bool]:
     """Run one suite; returns ``(rendered report, every gate passed)``."""
     mode = "smoke" if smoke else "full"
-    results = SUITES[name].run(mode, seed, workers, progress)
+    results = SUITES[name].run(mode, seed, progress)
     gates = results.setdefault("gates", {})
     text = render(name, results)
     if output is not None:

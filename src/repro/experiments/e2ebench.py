@@ -214,13 +214,10 @@ def _prepare_parent(root: Path, revision: str, checkout: Path) -> None:
     shutil.copy2(root / "BENCHMARK.json", checkout / "BENCHMARK.json")
 
 
-def run_suite(
-    mode: str = "full", seed: int = 1, workers: int = 1, progress=None
-) -> dict:
+def run_suite(mode: str = "full", seed: int = 1, progress=None) -> dict:
     """Alternating parent/change pairs of every declared workload.
 
-    ``workers`` is ignored: the benchmark fixes its own.  Runs from the
-    root of the git checkout the process is in.
+    Runs from the root of the git checkout the process is in.
     """
     top = _git(Path.cwd(), "rev-parse", "--show-toplevel")
     if top.returncode != 0:

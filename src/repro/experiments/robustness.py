@@ -46,6 +46,8 @@ DEFAULT_LOSS_RATES = (0.0, 0.1, 0.2, 0.3)
 DEFAULT_REPETITIONS = 8
 DEFAULT_PACKETS = 16
 DEFAULT_TRAIN_FRACTION = 0.5
+#: Worker processes ``run_suite`` spreads each sweep across.
+SUITE_WORKERS = 2
 
 
 @dataclass(frozen=True)
@@ -210,10 +212,11 @@ def antenna_dropout_sweep(
     return parallel_map(_scenario_task, payloads, workers=workers)
 
 
-def run_suite(
-    mode: str = "full", seed: int = 0, workers: int = 1, progress=None
-) -> dict:
-    """Both sweeps (``mode`` is ignored: the sweeps are CI-sized).
+def run_suite(mode: str = "full", seed: int = 0, progress=None) -> dict:
+    """Both sweeps, on :data:`SUITE_WORKERS` processes.
+
+    The sweeps have one (CI-sized) size, so ``mode`` is always
+    ``"full"``: ``repro bench robustness --smoke`` exits 2.
 
     Returns ``{"materials": [...], "sweeps": {sweep_name: [point dict,
     ...]}}``; the sweeps report accuracy and carry no gates.
@@ -225,7 +228,7 @@ def run_suite(
     ):
         if progress is not None:
             progress(name)
-        results = sweep(seed=seed, workers=workers)
+        results = sweep(seed=seed, workers=SUITE_WORKERS)
         sweeps[name] = [point.to_dict() for point in results]
     return {"materials": list(DEFAULT_MATERIALS), "sweeps": sweeps}
 

@@ -12,7 +12,7 @@ targets one mechanism of the failure-control plane:
    shedder's depth threshold; the excess is refused with a typed
    :class:`repro.serve.OverloadError` at admission, never queued.
 3. **kill + redelivery** -- SIGKILL one worker mid-load; the
-   orchestrator restarts it and re-publishes the lost envelopes
+   client restarts it and re-publishes the lost envelopes
    through the jittered redelivery backoff.  Zero lost requests.
 4. **store corruption + quarantine** -- bit-flip warm artifact-store
    entries on both shards, then SIGKILL both workers (second kill of
@@ -180,7 +180,7 @@ def run_soak_bench(
         # ----------------------------------------- 3. kill/redeliver
         handles = client.submit_many(bench[:capacity // 2], timeout=None)
         time.sleep(THROTTLE_S * 4)
-        os.kill(client.orchestrator._slots[0].process.pid, signal.SIGKILL)
+        os.kill(client._slots[0].process.pid, signal.SIGKILL)
         kill_labels: list[str] = []
         completed, failed = _wait_all(handles, collect=kill_labels)
         lost += failed
@@ -207,14 +207,14 @@ def run_soak_bench(
             incarnation's flag.
             """
             old_pids = {
-                shard: client.orchestrator._slots[shard].process.pid
+                shard: client._slots[shard].process.pid
                 for shard in shards
             }
             for shard, pid in old_pids.items():
                 os.kill(pid, signal.SIGKILL)
             deadline = time.monotonic() + 60.0
             while time.monotonic() < deadline:
-                slots = client.orchestrator._slots
+                slots = client._slots
                 if all(
                     slots[shard].process.pid != old_pids[shard]
                     and slots[shard].ready and not slots[shard].failed

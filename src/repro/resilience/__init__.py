@@ -11,8 +11,8 @@ growing ad-hoc per-layer knobs:
   -- end-to-end deadline propagation with per-drop-point accounting.
 * :class:`CircuitBreaker` -- closed/open/half-open per-dependency
   admission.
-* :class:`LoadShedder` -- queue-depth + latency-EWMA adaptive
-  admission, priority-aware.
+* :class:`LoadShedder` -- queue-depth adaptive admission,
+  priority-aware.
 """
 
 from repro.resilience.breaker import CLOSED, HALF_OPEN, OPEN, CircuitBreaker

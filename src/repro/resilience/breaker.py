@@ -1,6 +1,6 @@
 """Per-dependency circuit breaker (closed -> open -> half-open).
 
-The orchestrator keeps one breaker per shard: consecutive worker
+The cluster client keeps one breaker per shard: consecutive worker
 failures (crashes, stale heartbeats) trip the breaker open, new keys
 divert to ring neighbors while it is open, and after a cool-down the
 breaker admits trial traffic (half-open).  A successful reply closes

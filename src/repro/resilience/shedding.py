@@ -1,148 +1,54 @@
 """Adaptive load shedding at admission edges.
 
-The shedder turns two live signals into a single *pressure* reading in
-``[0, inf)``:
-
-* queue depth relative to capacity (instantaneous backlog), and
-* a latency EWMA relative to a target (sustained slowness that a short
-  queue can hide -- e.g. throttled or cache-cold workers).
-
-Admission compares pressure against a per-priority threshold: low
-priority work sheds first (``base - step`` at priority -1), normal
-work at ``base``, and high-priority work only near saturation.  Shed
-requests get a typed ``OverloadError`` immediately instead of sitting
-in the queue until their deadline lapses -- failing fast is the whole
-point: the caller learns *overload* (retryable elsewhere/later), not
-*timeout* (ambiguous).
+The shedder reads queue depth relative to capacity as *pressure* and
+compares it against a per-priority threshold: low-priority work sheds
+first, the lower its priority the earlier, while normal and protected
+work (priority >= 0) is never shed on depth -- a full queue already
+has its own typed rejection.  Shed requests get a typed
+``OverloadError`` immediately instead of sitting in the queue until
+their deadline lapses -- failing fast is the whole point: the caller
+learns *overload* (retryable elsewhere/later), not *timeout*
+(ambiguous).
 """
 
 from __future__ import annotations
 
-import threading
+#: Shed threshold of priority-0 work.
+BASE_PRESSURE = 1.0
+#: Threshold shift per priority unit: priority -1 sheds this much earlier.
+PRIORITY_STEP = 0.15
+#: Lower bound on any shed threshold, so deeply negative priorities
+#: still get service on an idle system.
+FLOOR_PRESSURE = 0.25
 
 
 class LoadShedder:
-    """Queue-depth + latency-EWMA admission controller.
+    """Priority-aware queue-depth admission controller.
 
     Args:
         capacity: Queue capacity the depth signal is normalized by.
-        latency_threshold_ms: Latency EWMA mapping to pressure 1.0;
-            ``None`` disables the latency signal (depth-only shedding).
-        ewma_alpha: Smoothing factor for the latency EWMA.
-        base_pressure: Pressure above which priority-0 work sheds.
-        priority_step: Threshold shift per priority unit -- priority +1
-            sheds ``step`` later, priority -1 ``step`` earlier.
-        floor_pressure: Lower bound on any shed threshold, so deeply
-            negative priorities still get service on an idle system.
     """
 
-    def __init__(
-        self,
-        capacity: int,
-        latency_threshold_ms: float | None = None,
-        ewma_alpha: float = 0.2,
-        base_pressure: float = 1.0,
-        priority_step: float = 0.15,
-        floor_pressure: float = 0.25,
-    ):
+    def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
-        if latency_threshold_ms is not None and latency_threshold_ms <= 0:
-            raise ValueError(
-                "latency_threshold_ms must be > 0 or None, "
-                f"got {latency_threshold_ms}"
-            )
-        if not 0.0 < ewma_alpha <= 1.0:
-            raise ValueError(f"ewma_alpha must be in (0, 1], got {ewma_alpha}")
-        if not 0.0 < base_pressure:
-            raise ValueError(
-                f"base_pressure must be > 0, got {base_pressure}"
-            )
-        if priority_step < 0:
-            raise ValueError(
-                f"priority_step must be >= 0, got {priority_step}"
-            )
         self.capacity = capacity
-        self.latency_threshold_ms = latency_threshold_ms
-        self.ewma_alpha = ewma_alpha
-        self.base_pressure = base_pressure
-        self.priority_step = priority_step
-        self.floor_pressure = floor_pressure
-        self._lock = threading.Lock()
-        self._ewma_ms: float | None = None
-
-    # ------------------------------------------------------------------
-    # Signals
-    # ------------------------------------------------------------------
-
-    def observe_latency(self, latency_ms: float) -> None:
-        """Feed one completed-request latency into the EWMA."""
-        if latency_ms < 0:
-            return
-        with self._lock:
-            if self._ewma_ms is None:
-                self._ewma_ms = latency_ms
-            else:
-                self._ewma_ms += self.ewma_alpha * (latency_ms - self._ewma_ms)
-
-    @property
-    def ewma_ms(self) -> float | None:
-        with self._lock:
-            return self._ewma_ms
 
     def pressure(self, depth: int) -> float:
-        """Combined pressure: max of the depth and latency signals."""
-        depth_pressure = max(0, depth) / self.capacity
-        if self.latency_threshold_ms is None:
-            return depth_pressure
-        with self._lock:
-            ewma = self._ewma_ms
-        if ewma is None:
-            return depth_pressure
-        return max(depth_pressure, ewma / self.latency_threshold_ms)
-
-    # ------------------------------------------------------------------
-    # Admission
-    # ------------------------------------------------------------------
+        """Queue depth as a fraction of capacity."""
+        return max(0, depth) / self.capacity
 
     def threshold(self, priority: int = 0) -> float:
         """Shed threshold for ``priority`` (higher priority sheds later)."""
-        return max(
-            self.floor_pressure,
-            self.base_pressure + priority * self.priority_step,
-        )
+        return max(FLOOR_PRESSURE, BASE_PRESSURE + priority * PRIORITY_STEP)
 
     def admit(self, depth: int, priority: int = 0) -> bool:
         """Whether a request at ``priority`` should be admitted now.
 
-        A threshold at or above 1.0 disables the *depth* signal for
-        that priority: depth saturation already has its own typed
-        rejection (queue-full) at the bounded queue itself, so only the
-        latency EWMA -- which can exceed 1.0 without bound -- sheds
-        there.  Thresholds below 1.0 shed on either signal, before the
-        queue hard-fills.
+        A threshold at or above 1.0 (priority >= 0) never sheds: depth
+        saturation already has its own typed rejection (queue-full) at
+        the bounded queue itself.  Lower thresholds shed on depth,
+        before the queue hard-fills.
         """
         threshold = self.threshold(priority)
-        if threshold >= 1.0:
-            return self._latency_pressure() < threshold
-        return self.pressure(depth) < threshold
-
-    def _latency_pressure(self) -> float:
-        """The latency signal alone (0.0 while unconfigured/unfed)."""
-        if self.latency_threshold_ms is None:
-            return 0.0
-        with self._lock:
-            ewma = self._ewma_ms
-        if ewma is None:
-            return 0.0
-        return ewma / self.latency_threshold_ms
-
-    def snapshot(self) -> dict:
-        """Point-in-time view for metrics/debug output."""
-        with self._lock:
-            ewma = self._ewma_ms
-        return {
-            "ewma_ms": ewma,
-            "base_pressure": self.base_pressure,
-            "capacity": self.capacity,
-        }
+        return threshold >= 1.0 or self.pressure(depth) < threshold

@@ -326,7 +326,7 @@ class MetricsRegistry:
         as ``workers.alive`` or ``inflight`` aggregate additively
         across processes), and histograms are bucket-merged with
         percentiles re-estimated from the combined buckets.  This is
-        how the cluster orchestrator folds per-worker-process
+        how the cluster client folds per-worker-process
         registries into one cross-process dashboard; it works on any
         snapshot produced by this module, including ones round-tripped
         through JSON (bucket keys become strings -- both forms are

@@ -85,6 +85,10 @@ class ServiceStoppedError(ServeError):
     """The service stopped before the request could run."""
 
 
+#: Cap on any single retry backoff delay (seconds).
+RETRY_BACKOFF_MAX_S = 0.25
+
+
 @dataclass(frozen=True)
 class ServiceConfig:
     """Tuning knobs of the identification service.
@@ -101,23 +105,11 @@ class ServiceConfig:
         retry_budget: Extra attempts (beyond the first) a failing
             request gets before its error is returned.
         backoff_base_s: Sleep before the first retry; doubles per
-            subsequent retry of the same request.
-        default_timeout_s: Deadline applied to submissions that do not
-            pass their own ``timeout`` (None = no deadline).
+            subsequent retry of the same request, up to
+            :data:`RETRY_BACKOFF_MAX_S`.
         dispatch_depth: Batches that may sit ready-to-run ahead of the
             workers; keeping it small propagates worker saturation back
             to the request queue (backpressure) instead of hiding it.
-        backoff_max_s: Cap on any single retry backoff delay.
-        shed_latency_threshold_ms: End-to-end latency EWMA at which the
-            load shedder reads pressure 1.0; ``None`` sheds on queue
-            depth alone.
-        shed_base_pressure: Pressure above which priority-0 submissions
-            are shed with :class:`OverloadError`.  The default 1.0
-            leaves priority-0 depth behaviour unchanged (queue-full
-            keeps its own typed rejection); set below 1.0 to shed
-            before the queue hard-fills.
-        shed_priority_step: Shed-threshold shift per priority unit.
-        shed_ewma_alpha: Smoothing factor of the latency EWMA.
     """
 
     queue_capacity: int = 64
@@ -126,13 +118,7 @@ class ServiceConfig:
     num_workers: int = 2
     retry_budget: int = 1
     backoff_base_s: float = 0.002
-    default_timeout_s: float | None = None
     dispatch_depth: int = 2
-    backoff_max_s: float = 0.25
-    shed_latency_threshold_ms: float | None = None
-    shed_base_pressure: float = 1.0
-    shed_priority_step: float = 0.15
-    shed_ewma_alpha: float = 0.2
 
     def __post_init__(self) -> None:
         if self.queue_capacity < 1:
@@ -153,18 +139,14 @@ class ServiceConfig:
             raise ValueError(
                 f"retry_budget must be >= 0, got {self.retry_budget}"
             )
-        if self.backoff_base_s < 0:
+        if not 0 <= self.backoff_base_s <= RETRY_BACKOFF_MAX_S:
             raise ValueError(
-                f"backoff_base_s must be >= 0, got {self.backoff_base_s}"
+                f"backoff_base_s must be in [0, {RETRY_BACKOFF_MAX_S}], "
+                f"got {self.backoff_base_s}"
             )
         if self.dispatch_depth < 1:
             raise ValueError(
                 f"dispatch_depth must be >= 1, got {self.dispatch_depth}"
-            )
-        if self.backoff_max_s < self.backoff_base_s:
-            raise ValueError(
-                f"backoff_max_s ({self.backoff_max_s}) must be >= "
-                f"backoff_base_s ({self.backoff_base_s})"
             )
 
 
@@ -319,13 +301,7 @@ class IdentificationService:
         self._stopped = False
         self._batcher: MicroBatcher | None = None
         self._pool: WorkerPool | None = None
-        self._shedder = LoadShedder(
-            capacity=self.config.queue_capacity,
-            latency_threshold_ms=self.config.shed_latency_threshold_ms,
-            ewma_alpha=self.config.shed_ewma_alpha,
-            base_pressure=self.config.shed_base_pressure,
-            priority_step=self.config.shed_priority_step,
-        )
+        self._shedder = LoadShedder(self.config.queue_capacity)
         # Pre-create the instruments the snapshot readers expect even
         # under zero traffic.
         for name in (
@@ -362,7 +338,7 @@ class IdentificationService:
                 budget=self.config.retry_budget,
                 backoff=Backoff(
                     base_s=self.config.backoff_base_s,
-                    max_s=self.config.backoff_max_s,
+                    max_s=RETRY_BACKOFF_MAX_S,
                 ),
                 # A structurally broken capture is deterministic; see
                 # Worker._run_isolated.
@@ -378,7 +354,6 @@ class IdentificationService:
                 stop_event=self._stop,
                 deadline_error=DeadlineExceededError,
                 hook_factory=lambda: StageEventRecorder(self.metrics),
-                latency_observer=self._shedder.observe_latency,
             )
             self._batcher = MicroBatcher(
                 inbox=self._inbox,
@@ -475,8 +450,8 @@ class IdentificationService:
 
         Args:
             session: The capture session to identify.
-            timeout: Service-side deadline in seconds; falls back to
-                ``config.default_timeout_s``.  A request whose deadline
+            timeout: Service-side deadline in seconds (None = no
+                deadline).  A request whose deadline
                 passes while queued or mid-flight resolves with
                 :class:`DeadlineExceededError`.  A non-positive timeout
                 is rejected at admission (counted under
@@ -513,11 +488,8 @@ class IdentificationService:
                 "service is not running; use start() or a with-block"
             )
         now = time.monotonic()
-        effective = (
-            timeout if timeout is not None else self.config.default_timeout_s
-        )
         handle = RequestHandle()
-        if effective is not None and effective <= 0:
+        if timeout is not None and timeout <= 0:
             # Dead on arrival: account for it and resolve the handle
             # without ever burning queue space or worker time.  A
             # request relayed from upstream expired while queued there.
@@ -541,7 +513,7 @@ class IdentificationService:
         request = _Request(
             session=session,
             handle=handle,
-            deadline=None if effective is None else now + effective,
+            deadline=None if timeout is None else now + timeout,
             submitted_at=now - (waited_s or 0.0),
             priority=priority,
         )
@@ -589,7 +561,6 @@ class IdentificationService:
         """
         snap = self.metrics.snapshot()
         snap["stage_cache"] = self.wimi.cache.snapshot()
-        snap["load_shedder"] = self._shedder.snapshot()
         store = self.wimi.cache.disk_store
         if store is not None and hasattr(store, "counters"):
             snap["artifact_store"] = store.counters()

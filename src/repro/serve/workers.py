@@ -69,7 +69,6 @@ class Worker(threading.Thread):
         runner: Callable[[WiMi, list], list[str]],
         stop_event: threading.Event,
         deadline_error: type[Exception],
-        latency_observer: Callable[[float], None] | None = None,
     ):
         super().__init__(name=name, daemon=True)
         self.view = view
@@ -79,7 +78,6 @@ class Worker(threading.Thread):
         self.runner = runner
         self.stop_event = stop_event
         self.deadline_error = deadline_error
-        self.latency_observer = latency_observer
 
     # ------------------------------------------------------------------
 
@@ -227,10 +225,9 @@ class Worker(threading.Thread):
 
     def _resolve(self, request, label: str) -> None:
         request.handle.latency_s = time.monotonic() - request.submitted_at
-        latency_ms = request.handle.latency_s * 1000.0
-        self.metrics.histogram("latency_ms").observe(latency_ms)
-        if self.latency_observer is not None:
-            self.latency_observer(latency_ms)
+        self.metrics.histogram("latency_ms").observe(
+            request.handle.latency_s * 1000.0
+        )
         self.metrics.counter("requests.completed").inc()
         self.metrics.gauge("inflight").dec()
         request.handle._resolve(label)
@@ -272,9 +269,6 @@ class WorkerPool:
             (injected to avoid a circular import with ``service``).
         hook_factory: Called once per worker; the result is registered
             as a stage-event hook on that worker's engine view.
-        latency_observer: Optional callback fed each completed
-            request's end-to-end latency in ms (the load shedder's
-            EWMA input).
     """
 
     def __init__(
@@ -288,7 +282,6 @@ class WorkerPool:
         stop_event: threading.Event,
         deadline_error: type[Exception],
         hook_factory: Callable[[], Callable] | None = None,
-        latency_observer: Callable[[float], None] | None = None,
     ):
         self.workers: list[Worker] = []
         for index in range(num_workers):
@@ -305,7 +298,6 @@ class WorkerPool:
                     runner=runner if runner is not None else default_runner,
                     stop_event=stop_event,
                     deadline_error=deadline_error,
-                    latency_observer=latency_observer,
                 )
             )
 

@@ -10,7 +10,7 @@ allowed (content-addressed artifacts make it benign).
 
 import threading
 
-from repro.engine.cache import StageCache
+from repro.engine.cache import TIER_COMPUTE, StageCache
 
 THREADS = 8
 ROUNDS = 300
@@ -26,7 +26,7 @@ def _hammer(cache, thread_index, errors, compute_log):
             compute_log.append((stage, key))
             return expected
 
-        artifact, _hit = cache.resolve(stage, key, compute)
+        artifact, _tier = cache.resolve_tier(stage, key, compute)
         if artifact != expected:
             errors.append(
                 f"thread {thread_index} got {artifact!r} for ({stage}, {key})"
@@ -59,8 +59,8 @@ def test_shared_cache_is_consistent_under_contention():
         for stage_index in range(3):
             stage = f"stage-{stage_index}"
             key = f"key-{round_index % 25}"
-            value, hit = cache.lookup(stage, key)
-            if hit:
+            value, tier = cache.lookup_tier(stage, key)
+            if tier != TIER_COMPUTE:
                 assert value == f"{stage}:{key}:artifact"
 
     # Duplicate computes are allowed but bounded: never more than one
@@ -78,7 +78,7 @@ def test_eviction_bound_holds_under_contention():
         index = 0
         while not stop.is_set():
             key = f"k{offset}-{index % 40}"
-            value, _ = cache.resolve("stage", key, lambda k=key: f"v:{k}")
+            value, _ = cache.resolve_tier("stage", key, lambda k=key: f"v:{k}")
             if value != f"v:{key}":
                 errors.append((key, value))
             if len(cache) > 16:
@@ -110,7 +110,7 @@ def test_clear_and_invalidate_race_free():
         index = 0
         while not done.is_set():
             key = f"k{index % 50}"
-            value, _ = cache.resolve("a", key, lambda k=key: f"v:{k}")
+            value, _ = cache.resolve_tier("a", key, lambda k=key: f"v:{k}")
             if value != f"v:{key}":
                 errors.append(value)
             index += 1

@@ -9,6 +9,9 @@ from repro.experiments.e2ebench import e2e_verdict
 #: Each suite's committed artifact (None: the suite commits no report).
 ARTIFACTS = {"e2e": None, "robustness": "ROBUSTNESS_PR5.json"}
 
+#: The size options each suite takes (robustness has one size).
+SIZE_OPTIONS = {"e2e": ["--smoke"], "robustness": []}
+
 #: Suites deleted because tests hold every one of their gates
 #: (``stream`` went earlier, when ``e2e`` took over its timing).
 REMOVED_SUITES = ("serve", "cache", "warm", "cluster", "soak")
@@ -21,7 +24,7 @@ REMOVED_FLAGS = (
     "--warm-output", "--cluster-output", "--soak-output",
     "--robustness-output", "--json-out", "--batch-size",
     "--queue-capacity", "--repeat", "--compare-old", "--compare-new",
-    "--compare-threshold", "--baseline", "--max-regression",
+    "--compare-threshold", "--baseline", "--max-regression", "--workers",
 )
 
 
@@ -109,14 +112,19 @@ class TestBenchSuites:
     @pytest.mark.parametrize("name", sorted(ARTIFACTS))
     def test_options_parsed(self, name):
         args = parse_args(
-            ["bench", name, "--smoke", "--output", "out.json",
-             "--seed", "4", "--workers", "3"]
+            ["bench", name, *SIZE_OPTIONS[name], "--output", "out.json",
+             "--seed", "4"]
         )
         assert args.suite == name
-        assert args.smoke is True
+        assert args.smoke is bool(SIZE_OPTIONS[name])
         assert args.output == "out.json"
         assert args.seed == 4
-        assert args.workers == 3
+
+    def test_smoke_on_one_size_suite_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench", "robustness", "--smoke"])
+        assert excinfo.value.code == 2
+        assert "robustness has one size" in capsys.readouterr().err
 
     @pytest.mark.parametrize("name", sorted(ARTIFACTS))
     def test_default_output_is_the_committed_artifact(self, name):

@@ -4,6 +4,7 @@ import os
 import signal
 import threading
 import time
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -235,10 +236,17 @@ def _runtime(endpoint, view=None, **boot):
     )
 
 
-def _serve(script, view=None, **boot):
-    """Run a worker adapter over ``script``; returns (runtime, replies)."""
+def _serve(script, view=None, max_wait_s=None, **boot):
+    """Run a worker adapter over ``script``; returns (runtime, replies).
+
+    ``max_wait_s`` overrides the worker service's batch-fill wait.
+    """
     endpoint = _ScriptedEndpoint(script)
     runtime = _runtime(endpoint, view, **boot)
+    if max_wait_s is not None:
+        runtime.service.config = replace(
+            runtime.service.config, max_wait_s=max_wait_s
+        )
     server = threading.Thread(target=runtime.serve_forever, daemon=True)
     server.start()
     server.join(timeout=60.0)
@@ -251,7 +259,7 @@ class TestWorkerClockDiscipline:
         """A future submitted_ts (cross-host skew) is clamped, not negative.
 
         The clamp is counted in ``clock.skew_clamped`` so skew shows up
-        in the orchestrator's merged snapshot instead of silently
+        in the client's merged snapshot instead of silently
         zeroing queue-wait samples.
         """
         skewed = Envelope("r1", None, 0, submitted_ts=time.time() + 60.0)
@@ -266,7 +274,7 @@ class TestWorkerClockDiscipline:
         assert all(reply.ok for reply in replies.values())
 
     def test_skew_counter_survives_snapshot_merge(self):
-        """The counter reaches the orchestrator's cross-process merge."""
+        """The counter reaches the client's cross-process merge."""
         runtime, _ = _serve(
             [Envelope("r1", None, 0, submitted_ts=time.time() + 5.0),
              Shutdown()]
@@ -311,9 +319,7 @@ class TestWorkerAdapter:
         replies, so a crash defers only that batch: the rest of the
         shard's backlog is still in the broker and is salvaged with its
         attempts untouched, not charged a redelivery."""
-        from repro.cluster.orchestrator import Orchestrator
-
-        orch = Orchestrator(
+        orch = ClusterClient(
             tmp_path / "registry",
             config=ClusterConfig(
                 num_workers=1, max_batch_size=2,
@@ -482,7 +488,7 @@ class TestKillSurvival:
         with client:
             handles = client.submit_many(sessions, timeout=None)
             time.sleep(0.2)  # throttle guarantees in-flight load
-            victim = client.orchestrator._slots[0]
+            victim = client._slots[0]
             os.kill(victim.process.pid, signal.SIGKILL)
             results = [h.result(timeout=300.0) for h in handles]
             snap = client.snapshot()
@@ -502,7 +508,7 @@ class TestKillSurvival:
         client = ClusterClient(registry, config=config)
         with client:
             client.identify(test[0], timeout=60.0)  # cluster serves
-            victim = client.orchestrator._slots[0]
+            victim = client._slots[0]
             os.kill(victim.process.pid, signal.SIGKILL)
             deadline = time.monotonic() + 60.0
             while time.monotonic() < deadline:
@@ -527,9 +533,7 @@ class TestKillSurvival:
 
 @pytest.fixture
 def orch(tmp_path):
-    """An orchestrator that never spawns workers: internals under test."""
-    from repro.cluster.orchestrator import Orchestrator
-
+    """A cluster client that never spawns workers: internals under test."""
     config = ClusterConfig(
         num_workers=2,
         breaker_failure_threshold=2,
@@ -537,11 +541,11 @@ def orch(tmp_path):
         redelivery_backoff_base_s=10.0,  # deferrals visibly in the future
         redelivery_backoff_max_s=20.0,
     )
-    return Orchestrator(tmp_path / "registry", config=config)
+    return ClusterClient(tmp_path / "registry", config=config)
 
 
 def _pend(orch, shard: int, request_id: str = "r-1"):
-    from repro.cluster.orchestrator import _Pending
+    from repro.cluster.client import _Pending
     from repro.serve.service import RequestHandle
 
     envelope = Envelope(request_id=request_id, session=object(), shard=shard)
@@ -568,6 +572,25 @@ class TestRedeliveryBackoff:
             "cluster.redeliveries"
         ] == 1
         assert pending.envelope.attempts == 1
+
+    def test_third_crash_exhausts_the_redelivery_budget(self, orch):
+        """The poison cap: a request in flight through three worker
+        crashes fails typed instead of crash-looping the shard."""
+        from repro.cluster import RemoteError
+
+        pending = _pend(orch, shard=0)
+        orch._redeliver(0, salvaged=[])
+        orch._redeliver(0, salvaged=[])
+        assert not pending.handle.done()
+        assert [e.attempts for _, e in orch._deferred] == [1, 2]
+        orch._redeliver(0, salvaged=[])
+        with pytest.raises(RemoteError) as excinfo:
+            pending.handle.result(timeout=1.0)
+        assert excinfo.value.error_type == "RedeliveryExhausted"
+        assert pending.envelope.request_id not in orch._pending
+        counters = orch.metrics.snapshot()["counters"]
+        assert counters["requests.failed"] == 1
+        assert counters["cluster.redeliveries"] == 2
 
     def test_salvaged_envelopes_republish_immediately(self, orch):
         pending = _pend(orch, shard=0)
@@ -691,16 +714,19 @@ class TestHedging:
         assert orch.metrics.snapshot()["counters"]["cluster.hedges"] == 0
 
     def test_adaptive_threshold_needs_observations(self, tmp_path):
-        from repro.cluster.orchestrator import Orchestrator
+        from repro.cluster.client import (
+            HEDGE_LATENCY_FACTOR,
+            HEDGE_MIN_OBSERVATIONS,
+        )
 
         config = ClusterConfig(num_workers=2, hedge_after_s=None)
-        orch = Orchestrator(tmp_path / "registry", config=config)
+        orch = ClusterClient(tmp_path / "registry", config=config)
         assert orch._hedge_threshold_s() is None  # no latency history yet
-        for _ in range(config.hedge_min_observations):
+        for _ in range(HEDGE_MIN_OBSERVATIONS):
             orch._latency_hist.observe(100.0)
         threshold = orch._hedge_threshold_s()
         assert threshold == pytest.approx(
-            0.1 * config.hedge_latency_factor, rel=0.2
+            0.1 * HEDGE_LATENCY_FACTOR, rel=0.2
         )
 
 

@@ -37,6 +37,7 @@ from repro.engine.artifacts import (
     StreamWindowArtifact,
     make_key,
 )
+from repro.engine.cache import TIER_COMPUTE, TIER_MEMORY
 from repro.engine.stages import DENOISE_REVISION
 from repro.persist import ArtifactStore
 
@@ -256,10 +257,14 @@ class TestStageCache:
     def test_resolve_miss_then_hit(self):
         cache = StageCache()
         calls = []
-        value, hit = cache.resolve("s", "k", lambda: calls.append(1) or 42)
-        assert (value, hit) == (42, False)
-        value, hit = cache.resolve("s", "k", lambda: calls.append(1) or 99)
-        assert (value, hit) == (42, True)
+        value, tier = cache.resolve_tier(
+            "s", "k", lambda: calls.append(1) or 42
+        )
+        assert (value, tier) == (42, TIER_COMPUTE)
+        value, tier = cache.resolve_tier(
+            "s", "k", lambda: calls.append(1) or 99
+        )
+        assert (value, tier) == (42, TIER_MEMORY)
         assert len(calls) == 1
         assert cache.stats["s"].hits == 1
         assert cache.stats["s"].misses == 1
@@ -269,14 +274,14 @@ class TestStageCache:
         cache = StageCache()
         cache.store("a", "k", 1)
         cache.store("b", "k", 2)
-        assert cache.lookup("a", "k") == (1, True)
-        assert cache.lookup("b", "k") == (2, True)
+        assert cache.lookup_tier("a", "k") == (1, TIER_MEMORY)
+        assert cache.lookup_tier("b", "k") == (2, TIER_MEMORY)
 
     def test_lru_eviction(self):
         cache = StageCache(max_entries=2)
         cache.store("s", "k1", 1)
         cache.store("s", "k2", 2)
-        cache.lookup("s", "k1")  # refresh k1; k2 becomes LRU
+        cache.lookup_tier("s", "k1")  # refresh k1; k2 becomes LRU
         cache.store("s", "k3", 3)
         assert ("s", "k1") in cache
         assert ("s", "k2") not in cache
@@ -293,7 +298,7 @@ class TestStageCache:
 
     def test_clear_resets_stats(self):
         cache = StageCache()
-        cache.resolve("s", "k", lambda: 1)
+        cache.resolve_tier("s", "k", lambda: 1)
         cache.clear()
         assert len(cache) == 0
         assert cache.snapshot() == {}
@@ -304,8 +309,8 @@ class TestStageCache:
 
     def test_snapshot_is_plain_data(self):
         cache = StageCache()
-        cache.resolve("s", "k", lambda: 1)
-        cache.resolve("s", "k", lambda: 1)
+        cache.resolve_tier("s", "k", lambda: 1)
+        cache.resolve_tier("s", "k", lambda: 1)
         snap = cache.snapshot()
         assert snap == {
             "s": {

@@ -211,7 +211,21 @@ class TestCircuitBreaker:
 # ----------------------------------------------------------------------
 
 
+#: Highest queue depth ``LoadShedder(capacity=10)`` admits, by priority.
+#: Priority p < 0 is admitted while ``depth / capacity < max(0.25,
+#: 1.0 + p * 0.15)``; at p = -2 the 7-of-10 cell sits on the boundary
+#: (0.7 < 0.7 is false).  Priority >= 0 is never shed on depth.
+_HIGHEST_ADMITTED_DEPTH = {-6: 2, -5: 2, -4: 3, -3: 5, -2: 6, -1: 8}
+
+
 class TestLoadShedder:
+    @pytest.mark.parametrize("priority", range(-6, 3))
+    def test_admission_truth_table(self, priority):
+        shedder = LoadShedder(capacity=10)
+        admitted = [d for d in range(12) if shedder.admit(d, priority)]
+        highest = _HIGHEST_ADMITTED_DEPTH.get(priority, 11)
+        assert admitted == list(range(highest + 1))
+
     def test_default_config_never_sheds_on_depth_alone(self):
         # Threshold >= 1.0 disables the depth signal: queue saturation
         # keeps its own typed QueueFullError at the bounded queue.
@@ -223,28 +237,6 @@ class TestLoadShedder:
         assert shedder.admit(depth=8, priority=-1)
         assert not shedder.admit(depth=9, priority=-1)
 
-    def test_latency_ewma_sheds_even_at_default_threshold(self):
-        shedder = LoadShedder(capacity=10, latency_threshold_ms=100.0)
-        for _ in range(20):
-            shedder.observe_latency(500.0)
-        assert not shedder.admit(depth=0, priority=0)
-
-    def test_positive_priority_is_protected_longer(self):
-        shedder = LoadShedder(
-            capacity=10, latency_threshold_ms=100.0, base_pressure=0.9
-        )
-        for _ in range(20):
-            shedder.observe_latency(95.0)
-        assert not shedder.admit(depth=0, priority=0)
-        assert shedder.admit(depth=0, priority=2)
-
     def test_threshold_floor(self):
         shedder = LoadShedder(capacity=10)
         assert shedder.threshold(-100) == pytest.approx(0.25)
-
-    def test_snapshot_shape(self):
-        shedder = LoadShedder(capacity=10, latency_threshold_ms=50.0)
-        shedder.observe_latency(25.0)
-        snap = shedder.snapshot()
-        assert snap["ewma_ms"] == pytest.approx(25.0)
-        assert "capacity" in snap
