@@ -13,8 +13,8 @@ Usage::
 Every figure command prints the same rows/series the paper's figure
 plots, via :mod:`repro.experiments.reporting`.  ``bench <suite>`` runs
 one suite of :data:`repro.experiments.bench.SUITES`, writes its report
-(``--output``, default the suite's committed artifact) and exits
-non-zero when any of the suite's gates fails.
+only where ``--output`` points and exits non-zero when any of the
+suite's gates fails.
 
 All subcommands live in one :data:`COMMANDS` registry; ``list`` and the
 help text are generated from it, and an unknown subcommand exits with a
@@ -299,8 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     suites.add_argument(
         "--output", default=None,
-        help="JSON report to write/merge (default: the suite's committed "
-        "artifact; none for e2e, which commits no report)",
+        help="JSON report to write/merge (default: none); an existing "
+        "file that is not a report is refused",
     )
     persist = parser.add_argument_group("store options")
     persist.add_argument(
@@ -315,11 +315,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
-    """Parse ``argv``, defaulting a bench suite's ``--output`` to its
-    committed artifact.
+    """Parse ``argv``.
 
-    ``bench`` without a suite, a suite after any other command, or
-    ``--smoke`` on a suite with one size exits with argparse's status 2.
+    ``bench`` without a suite, a suite after any other command,
+    ``--smoke`` on a suite with one size, or an ``--output`` that is a
+    file but not a report exits with argparse's status 2 -- before the
+    suite runs.
     """
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -332,8 +333,11 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
         parser.error(f"bench needs a suite, one of: {names}")
     if args.smoke and not bench.SUITES[args.suite].smoke:
         parser.error(f"bench {args.suite} has one size; drop --smoke")
-    if args.output is None:
-        args.output = bench.SUITES[args.suite].artifact
+    if args.output is not None:
+        try:
+            bench.check_writable(args.output)
+        except ValueError as exc:
+            parser.error(str(exc))
     return args
 
 

@@ -48,14 +48,6 @@ class WiMiConfig:
             the feature vector (it is branch-independent and anchors the
             identify-time branch search).  Disable to study a single
             pair/subcarrier in isolation (Fig. 13).
-        stream_window_size: Packet window of the streaming preview
-            (:func:`repro.dsp.streaming.window_log_sums`): each window of
-            this many consecutive packets is outlier-rejected and added
-            to the preview's running sums as soon as it completes.
-        stream_hop: Stride (packets) between consecutive streaming
-            windows; ``hop < window`` overlaps windows, so a packet in
-            the overlap counts once per window that covers it.  Must
-            satisfy ``1 <= hop <= window``.
         degradation_policy: How the pipeline treats degraded captures:
             ``"degrade"`` (default -- hard failures raise
             ``CorruptTraceError``, soft issues warn and trigger
@@ -89,8 +81,6 @@ class WiMiConfig:
     gamma_strategy: str = "dictionary"
     use_coarse_pair: bool = True
     include_coarse_feature: bool = True
-    stream_window_size: int = 8
-    stream_hop: int = 4
     degradation_policy: str = "degrade"
     quality_thresholds: QualityThresholds = field(
         default_factory=QualityThresholds
@@ -129,16 +119,6 @@ class WiMiConfig:
         if self.outlier_sigmas <= 0:
             raise ValueError(
                 f"outlier_sigmas must be positive, got {self.outlier_sigmas}"
-            )
-        if self.stream_window_size < 1:
-            raise ValueError(
-                f"stream_window_size must be >= 1, got "
-                f"{self.stream_window_size}"
-            )
-        if not 1 <= self.stream_hop <= self.stream_window_size:
-            raise ValueError(
-                f"stream_hop must be in [1, stream_window_size="
-                f"{self.stream_window_size}], got {self.stream_hop}"
             )
 
     def with_overrides(self, **changes) -> "WiMiConfig":

@@ -48,6 +48,11 @@ from repro.core.feature import (
     SessionFeatures,
 )
 from repro.core.phase import PhaseCalibrator
+from repro.core.streaming import (
+    STREAM_HOP,
+    STREAM_WINDOW_SIZE,
+    StreamingExtractor,
+)
 from repro.core.subcarrier import SubcarrierSelector
 from repro.csi.collector import CaptureSession
 from repro.csi.quality import (
@@ -774,10 +779,8 @@ class WiMi:
         :meth:`~repro.core.streaming.StreamingExtractor.finalize` for
         the classified result, which is :meth:`extract` of the buffered
         session.  See :mod:`repro.core.streaming` for the window
-        semantics (``config.stream_window_size``/``stream_hop``).
+        semantics (``STREAM_WINDOW_SIZE``/``STREAM_HOP``).
         """
-        from repro.core.streaming import StreamingExtractor
-
         return StreamingExtractor(
             self, scene=scene, material_name=material_name
         )
@@ -926,6 +929,18 @@ class WiMi:
             config_dict.pop("compute_precision", "float64"),
             "compute_precision",
         )
+        # Bundles saved while the preview windows were config fields
+        # record them; only the values the constants keep still load.
+        for field, constant in (
+            ("stream_window_size", STREAM_WINDOW_SIZE),
+            ("stream_hop", STREAM_HOP),
+        ):
+            saved = config_dict.pop(field, constant)
+            if saved != constant:
+                raise ValueError(
+                    f"saved state has {field}={saved!r}; streaming "
+                    f"previews are fixed at {field}={constant}"
+                )
         thresholds = config_dict.pop("quality_thresholds", None)
         for field in ("subcarrier_override", "antenna_pair"):
             if config_dict.get(field) is not None:

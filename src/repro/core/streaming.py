@@ -10,11 +10,12 @@ hands the buffered capture to the batch pipeline when the stream ends:
   resultants (:class:`repro.dsp.streaming.RunningCircularStats`),
   updated in O(K) per packet, converging to exactly the batch circular
   mean;
-* amplitude side -- every fixed-size window of raw amplitude rows is
-  median-imputed and outlier-rejected as it completes (the
-  ``stream_window_denoise`` engine stage, cached by content), and its
+* amplitude side -- every window of :data:`STREAM_WINDOW_SIZE` raw
+  amplitude rows (one starts every :data:`STREAM_HOP` packets) is
+  median-imputed and outlier-rejected as it completes, and its
   per-channel sums of clipped log-amplitude and finite counts are added
-  to two running ``(channels,)`` arrays.
+  to two running ``(channels,)`` arrays.  A window is computed once and
+  folded into the sums, never cached: each is new data.
 
 ``estimate()`` can be polled at any time for the preview Omega-bar with
 a per-window confidence; a poll is O(K): the mean log amplitude ratio of
@@ -153,9 +154,7 @@ class _TraceStream:
 
     # ------------------------------------------------------------------
 
-    def push(
-        self, packet: CsiPacket, window_size: int, hop: int
-    ) -> np.ndarray:
+    def push(self, packet: CsiPacket) -> np.ndarray:
         """Ingest one packet; add any window it completes to the sums.
 
         Returns the packet's raw amplitude row (for diagnostics).
@@ -176,16 +175,16 @@ class _TraceStream:
         self._phase.add(phase)
         self._phase_grids.clear()
         n = len(self._rows)
-        while self._next_start + window_size <= n:
+        while self._next_start + STREAM_WINDOW_SIZE <= n:
             start = self._next_start
             # Zero-copy: the window is a read-only view of the row arena.
-            window = self._engine.stream_window_denoise(
-                self._rows.window(start, start + window_size), start
+            log_sum, count = self._engine.stream_window_denoise(
+                self._rows.window(start, start + STREAM_WINDOW_SIZE)
             )
-            self._log_sum += window.log_sum
-            self._count += window.count
+            self._log_sum += log_sum
+            self._count += count
             self.windows_denoised += 1
-            self._next_start += hop
+            self._next_start += STREAM_HOP
         return row
 
     # ------------------------------------------------------------------
@@ -243,16 +242,27 @@ class _TraceStream:
         return CsiTrace.from_packets(self.packets, label=label, **kwargs)
 
 
+#: Packets per preview window: each window of this many consecutive
+#: packets is outlier-rejected
+#: (:func:`repro.dsp.streaming.window_log_sums`) and added to the
+#: preview's running sums as soon as it completes.
+STREAM_WINDOW_SIZE = 8
+
+#: Stride (packets) between consecutive preview windows.  Below the
+#: window size, so windows overlap and a packet in the overlap counts
+#: once per window that covers it.
+STREAM_HOP = 4
+
+
 class StreamingExtractor:
     """Consumes CSI packets incrementally, emits converging Omega-bar.
 
     Built from a *fitted* :class:`~repro.core.pipeline.WiMi`; the
     preview reuses its deployment calibration (antenna pair, good
-    subcarriers, coarse pair) and its engine (preview windows are
-    cached ``stream_window_denoise`` stage artifacts), and
-    :meth:`finalize` is its batch ``extract`` and classifier.  Windows
-    are ``config.stream_window_size`` packets long and start every
-    ``config.stream_hop`` packets.
+    subcarriers, coarse pair) and its engine's window reduction
+    (``stream_window_denoise``), and :meth:`finalize` is its batch
+    ``extract`` and classifier.  Windows are :data:`STREAM_WINDOW_SIZE`
+    packets long and start every :data:`STREAM_HOP` packets.
 
     Args:
         wimi: Fitted pipeline facade.
@@ -270,8 +280,6 @@ class StreamingExtractor:
         self._wimi = wimi
         self._scene = scene
         self._material_name = material_name
-        self.window_size = wimi.config.stream_window_size
-        self.hop = wimi.config.stream_hop
         self._pair = wimi.calibrated_pair
         self._subcarriers = wimi.calibrated_subcarriers
         if self._pair is None or not self._subcarriers:
@@ -282,7 +290,7 @@ class StreamingExtractor:
         self._target: _TraceStream | None = None
         self._omega_track = RunningVariance()
         self._tracked_windows = 0
-        self._ratio_mad = RollingMad(window=4 * self.window_size)
+        self._ratio_mad = RollingMad(window=4 * STREAM_WINDOW_SIZE)
         #: Landed windows per trace and the amplitude aggregates built
         #: from them (:meth:`_amplitude_aggregates`).
         self._amplitude_memo = ((-1, -1), (math.nan, math.nan))
@@ -340,7 +348,7 @@ class StreamingExtractor:
             stream.carrier_hz = carrier_hz
         i, j = self._pair
         for packet in items:
-            row = stream.push(packet, self.window_size, self.hop)
+            row = stream.push(packet)
             if which == "target":
                 amp = np.clip(
                     row.reshape(stream.num_subcarriers, stream.num_antennas),

@@ -26,9 +26,7 @@ from repro.engine.artifacts import (
     FeatureArtifact,
     ObservablesArtifact,
     PhaseArtifact,
-    StreamWindowArtifact,
     SubcarrierArtifact,
-    array_fingerprint,
     config_fingerprint,
     features_fingerprint,
     session_fingerprint,
@@ -51,7 +49,6 @@ from repro.engine.stages import (
     FEATURE_EXTRACTION,
     OBSERVABLES,
     PHASE_CALIBRATION,
-    STREAM_WINDOW_DENOISE,
     SUBCARRIER_SELECTION,
     StageSpec,
     stage_graph,
@@ -71,19 +68,16 @@ __all__ = [
     "PHASE_CALIBRATION",
     "PhaseArtifact",
     "PipelineEngine",
-    "STREAM_WINDOW_DENOISE",
     "SUBCARRIER_SELECTION",
     "StageCache",
     "StageCounter",
     "StageEvent",
     "StageSpec",
     "StageStats",
-    "StreamWindowArtifact",
     "SubcarrierArtifact",
     "TIER_COMPUTE",
     "TIER_DISK",
     "TIER_MEMORY",
-    "array_fingerprint",
     "config_fingerprint",
     "features_fingerprint",
     "session_fingerprint",

@@ -109,18 +109,6 @@ def features_fingerprint(features) -> str:
     return h.hexdigest()
 
 
-def array_fingerprint(array: np.ndarray) -> str:
-    """Content hash of a bare array (shape + dtype + bytes).
-
-    Used by partial-input stages (streaming windows) whose inputs are
-    slabs of a still-growing trace rather than finished objects a
-    fingerprint could be pinned on.
-    """
-    h = hashlib.blake2b(digest_size=16)
-    _hash_array(h, np.asarray(array))
-    return h.hexdigest()
-
-
 def make_key(*parts) -> str:
     """Join key parts into one cache key string."""
     return "|".join(str(p) for p in parts)
@@ -181,27 +169,6 @@ class DenoisedTraceArtifact(Artifact):
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "amplitudes", _freeze(self.amplitudes))
-
-
-@dataclass(frozen=True)
-class StreamWindowArtifact(Artifact):
-    """Output of ``stream_window_denoise``: one window's preview sums.
-
-    Attributes:
-        start: Absolute packet index of the window's first row.
-        log_sum: Per-channel sum of clipped log amplitude over the
-            window's outlier-rejected rows, shape ``(channels,)``.
-        count: Per-channel number of samples in ``log_sum``; 0 where
-            the channel was dead for the whole window.
-    """
-
-    start: int
-    log_sum: np.ndarray
-    count: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "log_sum", _freeze(self.log_sum))
-        object.__setattr__(self, "count", _freeze(self.count))
 
 
 @dataclass(frozen=True)

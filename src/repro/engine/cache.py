@@ -79,24 +79,19 @@ class StageEvent:
     Attributes:
         stage: Stage name (see :mod:`repro.engine.stages`).
         key: Content-hash cache key of the artifact.
-        cache_hit: True when the artifact came from any cache tier;
-            False when the stage actually executed.
         tier: Which tier satisfied the resolution -- ``"memory"``,
-            ``"disk"`` or ``"compute"``.  Defaults from ``cache_hit``
-            (hit -> memory) so pre-tier call sites and tests that build
-            events by hand stay valid.
+            ``"disk"`` or ``"compute"``.
     """
 
     stage: str
     key: str
-    cache_hit: bool
-    tier: str = ""
+    tier: str
 
-    def __post_init__(self):
-        if not self.tier:
-            object.__setattr__(
-                self, "tier", TIER_MEMORY if self.cache_hit else TIER_COMPUTE
-            )
+    @property
+    def cache_hit(self) -> bool:
+        """True when the artifact came from any cache tier; False when
+        the stage actually executed."""
+        return self.tier != TIER_COMPUTE
 
 
 class StageCache:

@@ -36,17 +36,15 @@ from repro.engine.artifacts import (
     FeatureArtifact,
     ObservablesArtifact,
     PhaseArtifact,
-    StreamWindowArtifact,
     SubcarrierArtifact,
     TraceQualityArtifact,
-    array_fingerprint,
     config_fingerprint,
     features_fingerprint,
     make_key,
     session_fingerprint,
     trace_fingerprint,
 )
-from repro.engine.cache import TIER_COMPUTE, StageCache, StageEvent
+from repro.engine.cache import StageCache, StageEvent
 from repro.resilience.deadline import check_deadline
 from repro.engine.stages import (
     AMPLITUDE_DENOISE,
@@ -55,8 +53,6 @@ from repro.engine.stages import (
     FEATURE_EXTRACTION,
     OBSERVABLES,
     PHASE_CALIBRATION,
-    STREAM_WINDOW_DENOISE,
-    STREAM_WINDOW_REVISION,
     SUBCARRIER_SELECTION,
     TRACE_QUALITY,
     StageSpec,
@@ -122,12 +118,7 @@ class PipelineEngine:
 
         artifact, tier = self.cache.resolve_tier(spec.name, key, guarded_compute)
         if self._hooks:
-            event = StageEvent(
-                stage=spec.name,
-                key=key,
-                cache_hit=tier != TIER_COMPUTE,
-                tier=tier,
-            )
+            event = StageEvent(stage=spec.name, key=key, tier=tier)
             for hook in list(self._hooks):
                 hook(event)
         return artifact
@@ -184,41 +175,23 @@ class PipelineEngine:
         return self._resolve(AMPLITUDE_DENOISE, key, compute)
 
     def stream_window_denoise(
-        self, rows: np.ndarray, start: int
-    ) -> StreamWindowArtifact:
-        """Preview sums of one streaming window.
+        self, rows: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(log_sum, count)`` preview sums of one streaming window.
 
-        ``rows`` is the raw ``(window, channels)`` |H| slab whose first
-        row sits at absolute packet index ``start``; the artifact holds
-        its per-channel clipped log-amplitude sums and counts after
+        ``rows`` is the raw ``(window, channels)`` |H| slab; the result
+        is its per-channel clipped log-amplitude sums and counts after
         median imputation and outlier rejection (no outlier rejection
-        under the Fig. 14 ``denoise_amplitude=False`` ablation).  The
-        key is the slab's content hash plus the start index (a
-        partial-input artifact: the trace is still growing, so there is
-        no finished object to fingerprint) -- replaying the same stream
-        resolves every window from cache regardless of how the packets
-        were chunked on the way in.
+        under the Fig. 14 ``denoise_amplitude=False`` ablation).  Not a
+        cached stage: every window of a live stream is new data, so the
+        call computes directly, with no key, event or store write.
         """
-        start = int(start)
-        key = make_key(
-            array_fingerprint(rows),
-            start,
-            self._config_key(STREAM_WINDOW_DENOISE),
-            STREAM_WINDOW_REVISION,
+        return window_log_sums(
+            rows,
+            _AMPLITUDE_EPS,
+            self.config.outlier_sigmas
+            if self.config.denoise_amplitude else None,
         )
-
-        def compute() -> StreamWindowArtifact:
-            log_sum, count = window_log_sums(
-                rows,
-                _AMPLITUDE_EPS,
-                self.config.outlier_sigmas
-                if self.config.denoise_amplitude else None,
-            )
-            return StreamWindowArtifact(
-                key=key, start=start, log_sum=log_sum, count=count
-            )
-
-        return self._resolve(STREAM_WINDOW_DENOISE, key, compute)
 
     def observables(
         self, session: CaptureSession, pair: tuple[int, int]

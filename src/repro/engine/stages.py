@@ -6,6 +6,10 @@ the stages it consumes.  The engine uses the declarations to build cache
 keys (only the declared config fields enter a stage's key, so e.g. a
 classifier sweep reuses every upstream artifact) and to expose the graph
 for introspection/docs.
+
+The streaming preview's per-window reduction
+(``PipelineEngine.stream_window_denoise``) is not a stage: every window
+of a live stream is new data, so it is computed and never cached.
 """
 
 from __future__ import annotations
@@ -60,12 +64,6 @@ PHASE_CALIBRATION = StageSpec(
 #: Revision 1: Eq. 13 keeps exact ties.
 DENOISE_REVISION = 1
 
-#: Revision of the ``stream_window_denoise`` artifact, hashed into its
-#: key for the same reason.  Revision 2: per-channel log-amplitude sums
-#: and counts of an outlier-rejected window (revision 1 stored the
-#: window's denoised rows).
-STREAM_WINDOW_REVISION = 2
-
 #: Sec. III-C: outlier rejection + spatially-selective wavelet filtering
 #: of one trace's amplitude cube.  The pipeline's hot spot.
 AMPLITUDE_DENOISE = StageSpec(
@@ -78,24 +76,6 @@ AMPLITUDE_DENOISE = StageSpec(
     ),
     inputs=(),
     description="denoised |H| cube of one trace",
-)
-
-#: Streaming preview: one fixed-size packet window of raw amplitude
-#: rows, outlier-rejected and reduced to per-channel log-amplitude sums
-#: as soon as the window completes.  Partial-input stage: the key hashes
-#: the window's *rows* plus its absolute start index, so a replayed
-#: stream (same packets, any chunking) resolves every window from cache
-#: while a divergent stream misses from the first differing window.
-STREAM_WINDOW_DENOISE = StageSpec(
-    name="stream_window_denoise",
-    config_fields=(
-        "denoise_amplitude",
-        "outlier_sigmas",
-        "stream_window_size",
-        "stream_hop",
-    ),
-    inputs=(),
-    description="log |H| sums of one outlier-rejected streaming window",
 )
 
 #: Eq. 19 observable assembled from the denoised cubes of both traces.
@@ -135,7 +115,6 @@ ALL_STAGES: tuple[StageSpec, ...] = (
     TRACE_QUALITY,
     PHASE_CALIBRATION,
     AMPLITUDE_DENOISE,
-    STREAM_WINDOW_DENOISE,
     OBSERVABLES,
     SUBCARRIER_SELECTION,
     FEATURE_EXTRACTION,

@@ -1,15 +1,16 @@
 """One harness behind ``repro bench <suite>``.
 
-Every benchmark is one :class:`Suite` in :data:`SUITES`: how to run it,
-how to render its results and which committed artifact it writes.  The
-runner (:func:`run_bench`) is the only code that writes reports and
-decides the exit status, so every suite shares one report layout::
+Every benchmark is one :class:`Suite` in :data:`SUITES`: how to run it
+and how to render its results.  The runner (:func:`run_bench`) is the
+only code that writes reports and decides the exit status, so every
+suite shares one report layout::
 
     {"schema": 1, "benchmark": <suite>, "suites": {<mode>: results}}
 
-with ``smoke`` and ``full`` results stored side by side.  Each result
-carries a ``gates`` dict of named booleans, and the runner fails when
-any gate is false.
+with ``smoke`` and ``full`` results stored side by side.  A report is
+written only where the caller points, and never over a file in another
+layout.  Each result carries a ``gates`` dict of named booleans, and the
+runner fails when any gate is false.
 
 The ``e2e`` suite is the only timing gate: it runs the end-to-end
 benchmark (``wimibench/``) on the change and on its parent and judges
@@ -39,9 +40,6 @@ class Suite(NamedTuple):
     #: runner, not by the suite).
     render: Callable[[dict], str]
     description: str
-    #: Committed report the suite writes by default; None for suites
-    #: without one.
-    artifact: str | None = None
     #: Whether the suite has a ``"smoke"`` size; a suite without one
     #: runs only ``"full"``.
     smoke: bool = False
@@ -67,15 +65,29 @@ def load_report(path: str | Path) -> dict | None:
     return None
 
 
+def check_writable(path: str | Path) -> None:
+    """Raise ValueError when ``path`` exists but is not a report, so a
+    write there would replace a file in another layout."""
+    if Path(path).exists() and load_report(path) is None:
+        raise ValueError(
+            f"{path} exists and is not a bench report; refusing to "
+            "replace it"
+        )
+
+
 def write_report(
     path: str | Path, suite: str, mode: str, results: dict
 ) -> dict:
     """Write/merge ``results`` under ``mode`` into the report at ``path``.
 
     Modes are stored side by side so a smoke-only run does not clobber
-    the committed full-suite results.
+    the full-suite results.  Raises ValueError, writing nothing, when
+    ``path`` holds a file that is not a report (:func:`check_writable`).
     """
-    report = load_report(path) or {"schema": 1, "suites": {}}
+    report = load_report(path)
+    if report is None:
+        check_writable(path)
+        report = {"schema": 1, "suites": {}}
     report["benchmark"] = suite
     report["suites"][mode] = results
     Path(path).write_text(
@@ -98,7 +110,6 @@ SUITES: dict[str, Suite] = {
     "robustness": Suite(
         robustness.run_suite, robustness.render_report,
         "accuracy-under-fault sweeps (loss, dead antenna)",
-        artifact="ROBUSTNESS_PR5.json",
     ),
 }
 

@@ -39,7 +39,6 @@ from repro.engine.artifacts import (
     FeatureArtifact,
     ObservablesArtifact,
     PhaseArtifact,
-    StreamWindowArtifact,
     SubcarrierArtifact,
     TraceQualityArtifact,
 )
@@ -216,10 +215,6 @@ def serialize_artifact(artifact: Artifact) -> bytes:
         arrays["theta_wrapped"] = artifact.theta_wrapped
     elif isinstance(artifact, DenoisedTraceArtifact):
         arrays["amplitudes"] = artifact.amplitudes
-    elif isinstance(artifact, StreamWindowArtifact):
-        meta["start"] = artifact.start
-        arrays["log_sum"] = artifact.log_sum
-        arrays["count"] = artifact.count
     elif isinstance(artifact, ObservablesArtifact):
         meta["pair"] = list(artifact.pair)
         arrays["theta_wrapped"] = artifact.theta_wrapped
@@ -277,13 +272,6 @@ def deserialize_artifact(data: bytes) -> Artifact:
     if kind == "DenoisedTraceArtifact":
         return DenoisedTraceArtifact(
             key=key, amplitudes=np.asarray(arrays["amplitudes"])
-        )
-    if kind == "StreamWindowArtifact":
-        return StreamWindowArtifact(
-            key=key,
-            start=int(meta["start"]),
-            log_sum=np.asarray(arrays["log_sum"]),
-            count=np.asarray(arrays["count"]),
         )
     if kind == "ObservablesArtifact":
         return ObservablesArtifact(

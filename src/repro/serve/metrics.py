@@ -418,9 +418,8 @@ class StageEventRecorder:
     def __call__(self, event) -> None:
         kind = "hits" if event.cache_hit else "executions"
         self.registry.counter(f"stage.{event.stage}.{kind}").inc()
-        tier = getattr(event, "tier", "")
         if event.cache_hit:
-            suffix = "disk_hits" if tier == "disk" else "memory_hits"
+            suffix = "disk_hits" if event.tier == "disk" else "memory_hits"
             self.registry.counter(f"stage.{event.stage}.{suffix}").inc()
             self.registry.counter(f"cache.{suffix}").inc()
         else:

@@ -10,12 +10,11 @@ full trace client-side first.
 Isolation follows the worker-pool pattern: every session runs on its
 own ``wimi.clone_view()`` (private engine + hook list, shared stage
 cache and classifier), so concurrent sessions never contend on engine
-state while still sharing preview-window and batch-stage artifacts.
-A session's finalized result is the batch ``extract`` and classify of
-its buffered packets.  The gateway caps
-concurrent sessions (explicit rejection, never silent queueing of an
-unbounded number of half-open streams) and tracks the fleet in a
-:class:`repro.serve.metrics.MetricsRegistry`.
+state while still sharing batch-stage artifacts.  A session's
+finalized result is the batch ``extract`` and classify of its buffered
+packets.  The gateway caps concurrent sessions (explicit rejection,
+never silent queueing of an unbounded number of half-open streams) and
+tracks the fleet in a :class:`repro.serve.metrics.MetricsRegistry`.
 """
 
 from __future__ import annotations

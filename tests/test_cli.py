@@ -1,13 +1,13 @@
 """Tests for the command-line interface."""
 
+import shutil
+from pathlib import Path
+
 import pytest
 
 from repro.cli import COMMANDS, build_parser, main, parse_args
 from repro.experiments import bench
 from repro.experiments.e2ebench import e2e_verdict
-
-#: Each suite's committed artifact (None: the suite commits no report).
-ARTIFACTS = {"e2e": None, "robustness": "ROBUSTNESS_PR5.json"}
 
 #: The size options each suite takes (robustness has one size).
 SIZE_OPTIONS = {"e2e": ["--smoke"], "robustness": []}
@@ -36,7 +36,7 @@ class TestRegistry:
     def test_benchmarks_registered_uniformly(self):
         # Every benchmark suite dispatches through the one bench command.
         assert "bench" in COMMANDS
-        assert set(bench.SUITES) == set(ARTIFACTS)
+        assert set(bench.SUITES) == set(SIZE_OPTIONS)
         assert not any(name.endswith("-bench") for name in COMMANDS)
         assert "bench-compare" not in COMMANDS
 
@@ -103,13 +103,13 @@ class TestExecution:
 
 
 class TestBenchSuites:
-    @pytest.mark.parametrize("name", sorted(ARTIFACTS))
+    @pytest.mark.parametrize("name", sorted(SIZE_OPTIONS))
     def test_registered_outside_all(self, name):
         assert name in bench.SUITES
         assert name not in COMMANDS
         assert not COMMANDS["bench"].in_all
 
-    @pytest.mark.parametrize("name", sorted(ARTIFACTS))
+    @pytest.mark.parametrize("name", sorted(SIZE_OPTIONS))
     def test_options_parsed(self, name):
         args = parse_args(
             ["bench", name, *SIZE_OPTIONS[name], "--output", "out.json",
@@ -126,10 +126,24 @@ class TestBenchSuites:
         assert excinfo.value.code == 2
         assert "robustness has one size" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("name", sorted(ARTIFACTS))
-    def test_default_output_is_the_committed_artifact(self, name):
-        args = parse_args(["bench", name])
-        assert args.output == ARTIFACTS[name]
+    @pytest.mark.parametrize("name", sorted(SIZE_OPTIONS))
+    def test_output_has_no_default(self, name):
+        # A suite writes a report only where --output points.
+        assert parse_args(["bench", name]).output is None
+
+    def test_non_report_output_is_refused(self, tmp_path, capsys):
+        # The committed robustness record predates the report layout.
+        record = Path(__file__).parent.parent / "ROBUSTNESS_PR5.json"
+        path = tmp_path / record.name
+        shutil.copy(record, path)
+        before = path.read_bytes()
+        with pytest.raises(ValueError, match="not a bench report"):
+            bench.write_report(path, "robustness", "full", {"gates": {}})
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench", "robustness", "--output", str(path)])
+        assert excinfo.value.code == 2
+        assert str(path) in capsys.readouterr().err
+        assert path.read_bytes() == before
 
     @pytest.mark.parametrize(
         "argv",

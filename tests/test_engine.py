@@ -19,12 +19,10 @@ from repro.engine import (
     FEATURE_EXTRACTION,
     OBSERVABLES,
     PHASE_CALIBRATION,
-    STREAM_WINDOW_DENOISE,
     PhaseArtifact,
     StageCache,
     StageCounter,
     StageEvent,
-    array_fingerprint,
     config_fingerprint,
     session_fingerprint,
     stage_graph,
@@ -34,7 +32,6 @@ from repro.engine.artifacts import (
     DenoisedTraceArtifact,
     FeatureArtifact,
     ObservablesArtifact,
-    StreamWindowArtifact,
     make_key,
 )
 from repro.engine.cache import TIER_COMPUTE, TIER_MEMORY
@@ -89,17 +86,11 @@ class TestFingerprints:
             wavelet_changed, fields
         )
 
-    def test_array_fingerprint_separates_dtypes(self):
-        x64 = np.random.default_rng(7).normal(size=(8, 3))
-        x32 = x64.astype(np.float32)
-        assert array_fingerprint(x64) != array_fingerprint(x32)
-        assert array_fingerprint(x32) == array_fingerprint(x32.copy())
-
 
 class TestStageGraph:
     def test_all_stages_declared_once(self):
         names = [spec.name for spec in ALL_STAGES]
-        assert len(names) == len(set(names)) == 8
+        assert len(names) == len(set(names)) == 7
 
     def test_edges_reference_known_stages(self):
         graph = stage_graph()
@@ -120,7 +111,7 @@ class TestDenoiseRevision:
     The sentinel sits under the key formula a stage used before
     ``DENOISE_REVISION`` entered its key; a fresh process over that store
     must recompute the stage instead of returning it.  That covers the
-    two denoise stages and the two stages built from their output.
+    denoise stage and the two stages built from its output.
     """
 
     @staticmethod
@@ -147,40 +138,6 @@ class TestDenoiseRevision:
         assert counter.executions == {AMPLITUDE_DENOISE.name: 1}
         assert artifact.key != old_key
         assert np.all(artifact.amplitudes > 0.0)
-
-    def test_stream_window_recomputes_old_key(self, sessions, tmp_path):
-        """Neither the pre-revision key nor the revision-1 key (denoised
-        rows, before the stage became log-amplitude sums) is served."""
-        store = ArtifactStore(tmp_path / "store")
-        rows = np.abs(sessions[0].baseline.matrix()[:8]).reshape(8, -1)
-        old_fields = AMPLITUDE_DENOISE.config_fields + (
-            "stream_window_size",
-            "stream_hop",
-        )
-        base = (
-            array_fingerprint(rows),
-            0,
-            config_fingerprint(WiMiConfig(), old_fields),
-        )
-        old_keys = (make_key(*base), make_key(*base, DENOISE_REVISION))
-        channels = rows.shape[1]
-        for old_key in old_keys:
-            store.put(
-                STREAM_WINDOW_DENOISE.name,
-                old_key,
-                StreamWindowArtifact(
-                    key=old_key,
-                    start=0,
-                    log_sum=np.full(channels, 99.0),
-                    count=np.full(channels, -1),
-                ),
-            )
-        counter = StageCounter()
-        artifact = self._engine(store, counter).stream_window_denoise(rows, 0)
-        assert counter.executions == {STREAM_WINDOW_DENOISE.name: 1}
-        assert artifact.key not in old_keys
-        assert np.all(artifact.count == 8)
-        assert np.all(artifact.log_sum != 99.0)
 
     def test_observables_recompute_old_key(self, sessions, tmp_path):
         store = ArtifactStore(tmp_path / "store")
@@ -326,9 +283,9 @@ class TestStageCache:
 class TestStageCounter:
     def test_counts_executions_and_hits(self):
         counter = StageCounter()
-        counter(StageEvent(stage="s", key="k", cache_hit=False))
-        counter(StageEvent(stage="s", key="k", cache_hit=True))
-        counter(StageEvent(stage="s", key="k", cache_hit=True))
+        counter(StageEvent(stage="s", key="k", tier=TIER_COMPUTE))
+        counter(StageEvent(stage="s", key="k", tier=TIER_MEMORY))
+        counter(StageEvent(stage="s", key="k", tier=TIER_MEMORY))
         assert counter.executions == {"s": 1}
         assert counter.hits == {"s": 2}
         assert counter.total("s") == 3

@@ -221,3 +221,34 @@ class TestLegacyPrecisionBundles:
         meta, arrays, _ = legacy.load("wimi")
         with pytest.raises(ValueError, match="precision='float32'"):
             DatabaseClassifier.from_state(meta["classifier"], arrays)
+
+
+class TestLegacyStreamWindowBundles:
+    """Bundles saved while the preview windows were config fields carry
+    ``config["stream_window_size"]`` and ``config["stream_hop"]``."""
+
+    def _legacy(self, trained, tmp_path, window, hop):
+        _, registry, _ = trained
+        meta, arrays, _ = registry.load("wimi")
+        meta["config"]["stream_window_size"] = window
+        meta["config"]["stream_hop"] = hop
+        legacy = ModelRegistry(tmp_path / "legacy")
+        legacy.save("wimi", meta, arrays)
+        return legacy
+
+    def test_constant_windows_load_unchanged(self, trained, tmp_path):
+        wimi, _, test = trained
+        restored = WiMi.from_registry(self._legacy(trained, tmp_path, 8, 4))
+        assert restored.config == wimi.config
+        assert restored.identify_batch(test) == wimi.identify_batch(test)
+
+    @pytest.mark.parametrize(
+        "window, hop, field",
+        [(16, 4, "stream_window_size"), (8, 16, "stream_hop")],
+    )
+    def test_other_windows_are_refused(
+        self, trained, tmp_path, window, hop, field
+    ):
+        legacy = self._legacy(trained, tmp_path, window, hop)
+        with pytest.raises(ValueError, match=f"{field}=16"):
+            WiMi.from_registry(legacy)

@@ -12,7 +12,6 @@ from repro.engine.artifacts import (
     FeatureArtifact,
     ObservablesArtifact,
     PhaseArtifact,
-    StreamWindowArtifact,
     SubcarrierArtifact,
     TraceQualityArtifact,
 )
@@ -109,24 +108,6 @@ class TestArtifactRoundTrips:
         out = _roundtrip(artifact)
         assert np.array_equal(out.amplitudes, artifact.amplitudes)
         assert out.amplitudes.dtype == artifact.amplitudes.dtype
-
-    def test_stream_window_artifact(self):
-        count = np.full(90, 8)
-        count[[4, 40]] = 0  # channels dead for the whole window
-        artifact = StreamWindowArtifact(
-            key="k-win",
-            start=12,
-            log_sum=np.where(count > 0, RNG.normal(size=90), 0.0),
-            count=count,
-        )
-        out = _roundtrip(artifact)
-        assert isinstance(out, StreamWindowArtifact)
-        assert out.key == artifact.key
-        assert out.start == 12
-        assert np.array_equal(out.log_sum, artifact.log_sum)
-        assert np.array_equal(out.count, artifact.count)
-        assert out.log_sum.dtype == artifact.log_sum.dtype
-        assert out.count.dtype == artifact.count.dtype
 
     def test_observables_artifact(self):
         artifact = ObservablesArtifact(

@@ -14,7 +14,7 @@ from repro.csi.faults import flip_bits, truncate_file
 from repro.engine.artifacts import Artifact, DenoisedTraceArtifact
 from repro.experiments.runner import parallel_map
 from repro.persist import ArtifactStore
-from repro.persist.serialize import deserialize_artifact
+from repro.persist.serialize import deserialize_artifact, frame, pack
 
 STAGE = "amplitude_denoise"
 
@@ -171,6 +171,22 @@ class TestStatsAndGc:
         }
         assert store.get(STAGE, "good") is not None
         assert not store.path_for(STAGE, "bad").exists()
+
+    def test_gc_removes_retired_stream_window_entries(self, tmp_path):
+        # Streaming preview windows were once cached as their own
+        # artifact type; stores written then still hold such entries.
+        store = ArtifactStore(tmp_path / "store")
+        store.put(STAGE, "good", _artifact(key="good"))
+        meta = {"type": "StreamWindowArtifact", "key": "w", "start": 0}
+        arrays = {"log_sum": np.zeros(90), "count": np.full(90, 8)}
+        window = store.path_for("stream_window_denoise", "w")
+        window.parent.mkdir(parents=True)
+        window.write_bytes(frame(pack(meta, arrays)))
+        assert store.stats()["stages"]["stream_window_denoise"]["entries"] == 1
+        removed = store.gc()
+        assert removed["corrupt_removed"] == 1
+        assert not window.exists()
+        assert store.get(STAGE, "good") is not None
 
 
 class TestQuarantine:

@@ -12,7 +12,12 @@ from repro.serve.metrics import (
     MetricsRegistry,
     StageEventRecorder,
 )
-from repro.engine.cache import StageEvent
+from repro.engine.cache import (
+    TIER_COMPUTE,
+    TIER_DISK,
+    TIER_MEMORY,
+    StageEvent,
+)
 
 
 class TestCounter:
@@ -130,9 +135,9 @@ class TestStageEventRecorder:
     def test_mirrors_hits_and_executions(self):
         reg = MetricsRegistry()
         rec = StageEventRecorder(reg)
-        rec(StageEvent(stage="amplitude_denoise", key="k", cache_hit=False))
-        rec(StageEvent(stage="amplitude_denoise", key="k", cache_hit=True))
-        rec(StageEvent(stage="amplitude_denoise", key="k", cache_hit=True))
+        rec(StageEvent(stage="amplitude_denoise", key="k", tier=TIER_COMPUTE))
+        rec(StageEvent(stage="amplitude_denoise", key="k", tier=TIER_MEMORY))
+        rec(StageEvent(stage="amplitude_denoise", key="k", tier=TIER_DISK))
         snap = reg.snapshot()["counters"]
         assert snap["stage.amplitude_denoise.executions"] == 1
         assert snap["stage.amplitude_denoise.hits"] == 2

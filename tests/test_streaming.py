@@ -22,7 +22,12 @@ from repro.core.feature import theory_reference_omegas
 from repro.core.config import WiMiConfig
 from repro.core.pipeline import WiMi
 from repro.core.amplitude import _AMPLITUDE_EPS
-from repro.core.streaming import StreamingExtractor, _TraceStream
+from repro.core.streaming import (
+    STREAM_HOP,
+    STREAM_WINDOW_SIZE,
+    StreamingExtractor,
+    _TraceStream,
+)
 from repro.csi.collector import DataCollector, SessionConfig
 from repro.csi.faults import AntennaDropout, SubcarrierErasure, inject_session
 from repro.csi.quality import DegradedTraceWarning
@@ -35,6 +40,7 @@ from repro.dsp.streaming import (
 )
 from repro.dsp.wavelet_denoise import remove_outliers
 from repro.engine.cache import StageCache
+from repro.persist import ArtifactStore
 from repro.experiments.datasets import (
     collect_dataset,
     split_dataset,
@@ -330,7 +336,7 @@ class TestStreamingExtractor:
     def test_estimate_converges_after_first_window(self, fitted):
         wimi, session = fitted
         stream = wimi.clone_view().streaming_extractor(scene=session.scene)
-        window = stream.window_size
+        window = STREAM_WINDOW_SIZE
 
         stream.push_baseline(session.baseline)
         assert not stream.estimate().ready  # no target packets yet
@@ -369,29 +375,10 @@ class TestStreamingExtractor:
         with pytest.raises(RuntimeError, match="baseline|target|packet"):
             stream.finalize()
 
-    def test_window_and_hop_are_validated_by_the_config(self):
-        with pytest.raises(ValueError, match="stream_window_size"):
-            WiMiConfig(stream_window_size=0)
-        with pytest.raises(ValueError, match="stream_hop"):
-            WiMiConfig(stream_window_size=8, stream_hop=9)
-
     def test_requires_fitted_pipeline(self):
         wimi = WiMi({"pepsi": 0.2})
         with pytest.raises(RuntimeError, match="fit"):
             wimi.streaming_extractor()
-
-    def test_replay_resolves_windows_from_stage_cache(self, fitted):
-        """Replaying a stream hits the partial-input window artifacts."""
-        wimi, session = fitted
-        cache = StageCache()
-        view = wimi.clone_view(cache=cache)
-        _stream_result(view, session, 1)
-        stats = cache.stats["stream_window_denoise"]
-        misses_after_first = stats.misses
-        assert misses_after_first > 0
-        _stream_result(view, session, 7)  # different chunking, same stream
-        assert stats.misses == misses_after_first
-        assert stats.hits >= misses_after_first
 
 
 @pytest.fixture(scope="module")
@@ -411,7 +398,7 @@ def _window_oracle(config):
     raw rows, clips and logs them, and averages each channel over all
     windows -- no running state.
     """
-    size, hop = config.stream_window_size, config.stream_hop
+    size, hop = STREAM_WINDOW_SIZE, STREAM_HOP
 
     def mean_log_ratio(trace, pair):
         rows = np.array([np.abs(p.csi).ravel() for p in trace.packets])
@@ -436,12 +423,13 @@ def _window_oracle(config):
 
 
 @pytest.fixture(scope="module")
-def wide_window(fitted):
-    """The ``fitted`` deployment with 16-packet windows every 8 packets.
+def two_sigma(fitted):
+    """The ``fitted`` deployment with a 2-sigma outlier threshold.
 
     A 3-sigma outlier needs at least 11 samples (the largest population
-    z-score among n samples is sqrt(n - 1)), so only windows this wide
-    let the preview's outlier rejection change anything.
+    z-score among n samples is sqrt(n - 1)), so in an 8-packet preview
+    window only a lower threshold lets the outlier rejection change
+    anything.
     """
     wimi, session = fitted
     catalog = default_catalog()
@@ -450,7 +438,7 @@ def wide_window(fitted):
         materials, scene=session.scene, repetitions=4, num_packets=8, seed=0
     )
     train, _ = split_dataset(dataset)
-    config = WiMiConfig(stream_window_size=16, stream_hop=8)
+    config = WiMiConfig(outlier_sigmas=2.0)
     return WiMi(theory_reference_omegas(materials), config).fit(train)
 
 
@@ -472,16 +460,30 @@ def _swap_memos(stream, memos=None):
 
 class TestPollPath:
     def test_every_poll_equals_an_unmemoized_recompute(
-        self, fitted, wide_window, long_session, monkeypatch
+        self, fitted, two_sigma, long_session, monkeypatch
     ):
         """Per-packet polls == the preview rebuilt from the windows.
 
         The reference side reads no memo: every memo is dropped before
         the recompute, and the stream's own memos are put back after it,
         so the next poll neither reads what the reference built nor
-        misses a stale memo the stream failed to drop.
+        misses a stale memo the stream failed to drop.  At 2 sigma the
+        outlier screen flags samples in some window, so the comparison
+        covers a screen that changes the sums.
         """
-        for wimi in (fitted[0], wide_window):
+        import repro.dsp.streaming as dsp_streaming
+
+        flagged: list[bool] = []
+        reject = dsp_streaming.remove_outliers
+
+        def recording_reject(rows, *args):
+            cleaned, mask = reject(rows, *args)
+            flagged.append(bool(mask.any()))
+            return cleaned, mask
+
+        monkeypatch.setattr(dsp_streaming, "remove_outliers", recording_reject)
+        for wimi in (fitted[0], two_sigma):
+            flagged.clear()  # keep only the last (2-sigma) run's windows
             stream = wimi.clone_view().streaming_extractor(
                 scene=long_session.scene
             )
@@ -504,8 +506,8 @@ class TestPollPath:
                     assert polled.target_packets == reference.target_packets
                 assert stream.estimate() is polled  # no new packet, no work
             # Live from the first target window on.
-            window = wimi.config.stream_window_size
-            assert ready == len(long_session.target) - window + 1
+            assert ready == len(long_session.target) - STREAM_WINDOW_SIZE + 1
+        assert any(flagged)
 
     def test_log_ratio_reductions_are_bounded_by_windows(
         self, fitted, long_session, monkeypatch
@@ -513,7 +515,7 @@ class TestPollPath:
         """No per-window step reduces more than one window of rows.
 
         Counts work rather than timing it: every window reduction sees
-        exactly ``stream_window_size`` rows, there is one per completed
+        exactly ``STREAM_WINDOW_SIZE`` rows, there is one per completed
         window, polls and finalize add none, and each trace keeps only
         ``(channels,)`` running sums besides its raw rows.
         """
@@ -537,7 +539,7 @@ class TestPollPath:
         )
         monkeypatch.setattr(dsp_streaming, "remove_outliers", counting_reject)
         wimi, _ = fitted
-        size, hop = wimi.config.stream_window_size, wimi.config.stream_hop
+        size, hop = STREAM_WINDOW_SIZE, STREAM_HOP
         stream = wimi.clone_view(cache=StageCache()).streaming_extractor(
             scene=long_session.scene
         )
@@ -728,6 +730,38 @@ class TestStreamingGateway:
     def test_needs_fitted_pipeline(self):
         with pytest.raises(ValueError, match="fitted"):
             StreamingGateway(WiMi({"pepsi": 0.2}))
+
+    def test_disk_backed_stream_caches_only_batch_stages(
+        self, fitted, long_session, tmp_path
+    ):
+        """A polled stream leaves exactly the memory and store entries
+        that ``identify`` of the same session leaves: preview windows
+        are computed, never cached."""
+        wimi, _ = fitted
+        outcome = {}
+        for name in ("stream", "identify"):
+            root = tmp_path / name
+            store = ArtifactStore(root)
+            view = wimi.clone_view(cache=StageCache(disk_store=store))
+            if name == "stream":
+                stream = StreamingGateway(view, max_streams=1).open(
+                    scene=long_session.scene,
+                    material_name=long_session.material_name,
+                )
+                stream.submit_baseline(long_session.baseline)
+                for packet in long_session.target.packets:
+                    stream.submit_target(packet)
+                    stream.poll()
+                label = stream.finalize().label
+            else:
+                label = view.identify(long_session)
+            files = {path.relative_to(root) for path in root.rglob("*.art")}
+            assert store.writes == len(files)
+            outcome[name] = (label, view.cache.snapshot(), len(view.cache), files)
+        assert outcome["stream"] == outcome["identify"]
+        _, stages, entries, files = outcome["stream"]
+        assert "stream_window_denoise" not in stages
+        assert entries == len(files) > 0
 
 
 class TestGatewayGracefulDrain:
