@@ -2,7 +2,7 @@
 
 The serving claim of the online subsystem: on a repeated-material
 workload (many deployed links re-measuring the same deployment), the
-bounded-queue + micro-batcher + worker-pool path over one shared
+bounded queue + micro-batching workers path over one shared
 :class:`repro.engine.StageCache` beats handling each request as an
 isolated one-shot call (a fresh artifact cache per request -- the
 status quo before the service existed, where every CLI invocation

@@ -105,13 +105,6 @@ def payload_array_dtypes(data: bytes) -> dict[str, str]:
     return {name: str(array.dtype) for name, array in arrays.items()}
 
 
-def content_digest(payload: bytes) -> str:
-    """Hex blake2b-128 digest of raw payload bytes."""
-    import hashlib
-
-    return hashlib.blake2b(payload, digest_size=_DIGEST_SIZE).hexdigest()
-
-
 def frame(payload: bytes) -> bytes:
     """Wrap payload bytes in the MAGIC + digest integrity frame."""
     import hashlib

@@ -55,11 +55,6 @@ class Deadline:
         """Deadline ``seconds`` from now on ``clock``."""
         return cls(clock() + seconds, clock)
 
-    @classmethod
-    def at_wall(cls, timestamp: float) -> "Deadline":
-        """Deadline at an absolute wall-clock instant (``time.time``)."""
-        return cls(timestamp, time.time)
-
     def remaining(self) -> float:
         """Seconds left; negative once expired."""
         return self.at - self.clock()

@@ -2,16 +2,16 @@
 
 PR 1 made the pipeline an engine (memoized stages, batch APIs); this
 package makes it a *service*: a bounded request queue with explicit
-rejection, a micro-batching scheduler that co-schedules concurrent
-sessions through one denoiser pass, a pool of worker threads with
-per-request fault isolation and retry-with-backoff, and a
-dependency-free metrics registry covering the whole path.
+rejection, worker threads that each pull micro-batches from it (so
+concurrent sessions share one denoiser pass) with per-request fault
+isolation and retry-with-backoff, and a dependency-free metrics
+registry covering the whole path.
 
 * :mod:`repro.serve.service` -- ``submit() -> RequestHandle`` request
   layer, deadlines, lifecycle, backpressure semantics;
-* :mod:`repro.serve.batcher` -- max-batch-size / max-wait drain policy;
-* :mod:`repro.serve.workers` -- engine views over the shared
-  :class:`repro.engine.StageCache`, isolation and retries;
+* :mod:`repro.serve.workers` -- max-batch-size / max-wait batch fill,
+  engine views over the shared :class:`repro.engine.StageCache`,
+  isolation and retries;
 * :mod:`repro.serve.metrics` -- counters, gauges, fixed-bucket
   histograms (p50/p95/p99), snapshots and text rendering;
 * :mod:`repro.serve.streaming` -- packet-streaming identification
@@ -47,7 +47,7 @@ from repro.serve.streaming import (
     StreamingGateway,
     StreamingSession,
 )
-from repro.serve.workers import WorkerPool, default_runner
+from repro.serve.workers import default_runner
 
 __all__ = [
     "GracefulShutdown",
@@ -71,6 +71,5 @@ __all__ = [
     "ServiceConfig",
     "ServiceStoppedError",
     "StageEventRecorder",
-    "WorkerPool",
     "default_runner",
 ]

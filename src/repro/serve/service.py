@@ -7,13 +7,12 @@
   a :class:`RequestHandle` (a future).  A full queue rejects the submit
   with :class:`QueueFullError` -- explicit backpressure, never a silent
   drop.
-* A :class:`repro.serve.batcher.MicroBatcher` drains the queue under a
-  max-batch-size / max-wait policy, so co-arriving sessions share one
-  denoiser pass through the engine's batch path.
-* A :class:`repro.serve.workers.WorkerPool` of N threads executes the
-  batches, each worker owning its own engine view over one shared
-  :class:`repro.engine.StageCache`.  A request that raises fails alone;
-  transient faults retry with exponential backoff.
+* N :class:`repro.serve.workers.Worker` threads drain the queue, each
+  collecting its own micro-batch under a max-batch-size / max-wait
+  policy, so co-arriving sessions share one denoiser pass through the
+  engine's batch path.  Each worker owns its own engine view over one
+  shared :class:`repro.engine.StageCache`.  A request that raises fails
+  alone; transient faults retry with exponential backoff.
 * Every hop is measured in a :class:`repro.serve.metrics.MetricsRegistry`
   (queue wait, end-to-end latency, batch sizes, retries, rejections,
   per-stage cache behaviour).
@@ -39,13 +38,11 @@ from repro.core.pipeline import WiMi
 from repro.csi.collector import CaptureSession
 from repro.csi.quality import CorruptTraceError
 from repro.resilience import Backoff, LoadShedder, RetryPolicy
-from repro.serve.batcher import MicroBatcher
 from repro.serve.metrics import (
     BATCH_SIZE_BUCKETS,
     MetricsRegistry,
     StageEventRecorder,
 )
-from repro.serve.workers import WorkerPool
 
 
 class ServeError(Exception):
@@ -96,10 +93,8 @@ class ServiceConfig:
     Attributes:
         queue_capacity: Bounded request-queue depth; submissions beyond
             it raise :class:`QueueFullError`.
-        max_batch_size: Most sessions the batcher co-schedules into one
+        max_batch_size: Most sessions a worker co-schedules into one
             engine batch call.
-        max_wait_s: Longest the batcher holds an incomplete batch open
-            waiting for co-riders before dispatching it anyway.
         num_workers: Worker threads, each with its own engine view over
             the shared stage cache.
         retry_budget: Extra attempts (beyond the first) a failing
@@ -107,18 +102,13 @@ class ServiceConfig:
         backoff_base_s: Sleep before the first retry; doubles per
             subsequent retry of the same request, up to
             :data:`RETRY_BACKOFF_MAX_S`.
-        dispatch_depth: Batches that may sit ready-to-run ahead of the
-            workers; keeping it small propagates worker saturation back
-            to the request queue (backpressure) instead of hiding it.
     """
 
     queue_capacity: int = 64
     max_batch_size: int = 8
-    max_wait_s: float = 0.005
     num_workers: int = 2
     retry_budget: int = 1
     backoff_base_s: float = 0.002
-    dispatch_depth: int = 2
 
     def __post_init__(self) -> None:
         if self.queue_capacity < 1:
@@ -129,8 +119,6 @@ class ServiceConfig:
             raise ValueError(
                 f"max_batch_size must be >= 1, got {self.max_batch_size}"
             )
-        if self.max_wait_s < 0:
-            raise ValueError(f"max_wait_s must be >= 0, got {self.max_wait_s}")
         if self.num_workers < 1:
             raise ValueError(
                 f"num_workers must be >= 1, got {self.num_workers}"
@@ -143,10 +131,6 @@ class ServiceConfig:
             raise ValueError(
                 f"backoff_base_s must be in [0, {RETRY_BACKOFF_MAX_S}], "
                 f"got {self.backoff_base_s}"
-            )
-        if self.dispatch_depth < 1:
-            raise ValueError(
-                f"dispatch_depth must be >= 1, got {self.dispatch_depth}"
             )
 
 
@@ -238,7 +222,7 @@ class RequestHandle:
 
 
 class _Request:
-    """Internal envelope the queue/batcher/workers pass around."""
+    """Internal envelope the queue and the workers pass around."""
 
     __slots__ = ("session", "handle", "deadline", "submitted_at", "priority")
 
@@ -292,15 +276,11 @@ class IdentificationService:
         self._inbox: queue.Queue = queue.Queue(
             maxsize=self.config.queue_capacity
         )
-        self._dispatch: queue.Queue = queue.Queue(
-            maxsize=self.config.dispatch_depth
-        )
         self._stop = threading.Event()
         self._lock = threading.Lock()
         self._started = False
         self._stopped = False
-        self._batcher: MicroBatcher | None = None
-        self._pool: WorkerPool | None = None
+        self._workers: list[threading.Thread] = []
         self._shedder = LoadShedder(self.config.queue_capacity)
         # Pre-create the instruments the snapshot readers expect even
         # under zero traffic.
@@ -328,7 +308,7 @@ class IdentificationService:
     # ------------------------------------------------------------------
 
     def start(self) -> "IdentificationService":
-        """Spin up the batcher and the worker pool (idempotent)."""
+        """Spin up the worker threads (idempotent)."""
         with self._lock:
             if self._started:
                 return self
@@ -344,27 +324,28 @@ class IdentificationService:
                 # Worker._run_isolated.
                 retryable=lambda exc: not isinstance(exc, CorruptTraceError),
             )
-            self._pool = WorkerPool(
-                wimi=self.wimi,
-                dispatch=self._dispatch,
-                metrics=self.metrics,
-                num_workers=self.config.num_workers,
-                retry_policy=retry_policy,
-                runner=self._runner,
-                stop_event=self._stop,
-                deadline_error=DeadlineExceededError,
-                hook_factory=lambda: StageEventRecorder(self.metrics),
-            )
-            self._batcher = MicroBatcher(
-                inbox=self._inbox,
-                dispatch=self._dispatch,
-                max_batch_size=self.config.max_batch_size,
-                max_wait_s=self.config.max_wait_s,
-                metrics=self.metrics,
-                stop_event=self._stop,
-            )
-            self._pool.start()
-            self._batcher.start()
+            # Imported here: the workers raise this module's errors.
+            from repro.serve.workers import Worker, default_runner
+
+            fill_lock = threading.Lock()
+            for index in range(self.config.num_workers):
+                view = self.wimi.clone_view()
+                view.engine.add_hook(StageEventRecorder(self.metrics))
+                self._workers.append(
+                    Worker(
+                        name=f"repro-serve-worker-{index}",
+                        view=view,
+                        inbox=self._inbox,
+                        fill_lock=fill_lock,
+                        max_batch_size=self.config.max_batch_size,
+                        metrics=self.metrics,
+                        retry_policy=retry_policy,
+                        runner=self._runner or default_runner,
+                        stop_event=self._stop,
+                    )
+                )
+            for worker in self._workers:
+                worker.start()
             self._started = True
         return self
 
@@ -384,27 +365,20 @@ class IdentificationService:
             self._stopped = True
         deadline = time.monotonic() + timeout
         if drain:
-            while (
-                not self._inbox.empty() or not self._dispatch.empty()
-            ) and time.monotonic() < deadline:
+            while not self._inbox.empty() and time.monotonic() < deadline:
                 time.sleep(0.002)
+        # Each worker runs the batch it holds before it sees the event.
         self._stop.set()
-        assert self._batcher is not None and self._pool is not None
-        self._batcher.join(timeout=max(0.0, deadline - time.monotonic()))
-        self._pool.join(timeout=max(0.0, deadline - time.monotonic()))
+        for worker in self._workers:
+            worker.join(timeout=max(0.0, deadline - time.monotonic()))
         # Whatever is still queued can no longer run.
-        for pending_queue in (self._inbox, self._dispatch):
-            while True:
-                try:
-                    item = pending_queue.get_nowait()
-                except queue.Empty:
-                    break
-                requests = item if isinstance(item, list) else [item]
-                for request in requests:
-                    request.handle._fail(
-                        ServiceStoppedError("service stopped")
-                    )
-                    self.metrics.counter("requests.failed").inc()
+        while True:
+            try:
+                request = self._inbox.get_nowait()
+            except queue.Empty:
+                break
+            request.handle._fail(ServiceStoppedError("service stopped"))
+            self.metrics.counter("requests.failed").inc()
 
     def install_signal_handlers(
         self, drain: bool = True, timeout: float = 10.0, resend: bool = True

@@ -1,10 +1,22 @@
-"""Worker pool: N threads, each owning an engine view over one cache.
+"""Serving workers: N threads, each pulling its own micro-batches.
 
-Each worker gets its own :class:`repro.core.pipeline.WiMi` view (via
+Each worker owns its own :class:`repro.core.pipeline.WiMi` view (via
 ``WiMi.clone_view``): private ``PipelineEngine`` and hook list, shared
 calibration, classifier and :class:`repro.engine.StageCache`.  Workers
 therefore never contend on engine-local state, while every artifact one
 worker computes is immediately reusable by the others.
+
+Micro-batching: an idle worker takes the first waiting request from the
+service's bounded inbox, then holds the batch open for at most
+:data:`MAX_WAIT_S` while it fills to ``max_batch_size``.  Under load the
+wait never triggers (the queue has co-riders ready) and batches run
+full; under trickle traffic a lone request pays at most ``MAX_WAIT_S``
+extra latency.  One worker fills at a time (a lock shared by the
+service's workers is held across the fill), so batches form as one
+batcher would form them; requests that no worker has taken stay in the
+inbox, so a saturated pool pushes back at ``submit``.  A worker runs any
+batch it holds before it checks the stop event, so a draining stop
+never strands a request mid-fill.
 
 Fault isolation is per request: a batch whose engine call raises falls
 back to request-at-a-time execution, so a poisoned session fails only
@@ -46,9 +58,13 @@ from repro.resilience import (
     deadline_scope,
 )
 from repro.serve.metrics import MetricsRegistry
+from repro.serve.service import DeadlineExceededError
 
-#: How often workers re-check the stop event while idle (seconds).
+#: How often an idle worker re-checks the stop event (seconds).
 _IDLE_POLL_S = 0.02
+#: Longest a worker holds an incomplete batch open waiting for
+#: co-riders before running it anyway (seconds).
+MAX_WAIT_S = 0.005
 
 
 def default_runner(view: WiMi, sessions: list) -> list[str]:
@@ -63,37 +79,57 @@ class Worker(threading.Thread):
         self,
         name: str,
         view: WiMi,
-        dispatch: queue.Queue,
+        inbox: queue.Queue,
+        fill_lock: threading.Lock,
+        max_batch_size: int,
         metrics: MetricsRegistry,
         retry_policy: RetryPolicy,
         runner: Callable[[WiMi, list], list[str]],
         stop_event: threading.Event,
-        deadline_error: type[Exception],
     ):
         super().__init__(name=name, daemon=True)
         self.view = view
-        self.dispatch = dispatch
+        self.inbox = inbox
+        self.fill_lock = fill_lock
+        self.max_batch_size = max_batch_size
         self.metrics = metrics
         self.retry_policy = retry_policy
         self.runner = runner
         self.stop_event = stop_event
-        self.deadline_error = deadline_error
 
     # ------------------------------------------------------------------
 
     def run(self) -> None:
         self.metrics.gauge("workers.alive").inc()
         try:
-            while True:
-                try:
-                    batch = self.dispatch.get(timeout=_IDLE_POLL_S)
-                except queue.Empty:
-                    if self.stop_event.is_set():
-                        return
-                    continue
-                self._process_batch(batch)
+            while not self.stop_event.is_set():
+                batch = self._collect()
+                if batch:
+                    self.metrics.histogram("batch_size").observe(len(batch))
+                    self.metrics.gauge("queue_depth").set(self.inbox.qsize())
+                    self._process_batch(batch)
         finally:
             self.metrics.gauge("workers.alive").dec()
+
+    def _collect(self) -> list:
+        """One batch: the first request blocks (poll-checking stop),
+        then the batch fills until size or deadline."""
+        with self.fill_lock:
+            try:
+                first = self.inbox.get(timeout=_IDLE_POLL_S)
+            except queue.Empty:
+                return []
+            batch = [first]
+            deadline = time.monotonic() + MAX_WAIT_S
+            while len(batch) < self.max_batch_size:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    break
+                try:
+                    batch.append(self.inbox.get(timeout=remaining))
+                except queue.Empty:
+                    break
+        return batch
 
     # ------------------------------------------------------------------
 
@@ -108,7 +144,7 @@ class Worker(threading.Thread):
             if request.expired(now):
                 self._fail(
                     request,
-                    self.deadline_error(
+                    DeadlineExceededError(
                         "deadline passed while the request was queued"
                     ),
                     expired="dequeue",
@@ -140,7 +176,7 @@ class Worker(threading.Thread):
             for request in live:
                 if request.expired(now):
                     self._fail(
-                        request, self.deadline_error(str(exc)),
+                        request, DeadlineExceededError(str(exc)),
                         expired="stage",
                     )
                 else:
@@ -176,7 +212,7 @@ class Worker(threading.Thread):
             if request.expired(time.monotonic()):
                 self._fail(
                     request,
-                    self.deadline_error("deadline passed during retries"),
+                    DeadlineExceededError("deadline passed during retries"),
                     expired="retry",
                 )
                 return
@@ -189,7 +225,7 @@ class Worker(threading.Thread):
             except DeadlineExpiredError as exc:
                 # No point retrying: the deadline will not un-expire.
                 self._fail(
-                    request, self.deadline_error(str(exc)), expired="stage"
+                    request, DeadlineExceededError(str(exc)), expired="stage"
                 )
                 return
             except Exception as exc:  # noqa: BLE001 -- isolation boundary
@@ -251,65 +287,3 @@ class Worker(threading.Thread):
         """Count one raised fault under its exception type."""
         self.metrics.counter("faults.total").inc()
         self.metrics.counter(f"faults.{type(error).__name__}").inc()
-
-
-class WorkerPool:
-    """The service's N workers plus their engine views.
-
-    Args:
-        wimi: The fitted pipeline whose views the workers own.
-        dispatch: Bounded batch queue fed by the micro-batcher.
-        metrics: Shared registry.
-        num_workers: Thread count.
-        retry_policy: Shared :class:`repro.resilience.RetryPolicy`
-            (budget, jittered backoff, retryability classifier).
-        runner: Batch execution function (None = ``default_runner``).
-        stop_event: Shared shutdown signal.
-        deadline_error: Exception type raised for expired requests
-            (injected to avoid a circular import with ``service``).
-        hook_factory: Called once per worker; the result is registered
-            as a stage-event hook on that worker's engine view.
-    """
-
-    def __init__(
-        self,
-        wimi: WiMi,
-        dispatch: queue.Queue,
-        metrics: MetricsRegistry,
-        num_workers: int,
-        retry_policy: RetryPolicy,
-        runner: Callable[[WiMi, list], list[str]] | None,
-        stop_event: threading.Event,
-        deadline_error: type[Exception],
-        hook_factory: Callable[[], Callable] | None = None,
-    ):
-        self.workers: list[Worker] = []
-        for index in range(num_workers):
-            view = wimi.clone_view()
-            if hook_factory is not None:
-                view.engine.add_hook(hook_factory())
-            self.workers.append(
-                Worker(
-                    name=f"repro-serve-worker-{index}",
-                    view=view,
-                    dispatch=dispatch,
-                    metrics=metrics,
-                    retry_policy=retry_policy,
-                    runner=runner if runner is not None else default_runner,
-                    stop_event=stop_event,
-                    deadline_error=deadline_error,
-                )
-            )
-
-    def start(self) -> None:
-        """Start every worker thread."""
-        for worker in self.workers:
-            worker.start()
-
-    def join(self, timeout: float | None = None) -> None:
-        """Join every worker thread (each gets the full timeout)."""
-        for worker in self.workers:
-            worker.join(timeout=timeout)
-
-    def __len__(self) -> int:
-        return len(self.workers)

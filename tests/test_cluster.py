@@ -4,7 +4,6 @@ import os
 import signal
 import threading
 import time
-from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -30,6 +29,7 @@ from repro.experiments.datasets import (
     standard_scene,
 )
 from repro.serve import MetricsRegistry, QueueFullError, ServiceStoppedError
+from repro.serve import workers
 
 
 # ----------------------------------------------------------------------
@@ -236,17 +236,10 @@ def _runtime(endpoint, view=None, **boot):
     )
 
 
-def _serve(script, view=None, max_wait_s=None, **boot):
-    """Run a worker adapter over ``script``; returns (runtime, replies).
-
-    ``max_wait_s`` overrides the worker service's batch-fill wait.
-    """
+def _serve(script, view=None, **boot):
+    """Run a worker adapter over ``script``; returns (runtime, replies)."""
     endpoint = _ScriptedEndpoint(script)
     runtime = _runtime(endpoint, view, **boot)
-    if max_wait_s is not None:
-        runtime.service.config = replace(
-            runtime.service.config, max_wait_s=max_wait_s
-        )
     server = threading.Thread(target=runtime.serve_forever, daemon=True)
     server.start()
     server.join(timeout=60.0)
@@ -301,12 +294,13 @@ class TestWorkerClockDiscipline:
 
 
 class TestWorkerAdapter:
-    def test_poisoned_corider_fails_alone(self):
+    def test_poisoned_corider_fails_alone(self, monkeypatch):
+        monkeypatch.setattr(workers, "MAX_WAIT_S", 5.0)
         script = [
             Envelope("a", "s1", 0), Envelope("p", "poison", 0),
             Envelope("b", "s2", 0), Shutdown(),
         ]
-        runtime, replies = _serve(script, max_batch_size=3, max_wait_s=5.0)
+        runtime, replies = _serve(script, max_batch_size=3)
         assert replies["p"].error_type == "ValueError"
         assert replies["p"].error == "poisoned capture"
         assert replies["a"].label == replies["b"].label == "oil"

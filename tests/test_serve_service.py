@@ -25,6 +25,7 @@ from repro.serve import (
     ServiceConfig,
     ServiceStoppedError,
 )
+from repro.serve import workers
 from repro.serve.workers import default_runner
 
 
@@ -75,6 +76,20 @@ class TestLifecycle:
             ServiceConfig(retry_budget=-1)
         with pytest.raises(ValueError, match="backoff_base_s"):
             ServiceConfig(backoff_base_s=0.5)  # above the 0.25 s cap
+
+    def test_draining_stop_runs_the_batch_still_filling(
+        self, deployment, monkeypatch
+    ):
+        """stop(drain=True) while a worker holds a request in a batch
+        that is still filling must run that batch, not fail it."""
+        wimi, _, test = deployment
+        monkeypatch.setattr(workers, "MAX_WAIT_S", 0.2)
+        service = IdentificationService(wimi, ServiceConfig(num_workers=1))
+        service.start()
+        handle = service.submit(test[0])
+        time.sleep(0.01)
+        service.stop(drain=True)
+        assert handle.result(timeout=5.0) == wimi.identify(test[0])
 
 
 class TestServingCorrectness:
@@ -139,12 +154,11 @@ class TestBackpressure:
 
         config = ServiceConfig(
             queue_capacity=2, max_batch_size=1, num_workers=1,
-            dispatch_depth=1, max_wait_s=0.0,
         )
         service = IdentificationService(wimi, config, runner=stalled)
         accepted, rejected = [], 0
         with service:
-            # Worker + dispatch + inbox can absorb only a handful; keep
+            # The worker's batch + inbox can absorb only a handful; keep
             # submitting until the bounded queue pushes back.
             for _ in range(16):
                 try:
@@ -155,6 +169,35 @@ class TestBackpressure:
             assert service.snapshot()["counters"]["requests.rejected"] == rejected
             release.set()
             # Accepted requests were *not* dropped: all resolve.
+            for handle in accepted:
+                assert handle.result(timeout=30.0)
+
+    def test_accepts_exactly_capacity_behind_a_running_request(
+        self, deployment
+    ):
+        """Nothing buffers between the inbox and a busy worker: with the
+        one worker stalled, exactly ``queue_capacity`` more are taken."""
+        wimi, _, test = deployment
+        started, release = threading.Event(), threading.Event()
+
+        def stalled(view, sessions):
+            started.set()
+            release.wait(timeout=30.0)
+            return default_runner(view, sessions)
+
+        config = ServiceConfig(
+            queue_capacity=4, max_batch_size=1, num_workers=1,
+        )
+        with IdentificationService(wimi, config, runner=stalled) as service:
+            accepted = [service.submit(test[0])]
+            assert started.wait(timeout=30.0)
+            with pytest.raises(QueueFullError):
+                for _ in range(16):
+                    accepted.append(service.submit(test[0]))
+                    # Room for anything that could pull from the inbox.
+                    time.sleep(0.02)
+            release.set()
+            assert len(accepted) == 5
             for handle in accepted:
                 assert handle.result(timeout=30.0)
 
@@ -278,10 +321,7 @@ class TestHandles:
             release.wait(timeout=30.0)
             return default_runner(view, sessions)
 
-        config = ServiceConfig(
-            num_workers=1, max_batch_size=1, dispatch_depth=1,
-            max_wait_s=0.0,
-        )
+        config = ServiceConfig(num_workers=1, max_batch_size=1)
         service = IdentificationService(wimi, config, runner=stalled)
         service.start()
         handles = [service.submit(test[0]) for _ in range(4)]
@@ -347,10 +387,7 @@ class TestHandleEdges:
             release.wait(timeout=30.0)
             return default_runner(view, sessions)
 
-        config = ServiceConfig(
-            num_workers=1, max_batch_size=1, dispatch_depth=1,
-            max_wait_s=0.0,
-        )
+        config = ServiceConfig(num_workers=1, max_batch_size=1)
         service = IdentificationService(wimi, config, runner=stalled)
         service.start()
         handles = [service.submit(test[0]) for _ in range(6)]
@@ -397,7 +434,6 @@ class TestAdmissionControl:
 
         config = ServiceConfig(
             queue_capacity=10, max_batch_size=1, num_workers=1,
-            dispatch_depth=1, max_wait_s=0.0,
         )
         service = IdentificationService(wimi, config, runner=stalled)
         shed = 0
@@ -431,7 +467,6 @@ class TestAdmissionControl:
 
         config = ServiceConfig(
             queue_capacity=4, max_batch_size=1, num_workers=1,
-            dispatch_depth=1, max_wait_s=0.0,
         )
         service = IdentificationService(wimi, config, runner=stalled)
         with service:
