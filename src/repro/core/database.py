@@ -346,8 +346,7 @@ class DatabaseClassifier:
                 seed=int(spec["seed"]),
                 **spec["kernel_params"],
             )
-            clf._classes = np.array(spec["classes"])
-            clf._machines = {}
+            machines = {}
             for entry in spec["machines"]:
                 a, b = int(entry["a"]), int(entry["b"])
                 prefix = f"svm_{a}_{b}_"
@@ -372,7 +371,8 @@ class DatabaseClassifier:
                     None if entry["gamma"] is None else float(entry["gamma"])
                 )
                 machine._fitted = True
-                clf._machines[(a, b)] = machine
+                machines[(a, b)] = machine
+            clf.set_machines(np.array(spec["classes"]), machines)
             self._clf = clf
         elif self.kind == "knn":
             spec = meta["knn"]
@@ -396,7 +396,44 @@ class DatabaseClassifier:
         max_gamma: int,
         envelope: tuple[float, float] | None,
     ) -> np.ndarray:
-        """Best-branch columns for one feature block."""
+        """Best-branch columns for one feature block.
+
+        Every branch ``-max_gamma..max_gamma`` is evaluated as one
+        ``(branches, columns)`` array; the first branch with the smallest
+        finite centroid distance wins, as in the strict ``<`` scan of
+        :meth:`_reference_resolve_block` (a NaN distance never wins).
+        """
+        if measurement.theta_aligned is None:
+            return measurement.vector()
+        cols = features.block_slices()[block]
+        parts = measurement.vectors_for_gammas(
+            np.arange(-max_gamma, max_gamma + 1)
+        )
+        scaled = (parts - self._scaler.mean_[cols]) / self._scaler.scale_[cols]
+        deltas = self._centroids.centroids_[None, :, cols] - scaled[:, None, :]
+        distances = np.min(np.sum(deltas * deltas, axis=2), axis=1)
+        if envelope is not None:
+            lo, hi = envelope
+            mean_omega = np.mean(
+                parts[:, : len(measurement.subcarriers)], axis=1
+            )
+            distances[~((lo <= mean_omega) & (mean_omega <= hi))] = np.inf
+        distances[np.isnan(distances)] = np.inf
+        best = int(np.argmin(distances))
+        if distances[best] == np.inf:
+            return measurement.vector()
+        return parts[best]
+
+    def _reference_resolve_block(
+        self,
+        features,
+        block: int,
+        measurement: FeatureMeasurement,
+        max_gamma: int,
+        envelope: tuple[float, float] | None,
+    ) -> np.ndarray:
+        """Branch-by-branch scan; the equivalence oracle of
+        :meth:`_resolve_block`."""
         if measurement.theta_aligned is None:
             return measurement.vector()
         cols = features.block_slices()[block]

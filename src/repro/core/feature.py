@@ -294,6 +294,32 @@ class FeatureMeasurement:
             return np.append(omegas, self.omega_coarse)
         return omegas
 
+    def vectors_for_gammas(self, gammas: np.ndarray) -> np.ndarray:
+        """:meth:`vector_for_gamma` of every branch in ``gammas`` at once.
+
+        Row ``i`` equals ``vector_for_gamma(gammas[i])`` bit for bit: the
+        same ``theta + 2 pi gamma``, the same ``_MIN_DENOMINATOR_RAD``
+        clamp (an exact zero clamps to ``+``), the same division.
+        """
+        if self.theta_aligned is None or self.neg_log_psi is None:
+            raise ValueError(
+                "measurement lacks per-subcarrier observables; "
+                "re-extract with a current MaterialFeatureExtractor"
+            )
+        theta = np.asarray(self.theta_aligned, dtype=float)
+        shifts = 2.0 * math.pi * np.asarray(gammas, dtype=float)
+        denom = theta[None, :] + shifts[:, None]
+        small = np.abs(denom) < _MIN_DENOMINATOR_RAD
+        tiny = denom[small]
+        denom[small] = np.copysign(
+            _MIN_DENOMINATOR_RAD, np.where(tiny != 0, tiny, 1.0)
+        )
+        omegas = np.asarray(self.neg_log_psi, dtype=float)[None, :] / denom
+        if self.has_coarse:
+            coarse = np.full((omegas.shape[0], 1), self.omega_coarse)
+            return np.hstack([omegas, coarse])
+        return omegas
+
 
 @dataclass
 class SessionFeatures:

@@ -278,28 +278,39 @@ class SpatiallySelectiveDenoiser:
                 active &= power > threshold
                 if not active.any():
                     break
-                mask = self._signal_mask(work[l], work[neighbour_idx])
+                mask = self._signal_mask(work[l], work[neighbour_idx], power)
                 mask &= active[None, :]
                 active &= mask.any(axis=0)
                 if not active.any():
                     break
-                out[l][mask] += work[l][mask]
-                work[l][mask] = 0.0
+                np.add(out[l], work[l], out=out[l], where=mask)
+                np.copyto(work[l], 0.0, where=mask)
         return out
 
     @staticmethod
-    def _signal_mask(w_l: np.ndarray, w_next: np.ndarray) -> np.ndarray:
-        """Positions where cross-scale correlation dominates (signal)."""
+    def _signal_mask(
+        w_l: np.ndarray, w_next: np.ndarray, p_w: np.ndarray
+    ) -> np.ndarray:
+        """Positions where cross-scale correlation dominates (signal).
+
+        ``p_w`` is the per-channel power ``sum(w_l ** 2, axis=0)``, which
+        the extract loop has already computed for its stopping test.
+        Eq. 12-13 run in place on the one ``corr`` buffer: a full-size
+        temporary per step cost more than the arithmetic.
+        """
         corr = w_l * w_next  # Eq. 11
-        p_w = np.sum(w_l ** 2, axis=0)
         p_corr = np.sum(corr ** 2, axis=0)
         valid = (p_corr > 0.0) & (p_w > 0.0)
         scale = np.zeros(p_w.shape)
-        scale[valid] = np.sqrt(p_w[valid] / p_corr[valid])
-        ncorr = corr * scale[None, :]  # Eq. 12
+        np.divide(p_w, p_corr, out=scale, where=valid)
+        np.sqrt(scale, out=scale)
+        ncorr = np.multiply(corr, scale, out=corr)  # Eq. 12
         # Eq. 13 (reference convention, ties kept)
-        keep = np.abs(ncorr) >= np.abs(w_l) * (1.0 - EQ13_TIE_RTOL)
-        return keep & valid[None, :]
+        limit = np.abs(w_l)
+        limit *= 1.0 - EQ13_TIE_RTOL
+        keep = np.abs(ncorr, out=ncorr) >= limit
+        keep &= valid
+        return keep
 
     @staticmethod
     def _noise_threshold(detail: np.ndarray) -> np.ndarray:

@@ -67,6 +67,59 @@ class _SharedGram:
         return block
 
 
+class _StackedMachines:
+    """Every machine of an ensemble evaluated in one kernel pass.
+
+    The support vectors of all machines are stacked into one array, with
+    each machine's ``alpha * y`` and (for RBF) its own gamma repeated per
+    support vector.  One pairwise computation against the stack, one
+    elementwise kernel and one ``np.add.reduceat`` over the machine
+    segments give every decision value at once -- libsvm's sharing of
+    kernel values across one-vs-one machines, and the predict-side twin
+    of :class:`_SharedGram`.  Each column equals that machine's
+    :meth:`BinarySVC.decision_function` (the per-machine oracle) up to
+    summation order.
+    """
+
+    def __init__(self, machines: list[BinarySVC]):
+        self.kernel = machines[0].kernel
+        counts = np.array([m._alpha.size for m in machines])
+        self._support_x = np.concatenate([m._support_x for m in machines])
+        self._coef = np.concatenate(
+            [m._alpha * m._support_y for m in machines]
+        )
+        self._bias = np.array([m._b for m in machines], dtype=float)
+        # Segment starts of the machines that have support vectors; a
+        # machine without any decides by its bias alone.
+        self._nonempty = counts > 0
+        self._starts = (np.cumsum(counts) - counts)[self._nonempty]
+        if isinstance(self.kernel, RBFKernel):
+            default = self.kernel.gamma if self.kernel.gamma else 1.0
+            gammas = [
+                default if m._gamma is None else m._gamma for m in machines
+            ]
+            self._neg_gamma = -np.repeat(
+                np.asarray(gammas, dtype=float), counts
+            )
+
+    def decisions(self, x: np.ndarray) -> np.ndarray:
+        """``(samples, machines)`` decision values, in machine order."""
+        kernel = self.kernel
+        if isinstance(kernel, RBFKernel):
+            sq = np.clip(pairwise_sq_dists(x, self._support_x), 0.0, None)
+            k = np.exp(self._neg_gamma * sq)
+        else:
+            k = x @ self._support_x.T
+            if isinstance(kernel, PolynomialKernel):
+                k = (k + kernel.coef0) ** kernel.degree
+        scores = np.zeros((x.shape[0], self._bias.size))
+        if self._starts.size:
+            scores[:, self._nonempty] = np.add.reduceat(
+                k * self._coef, self._starts, axis=1
+            )
+        return scores + self._bias
+
+
 class OneVsOneSVC:
     """One-vs-one multiclass SVM -- one binary machine per class pair.
 
@@ -82,22 +135,48 @@ class OneVsOneSVC:
         self.seed = seed
         self._machines: dict[tuple[int, int], BinarySVC] = {}
         self._classes: np.ndarray | None = None
+        self._stack: _StackedMachines | None = None
+
+    def set_machines(
+        self, classes: np.ndarray, machines: dict[tuple[int, int], BinarySVC]
+    ) -> None:
+        """Install fitted pairwise machines and stack them for predict.
+
+        ``machines`` maps class-index pairs ``(a, b)``, ``a < b``, to the
+        machine voting ``a`` on a non-negative score.  The stack and the
+        vote maps are built here, once, so concurrent predicts only read.
+        """
+        self._classes = np.asarray(classes)
+        self._machines = dict(machines)
+        self._stack = _StackedMachines(list(self._machines.values()))
+        # Machine (a, b) gives its vote to a on a non-negative score and
+        # to b otherwise, and adds its score to a's margin and takes it
+        # from b's.  With vote_map[m] = +1 at a and -1 at b, and b_votes
+        # counting the machines each class is "b" of:
+        #   votes = b_votes + (scores >= 0) @ vote_map
+        #   margins = scores @ vote_map
+        pairs = np.array(list(self._machines), dtype=int).reshape(-1, 2)
+        rows = np.arange(pairs.shape[0])
+        self._vote_map = np.zeros((pairs.shape[0], self._classes.size))
+        self._vote_map[rows, pairs[:, 0]] = 1.0
+        self._vote_map[rows, pairs[:, 1]] = -1.0
+        self._b_votes = np.bincount(pairs[:, 1], minlength=self._classes.size)
 
     def fit(self, x: np.ndarray, y: np.ndarray) -> "OneVsOneSVC":
         """Train all pairwise machines."""
         x, y = _validate_xy(x, y)
-        self._classes = np.unique(y)
-        if self._classes.size < 2:
+        classes = np.unique(y)
+        if classes.size < 2:
             raise ValueError("need at least two classes")
-        self._machines = {}
+        machines = {}
         shared = _SharedGram(
             make_kernel(self.kernel_name, **self.kernel_params), x
         )
-        for a in range(self._classes.size):
-            for b in range(a + 1, self._classes.size):
-                mask = (y == self._classes[a]) | (y == self._classes[b])
+        for a in range(classes.size):
+            for b in range(a + 1, classes.size):
+                mask = (y == classes[a]) | (y == classes[b])
                 idx = np.nonzero(mask)[0]
-                labels = np.where(y[mask] == self._classes[a], 1.0, -1.0)
+                labels = np.where(y[mask] == classes[a], 1.0, -1.0)
                 machine = BinarySVC(
                     kernel=make_kernel(self.kernel_name, **self.kernel_params),
                     C=self.C,
@@ -107,23 +186,26 @@ class OneVsOneSVC:
                 machine.fit(
                     x_sub, labels, gram=shared.submatrix(machine, x_sub, idx)
                 )
-                self._machines[(a, b)] = machine
+                machines[(a, b)] = machine
+        self.set_machines(classes, machines)
         return self
+
+    def decision_matrix(self, x: np.ndarray) -> np.ndarray:
+        """``(samples, machines)`` decision values, in ``_machines`` order.
+
+        Column ``m`` is machine ``m``'s signed margin (non-negative votes
+        for its first class), from one kernel pass over every machine.
+        """
+        if self._stack is None:
+            raise RuntimeError("OneVsOneSVC is not fitted")
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        return self._stack.decisions(x)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Majority-vote predictions."""
-        if self._classes is None:
-            raise RuntimeError("OneVsOneSVC is not fitted")
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        votes = np.zeros((x.shape[0], self._classes.size))
-        margins = np.zeros_like(votes)
-        for (a, b), machine in self._machines.items():
-            scores = machine.decision_function(x)
-            winner_a = scores >= 0
-            votes[winner_a, a] += 1
-            votes[~winner_a, b] += 1
-            margins[:, a] += scores
-            margins[:, b] -= scores
+        scores = self.decision_matrix(x)
+        votes = self._b_votes + (scores >= 0) @ self._vote_map
+        margins = scores @ self._vote_map
         # Ties broken by accumulated margin.
         best = np.argmax(votes + 1e-9 * np.tanh(margins), axis=1)
         return self._classes[best]
@@ -146,6 +228,7 @@ class OneVsRestSVC:
         self.seed = seed
         self._machines: list[BinarySVC] = []
         self._classes: np.ndarray | None = None
+        self._stack: _StackedMachines | None = None
 
     def fit(self, x: np.ndarray, y: np.ndarray) -> "OneVsRestSVC":
         """Train one machine per class against the rest."""
@@ -153,7 +236,7 @@ class OneVsRestSVC:
         self._classes = np.unique(y)
         if self._classes.size < 2:
             raise ValueError("need at least two classes")
-        self._machines = []
+        machines = []
         # Every one-vs-rest machine trains on the full set, so they all
         # share one Gram matrix (gamma resolves identically on full x).
         shared = _SharedGram(
@@ -171,18 +254,17 @@ class OneVsRestSVC:
             if gram is None:
                 gram = shared.submatrix(machine, x, idx)
             machine.fit(x, labels, gram=gram)
-            self._machines.append(machine)
+            machines.append(machine)
+        self._machines = machines
+        self._stack = _StackedMachines(machines)
         return self
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Highest-margin predictions."""
-        if self._classes is None:
+        if self._stack is None:
             raise RuntimeError("OneVsRestSVC is not fitted")
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        scores = np.stack(
-            [m.decision_function(x) for m in self._machines], axis=1
-        )
-        return self._classes[np.argmax(scores, axis=1)]
+        return self._classes[np.argmax(self._stack.decisions(x), axis=1)]
 
     @property
     def classes_(self) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Tests for the multi-process sharded serving cluster."""
 
 import os
+import random
 import signal
 import threading
 import time
@@ -28,6 +29,7 @@ from repro.experiments.datasets import (
     split_dataset,
     standard_scene,
 )
+from repro.resilience.retry import Backoff
 from repro.serve import MetricsRegistry, QueueFullError, ServiceStoppedError
 from repro.serve import workers
 
@@ -553,7 +555,13 @@ class TestRedeliveryBackoff:
         """Regression: a crashed shard's in-flight envelopes used to be
         re-published synchronously -- a poison pill would land on the
         replacement in one wave and re-kill it."""
+        # Pin the full-jitter draw (8.44 s of the 10 s ceiling): an
+        # unseeded draw can fall inside the checks below.
+        orch._redelivery_backoff = Backoff(
+            base_s=10.0, max_s=20.0, rng=random.Random(0)
+        )
         pending = _pend(orch, shard=0)
+        redelivered_at = time.monotonic()
         orch._redeliver(0, salvaged=[])
         # Not on the wire yet: parked behind a jittered backoff.
         assert orch.broker.next_reply(timeout=0.0) is None
@@ -561,7 +569,7 @@ class TestRedeliveryBackoff:
         assert len(orch._deferred) == 1
         due, envelope = orch._deferred[0]
         assert envelope.attempts == 1
-        assert due > time.monotonic()
+        assert due > redelivered_at
         assert orch.metrics.snapshot()["counters"][
             "cluster.redeliveries"
         ] == 1

@@ -1,10 +1,19 @@
 """Tests for the material feature database and classifier wrapper."""
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.core.database import DatabaseClassifier, MaterialDatabase
-from repro.core.feature import FeatureMeasurement
+from repro.core.feature import (
+    _MIN_DENOMINATOR_RAD,
+    FeatureMeasurement,
+    SessionFeatures,
+    theory_reference_omegas,
+)
+from repro.core.pipeline import WiMi
+from repro.experiments.datasets import collect_dataset, paper_liquids
 
 
 def _measurement(omega, name, coarse=float("nan")):
@@ -123,3 +132,94 @@ class TestClassifier:
             subcarriers=[3, 4],
         )
         assert clf.resolve_branch_and_predict(bare) == "oil"
+
+
+def _observed(theta, neg_log_psi):
+    """A two-subcarrier measurement with the given branch observables."""
+    theta = np.asarray(theta, dtype=float)
+    neg_log_psi = np.asarray(neg_log_psi, dtype=float)
+    return FeatureMeasurement(
+        omegas=neg_log_psi / theta,
+        delta_theta=theta,
+        delta_psi=np.exp(-neg_log_psi),
+        gamma=0,
+        pair=(0, 1),
+        subcarriers=[3, 4],
+        theta_aligned=theta,
+        neg_log_psi=neg_log_psi,
+    )
+
+
+@pytest.fixture(scope="module")
+def golden_wimi():
+    """The golden corpus of test_integration_properties: a fitted
+    ten-liquid pipeline plus one held-out 20-packet session per liquid."""
+    liquids = paper_liquids()
+    data = collect_dataset(liquids, repetitions=3, num_packets=20, seed=11)
+    train = [s for sessions in data.values() for s in sessions[:2]]
+    test = [s for sessions in data.values() for s in sessions[2:]]
+    return WiMi(theory_reference_omegas(liquids)).fit(train), train + test
+
+
+class TestBranchSearchMatchesReference:
+    """The all-branch array search equals the branch-by-branch scan."""
+
+    @staticmethod
+    def _assert_twin(clf, features, envelope):
+        for block, m in enumerate(features.measurements):
+            fast = clf._resolve_block(features, block, m, 4, envelope)
+            slow = clf._reference_resolve_block(
+                features, block, m, 4, envelope
+            )
+            assert np.array_equal(fast, slow, equal_nan=True)
+
+    @pytest.mark.parametrize("with_envelope", [True, False])
+    def test_golden_corpus_blocks(self, golden_wimi, with_envelope):
+        wimi, sessions = golden_wimi
+        envelope = wimi._reference_envelope() if with_envelope else None
+        for session in sessions:
+            self._assert_twin(
+                wimi._classifier, wimi.extract(session), envelope
+            )
+
+    def test_every_branch_outside_the_envelope(self):
+        clf = DatabaseClassifier().fit(_database())
+        m = _measurement(0.38, "")
+        features = SessionFeatures(measurements=[m])
+        self._assert_twin(clf, features, (100.0, 200.0))
+        assert np.array_equal(
+            clf._resolve_block(features, 0, m, 4, (100.0, 200.0)), m.vector()
+        )
+
+    @pytest.mark.parametrize("envelope", [None, (0.05, 0.6)])
+    def test_nan_neg_log_psi(self, envelope):
+        clf = DatabaseClassifier().fit(_database())
+        m = _observed([-5.0 + 2 * np.pi] * 2, [np.nan, -0.8])
+        features = SessionFeatures(measurements=[m])
+        self._assert_twin(clf, features, envelope)
+        # A NaN distance never wins, so no branch is chosen.
+        assert np.array_equal(
+            clf._resolve_block(features, 0, m, 4, envelope),
+            m.vector(),
+            equal_nan=True,
+        )
+
+    @pytest.mark.parametrize("envelope", [None, (0.05, 0.6)])
+    def test_unwrapped_phase_at_and_near_zero(self, envelope):
+        clf = DatabaseClassifier().fit(_database())
+        two_pi = 2.0 * math.pi
+        thetas = (
+            [-two_pi, -two_pi],  # exactly 0 at gamma = 1
+            [-two_pi + 0.5 * _MIN_DENOMINATOR_RAD] * 2,  # inside the clamp
+            [-2 * two_pi - 0.5 * _MIN_DENOMINATOR_RAD] * 2,
+        )
+        for theta in thetas:
+            m = _observed(theta, [-0.8, -0.9])
+            branches = m.vectors_for_gammas(np.arange(-4, 5))
+            for row, gamma in zip(branches, range(-4, 5)):
+                assert np.array_equal(row, m.vector_for_gamma(gamma))
+            self._assert_twin(clf, SessionFeatures(measurements=[m]), envelope)
+        zero = _observed(thetas[0], [-0.8, -0.9]).vectors_for_gammas([1])
+        assert np.array_equal(
+            zero[0], np.array([-0.8, -0.9]) / _MIN_DENOMINATOR_RAD
+        )

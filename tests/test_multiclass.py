@@ -68,3 +68,117 @@ class TestOneVsRest:
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             OneVsRestSVC().fit(np.zeros((0, 2)), np.array([]))
+
+
+def _blobs(n_classes, n=12, seed=0):
+    rng = np.random.default_rng(seed)
+    x = np.vstack(
+        [rng.normal(3.0 * c, 1.0, size=(n, 3)) for c in range(n_classes)]
+    )
+    return x, np.repeat(np.arange(n_classes), n)
+
+
+def _per_machine(machines, x):
+    """Oracle: each machine's own decision_function, in machine order."""
+    return np.stack([m.decision_function(x) for m in machines], axis=1)
+
+
+def _loop_vote(clf, x):
+    """Oracle: the machine-by-machine one-vs-one vote."""
+    votes = np.zeros((x.shape[0], clf.classes_.size))
+    margins = np.zeros_like(votes)
+    for (a, b), machine in clf._machines.items():
+        scores = machine.decision_function(x)
+        votes[scores >= 0, a] += 1
+        votes[scores < 0, b] += 1
+        margins[:, a] += scores
+        margins[:, b] -= scores
+    return clf.classes_[np.argmax(votes + 1e-9 * np.tanh(margins), axis=1)]
+
+
+def _assert_close(matrix, oracle):
+    scale = np.max(np.abs(oracle))
+    np.testing.assert_allclose(matrix, oracle, rtol=1e-12, atol=1e-12 * scale)
+
+
+class TestDecisionMatrix:
+    """One kernel pass over every machine equals the per-machine loop."""
+
+    @pytest.mark.parametrize(
+        "kernel, params",
+        [("rbf", {}), ("linear", {}), ("poly", {"degree": 2})],
+    )
+    def test_matches_per_machine_oracle(self, kernel, params):
+        x, y = _blobs(4)
+        x_test = np.random.default_rng(1).normal(4.0, 4.0, size=(30, 3))
+        clf = OneVsOneSVC(kernel=kernel, **params).fit(x, y)
+        matrix = clf.decision_matrix(x_test)
+        assert matrix.shape == (30, len(clf._machines)) == (30, 6)
+        _assert_close(matrix, _per_machine(clf._machines.values(), x_test))
+        assert np.array_equal(clf.predict(x_test), _loop_vote(clf, x_test))
+
+    @pytest.mark.parametrize("kernel", ["rbf", "linear"])
+    def test_one_vs_rest_matches_per_machine_argmax(self, kernel):
+        x, y = _blobs(4)
+        x_test = np.random.default_rng(2).normal(4.0, 4.0, size=(30, 3))
+        clf = OneVsRestSVC(kernel=kernel).fit(x, y)
+        oracle = _per_machine(clf._machines, x_test)
+        assert np.array_equal(
+            clf.predict(x_test), clf.classes_[np.argmax(oracle, axis=1)]
+        )
+
+    def test_machine_without_support_vectors_decides_by_bias(self):
+        # Classes 0 and 1 sit on the same points: SMO never moves a
+        # multiplier of machine (0, 1), so it keeps no support vector.
+        x = np.vstack(
+            [np.zeros((5, 2)), np.zeros((5, 2)), np.full((5, 2), 5.0)]
+        )
+        y = np.repeat(np.arange(3), 5)
+        clf = OneVsOneSVC().fit(x, y)
+        empty = clf._machines[(0, 1)]
+        assert empty.num_support_vectors == 0
+        matrix = clf.decision_matrix(x)
+        assert np.all(matrix[:, 0] == empty._b)
+        _assert_close(matrix, _per_machine(clf._machines.values(), x))
+
+    def test_state_round_trip_gives_the_identical_matrix(self):
+        from repro.core.database import DatabaseClassifier, MaterialDatabase
+
+        x, y = _blobs(4)
+        db = MaterialDatabase()
+        for vector, label in zip(x, y):
+            db.add_vector(f"m{label}", vector)
+        fitted = DatabaseClassifier().fit(db)
+        restored = DatabaseClassifier.from_state(*fitted.to_state())
+        x_test = fitted._scaler.transform(x + 0.5)
+        assert np.array_equal(
+            restored._clf.decision_matrix(x_test),
+            fitted._clf.decision_matrix(x_test),
+        )
+
+    def test_unfitted_raises(self):
+        with pytest.raises(RuntimeError, match="not fitted"):
+            OneVsOneSVC().decision_matrix(np.zeros((1, 2)))
+
+    def test_predict_is_one_kernel_pass(self, monkeypatch):
+        import repro.ml.kernels as kernels
+        import repro.ml.multiclass as multiclass
+
+        x, y = _blobs(10)
+        clf = OneVsOneSVC().fit(x, y)
+        original = kernels.pairwise_sq_dists
+        calls = []
+
+        def counted(a, b):
+            calls.append(b.shape[0])
+            return original(a, b)
+
+        monkeypatch.setattr(kernels, "pairwise_sq_dists", counted)
+        monkeypatch.setattr(multiclass, "pairwise_sq_dists", counted)
+        clf.predict(x[:1])
+        assert len(calls) == 1
+        # Against every support vector of all 45 machines at once.
+        assert calls[0] == sum(m._alpha.size for m in clf._machines.values())
+        calls.clear()
+        _per_machine(clf._machines.values(), x[:1])
+        assert len(calls) == len(clf._machines) == 45

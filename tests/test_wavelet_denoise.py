@@ -323,7 +323,9 @@ class TestEq13Ties:
         w_next = rng.standard_normal((n, cols))
         w_l[rows, np.arange(cols)] = a
         w_next[rows, np.arange(cols)] = b
-        mask = SpatiallySelectiveDenoiser._signal_mask(w_l, w_next)
+        mask = SpatiallySelectiveDenoiser._signal_mask(
+            w_l, w_next, np.sum(w_l ** 2, axis=0)
+        )
         assert mask[rows, np.arange(cols)].all()
 
 
