@@ -31,7 +31,6 @@ from repro.channel.materials import (
     MaterialCatalog,
     default_catalog,
     saltwater,
-    sugar_water,
 )
 from repro.channel.multipath import MultipathChannel, Path
 from repro.channel.propagation import (
@@ -63,5 +62,4 @@ __all__ = [
     "phase_constant",
     "propagation_constants",
     "saltwater",
-    "sugar_water",
 ]

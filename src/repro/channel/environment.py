@@ -18,12 +18,12 @@ relative to the fixed reflectors around it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.channel.geometry import LinkGeometry
-from repro.channel.multipath import MultipathChannel, Path, random_paths
+from repro.channel.multipath import MultipathChannel, random_paths
 
 #: Reference Tx-Rx distance at which preset gains are calibrated (metres).
 REFERENCE_DISTANCE_M = 2.0
@@ -101,10 +101,6 @@ class Environment:
         )
         return MultipathChannel(geometry, paths)
 
-    def with_overrides(self, **changes) -> "Environment":
-        """A copy of this preset with some fields replaced."""
-        return replace(self, **changes)
-
 
 #: The three presets of the paper, calibrated at the 2 m reference link.
 _PRESETS: dict[str, Environment] = {
@@ -151,8 +147,3 @@ def make_environment(name: str) -> Environment:
     except KeyError:
         known = ", ".join(sorted(_PRESETS))
         raise KeyError(f"unknown environment {name!r}; known: {known}") from None
-
-
-def environment_names() -> list[str]:
-    """All preset names in low -> high multipath order."""
-    return ["hall", "lab", "library"]

@@ -243,11 +243,3 @@ class LinkGeometry:
             inner = chord_length(tx, rx, center, target.inner_radius)
             lengths.append(max(outer - inner, 0.0))
         return lengths
-
-    def path_length_difference(
-        self, target: CylinderTarget, pair: tuple[int, int]
-    ) -> float:
-        """``D_i - D_j`` for an antenna pair -- the lever arm of Eq. 18-21."""
-        lengths = self.liquid_path_lengths(target)
-        i, j = pair
-        return lengths[i] - lengths[j]

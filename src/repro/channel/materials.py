@@ -23,7 +23,7 @@ the saltwater concentration series moves monotonically with salinity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 #: Permittivity of free space (F/m).
 EPSILON_0 = 8.8541878128e-12
@@ -89,20 +89,6 @@ class Material:
         dipolar_part = max(self.eps_imag - sigma_part_ref, 0.0)
         return dipolar_part + self.conductivity / (omega * EPSILON_0)
 
-    @property
-    def loss_tangent(self) -> float:
-        """``tan(delta) = eps'' / eps'`` at the calibration frequency."""
-        return self.eps_imag / self.eps_real
-
-    @property
-    def refractive_index(self) -> float:
-        """Approximate refractive index ``sqrt(eps')`` (low-loss limit)."""
-        return math.sqrt(self.eps_real)
-
-    def with_name(self, name: str) -> "Material":
-        """Return a copy of this material renamed to ``name``."""
-        return replace(self, name=name)
-
 
 #: Free space / air.  ``eps'' = 0`` makes ``alpha_free = 0`` exactly, which is
 #: the limit the paper takes in Eq. 21 (``alpha_free`` is a constant ~0).
@@ -141,25 +127,6 @@ def saltwater(grams_per_100ml: float) -> Material:
         eps_imag=eps_imag,
         conductivity=sigma,
         description=f"NaCl solution, {grams_per_100ml:g} g / 100 ml",
-    )
-
-
-def sugar_water(grams_per_100ml: float) -> Material:
-    """Sucrose solution at the given concentration (g per 100 ml).
-
-    Sugar lowers both ``eps'`` (displaces water dipoles) and, mildly,
-    the dipolar loss; it adds no ionic conductivity.
-    """
-    if grams_per_100ml < 0:
-        raise ValueError(f"concentration must be >= 0, got {grams_per_100ml}")
-    base = pure_water()
-    eps_real = max(base.eps_real - 0.55 * grams_per_100ml, 20.0)
-    eps_imag = max(base.eps_imag - 0.10 * grams_per_100ml, 2.0)
-    return Material(
-        name=f"sugar_water_{grams_per_100ml:g}g",
-        eps_real=eps_real,
-        eps_imag=eps_imag,
-        description=f"sucrose solution, {grams_per_100ml:g} g / 100 ml",
     )
 
 

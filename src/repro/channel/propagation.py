@@ -131,13 +131,6 @@ def phase_constant(
     return beta
 
 
-def wavelength_in(
-    material: Material, frequency_hz: float = DEFAULT_FREQUENCY_HZ
-) -> float:
-    """In-medium wavelength ``2 pi / beta`` (metres)."""
-    return 2.0 * math.pi / phase_constant(material, frequency_hz)
-
-
 def phase_change_through(
     material: Material,
     path_length_m: float,
@@ -232,13 +225,3 @@ def material_feature_theory(
             "reference medium: beta_tar == beta_free"
         )
     return (alpha_tar - alpha_ref) / beta_diff
-
-
-def rss_change_db(
-    material: Material,
-    path_length_m: float,
-    frequency_hz: float = DEFAULT_FREQUENCY_HZ,
-) -> float:
-    """Paper Eq. 4 in dB: ``20 log10(A_tar / A_free)``.  Negative for loss."""
-    ratio = amplitude_ratio_through(material, path_length_m, frequency_hz)
-    return 20.0 * math.log10(ratio)

@@ -12,10 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from repro.core.amplitude import AmplitudeProcessor
-from repro.core.phase import PhaseCalibrator
 from repro.core.subcarrier import SubcarrierSelector
 from repro.core.validation import validate_antenna_pair
 from repro.csi.collector import CaptureSession

@@ -1,10 +1,27 @@
-"""Pipeline configuration."""
+"""Pipeline configuration, and the choices the pipeline fixes.
+
+The module constants are the paper's fixed choices.  They are not
+config fields: no caller varies them, so they enter no stage key, and
+``WiMi.from_registry`` refuses a bundle saved with other values.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
-from repro.csi.quality import QualityThresholds, validate_policy
+#: Filter bank of the Sec. III-C amplitude denoiser.
+WAVELET_NAME = "db2"
+#: SWT depth of the amplitude denoiser.
+WAVELET_LEVELS = 3
+#: Outlier-rejection threshold of the denoiser and the stream preview.
+OUTLIER_SIGMAS = 3.0
+#: Soft-margin penalty of the SVM.
+SVM_C = 10.0
+#: Neighbour count of the kNN ablation.
+KNN_K = 5
+#: Search range ``-MAX_GAMMA..MAX_GAMMA`` of the phase-wrap integer of
+#: Eq. 21.
+MAX_GAMMA = 4
 
 
 @dataclass(frozen=True)
@@ -29,13 +46,7 @@ class WiMiConfig:
             the pairs actually available.
         denoise_amplitude: Apply the Sec. III-C denoiser before forming
             amplitude ratios (Fig. 14 turns this off for ablation).
-        wavelet_name: Filter bank of the amplitude denoiser.
-        wavelet_levels: SWT depth of the amplitude denoiser.
-        outlier_sigmas: Outlier-rejection threshold.
         classifier: ``"svm"`` (paper), ``"knn"`` or ``"centroid"``.
-        svm_c: Soft-margin penalty of the SVM.
-        knn_k: Neighbour count for the kNN ablation.
-        max_gamma: Search range for the phase-wrap integer of Eq. 21.
         gamma_strategy: ``"dictionary"`` (resolve gamma against the known
             material feature dictionary) or ``"envelope"`` (pick the gamma
             whose Omega-bar lands inside the physical envelope).  Used as
@@ -48,13 +59,6 @@ class WiMiConfig:
             the feature vector (it is branch-independent and anchors the
             identify-time branch search).  Disable to study a single
             pair/subcarrier in isolation (Fig. 13).
-        degradation_policy: How the pipeline treats degraded captures:
-            ``"degrade"`` (default -- hard failures raise
-            ``CorruptTraceError``, soft issues warn and trigger
-            fallbacks), ``"raise"`` (any quality issue is an error) or
-            ``"skip"`` (no gating; the pre-hardening behaviour).
-        quality_thresholds: Gating thresholds of the quality boundary
-            (see :class:`repro.csi.quality.QualityThresholds`).
         artifact_store_path: Directory of the durable artifact tier
             (:class:`repro.persist.ArtifactStore`) mounted behind the
             stage cache; ``None`` (default) keeps the cache
@@ -71,25 +75,14 @@ class WiMiConfig:
     antenna_pair: tuple[int, int] | None = None
     num_feature_pairs: int = 2
     denoise_amplitude: bool = True
-    wavelet_name: str = "db2"
-    wavelet_levels: int = 3
-    outlier_sigmas: float = 3.0
     classifier: str = "svm"
-    svm_c: float = 10.0
-    knn_k: int = 5
-    max_gamma: int = 4
     gamma_strategy: str = "dictionary"
     use_coarse_pair: bool = True
     include_coarse_feature: bool = True
-    degradation_policy: str = "degrade"
-    quality_thresholds: QualityThresholds = field(
-        default_factory=QualityThresholds
-    )
     artifact_store_path: str | None = None
     model_registry_path: str | None = None
 
     def __post_init__(self) -> None:
-        validate_policy(self.degradation_policy)
         if self.num_good_subcarriers < 1:
             raise ValueError(
                 f"num_good_subcarriers must be >= 1, got "
@@ -109,18 +102,8 @@ class WiMiConfig:
             raise ValueError(
                 f"classifier must be svm/knn/centroid, got {self.classifier!r}"
             )
-        if self.max_gamma < 0:
-            raise ValueError(f"max_gamma must be >= 0, got {self.max_gamma}")
         if self.gamma_strategy not in ("dictionary", "envelope"):
             raise ValueError(
                 "gamma_strategy must be 'dictionary' or 'envelope', got "
                 f"{self.gamma_strategy!r}"
             )
-        if self.outlier_sigmas <= 0:
-            raise ValueError(
-                f"outlier_sigmas must be positive, got {self.outlier_sigmas}"
-            )
-
-    def with_overrides(self, **changes) -> "WiMiConfig":
-        """A copy of this config with some fields replaced."""
-        return replace(self, **changes)

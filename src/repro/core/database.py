@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.config import KNN_K, MAX_GAMMA, SVM_C
 from repro.core.feature import FeatureMeasurement
 from repro.ml.centroid import NearestCentroidClassifier
-from repro.ml.kernels import make_kernel
 from repro.ml.knn import KNeighborsClassifier
 from repro.ml.multiclass import OneVsOneSVC
 from repro.ml.scaler import StandardScaler
@@ -38,14 +38,6 @@ class MaterialDatabase:
         if not name:
             raise ValueError("measurement has no label; pass one explicitly")
         self.entries.setdefault(name, []).append(measurement.vector())
-
-    def add_vector(self, label: str, vector: np.ndarray) -> None:
-        """Store a raw feature vector."""
-        if not label:
-            raise ValueError("label must be non-empty")
-        self.entries.setdefault(label, []).append(
-            np.asarray(vector, dtype=float)
-        )
 
     @property
     def labels(self) -> list[str]:
@@ -152,18 +144,10 @@ def check_legacy_precision(precision: str, field: str) -> None:
 class DatabaseClassifier:
     """A scaler + classifier trained from a :class:`MaterialDatabase`."""
 
-    def __init__(
-        self,
-        kind: str = "svm",
-        svm_c: float = 10.0,
-        knn_k: int = 5,
-        seed: int = 0,
-    ):
+    def __init__(self, kind: str = "svm", seed: int = 0):
         if kind not in ("svm", "knn", "centroid"):
             raise ValueError(f"unknown classifier kind {kind!r}")
         self.kind = kind
-        self.svm_c = svm_c
-        self.knn_k = knn_k
         self.seed = seed
         self._scaler = StandardScaler()
         self._clf = None
@@ -176,9 +160,9 @@ class DatabaseClassifier:
             raise ValueError("need at least two materials to train")
         x = self._scaler.fit_transform(x)
         if self.kind == "svm":
-            self._clf = OneVsOneSVC(kernel="rbf", C=self.svm_c, seed=self.seed)
+            self._clf = OneVsOneSVC(C=SVM_C, seed=self.seed)
         elif self.kind == "knn":
-            self._clf = KNeighborsClassifier(k=self.knn_k)
+            self._clf = KNeighborsClassifier(k=KNN_K)
         else:
             self._clf = NearestCentroidClassifier()
         self._clf.fit(x, y)
@@ -200,7 +184,7 @@ class DatabaseClassifier:
     def resolve_branch_and_predict(
         self,
         features,
-        max_gamma: int = 4,
+        max_gamma: int = MAX_GAMMA,
         envelope: tuple[float, float] | None = None,
     ) -> str:
         """Database-aided branch resolution + classification.
@@ -273,8 +257,8 @@ class DatabaseClassifier:
             raise RuntimeError("cannot serialize an unfitted classifier")
         meta: dict = {
             "kind": self.kind,
-            "svm_c": self.svm_c,
-            "knn_k": self.knn_k,
+            "svm_c": SVM_C,
+            "knn_k": KNN_K,
             "seed": self.seed,
             "centroid_classes": [str(c) for c in self._centroids.classes_],
         }
@@ -300,8 +284,7 @@ class DatabaseClassifier:
                 )
             meta["svm"] = {
                 "classes": [str(c) for c in self._clf.classes_],
-                "kernel_name": self._clf.kernel_name,
-                "kernel_params": self._clf.kernel_params,
+                "kernel_name": "rbf",
                 "C": self._clf.C,
                 "seed": self._clf.seed,
                 "machines": machines,
@@ -325,12 +308,19 @@ class DatabaseClassifier:
     ) -> "DatabaseClassifier":
         """Rebuild a fitted classifier from :meth:`to_state` output."""
         check_legacy_precision(meta.get("precision", "float64"), "precision")
-        self = cls(
-            kind=str(meta["kind"]),
-            svm_c=float(meta["svm_c"]),
-            knn_k=int(meta["knn_k"]),
-            seed=int(meta["seed"]),
-        )
+        fixed = [
+            ("svm_c", meta["svm_c"], SVM_C),
+            ("knn_k", meta["knn_k"], KNN_K),
+        ]
+        if meta["kind"] == "svm":
+            fixed.append(("kernel_name", meta["svm"]["kernel_name"], "rbf"))
+        for field, saved, constant in fixed:
+            if saved != constant:
+                raise ValueError(
+                    f"saved state has {field}={saved!r}; the classifier "
+                    f"fixes {field}={constant!r}"
+                )
+        self = cls(kind=str(meta["kind"]), seed=int(meta["seed"]))
         self._scaler._mean = np.asarray(arrays["scaler_mean"], dtype=float)
         self._scaler._scale = np.asarray(arrays["scaler_scale"], dtype=float)
         centroids = NearestCentroidClassifier()
@@ -340,23 +330,12 @@ class DatabaseClassifier:
 
         if self.kind == "svm":
             spec = meta["svm"]
-            clf = OneVsOneSVC(
-                kernel=spec["kernel_name"],
-                C=float(spec["C"]),
-                seed=int(spec["seed"]),
-                **spec["kernel_params"],
-            )
+            clf = OneVsOneSVC(C=float(spec["C"]), seed=int(spec["seed"]))
             machines = {}
             for entry in spec["machines"]:
                 a, b = int(entry["a"]), int(entry["b"])
                 prefix = f"svm_{a}_{b}_"
-                machine = BinarySVC(
-                    kernel=make_kernel(
-                        spec["kernel_name"], **spec["kernel_params"]
-                    ),
-                    C=float(spec["C"]),
-                    seed=int(spec["seed"]),
-                )
+                machine = BinarySVC(C=float(spec["C"]), seed=int(spec["seed"]))
                 machine._alpha = np.asarray(
                     arrays[prefix + "alpha"], dtype=float
                 )

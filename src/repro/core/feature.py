@@ -50,6 +50,7 @@ import numpy as np
 from repro.channel.materials import Material
 from repro.channel.propagation import material_feature_theory
 from repro.core.amplitude import AmplitudeProcessor
+from repro.core.config import MAX_GAMMA
 from repro.core.phase import PhaseCalibrator
 from repro.csi.collector import CaptureSession
 from repro.csi.quality import CorruptTraceError, SessionQualityReport
@@ -343,11 +344,6 @@ class SessionFeatures:
         if not self.material_name:
             self.material_name = self.measurements[0].material_name
 
-    @property
-    def num_blocks(self) -> int:
-        """Number of antenna-pair feature blocks."""
-        return len(self.measurements)
-
     def vector(self) -> np.ndarray:
         """Concatenated feature vector across blocks."""
         return np.concatenate([m.vector() for m in self.measurements])
@@ -361,13 +357,6 @@ class SessionFeatures:
             slices.append(slice(offset, offset + size))
             offset += size
         return slices
-
-    def vector_with_block(self, block: int, gamma: int) -> np.ndarray:
-        """Concatenated vector with one block re-branched to ``gamma``."""
-        parts = []
-        for idx, m in enumerate(self.measurements):
-            parts.append(m.vector_for_gamma(gamma) if idx == block else m.vector())
-        return np.concatenate(parts)
 
     @property
     def omega_mean(self) -> float:
@@ -383,7 +372,6 @@ class MaterialFeatureExtractor:
         reference_omegas: dict[str, float] | list[float],
         calibrator: PhaseCalibrator | None = None,
         amplitude: AmplitudeProcessor | None = None,
-        max_gamma: int = 4,
         gamma_strategy: str = "dictionary",
     ):
         omegas = list(
@@ -396,7 +384,6 @@ class MaterialFeatureExtractor:
         self.reference_omegas = reference_omegas
         self.calibrator = calibrator if calibrator is not None else PhaseCalibrator()
         self.amplitude = amplitude if amplitude is not None else AmplitudeProcessor()
-        self.max_gamma = max_gamma
         self.gamma_strategy = gamma_strategy
 
     # ------------------------------------------------------------------
@@ -587,18 +574,18 @@ class MaterialFeatureExtractor:
         # the coarse pair, else from the configured fallback strategy.
         if true_omega is not None:
             gamma, _ = resolve_gamma_with_coarse(
-                theta_agg, n_agg, true_omega, self.max_gamma
+                theta_agg, n_agg, true_omega, MAX_GAMMA
             )
         elif math.isfinite(omega_coarse) and omega_coarse > 0:
             gamma, _ = resolve_gamma_with_coarse(
-                theta_agg, n_agg, omega_coarse, self.max_gamma
+                theta_agg, n_agg, omega_coarse, MAX_GAMMA
             )
         else:
             gamma, _ = resolve_gamma(
                 theta_agg,
                 n_agg,
                 self.reference_omegas,
-                self.max_gamma,
+                MAX_GAMMA,
                 self.gamma_strategy,
             )
 

@@ -32,11 +32,17 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 
-import numpy as np
-
 from repro.core.amplitude import AmplitudeProcessor
 from repro.core.antenna import AntennaPairSelector
-from repro.core.config import WiMiConfig
+from repro.core.config import (
+    KNN_K,
+    MAX_GAMMA,
+    OUTLIER_SIGMAS,
+    SVM_C,
+    WAVELET_LEVELS,
+    WAVELET_NAME,
+    WiMiConfig,
+)
 from repro.core.database import (
     DatabaseClassifier,
     MaterialDatabase,
@@ -56,8 +62,8 @@ from repro.core.streaming import (
 from repro.core.subcarrier import SubcarrierSelector
 from repro.csi.collector import CaptureSession
 from repro.csi.quality import (
+    DEFAULT_THRESHOLDS,
     CorruptTraceError,
-    QualityThresholds,
     SessionQualityReport,
     gate_report,
 )
@@ -108,9 +114,9 @@ class WiMi:
         self.calibrator = PhaseCalibrator()
         self.subcarrier_selector = SubcarrierSelector(self.calibrator)
         denoiser = SpatiallySelectiveDenoiser(
-            wavelet_name=self.config.wavelet_name,
-            levels=self.config.wavelet_levels,
-            outlier_sigmas=self.config.outlier_sigmas,
+            wavelet_name=WAVELET_NAME,
+            levels=WAVELET_LEVELS,
+            outlier_sigmas=OUTLIER_SIGMAS,
         )
         self.amplitude = AmplitudeProcessor(
             denoiser=denoiser, denoise=self.config.denoise_amplitude
@@ -120,7 +126,6 @@ class WiMi:
             reference_omegas,
             calibrator=self.calibrator,
             amplitude=self.amplitude,
-            max_gamma=self.config.max_gamma,
             gamma_strategy=self.config.gamma_strategy,
         )
         if cache is not None:
@@ -358,21 +363,6 @@ class WiMi:
             return (i, j)
         return self.pair_selector.best_pair(session)
 
-    def choose_subcarriers(
-        self, session: CaptureSession, pair: tuple[int, int]
-    ) -> list[int]:
-        """The subcarriers for a session (calibrated, override, or
-        per-session selection)."""
-        if self._subcarriers is not None:
-            return list(self._subcarriers)
-        if self.config.subcarrier_override is not None:
-            return list(self.config.subcarrier_override)
-        return list(
-            self.engine.select_subcarriers(
-                [session], pair, count=self.config.num_good_subcarriers
-            ).subcarriers
-        )
-
     def _session_pairs(
         self, session: CaptureSession
     ) -> list[tuple[int, int]]:
@@ -454,23 +444,17 @@ class WiMi:
             target=self.engine.trace_quality(session.target).report,
         )
 
-    def _gate(self, session: CaptureSession) -> SessionQualityReport | None:
-        """Measure + gate a session under the configured policy.
+    def _gate(self, session: CaptureSession) -> SessionQualityReport:
+        """Measure + gate a session.
 
-        Returns the report (None under policy ``"skip"``); raises
+        Returns the report; raises
         :class:`~repro.csi.quality.CorruptTraceError` on hard failures,
         warns :class:`~repro.csi.quality.DegradedTraceWarning` on soft
         ones.
         """
-        if self.config.degradation_policy == "skip":
-            return None
-        report = self.assess(session)
-        gate_report(
-            report,
-            self.config.degradation_policy,
-            label=session.material_name or "session",
+        return gate_report(
+            self.assess(session), label=session.material_name or "session"
         )
-        return report
 
     def _usable_pairs(
         self, session: CaptureSession, dead: set[int]
@@ -539,11 +523,10 @@ class WiMi:
         extracting it after ``fit`` already saw it) performs zero
         additional calibrator/denoiser executions.
 
-        Under quality gating (``config.degradation_policy`` not
-        ``"skip"``) the session is measured and gated first; a degraded
-        session is processed with fallbacks -- dead antennas excluded
-        from pair choice, disqualified subcarriers replaced, the coarse
-        anchor re-derived or approximated -- and the resulting
+        The session is measured and gated first; a degraded session is
+        processed with fallbacks -- dead antennas excluded from pair
+        choice, disqualified subcarriers replaced, the coarse anchor
+        re-derived or approximated -- and the resulting
         :class:`~repro.core.feature.SessionFeatures` carries the
         :class:`~repro.csi.quality.SessionQualityReport`.
         """
@@ -552,7 +535,7 @@ class WiMi:
         coarse = self._coarse_pair
         exclude_sc: tuple[int, ...] = ()
         coarse_fallback = False
-        if quality is not None and quality.is_degraded:
+        if quality.is_degraded:
             pairs, coarse = self._degraded_plan(session, quality, pairs)
             exclude_sc = tuple(quality.bad_subcarriers)
             # Preserve the feature-vector width even when the coarse
@@ -662,7 +645,7 @@ class WiMi:
             for features in self.extract_batch(sessions)
         ]
 
-    def _reference_envelope(self) -> tuple[float, float]:
+    def _omega_envelope(self) -> tuple[float, float]:
         """Generous physical envelope of the reference Omega-bar values."""
         refs = self.extractor.reference_omegas
         values = list(refs.values()) if isinstance(refs, dict) else list(refs)
@@ -687,9 +670,7 @@ class WiMi:
     def _train_classifier(self) -> None:
         """Fit the configured classifier on the current database."""
         self._classifier = DatabaseClassifier(
-            kind=self.config.classifier,
-            svm_c=self.config.svm_c,
-            knn_k=self.config.knn_k,
+            kind=self.config.classifier
         ).fit(self.database)
         self._classifier_token = self._compute_classifier_token()
 
@@ -711,8 +692,6 @@ class WiMi:
             repr(
                 (
                     self.config.classifier,
-                    self.config.svm_c,
-                    self.config.knn_k,
                     self._classifier.seed if self._classifier else 0,
                 )
             ).encode()
@@ -730,7 +709,7 @@ class WiMi:
             features,
             classifier=self._classifier,
             classifier_token=self._classifier_token,
-            envelope=self._reference_envelope(),
+            envelope=self._omega_envelope(),
         )
 
     def identify(self, session: CaptureSession) -> str:
@@ -784,28 +763,6 @@ class WiMi:
         return StreamingExtractor(
             self, scene=scene, material_name=material_name
         )
-
-    def identify_streaming(
-        self, session: CaptureSession, chunk_size: int = 1
-    ) -> str:
-        """Identify a session by replaying it through the streaming path.
-
-        The baseline is pushed whole, the target in ``chunk_size``-packet
-        chunks, and the finalized label is returned.  Finalize runs
-        :meth:`extract` on the buffered packets, so the label is the
-        :meth:`identify` label for any ``chunk_size``.
-        """
-        if self._classifier is None:
-            raise RuntimeError("WiMi is not fitted; call fit() first")
-        stream = self.streaming_extractor(
-            scene=session.scene, material_name=session.material_name
-        )
-        stream.push_baseline(session.baseline)
-        target = session.target
-        step = max(int(chunk_size), 1)
-        for start in range(0, len(target), step):
-            stream.push_target(target.select(slice(start, start + step)))
-        return stream.finalize().label
 
     # ------------------------------------------------------------------
     # Model registry (warm-start serving)
@@ -929,37 +886,30 @@ class WiMi:
             config_dict.pop("compute_precision", "float64"),
             "compute_precision",
         )
-        # Bundles saved while the preview windows were config fields
-        # record them; only the values the constants keep still load.
+        # Bundles saved while these were config fields record them; only
+        # the values the constants keep still load.
         for field, constant in (
             ("stream_window_size", STREAM_WINDOW_SIZE),
             ("stream_hop", STREAM_HOP),
+            ("wavelet_name", WAVELET_NAME),
+            ("wavelet_levels", WAVELET_LEVELS),
+            ("outlier_sigmas", OUTLIER_SIGMAS),
+            ("svm_c", SVM_C),
+            ("knn_k", KNN_K),
+            ("max_gamma", MAX_GAMMA),
+            ("quality_thresholds", dataclasses.asdict(DEFAULT_THRESHOLDS)),
+            ("degradation_policy", "degrade"),
         ):
             saved = config_dict.pop(field, constant)
             if saved != constant:
                 raise ValueError(
-                    f"saved state has {field}={saved!r}; streaming "
-                    f"previews are fixed at {field}={constant}"
+                    f"saved state has {field}={saved!r}; the pipeline "
+                    f"fixes {field}={constant!r}"
                 )
-        thresholds = config_dict.pop("quality_thresholds", None)
         for field in ("subcarrier_override", "antenna_pair"):
             if config_dict.get(field) is not None:
                 config_dict[field] = tuple(config_dict[field])
-        if config_overrides:
-            config_dict.update(config_overrides)
-            thresholds = config_dict.pop("quality_thresholds", thresholds)
-        if thresholds is not None and not isinstance(
-            thresholds, QualityThresholds
-        ):
-            thresholds = QualityThresholds(**thresholds)
-        config = WiMiConfig(
-            **config_dict,
-            **(
-                {"quality_thresholds": thresholds}
-                if thresholds is not None
-                else {}
-            ),
-        )
+        config = WiMiConfig(**{**config_dict, **(config_overrides or {})})
 
         refs = meta["reference_omegas"]
         reference_omegas = (

@@ -44,6 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.amplitude import _AMPLITUDE_EPS
+from repro.core.config import MAX_GAMMA
 from repro.core.feature import (
     SessionFeatures,
     coarse_omega_estimate,
@@ -467,14 +468,14 @@ class StreamingExtractor:
                 )
         if math.isfinite(omega_coarse) and omega_coarse > 0:
             gamma, omega = resolve_gamma_with_coarse(
-                theta_agg, n_agg, omega_coarse, wimi.config.max_gamma
+                theta_agg, n_agg, omega_coarse, MAX_GAMMA
             )
         else:
             gamma, omega = resolve_gamma(
                 theta_agg,
                 n_agg,
                 wimi.extractor.reference_omegas,
-                wimi.config.max_gamma,
+                MAX_GAMMA,
                 wimi.config.gamma_strategy,
             )
         return int(gamma), float(omega)
@@ -552,8 +553,8 @@ class StreamingExtractor:
         """Close the stream: batch features of the buffered capture, label.
 
         Returns exactly what ``wimi.extract`` and the classifier give for
-        the reassembled session -- quality gating (warns/raises per
-        ``config.degradation_policy``) and every degraded-capture
+        the reassembled session -- quality gating (raises on hard
+        failures, warns on degradations) and every degraded-capture
         fallback included.  Idempotent: repeated calls return the same
         result.
         """

@@ -35,10 +35,7 @@ from repro.csi.quality import (
     QualityThresholds,
     SessionQualityReport,
     TraceQualityReport,
-    assess_session,
     assess_trace,
-    gate_session,
-    gate_trace,
 )
 from repro.csi.simulator import CsiSimulator, SimulationScene
 from repro.csi.subcarriers import (
@@ -63,10 +60,7 @@ __all__ = [
     "SessionQualityReport",
     "SimulationScene",
     "TraceQualityReport",
-    "assess_session",
     "assess_trace",
-    "gate_session",
-    "gate_trace",
     "intel5300_subcarrier_indices",
     "load_session",
     "load_trace",

@@ -27,7 +27,7 @@ phase-difference calibration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -171,10 +171,6 @@ class HardwareProfile:
         """Noise multiplier for antenna index ``antenna`` (cycled)."""
         factors = self.antenna_noise_factors
         return factors[antenna % len(factors)]
-
-    def with_overrides(self, **changes) -> "HardwareProfile":
-        """A copy of this profile with some fields replaced."""
-        return replace(self, **changes)
 
     # ------------------------------------------------------------------
     # Application

@@ -9,10 +9,8 @@ assumption is *checked* instead of hoped for.
 * :func:`assess_trace` measures a :class:`TraceQualityReport` -- per
   antenna / per subcarrier finite and live fractions, packet-loss rate
   from sequence gaps, duplicate/reorder counts, AGC clipping rate.
-* :func:`gate_trace` / :func:`gate_session` apply configurable
-  :class:`QualityThresholds` under a policy: ``"raise"`` (any
-  degradation is an error), ``"degrade"`` (hard failures raise, soft
-  issues warn and the pipeline adapts), ``"skip"`` (no gating).
+* :func:`gate_report` gates a measured session: hard failures raise,
+  soft issues warn and the pipeline adapts.
 * The typed taxonomy -- :class:`CorruptTraceError` for input that must
   not be processed, :class:`DegradedTraceWarning` for input that can be
   processed with fallbacks -- is shared by :mod:`repro.csi.io` (file
@@ -22,7 +20,7 @@ assumption is *checked* instead of hoped for.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,10 +37,6 @@ _RAIL_TOLERANCE = 0.995
 #: packet as AGC-clipped.  Unclipped captures put only the peak
 #: component there; a saturated burst flattens a large share.
 _CLIPPED_COMPONENT_FRACTION = 0.2
-
-#: Recognised degradation policies (pipeline-wide).
-POLICIES = ("raise", "degrade", "skip")
-
 
 class CorruptTraceError(ValueError):
     """The input is too damaged to process (hard gate).
@@ -111,10 +105,6 @@ class QualityThresholds:
                 f"min_live_subcarriers must be >= 1, got "
                 f"{self.min_live_subcarriers}"
             )
-
-    def with_overrides(self, **changes) -> "QualityThresholds":
-        """A copy of these thresholds with some fields replaced."""
-        return replace(self, **changes)
 
 
 #: Default thresholds used wherever none are configured.
@@ -280,11 +270,6 @@ class TraceQualityReport:
         """Whether the trace carries soft issues (fallbacks needed)."""
         return bool(self.degradations)
 
-    @property
-    def is_clean(self) -> bool:
-        """Whether the trace is pristine."""
-        return not self.is_corrupt and not self.is_degraded
-
     def to_dict(self) -> dict:
         """Plain-data rendering for JSON artifacts and metric snapshots."""
         return {
@@ -400,7 +385,7 @@ def assess_trace(
     """Measure a :class:`TraceQualityReport` for one trace.
 
     Pure measurement -- never raises on degraded input (that is
-    :func:`gate_trace`'s job).  Deterministic in the trace content.
+    :func:`gate_report`'s job).  Deterministic in the trace content.
     """
     thresholds = thresholds if thresholds is not None else DEFAULT_THRESHOLDS
     matrix = trace.matrix()
@@ -460,90 +445,28 @@ def assess_trace(
     )
 
 
-def validate_policy(policy: str) -> str:
-    """Check a degradation policy name."""
-    if policy not in POLICIES:
-        raise ValueError(
-            f"degradation policy must be one of {POLICIES}, got {policy!r}"
-        )
-    return policy
-
-
 def gate_report(
-    report: TraceQualityReport | SessionQualityReport,
-    policy: str = "degrade",
-    label: str = "trace",
-) -> TraceQualityReport | SessionQualityReport:
-    """Apply a degradation policy to an already-measured report.
+    report: SessionQualityReport, label: str = "session"
+) -> SessionQualityReport:
+    """Gate an already-measured session report.
 
-    * ``"raise"``: any hard failure *or* degradation raises
-      :class:`CorruptTraceError`.
-    * ``"degrade"``: hard failures raise; degradations emit a
-      :class:`DegradedTraceWarning` and the caller is expected to adapt.
-    * ``"skip"``: no gating at all.
-
+    Hard failures raise :class:`CorruptTraceError`; degradations emit a
+    :class:`DegradedTraceWarning` and the caller is expected to adapt.
     Returns the report for chaining.
     """
     import warnings
 
-    validate_policy(policy)
-    if policy == "skip":
-        return report
-    if isinstance(report, SessionQualityReport):
-        failures = (
-            report.baseline.hard_failures + report.target.hard_failures
-        )
-        issues = report.issues
-    else:
-        failures = report.hard_failures
-        issues = report.hard_failures + report.degradations
+    failures = report.baseline.hard_failures + report.target.hard_failures
     if failures:
         raise CorruptTraceError(
             f"{label} rejected by quality gate: " + "; ".join(failures)
         )
     if report.is_degraded:
-        if policy == "raise":
-            raise CorruptTraceError(
-                f"{label} degraded (policy 'raise'): " + "; ".join(issues)
-            )
         warnings.warn(
             DegradedTraceWarning(
-                f"{label} degraded, applying fallbacks: " + "; ".join(issues)
+                f"{label} degraded, applying fallbacks: "
+                + "; ".join(report.issues)
             ),
             stacklevel=3,
         )
-    return report
-
-
-def gate_trace(
-    trace: CsiTrace,
-    thresholds: QualityThresholds | None = None,
-    policy: str = "degrade",
-    label: str = "trace",
-) -> TraceQualityReport:
-    """Assess one trace and apply a degradation policy to the result."""
-    report = assess_trace(trace, thresholds)
-    gate_report(report, policy, label=label or trace.label or "trace")
-    return report
-
-
-def assess_session(
-    session, thresholds: QualityThresholds | None = None
-) -> SessionQualityReport:
-    """Assess both traces of a paired capture session."""
-    return SessionQualityReport(
-        baseline=assess_trace(session.baseline, thresholds),
-        target=assess_trace(session.target, thresholds),
-    )
-
-
-def gate_session(
-    session,
-    thresholds: QualityThresholds | None = None,
-    policy: str = "degrade",
-    label: str = "session",
-) -> SessionQualityReport:
-    """Assess a session and apply a degradation policy to the result."""
-    report = assess_session(session, thresholds)
-    gate_report(report, policy, label=label)
     return report

@@ -293,7 +293,7 @@ class CsiSimulator:
             # The moving-target multiplier is inherently sequential (each
             # packet re-solves the displaced geometry); keep the scalar
             # per-packet path for it.
-            return self._reference_capture(
+            return self._capture_per_packet(
                 material, num_packets, label, motion_std_m
             )
         if material is None:
@@ -370,17 +370,17 @@ class CsiSimulator:
             label=label,
         )
 
-    def _reference_capture(
+    def _capture_per_packet(
         self,
         material: Material | None,
         num_packets: int,
         label: str = "",
         motion_std_m: float = 0.0,
     ) -> CsiTrace:
-        """Original per-packet capture loop.
+        """Per-packet capture loop.
 
-        Still the implementation of record for moving targets, and the
-        baseline the equivalence tests compare against.
+        The implementation for moving targets, and the baseline the
+        equivalence tests compare the vectorised static capture against.
         """
         if num_packets < 0:
             raise ValueError(f"num_packets must be >= 0, got {num_packets}")

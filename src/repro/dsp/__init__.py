@@ -24,7 +24,6 @@ from repro.dsp.stats import (
     angular_spread_deg,
     circular_mean,
     circular_std,
-    circular_variance,
     mad,
     robust_sigma,
 )
@@ -45,7 +44,6 @@ from repro.dsp.wavelet import (
 from repro.dsp.wavelet_denoise import (
     SpatiallySelectiveDenoiser,
     remove_outliers,
-    wavelet_denoise,
 )
 
 __all__ = [
@@ -60,7 +58,6 @@ __all__ = [
     "butterworth_filter",
     "circular_mean",
     "circular_std",
-    "circular_variance",
     "filtfilt",
     "get_wavelet",
     "iswt",
@@ -72,6 +69,5 @@ __all__ = [
     "sliding_mean_filter",
     "swt",
     "wavedec",
-    "wavelet_denoise",
     "waverec",
 ]

@@ -135,13 +135,6 @@ def resultant_length(
     return float(np.abs(np.mean(np.exp(1j * angles))))
 
 
-def circular_variance(
-    angles_rad: np.ndarray, ignore_nan: bool = False
-) -> float:
-    """Circular variance ``1 - R`` in [0, 1]."""
-    return 1.0 - resultant_length(angles_rad, ignore_nan=ignore_nan)
-
-
 def circular_std(angles_rad: np.ndarray, ignore_nan: bool = False) -> float:
     """Circular standard deviation ``sqrt(-2 ln R)`` in radians.
 
@@ -202,24 +195,6 @@ def robust_sigma(x: np.ndarray, ignore_nan: bool = False) -> float:
     Johnstone; the paper's reference [24] uses the same median estimator).
     """
     return mad(x, ignore_nan=ignore_nan) / 0.6745
-
-
-def sample_variance(x: np.ndarray, ignore_nan: bool = False) -> float:
-    """Plain (population) variance -- paper Eq. 7 uses the 1/M form.
-
-    With ``ignore_nan``, non-finite samples are excluded (NaN if none
-    remain).
-    """
-    x = np.asarray(x, dtype=float)
-    if x.size == 0:
-        raise ValueError("variance of an empty array is undefined")
-    if ignore_nan:
-        mask = np.isfinite(x)
-        if not mask.any():
-            return math.nan
-        centre = finite_mean(x)
-        return float(finite_mean(np.where(mask, (x - centre) ** 2, math.nan)))
-    return float(np.mean((x - np.mean(x)) ** 2))
 
 
 # ----------------------------------------------------------------------

@@ -96,10 +96,6 @@ class RunningCircularStats:
             math.nan,
         )
 
-    def circular_variance(self) -> np.ndarray:
-        """Circular variance ``1 - R`` per element."""
-        return 1.0 - self.resultant_length()
-
 
 class RunningVariance:
     """Welford's online mean and sample variance of a scalar series.

@@ -99,11 +99,6 @@ def get_wavelet(name: str) -> Wavelet:
     return Wavelet(name=name, dec_lo=np.array(coeffs, dtype=float))
 
 
-def available_wavelets() -> list[str]:
-    """Names of all built-in wavelets."""
-    return sorted(_SCALING_FILTERS)
-
-
 # ----------------------------------------------------------------------
 # Decimated DWT (periodized)
 # ----------------------------------------------------------------------

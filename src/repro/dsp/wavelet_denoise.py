@@ -372,16 +372,3 @@ class SpatiallySelectiveDenoiser:
                 out[l][mask] += work[l][mask]
                 work[l][mask] = 0.0
         return out
-
-
-def wavelet_denoise(
-    x: np.ndarray,
-    wavelet_name: str = "db2",
-    levels: int = 3,
-    outlier_sigmas: float = 3.0,
-) -> np.ndarray:
-    """Convenience wrapper around :class:`SpatiallySelectiveDenoiser`."""
-    denoiser = SpatiallySelectiveDenoiser(
-        wavelet_name=wavelet_name, levels=levels, outlier_sigmas=outlier_sigmas
-    )
-    return denoiser.denoise(x)

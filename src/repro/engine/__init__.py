@@ -51,7 +51,6 @@ from repro.engine.stages import (
     PHASE_CALIBRATION,
     SUBCARRIER_SELECTION,
     StageSpec,
-    stage_graph,
 )
 
 __all__ = [
@@ -81,6 +80,5 @@ __all__ = [
     "config_fingerprint",
     "features_fingerprint",
     "session_fingerprint",
-    "stage_graph",
     "trace_fingerprint",
 ]

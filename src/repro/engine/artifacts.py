@@ -16,8 +16,7 @@ the object: no write can make it stale.
 from __future__ import annotations
 
 import hashlib
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -222,8 +221,3 @@ class ClassificationArtifact(Artifact):
 
     label: str
     confidence: float = float("nan")
-
-    @property
-    def has_confidence(self) -> bool:
-        """Whether a confidence score was computed."""
-        return math.isfinite(self.confidence)

@@ -209,20 +209,6 @@ class StageCache:
             self._entries.clear()
             self._stats.clear()
 
-    def invalidate_stage(self, stage: str) -> int:
-        """Drop one stage's memory artifacts; returns how many were dropped.
-
-        The disk tier is content-addressed and never invalidated here:
-        a changed config or trace changes the key, so stale entries can
-        only be *unreferenced*, not wrong (``repro store --gc`` prunes
-        corrupt files).
-        """
-        with self._lock:
-            doomed = [k for k in self._entries if k[0] == stage]
-            for k in doomed:
-                del self._entries[k]
-            return len(doomed)
-
 
 @dataclass
 class StageCounter:

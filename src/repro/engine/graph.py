@@ -23,12 +23,12 @@ from typing import Callable, Iterable
 import numpy as np
 
 from repro.core.amplitude import _AMPLITUDE_EPS, AmplitudeProcessor
-from repro.core.config import WiMiConfig
+from repro.core.config import MAX_GAMMA, OUTLIER_SIGMAS, WiMiConfig
 from repro.core.feature import MaterialFeatureExtractor, SessionFeatures
 from repro.core.subcarrier import SubcarrierSelector
 from repro.csi.collector import CaptureSession
 from repro.csi.model import CsiTrace
-from repro.csi.quality import TraceQualityReport, assess_trace
+from repro.csi.quality import assess_trace
 from repro.dsp.streaming import window_log_sums
 from repro.engine.artifacts import (
     ClassificationArtifact,
@@ -130,15 +130,15 @@ class PipelineEngine:
     def trace_quality(self, trace: CsiTrace) -> TraceQualityArtifact:
         """Degradation measurement of one trace (the quality boundary).
 
-        Pure measurement -- gating decisions (raise/degrade/skip) live in
-        the ``WiMi`` facade, so the memoized report can serve any policy.
+        Pure measurement -- the gating decision lives in the ``WiMi``
+        facade.
         """
         key = make_key(
             trace_fingerprint(trace), self._config_key(TRACE_QUALITY)
         )
 
         def compute() -> TraceQualityArtifact:
-            report = assess_trace(trace, self.config.quality_thresholds)
+            report = assess_trace(trace)
             return TraceQualityArtifact(key=key, report=report)
 
         return self._resolve(TRACE_QUALITY, key, compute)
@@ -189,8 +189,7 @@ class PipelineEngine:
         return window_log_sums(
             rows,
             _AMPLITUDE_EPS,
-            self.config.outlier_sigmas
-            if self.config.denoise_amplitude else None,
+            OUTLIER_SIGMAS if self.config.denoise_amplitude else None,
         )
 
     def observables(
@@ -349,7 +348,7 @@ class PipelineEngine:
 
         def compute() -> ClassificationArtifact:
             label = classifier.resolve_branch_and_predict(
-                features, max_gamma=self.config.max_gamma, envelope=envelope
+                features, max_gamma=MAX_GAMMA, envelope=envelope
             )
             confidence = classifier.confidence(features.vector())
             return ClassificationArtifact(

@@ -37,11 +37,10 @@ class StageSpec:
 
 
 #: Quality boundary: per-trace degradation measurement (finite/live
-#: fractions, loss rate, clipping rate).  Gating decisions downstream
-#: depend on the thresholds, so they parameterise the key.
+#: fractions, loss rate, clipping rate) against the fixed thresholds.
 TRACE_QUALITY = StageSpec(
     name="trace_quality",
-    config_fields=("quality_thresholds",),
+    config_fields=(),
     inputs=(),
     description="TraceQualityReport of one trace (loss/clipping/liveness)",
 )
@@ -68,12 +67,7 @@ DENOISE_REVISION = 1
 #: of one trace's amplitude cube.  The pipeline's hot spot.
 AMPLITUDE_DENOISE = StageSpec(
     name="amplitude_denoise",
-    config_fields=(
-        "denoise_amplitude",
-        "wavelet_name",
-        "wavelet_levels",
-        "outlier_sigmas",
-    ),
+    config_fields=("denoise_amplitude",),
     inputs=(),
     description="denoised |H| cube of one trace",
 )
@@ -97,7 +91,7 @@ SUBCARRIER_SELECTION = StageSpec(
 #: Eq. 18-21: Omega-bar with gamma resolution for one feature block.
 FEATURE_EXTRACTION = StageSpec(
     name="feature_extraction",
-    config_fields=("max_gamma", "gamma_strategy"),
+    config_fields=("gamma_strategy",),
     inputs=(OBSERVABLES.name, SUBCARRIER_SELECTION.name),
     description="Omega-bar feature block with resolved gamma",
 )
@@ -105,7 +99,7 @@ FEATURE_EXTRACTION = StageSpec(
 #: Sec. III-E: database-aided branch resolution + classification.
 CLASSIFY = StageSpec(
     name="classify",
-    config_fields=("classifier", "svm_c", "knn_k", "max_gamma"),
+    config_fields=("classifier",),
     inputs=(FEATURE_EXTRACTION.name,),
     description="material label (+ centroid-margin confidence)",
 )
@@ -121,7 +115,3 @@ ALL_STAGES: tuple[StageSpec, ...] = (
     CLASSIFY,
 )
 
-
-def stage_graph() -> dict[str, tuple[str, ...]]:
-    """Adjacency view of the stage graph: ``{stage: upstream stages}``."""
-    return {spec.name: spec.inputs for spec in ALL_STAGES}

@@ -22,14 +22,6 @@ def format_scalar_table(title: str, rows: dict, unit: str = "") -> str:
     return "\n".join(lines)
 
 
-def format_series(title: str, series: list[tuple], x_label: str, y_label: str) -> str:
-    """Render ``[(x, y), ...]`` as an aligned series table."""
-    lines = [title, f"  {x_label:>10}  {y_label:>10}"]
-    for x, y in series:
-        lines.append(f"  {x:>10.3g}  {y:>10.3f}")
-    return "\n".join(lines)
-
-
 def format_confusion(title: str, confusion: ConfusionMatrix) -> str:
     """Render a confusion matrix like the paper's Fig. 15/16."""
     return f"{title}\n{confusion.render()}\n  overall accuracy: {confusion.accuracy:.3f}"

@@ -127,9 +127,9 @@ class GatedScore:
 
 
 def _rejected(wimi: WiMi, session) -> bool:
-    """Whether the quality gate refuses ``session`` under the config."""
+    """Whether the quality gate refuses ``session``."""
     try:
-        gate_report(wimi.assess(session), wimi.config.degradation_policy)
+        gate_report(wimi.assess(session))
     except CorruptTraceError:
         return True
     return False
@@ -138,9 +138,7 @@ def _rejected(wimi: WiMi, session) -> bool:
 def _trainable(wimi: WiMi, session) -> bool:
     """Whether ``session`` may enter the feature database: the gate finds
     nothing wrong with it (calibration pools every training session, so
-    one dead chain would void a whole antenna pair), or gating is off."""
-    if wimi.config.degradation_policy == "skip":
-        return True
+    one dead chain would void a whole antenna pair)."""
     report = wimi.assess(session)
     return not (report.is_corrupt or report.is_degraded)
 

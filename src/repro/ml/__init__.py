@@ -3,48 +3,37 @@
 The paper feeds its material features to an SVM (Sec. III-E).  No ML
 library is available offline, so this package provides:
 
-* :mod:`repro.ml.kernels` -- linear / RBF / polynomial kernels,
+* :mod:`repro.ml.kernels` -- the RBF kernel,
 * :mod:`repro.ml.svm` -- a soft-margin binary SVM trained with Platt's
   SMO algorithm,
-* :mod:`repro.ml.multiclass` -- one-vs-one and one-vs-rest wrappers,
+* :mod:`repro.ml.multiclass` -- the one-vs-one ensemble of binary SVMs,
 * :mod:`repro.ml.knn`, :mod:`repro.ml.centroid` -- baselines for the
   classifier ablation,
 * :mod:`repro.ml.scaler` -- feature standardisation,
-* :mod:`repro.ml.validation` -- stratified splits, k-fold, confusion
-  matrices and accuracy reports (how every paper figure scores results).
+* :mod:`repro.ml.validation` -- confusion matrices and accuracy (how
+  every paper figure scores results).
 """
 
 from repro.ml.centroid import NearestCentroidClassifier
-from repro.ml.kernels import LinearKernel, PolynomialKernel, RBFKernel, make_kernel
+from repro.ml.kernels import RBFKernel
 from repro.ml.knn import KNeighborsClassifier
-from repro.ml.multiclass import OneVsOneSVC, OneVsRestSVC, SVC
+from repro.ml.multiclass import OneVsOneSVC
 from repro.ml.scaler import StandardScaler
 from repro.ml.svm import BinarySVC
 from repro.ml.validation import (
     ConfusionMatrix,
     accuracy_score,
     confusion_matrix,
-    cross_validate,
-    k_fold_indices,
-    train_test_split,
 )
 
 __all__ = [
     "BinarySVC",
     "ConfusionMatrix",
     "KNeighborsClassifier",
-    "LinearKernel",
     "NearestCentroidClassifier",
     "OneVsOneSVC",
-    "OneVsRestSVC",
-    "PolynomialKernel",
     "RBFKernel",
-    "SVC",
     "StandardScaler",
     "accuracy_score",
     "confusion_matrix",
-    "cross_validate",
-    "k_fold_indices",
-    "make_kernel",
-    "train_test_split",
 ]

@@ -1,4 +1,4 @@
-"""Kernel functions for the SVM."""
+"""The RBF kernel of the SVM."""
 
 from __future__ import annotations
 
@@ -39,17 +39,6 @@ def rbf_from_sq_dists(sq: np.ndarray, gamma: float) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class LinearKernel:
-    """``K(x, y) = x . y``."""
-
-    def __call__(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return _as_2d(a) @ _as_2d(b).T
-
-    def __repr__(self) -> str:
-        return "LinearKernel()"
-
-
-@dataclass(frozen=True)
 class RBFKernel:
     """``K(x, y) = exp(-gamma ||x - y||^2)``.
 
@@ -80,29 +69,3 @@ class RBFKernel:
         g = gamma if gamma is not None else (self.gamma if self.gamma else 1.0)
         return rbf_from_sq_dists(pairwise_sq_dists(a, b), g)
 
-
-@dataclass(frozen=True)
-class PolynomialKernel:
-    """``K(x, y) = (x . y + coef0)^degree``."""
-
-    degree: int = 3
-    coef0: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.degree < 1:
-            raise ValueError(f"degree must be >= 1, got {self.degree}")
-
-    def __call__(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return (_as_2d(a) @ _as_2d(b).T + self.coef0) ** self.degree
-
-
-def make_kernel(name: str, **params):
-    """Kernel factory: ``linear``, ``rbf`` or ``poly``."""
-    name = name.lower()
-    if name == "linear":
-        return LinearKernel()
-    if name == "rbf":
-        return RBFKernel(**params)
-    if name in ("poly", "polynomial"):
-        return PolynomialKernel(**params)
-    raise ValueError(f"unknown kernel {name!r}; use linear, rbf or poly")

@@ -1,17 +1,10 @@
-"""Multiclass SVM wrappers (one-vs-one and one-vs-rest)."""
+"""One-vs-one multiclass RBF SVM."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.ml.kernels import (
-    LinearKernel,
-    PolynomialKernel,
-    RBFKernel,
-    make_kernel,
-    pairwise_sq_dists,
-    rbf_from_sq_dists,
-)
+from repro.ml.kernels import pairwise_sq_dists, rbf_from_sq_dists
 from repro.ml.svm import BinarySVC
 
 
@@ -28,51 +21,37 @@ def _validate_xy(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _SharedGram:
-    """Pairwise kernel structure computed once per training set.
+    """Squared distances of one training set, computed once.
 
     The one-vs-one ensemble trains ``C(n_classes, 2)`` machines on
     overlapping subsets of the same samples; each machine's Gram matrix is
-    a submatrix of one full-set pairwise computation.  For RBF the shared
-    part is the squared-distance matrix (gamma is resolved per machine on
-    its subset); for linear/polynomial kernels it is the dot-product
-    matrix.
+    the RBF of a submatrix of one full-set squared-distance matrix (gamma
+    is resolved per machine on its subset).
     """
 
-    def __init__(self, kernel, x: np.ndarray):
-        self.kernel = kernel
-        if isinstance(kernel, RBFKernel):
-            self._shared = pairwise_sq_dists(x, x)
-        elif isinstance(kernel, (LinearKernel, PolynomialKernel)):
-            self._shared = x @ x.T
-        else:
-            self._shared = None
+    def __init__(self, x: np.ndarray):
+        self._sq = pairwise_sq_dists(x, x)
 
     def submatrix(
         self, machine: BinarySVC, x_sub: np.ndarray, idx: np.ndarray
-    ) -> np.ndarray | None:
-        """Gram matrix for one machine's sample subset, or None.
+    ) -> np.ndarray:
+        """Gram matrix for one machine's sample subset.
 
-        Must match what ``machine.fit`` would compute on ``x_sub`` --
-        for RBF that means resolving gamma on the subset, exactly as
+        Matches what ``machine.fit`` would compute on ``x_sub``: gamma is
+        resolved on the subset, exactly as
         :meth:`BinarySVC._prepare_fit` does.
         """
-        if self._shared is None:
-            return None
-        block = self._shared[np.ix_(idx, idx)]
-        kernel = machine.kernel
-        if isinstance(kernel, RBFKernel):
-            return rbf_from_sq_dists(block, kernel.resolve_gamma(x_sub))
-        if isinstance(kernel, PolynomialKernel):
-            return (block + kernel.coef0) ** kernel.degree
-        return block
+        return rbf_from_sq_dists(
+            self._sq[np.ix_(idx, idx)], machine.kernel.resolve_gamma(x_sub)
+        )
 
 
 class _StackedMachines:
     """Every machine of an ensemble evaluated in one kernel pass.
 
     The support vectors of all machines are stacked into one array, with
-    each machine's ``alpha * y`` and (for RBF) its own gamma repeated per
-    support vector.  One pairwise computation against the stack, one
+    each machine's ``alpha * y`` and its own gamma repeated per support
+    vector.  One pairwise computation against the stack, one
     elementwise kernel and one ``np.add.reduceat`` over the machine
     segments give every decision value at once -- libsvm's sharing of
     kernel values across one-vs-one machines, and the predict-side twin
@@ -82,7 +61,6 @@ class _StackedMachines:
     """
 
     def __init__(self, machines: list[BinarySVC]):
-        self.kernel = machines[0].kernel
         counts = np.array([m._alpha.size for m in machines])
         self._support_x = np.concatenate([m._support_x for m in machines])
         self._coef = np.concatenate(
@@ -93,25 +71,14 @@ class _StackedMachines:
         # machine without any decides by its bias alone.
         self._nonempty = counts > 0
         self._starts = (np.cumsum(counts) - counts)[self._nonempty]
-        if isinstance(self.kernel, RBFKernel):
-            default = self.kernel.gamma if self.kernel.gamma else 1.0
-            gammas = [
-                default if m._gamma is None else m._gamma for m in machines
-            ]
-            self._neg_gamma = -np.repeat(
-                np.asarray(gammas, dtype=float), counts
-            )
+        self._neg_gamma = -np.repeat(
+            np.asarray([m._gamma for m in machines], dtype=float), counts
+        )
 
     def decisions(self, x: np.ndarray) -> np.ndarray:
         """``(samples, machines)`` decision values, in machine order."""
-        kernel = self.kernel
-        if isinstance(kernel, RBFKernel):
-            sq = np.clip(pairwise_sq_dists(x, self._support_x), 0.0, None)
-            k = np.exp(self._neg_gamma * sq)
-        else:
-            k = x @ self._support_x.T
-            if isinstance(kernel, PolynomialKernel):
-                k = (k + kernel.coef0) ** kernel.degree
+        sq = np.clip(pairwise_sq_dists(x, self._support_x), 0.0, None)
+        k = np.exp(self._neg_gamma * sq)
         scores = np.zeros((x.shape[0], self._bias.size))
         if self._starts.size:
             scores[:, self._nonempty] = np.add.reduceat(
@@ -128,9 +95,7 @@ class OneVsOneSVC:
     paper resolves to for its 10-liquid problem.
     """
 
-    def __init__(self, kernel="rbf", C: float = 10.0, seed: int = 0, **kernel_params):
-        self.kernel_name = kernel
-        self.kernel_params = kernel_params
+    def __init__(self, C: float = 10.0, seed: int = 0):
         self.C = C
         self.seed = seed
         self._machines: dict[tuple[int, int], BinarySVC] = {}
@@ -169,19 +134,13 @@ class OneVsOneSVC:
         if classes.size < 2:
             raise ValueError("need at least two classes")
         machines = {}
-        shared = _SharedGram(
-            make_kernel(self.kernel_name, **self.kernel_params), x
-        )
+        shared = _SharedGram(x)
         for a in range(classes.size):
             for b in range(a + 1, classes.size):
                 mask = (y == classes[a]) | (y == classes[b])
                 idx = np.nonzero(mask)[0]
                 labels = np.where(y[mask] == classes[a], 1.0, -1.0)
-                machine = BinarySVC(
-                    kernel=make_kernel(self.kernel_name, **self.kernel_params),
-                    C=self.C,
-                    seed=self.seed,
-                )
+                machine = BinarySVC(C=self.C, seed=self.seed)
                 x_sub = x[mask]
                 machine.fit(
                     x_sub, labels, gram=shared.submatrix(machine, x_sub, idx)
@@ -217,62 +176,3 @@ class OneVsOneSVC:
             raise RuntimeError("OneVsOneSVC is not fitted")
         return self._classes
 
-
-class OneVsRestSVC:
-    """One-vs-rest multiclass SVM -- one machine per class."""
-
-    def __init__(self, kernel="rbf", C: float = 10.0, seed: int = 0, **kernel_params):
-        self.kernel_name = kernel
-        self.kernel_params = kernel_params
-        self.C = C
-        self.seed = seed
-        self._machines: list[BinarySVC] = []
-        self._classes: np.ndarray | None = None
-        self._stack: _StackedMachines | None = None
-
-    def fit(self, x: np.ndarray, y: np.ndarray) -> "OneVsRestSVC":
-        """Train one machine per class against the rest."""
-        x, y = _validate_xy(x, y)
-        self._classes = np.unique(y)
-        if self._classes.size < 2:
-            raise ValueError("need at least two classes")
-        machines = []
-        # Every one-vs-rest machine trains on the full set, so they all
-        # share one Gram matrix (gamma resolves identically on full x).
-        shared = _SharedGram(
-            make_kernel(self.kernel_name, **self.kernel_params), x
-        )
-        idx = np.arange(x.shape[0])
-        gram = None
-        for cls in self._classes:
-            labels = np.where(y == cls, 1.0, -1.0)
-            machine = BinarySVC(
-                kernel=make_kernel(self.kernel_name, **self.kernel_params),
-                C=self.C,
-                seed=self.seed,
-            )
-            if gram is None:
-                gram = shared.submatrix(machine, x, idx)
-            machine.fit(x, labels, gram=gram)
-            machines.append(machine)
-        self._machines = machines
-        self._stack = _StackedMachines(machines)
-        return self
-
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        """Highest-margin predictions."""
-        if self._stack is None:
-            raise RuntimeError("OneVsRestSVC is not fitted")
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        return self._classes[np.argmax(self._stack.decisions(x), axis=1)]
-
-    @property
-    def classes_(self) -> np.ndarray:
-        """Class labels seen during fit."""
-        if self._classes is None:
-            raise RuntimeError("OneVsRestSVC is not fitted")
-        return self._classes
-
-
-#: Default multiclass SVM, matching the paper's classifier choice.
-SVC = OneVsOneSVC

@@ -56,10 +56,3 @@ class StandardScaler:
     def fit_transform(self, x: np.ndarray) -> np.ndarray:
         """Fit then transform in one call."""
         return self.fit(x).transform(x)
-
-    def inverse_transform(self, x: np.ndarray) -> np.ndarray:
-        """Undo the standardisation."""
-        if self._mean is None or self._scale is None:
-            raise RuntimeError("StandardScaler is not fitted")
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        return x * self._scale + self._mean

@@ -14,15 +14,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.ml.kernels import LinearKernel, RBFKernel
+from repro.ml.kernels import RBFKernel
 
 
 class BinarySVC:
     """Binary soft-margin SVM.
 
     Args:
-        kernel: A kernel object (see :mod:`repro.ml.kernels`); default RBF
-            with the "scale" gamma heuristic.
+        kernel: The RBF kernel; default gamma is the "scale" heuristic.
         C: Soft-margin penalty.
         tol: KKT violation tolerance.
         max_passes: SMO stops after this many consecutive full passes
@@ -62,7 +61,7 @@ class BinarySVC:
         ``gram`` optionally supplies the precomputed training Gram matrix
         ``K(x, x)`` (e.g. a slice of a shared matrix built once by a
         multiclass ensemble); it must equal what the kernel would produce
-        on ``x``, including a gamma resolved on ``x`` for RBF.
+        on ``x``, including a gamma resolved on ``x``.
         """
         x, y, gram = self._prepare_fit(x, y, gram)
         n = x.shape[0]
@@ -234,13 +233,9 @@ class BinarySVC:
         n = x.shape[0]
         self._x = x
         self._y = y
-        self._gamma = (
-            self.kernel.resolve_gamma(x)
-            if isinstance(self.kernel, RBFKernel)
-            else None
-        )
+        self._gamma = self.kernel.resolve_gamma(x)
         if gram is None:
-            gram = self._kernel_matrix(x, x)
+            gram = self.kernel(x, x, gamma=self._gamma)
         else:
             gram = np.asarray(gram, dtype=float)
             if gram.shape != (n, n):
@@ -261,30 +256,15 @@ class BinarySVC:
 
     # ------------------------------------------------------------------
 
-    def _kernel_matrix(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        if isinstance(self.kernel, RBFKernel):
-            return self.kernel(a, b, gamma=self._gamma)
-        return self.kernel(a, b)
-
     def decision_function(self, x: np.ndarray) -> np.ndarray:
         """Signed margin for each sample (positive = class +1)."""
         if not self._fitted:
             raise RuntimeError("BinarySVC is not fitted")
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        k = self._kernel_matrix(x, self._support_x)
+        k = self.kernel(x, self._support_x, gamma=self._gamma)
         return k @ (self._alpha * self._support_y) + self._b
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Predicted labels in ``{-1, +1}``."""
         scores = self.decision_function(x)
         return np.where(scores >= 0.0, 1.0, -1.0)
-
-    @property
-    def num_support_vectors(self) -> int:
-        """Number of support vectors after training."""
-        if not self._fitted:
-            raise RuntimeError("BinarySVC is not fitted")
-        return int(self._alpha.size)
-
-
-__all__ = ["BinarySVC", "LinearKernel", "RBFKernel"]

@@ -1,10 +1,9 @@
-"""Evaluation utilities: splits, cross-validation, confusion matrices.
+"""Evaluation utilities: accuracy and confusion matrices.
 
 Every accuracy number in the paper's evaluation is a classification score
-over repeated measurements; this module provides the scoring machinery:
-stratified train/test splits (so each material keeps its share), k-fold
-cross-validation, and a :class:`ConfusionMatrix` that renders like the
-paper's Fig. 15/16 matrices.
+over repeated measurements; this module provides the scoring machinery,
+including a :class:`ConfusionMatrix` that renders like the paper's
+Fig. 15/16 matrices.
 """
 
 from __future__ import annotations
@@ -12,62 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-
-def train_test_split(
-    x: np.ndarray,
-    y: np.ndarray,
-    test_fraction: float = 0.5,
-    seed: int = 0,
-    stratify: bool = True,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Split into train/test, stratified per class by default.
-
-    Returns ``(x_train, x_test, y_train, y_test)``.
-    """
-    x = np.asarray(x)
-    y = np.asarray(y)
-    if x.shape[0] != y.shape[0]:
-        raise ValueError(f"{x.shape[0]} samples but {y.shape[0]} labels")
-    if not 0.0 < test_fraction < 1.0:
-        raise ValueError(
-            f"test_fraction must be in (0, 1), got {test_fraction}"
-        )
-    rng = np.random.default_rng(seed)
-    test_idx: list[int] = []
-    if stratify:
-        for cls in np.unique(y):
-            members = np.flatnonzero(y == cls)
-            rng.shuffle(members)
-            n_test = max(1, int(round(members.size * test_fraction)))
-            n_test = min(n_test, members.size - 1) if members.size > 1 else 1
-            test_idx.extend(members[:n_test].tolist())
-    else:
-        order = rng.permutation(x.shape[0])
-        n_test = max(1, int(round(x.shape[0] * test_fraction)))
-        test_idx = order[:n_test].tolist()
-    test_mask = np.zeros(x.shape[0], dtype=bool)
-    test_mask[test_idx] = True
-    return x[~test_mask], x[test_mask], y[~test_mask], y[test_mask]
-
-
-def k_fold_indices(
-    num_samples: int, k: int, seed: int = 0
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Shuffled k-fold ``(train_idx, test_idx)`` pairs."""
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
-    if num_samples < k:
-        raise ValueError(f"cannot make {k} folds from {num_samples} samples")
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(num_samples)
-    folds = np.array_split(order, k)
-    pairs = []
-    for i in range(k):
-        test = folds[i]
-        train = np.concatenate([folds[j] for j in range(k) if j != i])
-        pairs.append((train, test))
-    return pairs
 
 
 def accuracy_score(y_true: np.ndarray, y_pred: np.ndarray) -> float:
@@ -153,24 +96,3 @@ def confusion_matrix(
         matrix[index[t], index[p]] += 1
     return ConfusionMatrix(labels=list(labels), matrix=matrix)
 
-
-def cross_validate(
-    make_classifier,
-    x: np.ndarray,
-    y: np.ndarray,
-    k: int = 5,
-    seed: int = 0,
-) -> list[float]:
-    """k-fold accuracies of ``make_classifier()`` on ``(x, y)``.
-
-    ``make_classifier`` is a zero-argument factory returning a fresh
-    object with ``fit`` / ``predict``.
-    """
-    x = np.asarray(x)
-    y = np.asarray(y)
-    scores = []
-    for train_idx, test_idx in k_fold_indices(x.shape[0], k, seed):
-        clf = make_classifier()
-        clf.fit(x[train_idx], y[train_idx])
-        scores.append(accuracy_score(y[test_idx], clf.predict(x[test_idx])))
-    return scores

@@ -180,28 +180,6 @@ class ModelRegistry:
     # Listing
     # ------------------------------------------------------------------
 
-    def list_models(self) -> list[str]:
-        """Names of every registered model, sorted."""
-        if not self.root.is_dir():
-            return []
-        return sorted(
-            p.name
-            for p in self.root.iterdir()
-            if p.is_dir() and (p / "versions").is_dir()
-        )
-
-    def list_versions(self, name: str) -> list[dict]:
-        """Manifests of every version of ``name``, oldest first."""
-        manifests = []
-        for number in self._version_numbers(name):
-            version = _format_version(number)
-            try:
-                manifests.append(self.manifest(name, version))
-            except RegistryError:
-                # Half-written version (crashed save): skip, gc later.
-                continue
-        return manifests
-
     def _version_numbers(self, name: str) -> list[int]:
         versions_root = self._model_dir(name) / "versions"
         if not versions_root.is_dir():

@@ -20,7 +20,6 @@ from repro.resilience.deadline import (
     Deadline,
     DeadlineExpiredError,
     check_deadline,
-    current_deadline,
     deadline_scope,
 )
 from repro.resilience.retry import Backoff, RetryPolicy
@@ -37,6 +36,5 @@ __all__ = [
     "OPEN",
     "RetryPolicy",
     "check_deadline",
-    "current_deadline",
     "deadline_scope",
 ]

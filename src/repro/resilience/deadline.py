@@ -74,11 +74,6 @@ _CURRENT: contextvars.ContextVar[Deadline | None] = contextvars.ContextVar(
 )
 
 
-def current_deadline() -> Deadline | None:
-    """The deadline governing the current context, if any."""
-    return _CURRENT.get()
-
-
 @contextlib.contextmanager
 def deadline_scope(deadline: Deadline | None) -> Iterator[Deadline | None]:
     """Install ``deadline`` as the ambient deadline for the block.

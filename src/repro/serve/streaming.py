@@ -49,11 +49,6 @@ class StreamingSession:
         self._closed = False
         self._result = None
 
-    @property
-    def closed(self) -> bool:
-        """Whether the session no longer accepts packets."""
-        return self._closed
-
     def _require_open(self) -> None:
         if self._closed:
             raise StreamClosedError(

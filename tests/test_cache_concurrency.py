@@ -116,9 +116,11 @@ def test_clear_and_invalidate_race_free():
             index += 1
 
     def invalidator():
-        for _ in range(200):
-            cache.invalidate_stage("a")
-        done.set()
+        try:
+            for _ in range(200):
+                cache.clear()
+        finally:
+            done.set()
 
     threads = [threading.Thread(target=resolver) for _ in range(4)]
     threads.append(threading.Thread(target=invalidator))

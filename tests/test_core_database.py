@@ -80,9 +80,9 @@ class TestDatabase:
             MaterialDatabase().dataset()
 
     def test_inconsistent_vectors_rejected(self):
-        db = MaterialDatabase()
-        db.add_vector("a", np.zeros(2))
-        db.add_vector("b", np.zeros(3))
+        db = MaterialDatabase(
+            entries={"a": [np.zeros(2)], "b": [np.zeros(3)]}
+        )
         with pytest.raises(ValueError, match="inconsistent"):
             db.dataset()
 
@@ -176,7 +176,7 @@ class TestBranchSearchMatchesReference:
     @pytest.mark.parametrize("with_envelope", [True, False])
     def test_golden_corpus_blocks(self, golden_wimi, with_envelope):
         wimi, sessions = golden_wimi
-        envelope = wimi._reference_envelope() if with_envelope else None
+        envelope = wimi._omega_envelope() if with_envelope else None
         for session in sessions:
             self._assert_twin(
                 wimi._classifier, wimi.extract(session), envelope
@@ -189,6 +189,25 @@ class TestBranchSearchMatchesReference:
         self._assert_twin(clf, features, (100.0, 200.0))
         assert np.array_equal(
             clf._resolve_block(features, 0, m, 4, (100.0, 200.0)), m.vector()
+        )
+
+    def test_exact_tie_takes_the_lower_gamma(self):
+        """Two branches at exactly equal centroid distance: both searches
+        keep the first minimum, the lower gamma."""
+        clf = DatabaseClassifier().fit(_database())
+        m = _observed([-5.0 + 2 * np.pi] * 2, [-0.8, -0.9])
+        features = SessionFeatures(measurements=[m])
+        low, high = m.vector_for_gamma(-1), m.vector_for_gamma(2)
+        assert not np.array_equal(low, high)
+        # One centroid on each branch's scaled vector, scaled exactly as
+        # the searches scale it: both branches sit at distance 0.
+        mean, scale = clf._scaler.mean_, clf._scaler.scale_
+        clf._centroids._centroids = np.stack(
+            [(high - mean) / scale, (low - mean) / scale]
+        )
+        self._assert_twin(clf, features, None)
+        assert np.array_equal(
+            clf._resolve_block(features, 0, m, 4, None), low
         )
 
     @pytest.mark.parametrize("envelope", [None, (0.05, 0.6)])

@@ -1,5 +1,6 @@
 """Tests for the material feature extractor and gamma resolution."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -30,7 +31,7 @@ REFS = theory_reference_omegas(
 
 
 def _clean_session(material_name, offset=0.015):
-    env = make_environment("lab").with_overrides(
+    env = dataclasses.replace(make_environment("lab"),
         num_paths=0, noise_floor=0.0, temporal_jitter_rad=0.0, gain_jitter=0.0
     )
     scene = SimulationScene(
@@ -207,14 +208,6 @@ class TestSessionFeatures:
         slices = f.block_slices()
         assert slices[0].stop == slices[1].start
         assert slices[-1].stop == f.vector().size
-
-    def test_vector_with_block(self):
-        f = self._features()
-        base = f.vector()
-        modified = f.vector_with_block(0, f.measurements[0].gamma + 1)
-        slices = f.block_slices()
-        assert not np.allclose(modified[slices[0]], base[slices[0]])
-        np.testing.assert_allclose(modified[slices[1]], base[slices[1]])
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="at least one"):

@@ -20,15 +20,31 @@ from repro.csi.quality import (
     CorruptTraceError,
     DegradedTraceWarning,
     QualityThresholds,
-    assess_session,
+    SessionQualityReport,
     _clipped_packet_count,
     assess_trace,
     gate_report,
-    gate_session,
-    gate_trace,
-    validate_policy,
 )
 from tests.test_csi_faults import make_trace
+
+
+def assess_session(session):
+    """Both traces' reports, as ``WiMi.assess`` measures them."""
+    return SessionQualityReport(
+        baseline=assess_trace(session.baseline),
+        target=assess_trace(session.target),
+    )
+
+
+def gate_target(trace, label="trace"):
+    """Gate ``trace`` as the target of a session with a clean baseline."""
+    return gate_report(
+        SessionQualityReport(
+            baseline=assess_trace(make_trace(seed=1)),
+            target=assess_trace(trace),
+        ),
+        label=label,
+    )
 
 
 def _oracle_clipped_packet_count(matrix):
@@ -56,7 +72,6 @@ def trace():
 class TestAssessClean:
     def test_clean_trace_is_clean(self, trace):
         report = assess_trace(trace)
-        assert report.is_clean
         assert not report.is_corrupt and not report.is_degraded
         assert report.finite_fraction == 1.0
         assert report.loss_rate == 0.0
@@ -178,7 +193,7 @@ class TestAttenuationIsNotDeath:
         report = assess_trace(self._attenuated(trace))
         assert report.dead_antennas == ()
         assert report.bad_subcarriers == ()
-        assert report.is_clean
+        assert not report.is_corrupt and not report.is_degraded
 
     def test_all_zero_packets_still_count_against_the_chain(self, trace):
         matrix = trace.matrix().copy()
@@ -224,7 +239,7 @@ class TestAttenuationIsNotDeath:
                 session = collector.collect(
                     catalog.get(name), SessionConfig(num_packets=20)
                 )
-                report = gate_session(session, label=name)
+                report = gate_report(assess_session(session), label=name)
                 assert not report.is_degraded, (name, report.issues)
 
 
@@ -294,11 +309,6 @@ class TestThresholds:
         with pytest.raises(ValueError, match="min_live_antennas"):
             QualityThresholds(min_live_antennas=0)
 
-    def test_with_overrides(self):
-        strict = QualityThresholds().with_overrides(max_loss_rate=0.1)
-        assert strict.max_loss_rate == 0.1
-        assert strict.min_packets == QualityThresholds().min_packets
-
     def test_thresholds_drive_qualification(self, trace):
         lossy = inject(trace, (PacketLoss(0.4),), seed=0)
         lax = assess_trace(lossy, QualityThresholds(max_loss_rate=0.99))
@@ -321,47 +331,28 @@ class TestThresholds:
 
 
 class TestGating:
-    def test_policy_validation(self):
-        assert validate_policy("degrade") == "degrade"
-        with pytest.raises(ValueError, match="policy"):
-            validate_policy("panic")
-
     def test_clean_trace_passes_silently(self, trace):
         import warnings
 
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            report = gate_trace(trace, policy="degrade")
-        assert report.is_clean
+            report = gate_target(trace)
+        assert not report.is_corrupt and not report.is_degraded
 
     def test_degrade_policy_warns(self, trace):
         lossy = inject(trace, (PacketLoss(0.3),), seed=0)
         with pytest.warns(DegradedTraceWarning, match="lost packet"):
-            gate_trace(lossy, policy="degrade")
-
-    def test_raise_policy_rejects_degradation(self, trace):
-        lossy = inject(trace, (PacketLoss(0.3),), seed=0)
-        with pytest.raises(CorruptTraceError, match="policy 'raise'"):
-            gate_trace(lossy, policy="raise")
-
-    def test_skip_policy_is_silent(self, trace):
-        import warnings
-
-        broken = inject(trace, (SubcarrierErasure(0.9),), seed=0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            report = gate_trace(broken, policy="skip")
-        assert report.is_corrupt  # measured, but not enforced
+            gate_target(lossy)
 
     def test_hard_failure_raises_under_degrade(self, trace):
         broken = inject(trace, (SubcarrierErasure(0.95),), seed=0)
         with pytest.raises(CorruptTraceError, match="rejected by quality gate"):
-            gate_trace(broken, policy="degrade", label="bench capture")
+            gate_target(broken, label="bench capture")
 
     def test_error_message_carries_label(self, trace):
         broken = inject(trace, (SubcarrierErasure(0.95),), seed=0)
         with pytest.raises(CorruptTraceError, match="bench capture"):
-            gate_trace(broken, policy="degrade", label="bench capture")
+            gate_target(broken, label="bench capture")
 
 
 class TestSessionReports:
@@ -402,7 +393,7 @@ class TestSessionReports:
             baseline_faults=(SubcarrierErasure(0.95),)
         )
         with pytest.raises(CorruptTraceError):
-            gate_session(session)
+            gate_report(assess_session(session))
 
     def test_gate_report_accepts_session_reports(self):
         session = self.make_session(
@@ -410,4 +401,4 @@ class TestSessionReports:
         )
         report = assess_session(session)
         with pytest.warns(DegradedTraceWarning):
-            gate_report(report, policy="degrade", label="session")
+            gate_report(report, label="session")

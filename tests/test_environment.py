@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.channel.environment import (
+    _PRESETS,
     Environment,
-    environment_names,
     make_environment,
 )
 from repro.channel.geometry import LinkGeometry
@@ -13,7 +13,7 @@ from repro.channel.geometry import LinkGeometry
 
 class TestPresets:
     def test_three_presets(self):
-        assert environment_names() == ["hall", "lab", "library"]
+        assert sorted(_PRESETS) == ["hall", "lab", "library"]
 
     def test_multipath_richness_ordering(self):
         hall = make_environment("hall")
@@ -25,11 +25,6 @@ class TestPresets:
     def test_unknown_preset_rejected(self):
         with pytest.raises(KeyError, match="unknown environment"):
             make_environment("bathroom")
-
-    def test_with_overrides(self):
-        env = make_environment("lab").with_overrides(num_paths=1)
-        assert env.num_paths == 1
-        assert env.name == "lab"
 
 
 class TestDistanceScaling:

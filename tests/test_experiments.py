@@ -20,7 +20,6 @@ from repro.experiments.reporting import (
     format_confusion,
     format_environment_series,
     format_scalar_table,
-    format_series,
 )
 from repro.experiments.runner import fit_and_score, run_identification
 from repro.ml.validation import confusion_matrix
@@ -188,10 +187,6 @@ class TestReporting:
     def test_scalar_table_empty_rejected(self):
         with pytest.raises(ValueError, match="rows"):
             format_scalar_table("t", {})
-
-    def test_series(self):
-        text = format_series("t", [(1, 0.9), (2, 0.8)], "d", "acc")
-        assert "0.900" in text
 
     def test_confusion(self):
         cm = confusion_matrix(np.array(["a", "b"]), np.array(["a", "b"]))

@@ -1,5 +1,7 @@
 """Tests for the hardware impairment models."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -74,7 +76,7 @@ class TestClockErrors:
 
 class TestAmplitudeImpairments:
     def test_common_gain_preserves_ratio(self):
-        profile = clean_profile().with_overrides(common_gain_jitter=0.3)
+        profile = dataclasses.replace(clean_profile(), common_gain_jitter=0.3)
         rng = np.random.default_rng(4)
         csi = _clean_csi()
         out = profile.apply_to_packet(csi, rng)
@@ -83,7 +85,7 @@ class TestAmplitudeImpairments:
         np.testing.assert_allclose(ratio_after, ratio_before, atol=1e-9)
 
     def test_outliers_rescale_whole_packet(self):
-        profile = clean_profile().with_overrides(
+        profile = dataclasses.replace(clean_profile(),
             outlier_probability=1.0, outlier_magnitude_range=(2.0, 2.0)
         )
         rng = np.random.default_rng(5)
@@ -94,7 +96,7 @@ class TestAmplitudeImpairments:
         assert scale.flat[0] == pytest.approx(2.0) or scale.flat[0] == pytest.approx(0.5)
 
     def test_impulse_hits_one_antenna_broadband(self):
-        profile = clean_profile().with_overrides(
+        profile = dataclasses.replace(clean_profile(),
             impulse_probability=1.0, impulse_magnitude=0.5
         )
         rng = np.random.default_rng(6)

@@ -91,7 +91,7 @@ class TestReducedHardware:
         wimi.fit(train)
         assert wimi.calibrated_coarse_pair is None
         features = wimi.extract(test[0])
-        assert features.num_blocks == 1
+        assert len(features.measurements) == 1
         correct = sum(wimi.identify(s) == s.material_name for s in test)
         assert correct / len(test) >= 0.5
 

@@ -16,7 +16,6 @@ from repro.channel.materials import (
     default_catalog,
     pure_water,
     saltwater,
-    sugar_water,
 )
 
 
@@ -24,14 +23,6 @@ class TestMaterial:
     def test_complex_permittivity_sign_convention(self):
         m = Material("x", 10.0, 2.0)
         assert m.complex_permittivity == complex(10.0, -2.0)
-
-    def test_loss_tangent(self):
-        m = Material("x", 50.0, 10.0)
-        assert m.loss_tangent == pytest.approx(0.2)
-
-    def test_refractive_index(self):
-        m = Material("x", 4.0, 0.0)
-        assert m.refractive_index == pytest.approx(2.0)
 
     def test_rejects_sub_vacuum_permittivity(self):
         with pytest.raises(ValueError, match="eps_real"):
@@ -44,11 +35,6 @@ class TestMaterial:
     def test_rejects_negative_conductivity(self):
         with pytest.raises(ValueError, match="conductivity"):
             Material("x", 2.0, 0.1, conductivity=-1.0)
-
-    def test_with_name(self):
-        renamed = pure_water().with_name("agua")
-        assert renamed.name == "agua"
-        assert renamed.eps_real == pure_water().eps_real
 
     def test_effective_eps_imag_at_reference(self):
         m = saltwater(2.7)
@@ -98,19 +84,6 @@ class TestSaltwater:
 
     def test_paper_series_names(self):
         assert saltwater(1.2).name == "saltwater_1.2g"
-
-
-class TestSugarWater:
-    def test_permittivity_decrement_monotone(self):
-        values = [sugar_water(g).eps_real for g in (0, 4, 8, 16)]
-        assert values == sorted(values, reverse=True)
-
-    def test_no_conductivity(self):
-        assert sugar_water(8.0).conductivity == 0.0
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError, match="concentration"):
-            sugar_water(-0.1)
 
 
 class TestCatalog:

@@ -1,5 +1,7 @@
 """Tests for the moving-liquid extension (paper Discussion)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ CATALOG = default_catalog()
 
 
 def _scene():
-    env = make_environment("lab").with_overrides(
+    env = dataclasses.replace(make_environment("lab"),
         num_paths=0, noise_floor=0.0, temporal_jitter_rad=0.0, gain_jitter=0.0
     )
     return SimulationScene(

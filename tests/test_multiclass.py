@@ -1,9 +1,9 @@
-"""Tests for the multiclass SVM wrappers."""
+"""Tests for the one-vs-one multiclass SVM."""
 
 import numpy as np
 import pytest
 
-from repro.ml.multiclass import OneVsOneSVC, OneVsRestSVC, SVC
+from repro.ml.multiclass import OneVsOneSVC
 
 
 def _three_blobs(n=25, seed=0):
@@ -40,35 +40,6 @@ class TestOneVsOne:
         with pytest.raises(RuntimeError, match="not fitted"):
             OneVsOneSVC().predict(np.zeros((1, 2)))
 
-    def test_svc_alias(self):
-        assert SVC is OneVsOneSVC
-
-    def test_linear_kernel_option(self):
-        x, y = _three_blobs()
-        clf = OneVsOneSVC(kernel="linear").fit(x, y)
-        assert np.mean(clf.predict(x) == y) >= 0.95
-
-
-class TestOneVsRest:
-    def test_three_classes(self):
-        x, y = _three_blobs()
-        clf = OneVsRestSVC().fit(x, y)
-        assert np.mean(clf.predict(x) == y) >= 0.95
-
-    def test_agreement_with_ovo_on_easy_data(self):
-        x, y = _three_blobs()
-        ovo = OneVsOneSVC().fit(x, y).predict(x)
-        ovr = OneVsRestSVC().fit(x, y).predict(x)
-        assert np.mean(ovo == ovr) >= 0.95
-
-    def test_unfitted_raises(self):
-        with pytest.raises(RuntimeError, match="not fitted"):
-            OneVsRestSVC().predict(np.zeros((1, 2)))
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            OneVsRestSVC().fit(np.zeros((0, 2)), np.array([]))
-
 
 def _blobs(n_classes, n=12, seed=0):
     rng = np.random.default_rng(seed)
@@ -104,28 +75,14 @@ def _assert_close(matrix, oracle):
 class TestDecisionMatrix:
     """One kernel pass over every machine equals the per-machine loop."""
 
-    @pytest.mark.parametrize(
-        "kernel, params",
-        [("rbf", {}), ("linear", {}), ("poly", {"degree": 2})],
-    )
-    def test_matches_per_machine_oracle(self, kernel, params):
+    def test_matches_per_machine_oracle(self):
         x, y = _blobs(4)
         x_test = np.random.default_rng(1).normal(4.0, 4.0, size=(30, 3))
-        clf = OneVsOneSVC(kernel=kernel, **params).fit(x, y)
+        clf = OneVsOneSVC().fit(x, y)
         matrix = clf.decision_matrix(x_test)
         assert matrix.shape == (30, len(clf._machines)) == (30, 6)
         _assert_close(matrix, _per_machine(clf._machines.values(), x_test))
         assert np.array_equal(clf.predict(x_test), _loop_vote(clf, x_test))
-
-    @pytest.mark.parametrize("kernel", ["rbf", "linear"])
-    def test_one_vs_rest_matches_per_machine_argmax(self, kernel):
-        x, y = _blobs(4)
-        x_test = np.random.default_rng(2).normal(4.0, 4.0, size=(30, 3))
-        clf = OneVsRestSVC(kernel=kernel).fit(x, y)
-        oracle = _per_machine(clf._machines, x_test)
-        assert np.array_equal(
-            clf.predict(x_test), clf.classes_[np.argmax(oracle, axis=1)]
-        )
 
     def test_machine_without_support_vectors_decides_by_bias(self):
         # Classes 0 and 1 sit on the same points: SMO never moves a
@@ -136,7 +93,7 @@ class TestDecisionMatrix:
         y = np.repeat(np.arange(3), 5)
         clf = OneVsOneSVC().fit(x, y)
         empty = clf._machines[(0, 1)]
-        assert empty.num_support_vectors == 0
+        assert empty._alpha.size == 0
         matrix = clf.decision_matrix(x)
         assert np.all(matrix[:, 0] == empty._b)
         _assert_close(matrix, _per_machine(clf._machines.values(), x))
@@ -145,9 +102,9 @@ class TestDecisionMatrix:
         from repro.core.database import DatabaseClassifier, MaterialDatabase
 
         x, y = _blobs(4)
-        db = MaterialDatabase()
-        for vector, label in zip(x, y):
-            db.add_vector(f"m{label}", vector)
+        db = MaterialDatabase(
+            entries={f"m{c}": list(x[y == c]) for c in np.unique(y)}
+        )
         fitted = DatabaseClassifier().fit(db)
         restored = DatabaseClassifier.from_state(*fitted.to_state())
         x_test = fitted._scaler.transform(x + 0.5)

@@ -28,7 +28,6 @@ from repro.dsp.stats import (
 from repro.dsp.wavelet import (
     _reference_iswt,
     _reference_swt,
-    available_wavelets,
     get_wavelet,
     iswt,
     swt,
@@ -43,6 +42,7 @@ from repro.experiments.datasets import (
 from repro.ml.multiclass import OneVsOneSVC
 from repro.ml.svm import BinarySVC
 from tests.test_streaming import assert_stream_equals_batch
+from tests.test_wavelet import WAVELETS
 
 _CATALOG = default_catalog()
 
@@ -52,7 +52,7 @@ _CATALOG = default_catalog()
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("name", available_wavelets())
+@pytest.mark.parametrize("name", WAVELETS)
 @pytest.mark.parametrize("length", [37, 64])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_swt_iswt_match_reference(name, length, dtype):
@@ -81,7 +81,7 @@ def _assert_oracle(new, ref):
     assert np.max(np.abs(new - ref)) <= ORACLE_RTOL * np.max(np.abs(ref))
 
 
-@pytest.mark.parametrize("name", available_wavelets())
+@pytest.mark.parametrize("name", WAVELETS)
 def test_swt_1d_matches_reference_oracle(name):
     """The 1-D transform and its inverse match the index-matrix oracle.
 
@@ -138,7 +138,7 @@ def test_swt_fft_path_matches_reference():
     assert np.allclose(reconstructed, x, rtol=0, atol=1e-8)
 
 
-@pytest.mark.parametrize("name", available_wavelets())
+@pytest.mark.parametrize("name", WAVELETS)
 def test_swt_2d_matches_per_column(name):
     """Batched columns equal 1-D calls exactly, for every filter bank.
 
@@ -249,7 +249,7 @@ def test_capture_matches_reference(environment, material_name):
     scene = standard_scene(environment)
     new = CsiSimulator(scene, rng=7).capture(material, 12).matrix()
     ref = (
-        CsiSimulator(scene, rng=7)._reference_capture(material, 12).matrix()
+        CsiSimulator(scene, rng=7)._capture_per_packet(material, 12).matrix()
     )
     scale = float(np.max(np.abs(ref)))
     assert np.allclose(new, ref, rtol=0, atol=1e-9 * scale)

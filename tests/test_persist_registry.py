@@ -1,5 +1,6 @@
 """ModelRegistry: versioning, promotion, rollback, and WiMi bundles."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -11,6 +12,7 @@ from repro.core.database import DatabaseClassifier
 from repro.core.feature import theory_reference_omegas
 from repro.core.pipeline import WiMi
 from repro.csi.faults import flip_bits
+from repro.csi.quality import QualityThresholds
 from repro.experiments.datasets import (
     collect_dataset,
     split_dataset,
@@ -61,7 +63,8 @@ class TestSaveLoad:
         registry.save("m", *_bundle(0))
         registry.save("m", *_bundle(1), promote=False)
         assert registry.current_version("m") == "v0001"
-        assert len(registry.list_versions("m")) == 2
+        meta, _, _ = registry.load("m", "v0002")
+        assert meta["seed"] == 1
 
     def test_load_missing_model_raises(self, tmp_path):
         registry = ModelRegistry(tmp_path / "reg")
@@ -83,16 +86,6 @@ class TestSaveLoad:
         flip_bits(bundle, num_flips=12, seed=3)
         with pytest.raises(RegistryError, match="failed verification"):
             registry.load("m")
-
-    def test_listing(self, tmp_path):
-        registry = ModelRegistry(tmp_path / "reg")
-        registry.save("beta", *_bundle())
-        registry.save("alpha", *_bundle())
-        registry.save("alpha", *_bundle(1))
-        assert registry.list_models() == ["alpha", "beta"]
-        versions = [m["version"] for m in registry.list_versions("alpha")]
-        assert versions == ["v0001", "v0002"]
-        assert ModelRegistry(tmp_path / "empty").list_models() == []
 
 
 class TestPromoteRollback:
@@ -162,7 +155,7 @@ class TestWiMiBundles:
 
     def test_manifest_carries_provenance(self, trained):
         _, registry, _ = trained
-        manifest = registry.list_versions("wimi")[-1]
+        manifest = registry.manifest("wimi", registry.current_version("wimi"))
         assert manifest["metrics"]["train_sessions"] > 0
         assert sorted(manifest["materials"]) == sorted(NAMES)
         assert manifest["config_fingerprint"]
@@ -252,3 +245,88 @@ class TestLegacyStreamWindowBundles:
         legacy = self._legacy(trained, tmp_path, window, hop)
         with pytest.raises(ValueError, match=f"{field}=16"):
             WiMi.from_registry(legacy)
+
+
+#: Fields that were ``WiMiConfig`` fields before the pipeline fixed
+#: them, with the value it fixes.
+FIXED_FIELDS = {
+    "wavelet_name": "db2",
+    "wavelet_levels": 3,
+    "outlier_sigmas": 3.0,
+    "svm_c": 10.0,
+    "knn_k": 5,
+    "max_gamma": 4,
+    "quality_thresholds": dataclasses.asdict(QualityThresholds()),
+    "degradation_policy": "degrade",
+}
+
+#: A value other than the fixed one, per field.
+OTHER_VALUES = {
+    "wavelet_name": "haar",
+    "wavelet_levels": 2,
+    "outlier_sigmas": 2.0,
+    "svm_c": 1.0,
+    "knn_k": 3,
+    "max_gamma": 2,
+    "quality_thresholds": {
+        **dataclasses.asdict(QualityThresholds()), "max_loss_rate": 0.1
+    },
+    "degradation_policy": "raise",
+}
+
+
+class TestLegacyConfigFieldBundles:
+    """Bundles saved while the fixed pipeline constants were config
+    fields carry them in ``config``; the classifier state of such a
+    bundle also carries ``kernel_params``."""
+
+    def _legacy(self, trained, tmp_path, fields, kernel_name="rbf"):
+        _, registry, _ = trained
+        meta, arrays, _ = registry.load("wimi")
+        meta["config"].update(fields)
+        meta["classifier"]["svm"]["kernel_name"] = kernel_name
+        meta["classifier"]["svm"]["kernel_params"] = {}
+        legacy = ModelRegistry(tmp_path / "legacy")
+        legacy.save("wimi", meta, arrays)
+        return legacy
+
+    def test_fixed_values_load_unchanged(self, trained, tmp_path):
+        wimi, _, test = trained
+        restored = WiMi.from_registry(
+            self._legacy(trained, tmp_path, FIXED_FIELDS)
+        )
+        assert restored.config == wimi.config
+        assert restored.identify_batch(test) == wimi.identify_batch(test)
+
+    @pytest.mark.parametrize("field", sorted(OTHER_VALUES))
+    def test_other_values_are_refused(self, trained, tmp_path, field):
+        legacy = self._legacy(
+            trained, tmp_path, {**FIXED_FIELDS, field: OTHER_VALUES[field]}
+        )
+        with pytest.raises(ValueError, match=f"saved state has {field}="):
+            WiMi.from_registry(legacy)
+
+    @pytest.mark.parametrize("field", sorted(FIXED_FIELDS))
+    def test_overrides_cannot_set_a_fixed_field(self, trained, field):
+        _, registry, _ = trained
+        with pytest.raises(TypeError, match=field):
+            WiMi.from_registry(
+                registry, config_overrides={field: FIXED_FIELDS[field]}
+            )
+
+    def test_non_rbf_kernel_is_refused(self, trained, tmp_path):
+        legacy = self._legacy(trained, tmp_path, {}, kernel_name="linear")
+        with pytest.raises(ValueError, match="kernel_name='linear'"):
+            WiMi.from_registry(legacy)
+
+    @pytest.mark.parametrize(
+        "field, value", [("svm_c", 1.0), ("knn_k", 3)]
+    )
+    def test_other_classifier_constants_are_refused(
+        self, trained, field, value
+    ):
+        _, registry, _ = trained
+        meta, arrays, _ = registry.load("wimi")
+        state = {**meta["classifier"], field: value}
+        with pytest.raises(ValueError, match=f"{field}={value!r}"):
+            DatabaseClassifier.from_state(state, arrays)

@@ -137,7 +137,7 @@ class TestArtifactRoundTrips:
 
     def test_classification_nan_confidence_survives(self):
         out = _roundtrip(ClassificationArtifact(key="k", label="oil"))
-        assert not out.has_confidence
+        assert np.isnan(out.confidence)
 
     def test_trace_quality_artifact(self):
         report = TraceQualityReport(

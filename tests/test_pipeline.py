@@ -59,10 +59,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             WiMiConfig(num_feature_pairs=0)
 
-    def test_with_overrides(self):
-        config = WiMiConfig().with_overrides(knn_k=9)
-        assert config.knn_k == 9
-
 
 class TestCalibration:
     def test_calibrate_fixes_choices(self, deployment):
@@ -144,7 +140,7 @@ class TestEndToEnd:
         wimi.calibrate(sessions)
         assert len(wimi._feature_pairs) == 2
         features = wimi.extract(sessions[0])
-        assert features.num_blocks == 2
+        assert len(features.measurements) == 2
 
     def test_single_pair_mode(self, deployment):
         _, dataset = deployment
@@ -152,7 +148,7 @@ class TestEndToEnd:
         wimi = WiMi(REFS, WiMiConfig(num_feature_pairs=1))
         wimi.calibrate(sessions)
         features = wimi.extract(sessions[0])
-        assert features.num_blocks == 1
+        assert len(features.measurements) == 1
 
     def test_database_populated_by_fit(self, deployment):
         _, dataset = deployment

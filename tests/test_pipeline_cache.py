@@ -109,12 +109,12 @@ class TestConfigInvalidation:
         session = dataset["oil"][0]
         WiMi(REFS, WiMiConfig(), cache=shared).extract(session)
         changed = WiMi(
-            REFS, WiMiConfig(wavelet_name="haar"), cache=shared
+            REFS, WiMiConfig(denoise_amplitude=False), cache=shared
         )
         counter = _counted(changed)
         changed.extract(session)
         assert counter.executions.get("amplitude_denoise", 0) == 2, (
-            "changed wavelet must not be served stale denoised cubes"
+            "changed denoising must not be served stale denoised cubes"
         )
 
     def test_classifier_config_change_keeps_upstream_artifacts(self, dataset):
@@ -272,5 +272,5 @@ class TestEmptySelectionSemantics:
     def test_unset_still_falls_back_to_selection(self, dataset):
         sessions = _flat(dataset)
         wimi = WiMi(REFS)
-        subcarriers = wimi.choose_subcarriers(sessions[0], (0, 1))
+        subcarriers = wimi._subcarriers_for(sessions[0], (0, 1))
         assert len(subcarriers) == 4

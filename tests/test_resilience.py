@@ -19,9 +19,12 @@ from repro.resilience import (
     LoadShedder,
     RetryPolicy,
     check_deadline,
-    current_deadline,
     deadline_scope,
 )
+from repro.resilience.deadline import _CURRENT
+
+#: The deadline governing the current context, if any.
+current_deadline = _CURRENT.get
 
 
 class FakeClock:

@@ -123,22 +123,3 @@ class TestChaosScenario:
         )
         with pytest.raises(CorruptTraceError, match="quality gate"):
             wimi.extract(hopeless)
-
-    def test_raise_policy_refuses_the_chaos_capture(
-        self, deployment, chaos_session
-    ):
-        from repro.core.config import WiMiConfig
-
-        wimi, train, _ = deployment
-        catalog = default_catalog()
-        materials = [catalog.get(n) for n in MATERIALS]
-        # Same deployment refit under the zero-tolerance policy; the
-        # shared stage cache makes the second fit nearly free.
-        strict = WiMi(
-            theory_reference_omegas(materials),
-            WiMiConfig(degradation_policy="raise"),
-            cache=wimi.cache,
-        )
-        strict.fit(train)
-        with pytest.raises(CorruptTraceError, match="policy 'raise'"):
-            strict.extract(chaos_session)

@@ -1,5 +1,7 @@
 """Tests for the end-to-end CSI capture simulator."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from repro.csi.simulator import CsiSimulator, SimulationScene
 
 
 def _quiet_env():
-    return make_environment("lab").with_overrides(
+    return dataclasses.replace(make_environment("lab"),
         num_paths=0, noise_floor=0.0, temporal_jitter_rad=0.0, gain_jitter=0.0
     )
 
@@ -81,7 +83,8 @@ class TestTargetPhysics:
 
         a_t, b_t = propagation_constants(material)
         a_f, b_f = propagation_constants(AIR)
-        lever = scene.geometry.path_length_difference(scene.target, (0, 1))
+        d = scene.geometry.liquid_path_lengths(scene.target)
+        lever = d[0] - d[1]
         expected_theta = lever * (b_t - b_f)
 
         h_b, h_t = base.matrix()[0], target.matrix()[0]
@@ -101,7 +104,8 @@ class TestTargetPhysics:
         target = sim.capture(material, 1)
 
         a_t, _ = propagation_constants(material)
-        lever = scene.geometry.path_length_difference(scene.target, (0, 1))
+        d = scene.geometry.liquid_path_lengths(scene.target)
+        lever = d[0] - d[1]
         expected_n = lever * a_t
 
         h_b, h_t = np.abs(base.matrix()[0]), np.abs(target.matrix()[0])

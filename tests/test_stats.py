@@ -18,14 +18,12 @@ from repro.dsp.stats import (
     circular_difference,
     circular_mean,
     circular_std,
-    circular_variance,
     finite_median,
     mad,
     phase_difference_variance,
     phase_difference_variance_axis,
     resultant_length,
     robust_sigma,
-    sample_variance,
     wrap_phase,
 )
 
@@ -56,12 +54,6 @@ class TestSpreadMeasures:
     def test_resultant_length_uniform(self):
         angles = np.linspace(-math.pi, math.pi, 100, endpoint=False)
         assert resultant_length(angles) == pytest.approx(0.0, abs=1e-10)
-
-    def test_circular_variance_bounds(self):
-        rng = np.random.default_rng(0)
-        angles = rng.uniform(-math.pi, math.pi, 50)
-        v = circular_variance(angles)
-        assert 0.0 <= v <= 1.0
 
     def test_circular_std_small_cluster_matches_linear(self):
         rng = np.random.default_rng(1)
@@ -117,10 +109,6 @@ class TestRobustStats:
     def test_mad_empty_rejected(self):
         with pytest.raises(ValueError):
             mad(np.array([]))
-
-    def test_sample_variance_matches_numpy(self):
-        x = np.array([1.0, 2.0, 3.0, 4.0])
-        assert sample_variance(x) == pytest.approx(np.var(x))
 
 
 class TestPhaseDifferenceVariance:
@@ -256,9 +244,8 @@ class TestNanAwareStatistics:
         from repro.dsp.stats import finite_mean, finite_median
 
         for fn in (
-            circular_mean, resultant_length, circular_variance,
-            circular_std, mad, robust_sigma, sample_variance,
-            phase_difference_variance,
+            circular_mean, resultant_length, circular_std, mad,
+            robust_sigma, phase_difference_variance,
         ):
             assert fn(self.CLEAN, ignore_nan=True) == fn(self.CLEAN)
         assert finite_mean(self.CLEAN) == np.mean(self.CLEAN)
@@ -272,13 +259,10 @@ class TestNanAwareStatistics:
         assert mad(self.HOLED, ignore_nan=True) == pytest.approx(
             mad(finite_only)
         )
-        assert sample_variance(self.HOLED, ignore_nan=True) == pytest.approx(
-            sample_variance(finite_only)
-        )
 
     def test_without_flag_nan_propagates(self):
         assert math.isnan(circular_mean(self.HOLED))
-        assert math.isnan(sample_variance(self.HOLED))
+        assert math.isnan(mad(self.HOLED))
 
     def test_all_nan_yields_nan_not_warning(self):
         import warnings
@@ -288,7 +272,6 @@ class TestNanAwareStatistics:
             warnings.simplefilter("error", RuntimeWarning)
             assert math.isnan(circular_mean(all_nan, ignore_nan=True))
             assert math.isnan(mad(all_nan, ignore_nan=True))
-            assert math.isnan(sample_variance(all_nan, ignore_nan=True))
 
     def test_finite_fraction(self):
         from repro.dsp.stats import finite_fraction

@@ -5,8 +5,7 @@ state however the packets were chunked), the accumulator primitives
 against their offline references, the poll-path preview against a plain
 recompute, the finalized stream against the batch pipeline (``==``), and
 the end-to-end streaming paths:
-:class:`repro.core.streaming.StreamingExtractor`,
-``WiMi.identify_streaming`` and the serve-layer
+:class:`repro.core.streaming.StreamingExtractor` and the serve-layer
 :class:`repro.serve.StreamingGateway`.
 """
 
@@ -19,7 +18,7 @@ import pytest
 
 from repro.channel.materials import default_catalog
 from repro.core.feature import theory_reference_omegas
-from repro.core.config import WiMiConfig
+from repro.core.config import OUTLIER_SIGMAS
 from repro.core.pipeline import WiMi
 from repro.core.amplitude import _AMPLITUDE_EPS
 from repro.core.streaming import (
@@ -86,7 +85,6 @@ class TestRunningCircularStats:
             stats.add(np.array([0.5, 0.5, 0.5]))
         r = stats.resultant_length()
         assert np.allclose(r, 1.0)  # identical angles: fully concentrated
-        assert np.allclose(stats.circular_variance(), 0.0, atol=1e-12)
 
     def test_rejects_shape_mismatch(self):
         stats = RunningCircularStats((2, 3))
@@ -313,9 +311,14 @@ class TestChunkInvariance:
 
     def test_identify_streaming_matches_identify(self, fitted):
         wimi, session = fitted
-        assert wimi.identify_streaming(session, chunk_size=7) == (
-            wimi.identify(session)
+        stream = wimi.streaming_extractor(
+            scene=session.scene, material_name=session.material_name
         )
+        stream.push_baseline(session.baseline)
+        target = session.target
+        for start in range(0, len(target), 7):
+            stream.push_target(target.select(slice(start, start + 7)))
+        assert stream.finalize().label == wimi.identify(session)
 
 
 class TestBatchEquality:
@@ -391,14 +394,14 @@ def long_session(fitted):
     )
 
 
-def _window_oracle(config):
+def _window_oracle(size):
     """``mean_log_ratio`` recomputed from the outlier-rejected windows.
 
-    Walks every window the trace has completed, rejects outliers in the
-    raw rows, clips and logs them, and averages each channel over all
-    windows -- no running state.
+    Walks every ``size``-row window the trace has completed, rejects
+    outliers in the raw rows, clips and logs them, and averages each
+    channel over all windows -- no running state.
     """
-    size, hop = STREAM_WINDOW_SIZE, STREAM_HOP
+    hop = STREAM_HOP
 
     def mean_log_ratio(trace, pair):
         rows = np.array([np.abs(p.csi).ravel() for p in trace.packets])
@@ -406,7 +409,7 @@ def _window_oracle(config):
         count = 0
         for start in range(0, len(rows) - size + 1, hop):
             cleaned, _ = remove_outliers(
-                rows[start:start + size], config.outlier_sigmas
+                rows[start:start + size], OUTLIER_SIGMAS
             )
             total = total + np.log(np.clip(cleaned, _AMPLITUDE_EPS, None)).sum(
                 axis=0
@@ -420,26 +423,6 @@ def _window_oracle(config):
         return mean[:, pair[0]] - mean[:, pair[1]]
 
     return mean_log_ratio
-
-
-@pytest.fixture(scope="module")
-def two_sigma(fitted):
-    """The ``fitted`` deployment with a 2-sigma outlier threshold.
-
-    A 3-sigma outlier needs at least 11 samples (the largest population
-    z-score among n samples is sqrt(n - 1)), so in an 8-packet preview
-    window only a lower threshold lets the outlier rejection change
-    anything.
-    """
-    wimi, session = fitted
-    catalog = default_catalog()
-    materials = [catalog.get(n) for n in ("pure_water", "pepsi", "oil")]
-    dataset = collect_dataset(
-        materials, scene=session.scene, repetitions=4, num_packets=8, seed=0
-    )
-    train, _ = split_dataset(dataset)
-    config = WiMiConfig(outlier_sigmas=2.0)
-    return WiMi(theory_reference_omegas(materials), config).fit(train)
 
 
 def _swap_memos(stream, memos=None):
@@ -460,17 +443,21 @@ def _swap_memos(stream, memos=None):
 
 class TestPollPath:
     def test_every_poll_equals_an_unmemoized_recompute(
-        self, fitted, two_sigma, long_session, monkeypatch
+        self, fitted, long_session, monkeypatch
     ):
         """Per-packet polls == the preview rebuilt from the windows.
 
         The reference side reads no memo: every memo is dropped before
         the recompute, and the stream's own memos are put back after it,
         so the next poll neither reads what the reference built nor
-        misses a stale memo the stream failed to drop.  At 2 sigma the
-        outlier screen flags samples in some window, so the comparison
-        covers a screen that changes the sums.
+        misses a stale memo the stream failed to drop.  A 3-sigma
+        outlier needs at least 11 samples (the largest population
+        z-score among n samples is sqrt(n - 1)), so the 8-packet
+        preview windows never screen anything; a second pass at
+        16-packet windows makes the fixed 3-sigma screen flag samples,
+        so the comparison covers a screen that changes the sums.
         """
+        import repro.core.streaming as core_streaming
         import repro.dsp.streaming as dsp_streaming
 
         flagged: list[bool] = []
@@ -482,13 +469,15 @@ class TestPollPath:
             return cleaned, mask
 
         monkeypatch.setattr(dsp_streaming, "remove_outliers", recording_reject)
-        for wimi in (fitted[0], two_sigma):
-            flagged.clear()  # keep only the last (2-sigma) run's windows
+        wimi = fitted[0]
+        for size in (STREAM_WINDOW_SIZE, 16):
+            monkeypatch.setattr(core_streaming, "STREAM_WINDOW_SIZE", size)
+            flagged.clear()  # keep only the last (16-packet) run's windows
             stream = wimi.clone_view().streaming_extractor(
                 scene=long_session.scene
             )
             stream.push_baseline(long_session.baseline)
-            oracle = _window_oracle(wimi.config)
+            oracle = _window_oracle(size)
             ready = 0
             for packet in long_session.target.packets:
                 stream.push_target(packet)
@@ -506,7 +495,7 @@ class TestPollPath:
                     assert polled.target_packets == reference.target_packets
                 assert stream.estimate() is polled  # no new packet, no work
             # Live from the first target window on.
-            assert ready == len(long_session.target) - STREAM_WINDOW_SIZE + 1
+            assert ready == len(long_session.target) - size + 1
         assert any(flagged)
 
     def test_log_ratio_reductions_are_bounded_by_windows(
@@ -764,6 +753,12 @@ class TestStreamingGateway:
         assert entries == len(files) > 0
 
 
+def _assert_closed(stream):
+    """A closed session no longer accepts packets."""
+    with pytest.raises(StreamClosedError):
+        stream.submit_target([])
+
+
 class TestGatewayGracefulDrain:
     """SIGTERM with streams in flight: finalize or fail cleanly, never
     hang, never leave a half-open session behind."""
@@ -778,7 +773,7 @@ class TestGatewayGracefulDrain:
         stream.submit_target(session.target)
         outcome = gateway.drain()
         assert outcome == {"finalized": 1, "failed": 0}
-        assert stream.closed
+        _assert_closed(stream)
         # The buffered packets were worth a classification (finalize is
         # idempotent: this returns the drain's sealed result).
         assert stream.finalize().label == wimi.identify(session)
@@ -797,7 +792,8 @@ class TestGatewayGracefulDrain:
         empty = gateway.open()  # no packets: finalize raises
         outcome = gateway.drain()
         assert outcome == {"finalized": 1, "failed": 1}
-        assert healthy.closed and empty.closed
+        _assert_closed(healthy)
+        _assert_closed(empty)
         assert gateway.active == 0
         snap = gateway.snapshot()
         assert snap["counters"]["streams.drain_failed"] == 1
@@ -827,7 +823,7 @@ class TestGatewayGracefulDrain:
         finally:
             handle.restore()
         assert handle.triggered
-        assert stream.closed
+        _assert_closed(stream)
         assert gateway.snapshot()["counters"]["streams.drained"] == 1
 
     def test_drain_is_idempotent_and_race_safe(self, fitted):

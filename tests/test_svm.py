@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.ml.kernels import LinearKernel, RBFKernel
+from repro.ml.kernels import RBFKernel
 from repro.ml.svm import BinarySVC
 
 
@@ -17,11 +17,6 @@ def _blobs(n=40, gap=4.0, seed=0):
 
 
 class TestBinarySVC:
-    def test_separable_blobs_linear(self):
-        x, y = _blobs()
-        clf = BinarySVC(kernel=LinearKernel(), C=10.0).fit(x, y)
-        assert np.mean(clf.predict(x) == y) >= 0.95
-
     def test_separable_blobs_rbf(self):
         x, y = _blobs()
         clf = BinarySVC().fit(x, y)
@@ -32,9 +27,7 @@ class TestBinarySVC:
         x = rng.uniform(-1, 1, (120, 2))
         y = np.where(x[:, 0] * x[:, 1] > 0, 1.0, -1.0)
         rbf = BinarySVC(kernel=RBFKernel(gamma=2.0), C=50.0).fit(x, y)
-        lin = BinarySVC(kernel=LinearKernel(), C=50.0).fit(x, y)
         assert np.mean(rbf.predict(x) == y) > 0.9
-        assert np.mean(lin.predict(x) == y) < 0.8
 
     def test_decision_function_sign_matches_predict(self):
         x, y = _blobs()
@@ -47,13 +40,13 @@ class TestBinarySVC:
     def test_support_vectors_subset(self):
         x, y = _blobs()
         clf = BinarySVC(C=1.0).fit(x, y)
-        assert 0 < clf.num_support_vectors <= x.shape[0]
+        assert 0 < clf._alpha.size <= x.shape[0]
 
     def test_margin_shrinks_support_with_large_gap(self):
         x_wide, y = _blobs(gap=8.0)
         x_narrow, _ = _blobs(gap=1.0)
-        wide = BinarySVC(C=1.0).fit(x_wide, y).num_support_vectors
-        narrow = BinarySVC(C=1.0).fit(x_narrow, y).num_support_vectors
+        wide = BinarySVC(C=1.0).fit(x_wide, y)._alpha.size
+        narrow = BinarySVC(C=1.0).fit(x_narrow, y)._alpha.size
         assert wide < narrow
 
     def test_unfitted_raises(self):

@@ -106,16 +106,6 @@ class TestInvalidation:
         _, tier = cache.lookup_tier(STAGE, "k")
         assert tier == TIER_DISK
 
-    def test_invalidate_stage_drops_memory_not_disk(self, store):
-        cache = StageCache(disk_store=store)
-        cache.store(STAGE, "k", _artifact("k"))
-        cache.store("other", "k", _artifact("k"))
-        assert cache.invalidate_stage(STAGE) == 1
-        assert (STAGE, "k") not in cache
-        assert ("other", "k") in cache
-        _, tier = cache.lookup_tier(STAGE, "k")
-        assert tier == TIER_DISK
-
 
 class TestAccounting:
     def test_hits_property_sums_tiers(self):

@@ -1,56 +1,9 @@
-"""Tests for splits, confusion matrices and cross-validation."""
+"""Tests for accuracy and confusion matrices."""
 
 import numpy as np
 import pytest
 
-from repro.ml.centroid import NearestCentroidClassifier
-from repro.ml.validation import (
-    accuracy_score,
-    confusion_matrix,
-    cross_validate,
-    k_fold_indices,
-    train_test_split,
-)
-
-
-class TestSplit:
-    def test_stratified_keeps_class_balance(self):
-        x = np.arange(40)[:, None]
-        y = np.array(["a"] * 20 + ["b"] * 20)
-        _, _, y_tr, y_te = train_test_split(x, y, test_fraction=0.25, seed=0)
-        assert list(np.unique(y_te, return_counts=True)[1]) == [5, 5]
-
-    def test_no_overlap(self):
-        x = np.arange(20)[:, None]
-        y = np.array(["a"] * 10 + ["b"] * 10)
-        x_tr, x_te, _, _ = train_test_split(x, y, seed=1)
-        assert not set(x_tr.ravel()) & set(x_te.ravel())
-
-    def test_invalid_fraction_rejected(self):
-        with pytest.raises(ValueError, match="test_fraction"):
-            train_test_split(np.zeros((4, 1)), np.zeros(4), test_fraction=1.0)
-
-    def test_mismatched_lengths_rejected(self):
-        with pytest.raises(ValueError, match="labels"):
-            train_test_split(np.zeros((4, 1)), np.zeros(3))
-
-
-class TestKFold:
-    def test_folds_partition(self):
-        pairs = k_fold_indices(20, 4, seed=0)
-        assert len(pairs) == 4
-        all_test = np.concatenate([te for _, te in pairs])
-        assert sorted(all_test.tolist()) == list(range(20))
-
-    def test_train_test_disjoint(self):
-        for train, test in k_fold_indices(15, 3, seed=1):
-            assert not set(train) & set(test)
-
-    def test_invalid_k(self):
-        with pytest.raises(ValueError, match="k"):
-            k_fold_indices(10, 1)
-        with pytest.raises(ValueError, match="folds"):
-            k_fold_indices(2, 5)
+from repro.ml.validation import accuracy_score, confusion_matrix
 
 
 class TestAccuracy:
@@ -111,14 +64,3 @@ class TestConfusionMatrix:
                 np.array(["a", "c"]), np.array(["a", "a"]), labels=["a", "b"]
             )
 
-
-class TestCrossValidate:
-    def test_scores_high_on_separable(self):
-        rng = np.random.default_rng(0)
-        x = np.vstack(
-            [rng.standard_normal((20, 2)), rng.standard_normal((20, 2)) + 6]
-        )
-        y = np.array(["a"] * 20 + ["b"] * 20)
-        scores = cross_validate(NearestCentroidClassifier, x, y, k=4)
-        assert len(scores) == 4
-        assert min(scores) >= 0.8

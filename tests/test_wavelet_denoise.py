@@ -17,7 +17,6 @@ from repro.csi.simulator import SimulationScene
 from repro.dsp.wavelet_denoise import (
     SpatiallySelectiveDenoiser,
     remove_outliers,
-    wavelet_denoise,
 )
 
 
@@ -253,7 +252,7 @@ class TestDenoiser:
         noisy = truth.copy()
         spikes = rng.choice(64, size=5, replace=False)
         noisy[spikes] += rng.choice([-0.5, 0.5], size=5)
-        out = wavelet_denoise(noisy)
+        out = SpatiallySelectiveDenoiser().denoise(noisy)
         assert np.sqrt(np.mean((out - truth) ** 2)) < np.sqrt(
             np.mean((noisy - truth) ** 2)
         )
@@ -265,14 +264,14 @@ class TestDenoiser:
         np.testing.assert_allclose(out, x)
 
     def test_constant_preserved(self):
-        out = wavelet_denoise(np.full(32, 3.0))
+        out = SpatiallySelectiveDenoiser().denoise(np.full(32, 3.0))
         np.testing.assert_allclose(out, 3.0, atol=1e-9)
 
     def test_output_length_matches(self):
         rng = np.random.default_rng(2)
         for n in (16, 20, 33, 64):
             x = 1.0 + 0.1 * rng.standard_normal(n)
-            assert wavelet_denoise(x).size == n
+            assert SpatiallySelectiveDenoiser().denoise(x).size == n
 
     def test_reduces_noise_energy_on_impulse_bursts(self):
         rng = np.random.default_rng(3)
@@ -281,7 +280,7 @@ class TestDenoiser:
         # Bursts: consecutive corrupted samples.
         for start in (20, 60, 100):
             noisy[start : start + 3] += rng.uniform(0.3, 0.6, 3)
-        out = wavelet_denoise(noisy)
+        out = SpatiallySelectiveDenoiser().denoise(noisy)
         err_out = np.mean((out - truth) ** 2)
         err_in = np.mean((noisy - truth) ** 2)
         assert err_out < err_in / 2
