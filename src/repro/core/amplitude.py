@@ -20,7 +20,7 @@ import numpy as np
 from repro.core.validation import validate_antenna, validate_antenna_pair
 from repro.csi.model import CsiTrace
 from repro.dsp.stats import finite_mean, finite_median
-from repro.dsp.wavelet_denoise import SpatiallySelectiveDenoiser, remove_outliers
+from repro.dsp.wavelet_denoise import SpatiallySelectiveDenoiser
 
 #: Amplitudes below this are clamped before ratios/logs (quantisation can
 #: produce exact zeros).
@@ -30,14 +30,8 @@ _AMPLITUDE_EPS = 1e-9
 class AmplitudeProcessor:
     """Denoises CSI amplitudes and forms inter-antenna ratios."""
 
-    def __init__(
-        self,
-        denoiser: SpatiallySelectiveDenoiser | None = None,
-        denoise: bool = True,
-    ):
-        self.denoiser = (
-            denoiser if denoiser is not None else SpatiallySelectiveDenoiser()
-        )
+    def __init__(self, denoise: bool = True):
+        self.denoiser = SpatiallySelectiveDenoiser()
         self.denoise = denoise
 
     # ------------------------------------------------------------------
@@ -75,11 +69,7 @@ class AmplitudeProcessor:
             dead = ~finite.any(axis=0)
             if dead.any():
                 dead_columns = dead
-        if num_packets < 4:
-            # Too short for the wavelet stage; outliers only.
-            cleaned, _ = remove_outliers(columns, self.denoiser.outlier_sigmas)
-        else:
-            cleaned = self.denoiser.denoise(columns)
+        cleaned = self.denoiser.denoise(columns)
         if dead_columns is not None:
             cleaned = np.where(dead_columns[None, :], np.nan, cleaned)
         cleaned = cleaned.reshape(num_packets, num_sc, num_ant)

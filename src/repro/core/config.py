@@ -9,12 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-#: Filter bank of the Sec. III-C amplitude denoiser.
-WAVELET_NAME = "db2"
-#: SWT depth of the amplitude denoiser.
-WAVELET_LEVELS = 3
-#: Outlier-rejection threshold of the denoiser and the stream preview.
-OUTLIER_SIGMAS = 3.0
+# The denoiser's filter bank, SWT depth and outlier threshold, which
+# ``WiMi.from_registry`` checks saved bundles against.
+from repro.dsp.wavelet import WAVELET_LEVELS, WAVELET_NAME
+from repro.dsp.wavelet_denoise import OUTLIER_SIGMAS
+
 #: Soft-margin penalty of the SVM.
 SVM_C = 10.0
 #: Neighbour count of the kNN ablation.

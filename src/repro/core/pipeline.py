@@ -68,7 +68,6 @@ from repro.csi.quality import (
     gate_report,
 )
 from repro.dsp.stats import finite_mean
-from repro.dsp.wavelet_denoise import SpatiallySelectiveDenoiser
 from repro.engine.artifacts import ClassificationArtifact, config_fingerprint
 from repro.engine.cache import StageCache
 from repro.engine.graph import PipelineEngine
@@ -113,13 +112,8 @@ class WiMi:
         self.config = config if config is not None else WiMiConfig()
         self.calibrator = PhaseCalibrator()
         self.subcarrier_selector = SubcarrierSelector(self.calibrator)
-        denoiser = SpatiallySelectiveDenoiser(
-            wavelet_name=WAVELET_NAME,
-            levels=WAVELET_LEVELS,
-            outlier_sigmas=OUTLIER_SIGMAS,
-        )
         self.amplitude = AmplitudeProcessor(
-            denoiser=denoiser, denoise=self.config.denoise_amplitude
+            denoise=self.config.denoise_amplitude
         )
         self.pair_selector = AntennaPairSelector(self.subcarrier_selector)
         self.extractor = MaterialFeatureExtractor(

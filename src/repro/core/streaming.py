@@ -12,7 +12,7 @@ hands the buffered capture to the batch pipeline when the stream ends:
   mean;
 * amplitude side -- every window of :data:`STREAM_WINDOW_SIZE` raw
   amplitude rows (one starts every :data:`STREAM_HOP` packets) is
-  median-imputed and outlier-rejected as it completes, and its
+  median-imputed as it completes, and its
   per-channel sums of clipped log-amplitude and finite counts are added
   to two running ``(channels,)`` arrays.  A window is computed once and
   folded into the sums, never cached: each is new data.
@@ -22,11 +22,12 @@ a per-window confidence; a poll is O(K): the mean log amplitude ratio of
 a pair is the difference of two running means, and each preview term is
 rebuilt only when its input changes (phase grids per pushed packet,
 amplitude aggregates per landed window).  The preview skips the
-Eq. 8-13 correlation filter, so it tracks but does not equal the final
-answer.  ``finalize()`` builds the :class:`CaptureSession` from the
-buffered packets and returns exactly ``wimi.extract(session)`` and its
-classification: one extraction path, one quality gate, one set of
-degraded-capture fallbacks.
+Sec. III-C denoiser (8-packet windows are too short for its 3-sigma
+screen, and it runs no Eq. 8-13 correlation filter), so it tracks but
+does not equal the final answer.  ``finalize()`` builds the
+:class:`CaptureSession` from the buffered packets and returns exactly
+``wimi.extract(session)`` and its classification: one extraction path,
+one quality gate, one set of degraded-capture fallbacks.
 
 Determinism: all accumulators ingest one packet per step and the window
 schedule depends only on the packet count, so the preview state is a
@@ -244,9 +245,8 @@ class _TraceStream:
 
 
 #: Packets per preview window: each window of this many consecutive
-#: packets is outlier-rejected
-#: (:func:`repro.dsp.streaming.window_log_sums`) and added to the
-#: preview's running sums as soon as it completes.
+#: packets is reduced (:func:`repro.dsp.streaming.window_log_sums`) and
+#: added to the preview's running sums as soon as it completes.
 STREAM_WINDOW_SIZE = 8
 
 #: Stride (packets) between consecutive preview windows.  Below the

@@ -15,9 +15,8 @@ the incremental primitives behind the streaming preview that runs
   of recent samples (a bounded-memory noise-level diagnostic).
 * :func:`window_log_sums` -- one fixed-size packet window of raw
   amplitudes reduced to per-channel sums of clipped log amplitude and
-  sample counts, after median imputation and the Sec. III-C outlier
-  rejection (not the Eq. 8-13 correlation filter).  Streams add these
-  to running sums, so a preview mean costs O(channels).
+  sample counts, after median imputation.  Streams add these to running
+  sums, so a preview mean costs O(channels).
 
 Determinism contract: every accumulator ingests exactly one packet per
 ``add``/window step, so the final state after a stream is a function of
@@ -34,7 +33,6 @@ from collections import deque
 import numpy as np
 
 from repro.dsp.stats import finite_median
-from repro.dsp.wavelet_denoise import remove_outliers
 
 
 class RunningCircularStats:
@@ -183,17 +181,18 @@ def _sorted_list_median(values: list[float]) -> float:
 
 
 def window_log_sums(
-    rows: np.ndarray, floor: float, outlier_sigmas: float | None
+    rows: np.ndarray, floor: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-channel sum of clipped log amplitude over one window, and counts.
 
     ``rows`` is one ``(window, channels)`` slab of raw amplitudes.
     Non-finite samples are imputed with their column's in-window finite
-    median, then ``outlier_sigmas``-sigma outliers are replaced by the
-    survivors' median (``None`` skips that step), and every sample is
-    clipped at ``floor`` before the log.  A column with no finite sample
-    in the window contributes a zero sum and a zero count, so the
-    consumer's running mean leaves it NaN instead of inventing a level.
+    median, and every sample is clipped at ``floor`` before the log.  A
+    column with no finite sample in the window contributes a zero sum
+    and a zero count, so the consumer's running mean leaves it NaN
+    instead of inventing a level.  There is no outlier screen: the
+    preview's 8-packet windows are too short for a 3-sigma outlier (see
+    :func:`repro.dsp.wavelet_denoise.remove_outliers`).
     """
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2 or rows.size == 0:
@@ -205,8 +204,6 @@ def window_log_sums(
     if not finite.all():
         medians = finite_median(rows, axis=0)
         rows = np.where(finite, rows, np.where(live, medians, 0.0)[None, :])
-    if outlier_sigmas is not None:
-        rows, _ = remove_outliers(rows, outlier_sigmas)
     log_sum = np.log(np.clip(rows, floor, None)).sum(axis=0)
     count = np.where(live, rows.shape[0], 0)
     return np.where(live, log_sum, 0.0), count

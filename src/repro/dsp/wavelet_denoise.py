@@ -45,20 +45,29 @@ threshold.)  The original scalar implementations are kept as
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 
 import numpy as np
 
 from repro.dsp.stats import _sorted_median, robust_sigma, robust_sigma_axis
 from repro.dsp.wavelet import (
-    Wavelet,
     _reference_iswt,
     _reference_swt,
-    get_wavelet,
     iswt,
     max_swt_level,
     swt,
 )
+
+#: Threshold of the 3-sigma outlier-rejection pre-step.
+OUTLIER_SIGMAS = 3.0
+#: Safety bound on each scale's extract-and-repeat loop.
+MAX_ITERATIONS = 20
+
+#: Per-thread reusable work/out coefficient buffers of
+#: ``SpatiallySelectiveDenoiser._workspace``.  One denoiser is shared by
+#: every serving worker thread (``WiMi.clone_view`` shares the amplitude
+#: processor), so concurrent ``denoise`` calls never see each other's
+#: scratch.
+_SCRATCH = threading.local()
 
 #: Eq. 13 tie rule.  A column whose residual holds one nonzero
 #: coefficient gives ``|NCorr| == |W|`` in exact arithmetic, so without
@@ -107,29 +116,27 @@ def _as_columns(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x, x[:, None] if x.ndim == 1 else x
 
 
-def remove_outliers(
-    x: np.ndarray, num_sigmas: float = 3.0
-) -> tuple[np.ndarray, np.ndarray]:
+def remove_outliers(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Paper's first denoising step: 3-sigma outlier rejection.
 
-    Samples outside ``[mu - k sigma, mu + k sigma]`` are replaced by the
+    Samples outside ``[mu - 3 sigma, mu + 3 sigma]`` are replaced by the
     median of the surviving samples (the paper "filters out" the outliers;
     replacing keeps the series aligned in time, which the wavelet stage
-    needs).
+    needs).  A column always keeps survivors: more than a ninth of its
+    samples cannot lie beyond 3 sigma.
 
     ``x`` may be 1-D or 2-D ``(time, channels)``; in the 2-D form every
     channel column is screened against its own mean/std.
 
-    Fewer than ``num_sigmas**2`` samples cannot hold an outlier, so such
-    input is returned unchanged without the screen.  ``np.std`` measures
-    the spread about the same computed mean the screen centres on, and
-    about any centre one sample's squared deviation is at most the sum
-    of all ``n``, so no z-score exceeds ``sqrt(n)``, whatever the
-    rounding of the mean.  At ``num_sigmas = 3`` that skips up to 8
-    samples (the default 8-packet stream windows), where ``sqrt(n)`` is
-    at least 6% below the threshold, far beyond rounding.  From
-    ``n = num_sigmas**2`` on the screen runs: Samuelson's ``sqrt(n - 1)``
-    bound about the exact mean does not cover a rounded one.
+    Fewer than ``OUTLIER_SIGMAS**2 = 9`` samples cannot hold an outlier,
+    so such input is returned unchanged without the screen.  ``np.std``
+    measures the spread about the same computed mean the screen centres
+    on, and about any centre one sample's squared deviation is at most
+    the sum of all ``n``, so no z-score exceeds ``sqrt(n)``, whatever the
+    rounding of the mean.  Up to 8 samples ``sqrt(n)`` is at least 6%
+    below the threshold, far beyond rounding.  From ``n = 9`` on the
+    screen runs: Samuelson's ``sqrt(n - 1)`` bound about the exact mean
+    does not cover a rounded one.
 
     Returns:
         ``(cleaned, outlier_mask)``.
@@ -137,9 +144,7 @@ def remove_outliers(
     series, x = _as_columns(x)
     if x.size == 0:
         raise ValueError("expected a non-empty signal")
-    if num_sigmas <= 0:
-        raise ValueError(f"num_sigmas must be positive, got {num_sigmas}")
-    if x.shape[0] < num_sigmas**2:
+    if x.shape[0] < OUTLIER_SIGMAS**2:
         return series.copy(), np.zeros(series.shape, dtype=bool)
     mu = np.mean(x, axis=0)
     sigma = np.std(x, axis=0)
@@ -147,63 +152,21 @@ def remove_outliers(
     screened = sigma > 0.0
     mask[:, screened] = (
         np.abs(x[:, screened] - mu[screened])
-        > num_sigmas * sigma[screened]
+        > OUTLIER_SIGMAS * sigma[screened]
     )
     median = _sorted_median(np.where(mask, np.nan, x), axis=0)
-    fill = np.where(np.isnan(median), mu, median)  # no survivors: the mean
-    cleaned = np.where(mask, fill, x)
+    cleaned = np.where(mask, median, x)
     return cleaned.reshape(series.shape), mask.reshape(series.shape)
 
 
-@dataclass
 class SpatiallySelectiveDenoiser:
-    """The paper's two-step amplitude denoiser as a reusable object.
+    """The paper's two-step amplitude denoiser.
 
-    Attributes:
-        wavelet_name: Filter bank to use (default db2 -- short enough for
-            the paper's 20-packet windows).
-        levels: SWT depth (clamped to what the signal length allows).
-        outlier_sigmas: Threshold of the outlier-rejection pre-step.
-        max_iterations: Safety bound on the extract-and-repeat loop.
-
-    Thread-safety: one denoiser instance is shared by every serving
-    worker thread (``WiMi.clone_view`` shares the amplitude processor),
-    so the reusable work/out coefficient buffers live in a
-    ``threading.local`` -- concurrent ``denoise`` calls never see
-    each other's scratch.  The buffers are only valid inside one
-    ``_filter_details`` call; nothing returned to callers aliases them
-    (``iswt`` consumes the extracted coefficients and returns a fresh
-    array).
+    A :data:`OUTLIER_SIGMAS` outlier screen, then the Eq. 8-13
+    correlation filter on the db2 SWT (:mod:`repro.dsp.wavelet`), at
+    most :data:`MAX_ITERATIONS` extract rounds per scale.  The object
+    holds no state; it is safe to share across threads.
     """
-
-    wavelet_name: str = "db2"
-    levels: int = 3
-    outlier_sigmas: float = 3.0
-    max_iterations: int = 20
-
-    def __post_init__(self) -> None:
-        if self.levels < 1:
-            raise ValueError(f"levels must be >= 1, got {self.levels}")
-        if self.max_iterations < 1:
-            raise ValueError(
-                f"max_iterations must be >= 1, got {self.max_iterations}"
-            )
-        # Fail fast on unknown wavelet names.
-        self._wavelet: Wavelet = get_wavelet(self.wavelet_name)
-        self._scratch = threading.local()
-
-    def __getstate__(self) -> dict:
-        # threading.local cannot be pickled; scratch buffers are
-        # per-process/thread anyway, so drop them and rebuild on load.
-        state = self.__dict__.copy()
-        state.pop("_scratch", None)
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._scratch = threading.local()
-
-    # ------------------------------------------------------------------
 
     def denoise(self, x: np.ndarray) -> np.ndarray:
         """Full pipeline: outlier rejection, then correlation filtering.
@@ -211,38 +174,38 @@ class SpatiallySelectiveDenoiser:
         Accepts 1-D ``(time,)`` or 2-D ``(time, channels)`` input; the
         2-D form denoises every channel in one batched pass.
         """
-        cleaned, _ = remove_outliers(x, self.outlier_sigmas)
+        cleaned, _ = remove_outliers(x)
         return self.correlation_filter(cleaned)
 
     def correlation_filter(self, x: np.ndarray) -> np.ndarray:
         """Eq. 8-13 cross-scale correlation filtering (no outlier step)."""
         x, columns = _as_columns(x)
-        limit = max_swt_level(x.shape[0], self._wavelet)
-        if limit == 0:
+        if max_swt_level(x.shape[0]) == 0:
             # Too short to transform: nothing to do.
             return x.copy()
-        levels = min(self.levels, limit)
-        approx, details = swt(columns, self._wavelet, levels)
+        approx, details = swt(columns)
         new_details = self._filter_details(details)
-        return iswt(approx, new_details, self._wavelet).reshape(x.shape)
+        return iswt(approx, new_details).reshape(x.shape)
 
     # ------------------------------------------------------------------
 
+    @staticmethod
     def _workspace(
-        self, details: list[np.ndarray]
+        details: list[np.ndarray],
     ) -> tuple[list[np.ndarray], list[np.ndarray]]:
         """Per-thread reusable ``(work, out)`` coefficient buffers.
 
         ``work`` is refilled with copies of ``details``; ``out`` is
         zeroed.  One buffer set is kept per thread and reused while the
-        coefficient shapes repeat -- the common case for streaming
-        windows and same-length traces -- so a warm call allocates
-        nothing.  Ownership rule: the buffers belong to this thread's
-        *current* call only; they are invalidated by the next call on
-        the same thread.
+        coefficient shapes repeat -- the common case for same-length
+        traces -- so a warm call allocates nothing.  Ownership rule: the
+        buffers belong to this thread's *current* call only; they are
+        invalidated by the next call on the same thread.  Nothing
+        returned to callers aliases them (``iswt`` consumes the
+        extracted coefficients and returns a fresh array).
         """
         key = tuple(d.shape for d in details)
-        cached = getattr(self._scratch, "buffers", None)
+        cached = getattr(_SCRATCH, "buffers", None)
         if cached is not None and cached[0] == key:
             _, work, out = cached
             for buf, d in zip(work, details):
@@ -252,7 +215,7 @@ class SpatiallySelectiveDenoiser:
         else:
             work = [d.copy() for d in details]
             out = [np.zeros_like(d) for d in details]
-            self._scratch.buffers = (key, work, out)
+            _SCRATCH.buffers = (key, work, out)
         return work, out
 
     def _filter_details(self, details: list[np.ndarray]) -> list[np.ndarray]:
@@ -273,7 +236,7 @@ class SpatiallySelectiveDenoiser:
             neighbour_idx = l + 1 if l + 1 < num_levels else l
             threshold = self._noise_threshold(details[l])
             active = np.ones(details[l].shape[1], dtype=bool)
-            for _ in range(self.max_iterations):
+            for _ in range(MAX_ITERATIONS):
                 power = np.sum(work[l] ** 2, axis=0)
                 active &= power > threshold
                 if not active.any():
@@ -330,7 +293,7 @@ class SpatiallySelectiveDenoiser:
 
     def _reference_denoise(self, x: np.ndarray) -> np.ndarray:
         """Original strictly-1-D :meth:`denoise`."""
-        cleaned, _ = _reference_remove_outliers(x, self.outlier_sigmas)
+        cleaned, _ = _reference_remove_outliers(x, OUTLIER_SIGMAS)
         return self._reference_correlation_filter(cleaned)
 
     def _reference_correlation_filter(self, x: np.ndarray) -> np.ndarray:
@@ -338,13 +301,11 @@ class SpatiallySelectiveDenoiser:
         x = np.asarray(x, dtype=float)
         if x.ndim != 1:
             raise ValueError(f"expected a 1-D signal, got shape {x.shape}")
-        limit = max_swt_level(x.size, self._wavelet)
-        if limit == 0:
+        if max_swt_level(x.size) == 0:
             return x.copy()
-        levels = min(self.levels, limit)
-        approx, details = _reference_swt(x, self._wavelet, levels)
+        approx, details = _reference_swt(x)
         new_details = self._reference_filter_details(details)
-        return _reference_iswt(approx, new_details, self._wavelet)
+        return _reference_iswt(approx, new_details)
 
     def _reference_filter_details(
         self, details: list[np.ndarray]
@@ -357,7 +318,7 @@ class SpatiallySelectiveDenoiser:
             w_next = work[l + 1 if l + 1 < num_levels else l]
             sigma = robust_sigma(details[l])
             threshold = details[l].size * sigma * sigma
-            for _ in range(self.max_iterations):
+            for _ in range(MAX_ITERATIONS):
                 p_w = float(np.sum(work[l] ** 2))
                 if p_w <= threshold:
                     break

@@ -4,8 +4,8 @@ The WiMi chain (phase calibration -> good-subcarrier selection ->
 amplitude denoising -> Omega-bar extraction -> classification, paper
 Fig. 5) is executed here as an explicit stage graph:
 
-* :mod:`repro.engine.stages` declares each stage, its upstream inputs
-  and the config fields its output depends on;
+* :mod:`repro.engine.stages` declares each stage and the config fields
+  its output depends on;
 * :mod:`repro.engine.artifacts` defines the typed, frozen artifacts the
   stages exchange and the content-hash keying that identifies them;
 * :mod:`repro.engine.cache` memoizes artifacts per (stage, key) with
@@ -43,7 +43,6 @@ from repro.engine.cache import (
 )
 from repro.engine.graph import PipelineEngine
 from repro.engine.stages import (
-    ALL_STAGES,
     AMPLITUDE_DENOISE,
     CLASSIFY,
     FEATURE_EXTRACTION,
@@ -54,7 +53,6 @@ from repro.engine.stages import (
 )
 
 __all__ = [
-    "ALL_STAGES",
     "AMPLITUDE_DENOISE",
     "Artifact",
     "CLASSIFY",

@@ -23,7 +23,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from repro.core.amplitude import _AMPLITUDE_EPS, AmplitudeProcessor
-from repro.core.config import MAX_GAMMA, OUTLIER_SIGMAS, WiMiConfig
+from repro.core.config import MAX_GAMMA, WiMiConfig
 from repro.core.feature import MaterialFeatureExtractor, SessionFeatures
 from repro.core.subcarrier import SubcarrierSelector
 from repro.csi.collector import CaptureSession
@@ -181,16 +181,11 @@ class PipelineEngine:
 
         ``rows`` is the raw ``(window, channels)`` |H| slab; the result
         is its per-channel clipped log-amplitude sums and counts after
-        median imputation and outlier rejection (no outlier rejection
-        under the Fig. 14 ``denoise_amplitude=False`` ablation).  Not a
-        cached stage: every window of a live stream is new data, so the
-        call computes directly, with no key, event or store write.
+        median imputation.  Not a cached stage: every window of a live
+        stream is new data, so the call computes directly, with no key,
+        event or store write.
         """
-        return window_log_sums(
-            rows,
-            _AMPLITUDE_EPS,
-            OUTLIER_SIGMAS if self.config.denoise_amplitude else None,
-        )
+        return window_log_sums(rows, _AMPLITUDE_EPS)
 
     def observables(
         self, session: CaptureSession, pair: tuple[int, int]

@@ -1,11 +1,10 @@
 """Stage declarations of the WiMi processing graph.
 
 Each stage of the paper's Fig. 5 chain is declared once, with the
-:class:`repro.core.config.WiMiConfig` fields its output depends on and
-the stages it consumes.  The engine uses the declarations to build cache
-keys (only the declared config fields enter a stage's key, so e.g. a
-classifier sweep reuses every upstream artifact) and to expose the graph
-for introspection/docs.
+:class:`repro.core.config.WiMiConfig` fields its output depends on.  The
+engine uses the declarations to build cache keys (only the declared
+config fields enter a stage's key, so e.g. a classifier sweep reuses
+every upstream artifact).
 
 The streaming preview's per-window reduction
 (``PipelineEngine.stream_window_denoise``) is not a stage: every window
@@ -25,15 +24,10 @@ class StageSpec:
         name: Stable stage identifier (also the stats bucket name).
         config_fields: ``WiMiConfig`` fields that parameterise the stage's
             output; they are hashed into every cache key of the stage.
-        inputs: Names of upstream stages this stage consumes (the edges of
-            the stage graph).
-        description: One-line human description.
     """
 
     name: str
     config_fields: tuple[str, ...] = ()
-    inputs: tuple[str, ...] = ()
-    description: str = ""
 
 
 #: Quality boundary: per-trace degradation measurement (finite/live
@@ -41,8 +35,6 @@ class StageSpec:
 TRACE_QUALITY = StageSpec(
     name="trace_quality",
     config_fields=(),
-    inputs=(),
-    description="TraceQualityReport of one trace (loss/clipping/liveness)",
 )
 
 #: Eq. 5-6: inter-antenna phase differencing, packet-averaged, baseline
@@ -50,8 +42,6 @@ TRACE_QUALITY = StageSpec(
 PHASE_CALIBRATION = StageSpec(
     name="phase_calibration",
     config_fields=(),
-    inputs=(),
-    description="wrapped Delta-Theta per subcarrier (Eq. 18 observable)",
 )
 
 #: Revision of the denoiser's numerics, hashed into the keys of
@@ -68,50 +58,29 @@ DENOISE_REVISION = 1
 AMPLITUDE_DENOISE = StageSpec(
     name="amplitude_denoise",
     config_fields=("denoise_amplitude",),
-    inputs=(),
-    description="denoised |H| cube of one trace",
 )
 
 #: Eq. 19 observable assembled from the denoised cubes of both traces.
 OBSERVABLES = StageSpec(
     name="observables",
     config_fields=AMPLITUDE_DENOISE.config_fields,
-    inputs=(PHASE_CALIBRATION.name, AMPLITUDE_DENOISE.name),
-    description="(Delta-Theta, -ln DeltaPsi) per subcarrier for one pair",
 )
 
 #: Eq. 7: good-subcarrier selection, pooled over calibration sessions.
 SUBCARRIER_SELECTION = StageSpec(
     name="subcarrier_selection",
     config_fields=(),
-    inputs=(PHASE_CALIBRATION.name,),
-    description="most stable subcarriers for one pair (Eq. 7 ranking)",
 )
 
 #: Eq. 18-21: Omega-bar with gamma resolution for one feature block.
 FEATURE_EXTRACTION = StageSpec(
     name="feature_extraction",
     config_fields=("gamma_strategy",),
-    inputs=(OBSERVABLES.name, SUBCARRIER_SELECTION.name),
-    description="Omega-bar feature block with resolved gamma",
 )
 
 #: Sec. III-E: database-aided branch resolution + classification.
 CLASSIFY = StageSpec(
     name="classify",
     config_fields=("classifier",),
-    inputs=(FEATURE_EXTRACTION.name,),
-    description="material label (+ centroid-margin confidence)",
-)
-
-#: All stages, topologically ordered.
-ALL_STAGES: tuple[StageSpec, ...] = (
-    TRACE_QUALITY,
-    PHASE_CALIBRATION,
-    AMPLITUDE_DENOISE,
-    OBSERVABLES,
-    SUBCARRIER_SELECTION,
-    FEATURE_EXTRACTION,
-    CLASSIFY,
 )
 

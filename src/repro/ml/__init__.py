@@ -3,28 +3,23 @@
 The paper feeds its material features to an SVM (Sec. III-E).  No ML
 library is available offline, so this package provides:
 
-* :mod:`repro.ml.kernels` -- the RBF kernel,
+* :mod:`repro.ml.kernels` -- the RBF kernel and its "scale" gamma,
 * :mod:`repro.ml.svm` -- a soft-margin binary SVM trained with Platt's
   SMO algorithm,
 * :mod:`repro.ml.multiclass` -- the one-vs-one ensemble of binary SVMs,
 * :mod:`repro.ml.knn`, :mod:`repro.ml.centroid` -- baselines for the
   classifier ablation,
 * :mod:`repro.ml.scaler` -- feature standardisation,
-* :mod:`repro.ml.validation` -- confusion matrices and accuracy (how
-  every paper figure scores results).
+* :mod:`repro.ml.validation` -- confusion matrices (how every paper
+  figure scores results).
 """
 
 from repro.ml.centroid import NearestCentroidClassifier
-from repro.ml.kernels import RBFKernel
 from repro.ml.knn import KNeighborsClassifier
 from repro.ml.multiclass import OneVsOneSVC
 from repro.ml.scaler import StandardScaler
 from repro.ml.svm import BinarySVC
-from repro.ml.validation import (
-    ConfusionMatrix,
-    accuracy_score,
-    confusion_matrix,
-)
+from repro.ml.validation import ConfusionMatrix, confusion_matrix
 
 __all__ = [
     "BinarySVC",
@@ -32,8 +27,6 @@ __all__ = [
     "KNeighborsClassifier",
     "NearestCentroidClassifier",
     "OneVsOneSVC",
-    "RBFKernel",
     "StandardScaler",
-    "accuracy_score",
     "confusion_matrix",
 ]

@@ -1,8 +1,6 @@
-"""The RBF kernel of the SVM."""
+"""The RBF kernel of the SVM: ``K(x, y) = exp(-gamma ||x - y||^2)``."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,34 +36,14 @@ def rbf_from_sq_dists(sq: np.ndarray, gamma: float) -> np.ndarray:
     return np.exp(-gamma * np.clip(sq, 0.0, None))
 
 
-@dataclass(frozen=True)
-class RBFKernel:
-    """``K(x, y) = exp(-gamma ||x - y||^2)``.
+def scale_gamma(x_train: np.ndarray) -> float:
+    """The sklearn-style "scale" gamma ``1 / (n_features * var(X))``.
 
-    ``gamma=None`` means the sklearn-style "scale" heuristic
-    ``1 / (n_features * var(X))``, resolved when the Gram matrix is first
-    computed on training data via :meth:`resolve_gamma`.
+    Resolved once per machine on its training data; constant data gives
+    ``1.0``.
     """
-
-    gamma: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.gamma is not None and self.gamma <= 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
-
-    def resolve_gamma(self, x_train: np.ndarray) -> float:
-        """Concrete gamma for a training matrix."""
-        if self.gamma is not None:
-            return self.gamma
-        x = _as_2d(x_train)
-        variance = float(np.var(x))
-        if variance <= 0:
-            return 1.0
-        return 1.0 / (x.shape[1] * variance)
-
-    def __call__(
-        self, a: np.ndarray, b: np.ndarray, gamma: float | None = None
-    ) -> np.ndarray:
-        g = gamma if gamma is not None else (self.gamma if self.gamma else 1.0)
-        return rbf_from_sq_dists(pairwise_sq_dists(a, b), g)
-
+    x = _as_2d(x_train)
+    variance = float(np.var(x))
+    if variance <= 0:
+        return 1.0
+    return 1.0 / (x.shape[1] * variance)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.ml.kernels import pairwise_sq_dists, rbf_from_sq_dists
+from repro.ml.kernels import pairwise_sq_dists, rbf_from_sq_dists, scale_gamma
 from repro.ml.svm import BinarySVC
 
 
@@ -32,17 +32,15 @@ class _SharedGram:
     def __init__(self, x: np.ndarray):
         self._sq = pairwise_sq_dists(x, x)
 
-    def submatrix(
-        self, machine: BinarySVC, x_sub: np.ndarray, idx: np.ndarray
-    ) -> np.ndarray:
+    def submatrix(self, x_sub: np.ndarray, idx: np.ndarray) -> np.ndarray:
         """Gram matrix for one machine's sample subset.
 
-        Matches what ``machine.fit`` would compute on ``x_sub``: gamma is
-        resolved on the subset, exactly as
+        Matches what ``BinarySVC.fit`` would compute on ``x_sub``: gamma
+        is resolved on the subset, exactly as
         :meth:`BinarySVC._prepare_fit` does.
         """
         return rbf_from_sq_dists(
-            self._sq[np.ix_(idx, idx)], machine.kernel.resolve_gamma(x_sub)
+            self._sq[np.ix_(idx, idx)], scale_gamma(x_sub)
         )
 
 
@@ -142,9 +140,7 @@ class OneVsOneSVC:
                 labels = np.where(y[mask] == classes[a], 1.0, -1.0)
                 machine = BinarySVC(C=self.C, seed=self.seed)
                 x_sub = x[mask]
-                machine.fit(
-                    x_sub, labels, gram=shared.submatrix(machine, x_sub, idx)
-                )
+                machine.fit(x_sub, labels, gram=shared.submatrix(x_sub, idx))
                 machines[(a, b)] = machine
         self.set_machines(classes, machines)
         return self

@@ -14,40 +14,29 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.ml.kernels import RBFKernel
+from repro.ml.kernels import pairwise_sq_dists, rbf_from_sq_dists, scale_gamma
+
+#: KKT violation tolerance of SMO.
+SMO_TOL = 1e-3
+#: SMO stops after this many consecutive full passes without any
+#: multiplier update...
+SMO_MAX_PASSES = 5
+#: ...or after this many passes in all.
+SMO_MAX_ITER = 200
 
 
 class BinarySVC:
-    """Binary soft-margin SVM.
+    """Binary soft-margin RBF SVM; gamma is the "scale" heuristic.
 
     Args:
-        kernel: The RBF kernel; default gamma is the "scale" heuristic.
         C: Soft-margin penalty.
-        tol: KKT violation tolerance.
-        max_passes: SMO stops after this many consecutive full passes
-            without any multiplier update.
-        max_iter: Hard bound on total passes.
         seed: RNG seed for the second-multiplier tie-breaking.
     """
 
-    def __init__(
-        self,
-        kernel=None,
-        C: float = 10.0,
-        tol: float = 1e-3,
-        max_passes: int = 5,
-        max_iter: int = 200,
-        seed: int = 0,
-    ):
+    def __init__(self, C: float = 10.0, seed: int = 0):
         if C <= 0:
             raise ValueError(f"C must be positive, got {C}")
-        if tol <= 0:
-            raise ValueError(f"tol must be positive, got {tol}")
-        self.kernel = kernel if kernel is not None else RBFKernel()
         self.C = C
-        self.tol = tol
-        self.max_passes = max_passes
-        self.max_iter = max_iter
         self.seed = seed
         self._fitted = False
 
@@ -79,14 +68,14 @@ class BinarySVC:
 
         passes = 0
         total = 0
-        while passes < self.max_passes and total < self.max_iter:
+        while passes < SMO_MAX_PASSES and total < SMO_MAX_ITER:
             if total:
                 margins = np.sum((alpha * y)[:, None] * gram, axis=0)
             changed = 0
             for i in range(n):
                 e_i = margins[i] + b - y[i]
-                if (y[i] * e_i < -self.tol and alpha[i] < self.C) or (
-                    y[i] * e_i > self.tol and alpha[i] > 0
+                if (y[i] * e_i < -SMO_TOL and alpha[i] < self.C) or (
+                    y[i] * e_i > SMO_TOL and alpha[i] > 0
                 ):
                     j = int(rng.integers(0, n - 1))
                     if j >= i:
@@ -158,12 +147,12 @@ class BinarySVC:
 
         passes = 0
         total = 0
-        while passes < self.max_passes and total < self.max_iter:
+        while passes < SMO_MAX_PASSES and total < SMO_MAX_ITER:
             changed = 0
             for i in range(n):
                 e_i = decision(i) - y[i]
-                if (y[i] * e_i < -self.tol and alpha[i] < self.C) or (
-                    y[i] * e_i > self.tol and alpha[i] > 0
+                if (y[i] * e_i < -SMO_TOL and alpha[i] < self.C) or (
+                    y[i] * e_i > SMO_TOL and alpha[i] > 0
                 ):
                     j = int(rng.integers(0, n - 1))
                     if j >= i:
@@ -233,9 +222,9 @@ class BinarySVC:
         n = x.shape[0]
         self._x = x
         self._y = y
-        self._gamma = self.kernel.resolve_gamma(x)
+        self._gamma = scale_gamma(x)
         if gram is None:
-            gram = self.kernel(x, x, gamma=self._gamma)
+            gram = rbf_from_sq_dists(pairwise_sq_dists(x, x), self._gamma)
         else:
             gram = np.asarray(gram, dtype=float)
             if gram.shape != (n, n):
@@ -261,7 +250,9 @@ class BinarySVC:
         if not self._fitted:
             raise RuntimeError("BinarySVC is not fitted")
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        k = self.kernel(x, self._support_x, gamma=self._gamma)
+        k = rbf_from_sq_dists(
+            pairwise_sq_dists(x, self._support_x), self._gamma
+        )
         return k @ (self._alpha * self._support_y) + self._b
 
     def predict(self, x: np.ndarray) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Evaluation utilities: accuracy and confusion matrices.
+"""Evaluation utilities: confusion matrices.
 
 Every accuracy number in the paper's evaluation is a classification score
 over repeated measurements; this module provides the scoring machinery,
@@ -11,19 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-
-def accuracy_score(y_true: np.ndarray, y_pred: np.ndarray) -> float:
-    """Fraction of correct predictions."""
-    y_true = np.asarray(y_true)
-    y_pred = np.asarray(y_pred)
-    if y_true.shape != y_pred.shape:
-        raise ValueError(
-            f"shape mismatch: {y_true.shape} vs {y_pred.shape}"
-        )
-    if y_true.size == 0:
-        raise ValueError("accuracy of zero samples is undefined")
-    return float(np.mean(y_true == y_pred))
 
 
 @dataclass

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import threading
 from bisect import bisect_left
-from typing import Iterable
+from typing import Iterable, Sequence
 
 #: Default latency buckets (milliseconds): roughly logarithmic from
 #: sub-millisecond cache hits to multi-second stragglers.
@@ -86,6 +86,42 @@ class Gauge:
             return self._value
 
 
+def _estimate_percentile(
+    bounds: Sequence[float],
+    counts: Sequence[int],
+    vmin: float,
+    vmax: float,
+    p: float,
+) -> float:
+    """Fixed-bucket percentile estimate, the one rule of this module.
+
+    ``counts[i]`` holds the observations in ``(bounds[i-1], bounds[i]]``
+    and ``counts[-1]`` those above ``bounds[-1]`` (the overflow bucket),
+    so ``len(counts) == len(bounds) + 1``; empty buckets must be kept,
+    as they fix the lower edge of the bucket above them.  The estimate
+    interpolates linearly inside the bucket holding the requested rank,
+    the first bucket starting at ``min(vmin, bounds[0])`` and the
+    overflow bucket ending at ``vmax``, and is clamped to
+    ``[vmin, vmax]``.
+    """
+    count = sum(counts)
+    if count == 0:
+        return 0.0
+    rank = p / 100.0 * count
+    cumulative = 0
+    for index, bucket_count in enumerate(counts):
+        if bucket_count == 0:
+            continue
+        lower = bounds[index - 1] if index > 0 else min(vmin, bounds[0])
+        upper = bounds[index] if index < len(bounds) else vmax
+        if cumulative + bucket_count >= rank:
+            fraction = (rank - cumulative) / bucket_count
+            estimate = lower + fraction * (upper - lower)
+            return float(min(max(estimate, vmin), vmax))
+        cumulative += bucket_count
+    return float(vmax)
+
+
 class Histogram:
     """Fixed-bucket histogram with percentile estimation.
 
@@ -141,32 +177,18 @@ class Histogram:
         if not 0.0 <= p <= 100.0:
             raise ValueError(f"percentile must be in [0, 100], got {p}")
         with self._lock:
-            if self._count == 0:
-                return 0.0
-            rank = p / 100.0 * self._count
-            cumulative = 0
-            for index, bucket_count in enumerate(self._counts):
-                if bucket_count == 0:
-                    continue
-                lower = self.bounds[index - 1] if index > 0 else min(
-                    self._min, self.bounds[0]
-                )
-                upper = (
-                    self.bounds[index]
-                    if index < len(self.bounds)
-                    else self._max
-                )
-                if cumulative + bucket_count >= rank:
-                    fraction = (rank - cumulative) / bucket_count
-                    estimate = lower + fraction * (upper - lower)
-                    return float(
-                        min(max(estimate, self._min), self._max)
-                    )
-                cumulative += bucket_count
-            return float(self._max)
+            return _estimate_percentile(
+                self.bounds, self._counts, self._min, self._max, p
+            )
 
     def snapshot(self) -> dict:
-        """Summary dict: count, mean, min/max, p50/p95/p99, buckets."""
+        """Summary dict: count, mean, min/max, p50/p95/p99, buckets.
+
+        ``buckets`` maps every upper bound (``"inf"`` for the overflow
+        bucket) to its count, empty buckets included: the layout is what
+        lets :meth:`MetricsRegistry.merge` re-estimate percentiles
+        exactly as this instrument does.
+        """
         with self._lock:
             count = self._count
         data = {
@@ -179,74 +201,50 @@ class Histogram:
             "p99": self.percentile(99),
         }
         with self._lock:
-            data["buckets"] = {
-                ("inf" if index == len(self.bounds) else self.bounds[index]):
-                    bucket_count
-                for index, bucket_count in enumerate(self._counts)
-                if bucket_count
-            }
+            data["buckets"] = dict(
+                zip(self.bounds + ("inf",), self._counts)
+            )
         return data
 
 
 def _merge_histogram_snapshots(snapshots: list[dict]) -> dict:
     """Merge several :meth:`Histogram.snapshot` dicts into one.
 
-    Bucket counts are summed per bound (the union of bounds is used, so
-    registries created with different bucket layouts still merge), the
-    mean is count-weighted, min/max are the extremes, and percentiles
-    are re-estimated from the merged buckets with the same
-    interpolation rule the live instrument uses.  Exactness matches the
-    instrument's own contract: estimates inside a bucket, exact p100.
+    Bucket counts are summed per bound over the union of the snapshots'
+    layouts (so registries created with different bucket layouts still
+    merge), the mean is count-weighted, min/max are the extremes, and
+    percentiles are re-estimated from the merged buckets by the rule
+    the live instrument uses.  Snapshots of one layout therefore merge
+    to the percentiles of one histogram that observed every value.
     """
-    live = [s for s in snapshots if s.get("count")]
-    if not live:
-        return {
-            "count": 0, "mean": 0.0, "min": 0.0, "max": 0.0,
-            "p50": 0.0, "p95": 0.0, "p99": 0.0, "buckets": {},
-        }
-    count = sum(s["count"] for s in live)
-    total = sum(s["mean"] * s["count"] for s in live)
-    vmin = min(s["min"] for s in live)
-    vmax = max(s["max"] for s in live)
     merged: dict = {}
-    for snap in live:
+    for snap in snapshots:
         for bound, bucket_count in snap.get("buckets", {}).items():
             key = math.inf if bound == "inf" else float(bound)
             merged[key] = merged.get(key, 0) + bucket_count
     bounds = sorted(b for b in merged if b != math.inf)
     counts = [merged[b] for b in bounds] + [merged.get(math.inf, 0)]
-
-    def estimate(p: float) -> float:
-        rank = p / 100.0 * count
-        cumulative = 0
-        for index, bucket_count in enumerate(counts):
-            if bucket_count == 0:
-                continue
-            lower = bounds[index - 1] if index > 0 else min(
-                vmin, bounds[0] if bounds else vmin
-            )
-            upper = bounds[index] if index < len(bounds) else vmax
-            if cumulative + bucket_count >= rank:
-                fraction = (rank - cumulative) / bucket_count
-                return float(
-                    min(max(lower + fraction * (upper - lower), vmin), vmax)
-                )
-            cumulative += bucket_count
-        return float(vmax)
-
+    buckets = dict(zip(bounds + ["inf"], counts))
+    live = [s for s in snapshots if s.get("count")]
+    if not live:
+        return {
+            "count": 0, "mean": 0.0, "min": 0.0, "max": 0.0,
+            "p50": 0.0, "p95": 0.0, "p99": 0.0, "buckets": buckets,
+        }
+    count = sum(s["count"] for s in live)
+    total = sum(s["mean"] * s["count"] for s in live)
+    vmin = min(s["min"] for s in live)
+    vmax = max(s["max"] for s in live)
     return {
         "count": count,
         "mean": total / count,
         "min": vmin,
         "max": vmax,
-        "p50": estimate(50),
-        "p95": estimate(95),
-        "p99": estimate(99),
-        "buckets": {
-            ("inf" if bound == math.inf else bound): merged[bound]
-            for bound in sorted(merged)
-            if merged[bound]
+        **{
+            f"p{p}": _estimate_percentile(bounds, counts, vmin, vmax, p)
+            for p in (50, 95, 99)
         },
+        "buckets": buckets,
     }
 
 

@@ -120,6 +120,7 @@ class TestDecisionMatrix:
     def test_predict_is_one_kernel_pass(self, monkeypatch):
         import repro.ml.kernels as kernels
         import repro.ml.multiclass as multiclass
+        import repro.ml.svm as svm
 
         x, y = _blobs(10)
         clf = OneVsOneSVC().fit(x, y)
@@ -132,6 +133,7 @@ class TestDecisionMatrix:
 
         monkeypatch.setattr(kernels, "pairwise_sq_dists", counted)
         monkeypatch.setattr(multiclass, "pairwise_sq_dists", counted)
+        monkeypatch.setattr(svm, "pairwise_sq_dists", counted)
         clf.predict(x[:1])
         assert len(calls) == 1
         # Against every support vector of all 45 machines at once.

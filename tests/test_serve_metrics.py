@@ -1,11 +1,13 @@
 """Tests for the dependency-free metrics registry."""
 
+import json
 import threading
 
 import pytest
 
 from repro.serve.metrics import (
     BATCH_SIZE_BUCKETS,
+    LATENCY_BUCKETS_MS,
     Counter,
     Gauge,
     Histogram,
@@ -96,7 +98,10 @@ class TestHistogram:
         assert h.percentile(50) == 0.0
         snap = h.snapshot()
         assert snap["count"] == 0
-        assert snap["buckets"] == {}
+        # The layout is kept even with nothing observed.
+        assert snap["buckets"] == dict.fromkeys(
+            LATENCY_BUCKETS_MS + ("inf",), 0
+        )
 
     def test_percentile_bounds_checked(self):
         with pytest.raises(ValueError):
@@ -198,13 +203,55 @@ class TestMerge:
 
     def test_merge_survives_json_round_trip(self):
         # Cross-process snapshots arrive JSON-ified (string bucket keys).
-        import json
-
         a = self._registry(2, [1.0, 50.0, 900.0]).snapshot()
         round_tripped = json.loads(json.dumps(a))
         merged = MetricsRegistry.merge([round_tripped])
         assert merged["histograms"]["latency_ms"]["count"] == 3
         assert merged["histograms"]["latency_ms"]["max"] == 900.0
+
+
+class TestMergeKeepsPercentiles:
+    """A merge re-estimates percentiles exactly as the live histogram.
+
+    The snapshot keeps empty buckets: they fix the lower edge of the
+    bucket above them.  A merge that lost them read 7, 8, 9 and 30 ms as
+    three values in (7, 10] instead of (5, 10], so its p50 was 9.0, not
+    the live 8.33.
+    """
+
+    QUANTILES = ("p50", "p95", "p99")
+
+    @staticmethod
+    def _registry(values):
+        registry = MetricsRegistry()
+        histogram = registry.histogram("latency_ms")
+        for value in values:
+            histogram.observe(value)
+        return registry
+
+    @pytest.mark.parametrize(
+        "values", [[7.0, 8.0, 9.0, 30.0], [float(v) for v in range(1, 200)]]
+    )
+    def test_single_snapshot_merges_to_itself(self, values):
+        snap = self._registry(values).snapshot()
+        live = snap["histograms"]["latency_ms"]
+        for source in (snap, json.loads(json.dumps(snap))):
+            merged = MetricsRegistry.merge([source])["histograms"]
+            for quantile in self.QUANTILES:
+                assert merged["latency_ms"][quantile] == live[quantile]
+
+    def test_two_snapshots_equal_one_histogram_of_both(self):
+        first = [0.7, 3.0, 7.0, 8.0, 9.0, 30.0, 45.0]
+        second = [0.2, 1.5, 9.5, 60.0, 250.0, 12000.0]
+        a = self._registry(first).snapshot()
+        b = json.loads(json.dumps(self._registry(second).snapshot()))
+        merged = MetricsRegistry.merge([a, b])["histograms"]["latency_ms"]
+        expected = self._registry(first + second).snapshot()
+        expected = expected["histograms"]["latency_ms"]
+        for field in ("count", "min", "max") + self.QUANTILES:
+            assert merged[field] == expected[field], field
+        assert merged["mean"] == pytest.approx(expected["mean"], rel=1e-12)
+        assert merged["buckets"] == expected["buckets"]
 
 
 class TestMergeIdempotency:

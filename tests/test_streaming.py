@@ -18,7 +18,6 @@ import pytest
 
 from repro.channel.materials import default_catalog
 from repro.core.feature import theory_reference_omegas
-from repro.core.config import OUTLIER_SIGMAS
 from repro.core.pipeline import WiMi
 from repro.core.amplitude import _AMPLITUDE_EPS
 from repro.core.streaming import (
@@ -37,7 +36,6 @@ from repro.dsp.streaming import (
     RunningVariance,
     window_log_sums,
 )
-from repro.dsp.wavelet_denoise import remove_outliers
 from repro.engine.cache import StageCache
 from repro.persist import ArtifactStore
 from repro.experiments.datasets import (
@@ -166,21 +164,12 @@ class TestWindowLogSums:
         rows = 1.0 + 0.01 * rng.standard_normal((8, 6))
         rows[:, 2] = np.nan  # dead for the whole window
         rows[5, 4] = np.nan  # one lost sample: imputed with the median
-        log_sum, count = window_log_sums(rows, 1e-9, 3.0)
+        log_sum, count = window_log_sums(rows, 1e-9)
         assert count.tolist() == [8, 8, 0, 8, 8, 8]
         assert log_sum[2] == 0.0
         filled = rows[:, 4].copy()
         filled[5] = np.median(rows[np.isfinite(rows[:, 4]), 4])
         assert log_sum[4] == pytest.approx(np.log(filled).sum(), rel=1e-12)
-
-    def test_outliers_are_replaced_before_the_log(self):
-        rows = np.ones((16, 2))
-        rows[7, 0] = 50.0  # a 3-sigma spike needs >= 11 samples
-        kept, _ = window_log_sums(rows, 1e-9, None)
-        rejected, _ = window_log_sums(rows, 1e-9, 3.0)
-        assert kept[0] == np.log(50.0)
-        assert rejected[0] == 0.0
-        assert rejected[1] == kept[1] == 0.0
 
 
 # ----------------------------------------------------------------------
@@ -394,35 +383,27 @@ def long_session(fitted):
     )
 
 
-def _window_oracle(size):
-    """``mean_log_ratio`` recomputed from the outlier-rejected windows.
+def _window_oracle(trace, pair):
+    """``mean_log_ratio`` recomputed from the completed windows.
 
-    Walks every ``size``-row window the trace has completed, rejects
-    outliers in the raw rows, clips and logs them, and averages each
-    channel over all windows -- no running state.
+    Walks every window the trace has completed, clips and logs its raw
+    rows, and averages each channel over all windows -- no running
+    state.
     """
-    hop = STREAM_HOP
-
-    def mean_log_ratio(trace, pair):
-        rows = np.array([np.abs(p.csi).ravel() for p in trace.packets])
-        total = np.zeros(rows.shape[1])
-        count = 0
-        for start in range(0, len(rows) - size + 1, hop):
-            cleaned, _ = remove_outliers(
-                rows[start:start + size], OUTLIER_SIGMAS
-            )
-            total = total + np.log(np.clip(cleaned, _AMPLITUDE_EPS, None)).sum(
-                axis=0
-            )
-            count += size
-        if count == 0:
-            return np.full(trace.num_subcarriers, np.nan)
-        mean = (total / count).reshape(
-            trace.num_subcarriers, trace.num_antennas
+    size, hop = STREAM_WINDOW_SIZE, STREAM_HOP
+    rows = np.array([np.abs(p.csi).ravel() for p in trace.packets])
+    total = np.zeros(rows.shape[1])
+    count = 0
+    for start in range(0, len(rows) - size + 1, hop):
+        window = rows[start:start + size]
+        total = total + np.log(np.clip(window, _AMPLITUDE_EPS, None)).sum(
+            axis=0
         )
-        return mean[:, pair[0]] - mean[:, pair[1]]
-
-    return mean_log_ratio
+        count += size
+    if count == 0:
+        return np.full(trace.num_subcarriers, np.nan)
+    mean = (total / count).reshape(trace.num_subcarriers, trace.num_antennas)
+    return mean[:, pair[0]] - mean[:, pair[1]]
 
 
 def _swap_memos(stream, memos=None):
@@ -450,53 +431,30 @@ class TestPollPath:
         The reference side reads no memo: every memo is dropped before
         the recompute, and the stream's own memos are put back after it,
         so the next poll neither reads what the reference built nor
-        misses a stale memo the stream failed to drop.  A 3-sigma
-        outlier needs at least 11 samples (the largest population
-        z-score among n samples is sqrt(n - 1)), so the 8-packet
-        preview windows never screen anything; a second pass at
-        16-packet windows makes the fixed 3-sigma screen flag samples,
-        so the comparison covers a screen that changes the sums.
+        misses a stale memo the stream failed to drop.
         """
-        import repro.core.streaming as core_streaming
-        import repro.dsp.streaming as dsp_streaming
-
-        flagged: list[bool] = []
-        reject = dsp_streaming.remove_outliers
-
-        def recording_reject(rows, *args):
-            cleaned, mask = reject(rows, *args)
-            flagged.append(bool(mask.any()))
-            return cleaned, mask
-
-        monkeypatch.setattr(dsp_streaming, "remove_outliers", recording_reject)
-        wimi = fitted[0]
-        for size in (STREAM_WINDOW_SIZE, 16):
-            monkeypatch.setattr(core_streaming, "STREAM_WINDOW_SIZE", size)
-            flagged.clear()  # keep only the last (16-packet) run's windows
-            stream = wimi.clone_view().streaming_extractor(
-                scene=long_session.scene
-            )
-            stream.push_baseline(long_session.baseline)
-            oracle = _window_oracle(size)
-            ready = 0
-            for packet in long_session.target.packets:
-                stream.push_target(packet)
-                polled = stream.estimate()
-                held = _swap_memos(stream)
-                with monkeypatch.context() as patch:
-                    patch.setattr(_TraceStream, "mean_log_ratio", oracle)
-                    reference = stream._snapshot(stream._resolve())
-                _swap_memos(stream, held)
-                if polled.ready:
-                    ready += 1
-                    assert polled == reference
-                else:
-                    assert not reference.ready
-                    assert polled.target_packets == reference.target_packets
-                assert stream.estimate() is polled  # no new packet, no work
-            # Live from the first target window on.
-            assert ready == len(long_session.target) - size + 1
-        assert any(flagged)
+        stream = fitted[0].clone_view().streaming_extractor(
+            scene=long_session.scene
+        )
+        stream.push_baseline(long_session.baseline)
+        ready = 0
+        for packet in long_session.target.packets:
+            stream.push_target(packet)
+            polled = stream.estimate()
+            held = _swap_memos(stream)
+            with monkeypatch.context() as patch:
+                patch.setattr(_TraceStream, "mean_log_ratio", _window_oracle)
+                reference = stream._snapshot(stream._resolve())
+            _swap_memos(stream, held)
+            if polled.ready:
+                ready += 1
+                assert polled == reference
+            else:
+                assert not reference.ready
+                assert polled.target_packets == reference.target_packets
+            assert stream.estimate() is polled  # no new packet, no work
+        # Live from the first target window on.
+        assert ready == len(long_session.target) - STREAM_WINDOW_SIZE + 1
 
     def test_log_ratio_reductions_are_bounded_by_windows(
         self, fitted, long_session, monkeypatch
@@ -511,22 +469,15 @@ class TestPollPath:
         import repro.dsp.streaming as dsp_streaming
 
         reduced: list[int] = []
-        rejected: list[int] = []
         window_log_sums = dsp_streaming.window_log_sums
-        reject = dsp_streaming.remove_outliers
 
         def counting_sums(rows, *args):
             reduced.append(len(rows))
             return window_log_sums(rows, *args)
 
-        def counting_reject(rows, *args):
-            rejected.append(len(rows))
-            return reject(rows, *args)
-
         monkeypatch.setattr(
             "repro.engine.graph.window_log_sums", counting_sums
         )
-        monkeypatch.setattr(dsp_streaming, "remove_outliers", counting_reject)
         wimi, _ = fitted
         size, hop = STREAM_WINDOW_SIZE, STREAM_HOP
         stream = wimi.clone_view(cache=StageCache()).streaming_extractor(
@@ -545,7 +496,7 @@ class TestPollPath:
         )
         assert windows == len(reduced) == expected
         assert stream.estimate().windows_denoised == expected
-        assert set(reduced) == set(rejected) == {size}
+        assert set(reduced) == {size}
         channels = long_session.target.num_subcarriers * (
             long_session.target.num_antennas
         )
