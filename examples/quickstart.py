@@ -34,8 +34,8 @@ def main() -> None:
 
     wimi = WiMi(theory_reference_omegas(liquids), WiMiConfig())
     wimi.fit(training)
-    print(f"  antenna pair: {wimi.calibrated_pair}")
-    print(f"  good subcarriers: {wimi.calibrated_subcarriers}")
+    print(f"  antenna pair: {wimi.calibration.pair}")
+    print(f"  good subcarriers: {list(wimi.calibration.main_subcarriers)}")
 
     print("\nIdentifying fresh measurements:")
     correct = 0

@@ -143,11 +143,3 @@ class AntennaPairSelector:
                 f"or saturated)"
             )
         return sorted(usable, key=lambda s: s.score)
-
-    def best_pair(
-        self,
-        session: CaptureSession,
-        exclude_antennas: Sequence[int] | None = None,
-    ) -> tuple[int, int]:
-        """The most stable usable antenna pair for this session."""
-        return self.rank(session, exclude_antennas)[0].pair

@@ -70,7 +70,7 @@ def theory_reference_omegas(materials: list[Material]) -> dict[str, float]:
 def resolve_gamma(
     theta_wrapped: float,
     neg_log_psi: float,
-    reference_omegas: dict[str, float] | list[float],
+    reference_omegas: dict[str, float],
     max_gamma: int = 4,
     strategy: str = "dictionary",
 ) -> tuple[int, float]:
@@ -80,18 +80,15 @@ def resolve_gamma(
         theta_wrapped: Measured ``Delta-Theta`` in ``(-pi, pi]`` (paper
             sign convention).
         neg_log_psi: ``-ln(Delta-Psi)`` from the amplitude side.
-        reference_omegas: Candidate material features (all positive).
+        reference_omegas: Candidate material features by name (all
+            positive).
         max_gamma: Bound on ``|gamma|``.
         strategy: ``"dictionary"`` or ``"envelope"``.
 
     Returns:
         ``(gamma, omega_estimate)``.
     """
-    omegas = list(
-        reference_omegas.values()
-        if isinstance(reference_omegas, dict)
-        else reference_omegas
-    )
+    omegas = list(reference_omegas.values())
     if not omegas:
         raise ValueError("reference_omegas must not be empty")
     if any(not math.isfinite(o) or o <= 0 for o in omegas):
@@ -193,7 +190,7 @@ def resolve_gamma_with_coarse(
 def coarse_omega_estimate(
     theta_wrapped: float,
     neg_log_psi: float,
-    reference_omegas: dict[str, float] | list[float],
+    reference_omegas: dict[str, float],
     max_gamma: int = 1,
 ) -> float:
     """Coarse Omega-bar from a small-lever pair's (theta, N) pair.
@@ -203,11 +200,7 @@ def coarse_omega_estimate(
     if it falls far outside the physical envelope, the nearest in-envelope
     branch is used instead.
     """
-    omegas = list(
-        reference_omegas.values()
-        if isinstance(reference_omegas, dict)
-        else reference_omegas
-    )
+    omegas = list(reference_omegas.values())
     if not omegas:
         raise ValueError("reference_omegas must not be empty")
     lo = min(omegas) * 0.5
@@ -369,17 +362,12 @@ class MaterialFeatureExtractor:
 
     def __init__(
         self,
-        reference_omegas: dict[str, float] | list[float],
+        reference_omegas: dict[str, float],
         calibrator: PhaseCalibrator | None = None,
         amplitude: AmplitudeProcessor | None = None,
         gamma_strategy: str = "dictionary",
     ):
-        omegas = list(
-            reference_omegas.values()
-            if isinstance(reference_omegas, dict)
-            else reference_omegas
-        )
-        if not omegas:
+        if not reference_omegas:
             raise ValueError("reference_omegas must not be empty")
         self.reference_omegas = reference_omegas
         self.calibrator = calibrator if calibrator is not None else PhaseCalibrator()

@@ -29,8 +29,11 @@ Typical use::
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import hashlib
+from collections.abc import Mapping
+from types import MappingProxyType
 
 from repro.core.amplitude import AmplitudeProcessor
 from repro.core.antenna import AntennaPairSelector
@@ -88,6 +91,114 @@ def _deployment_config_fingerprint(config: WiMiConfig) -> str:
     return config_fingerprint(config, fields)
 
 
+Pair = tuple[int, int]
+
+
+def _as_pair(value) -> Pair:
+    i, j = value
+    return (int(i), int(j))
+
+
+@dataclasses.dataclass(frozen=True)
+class DeploymentCalibration:
+    """The antenna pairs and good subcarriers fixed for one deployment.
+
+    The paper chooses both once per deployment (Sec. III-B names the good
+    subcarriers, Sec. III-F picks the most stable antenna pair) and
+    reuses them for every measurement.  :meth:`WiMi.calibrate` builds
+    this record; every view of the pipeline shares it, and the model
+    registry stores it (:meth:`to_state`/:meth:`from_state`).  Fields are
+    normalised to tuples of ints and ``subcarriers`` is a read-only
+    mapping, so the record cannot change after it is built.
+
+    Attributes:
+        feature_pairs: Pairs whose feature blocks form the vector, the
+            main pair first.
+        ranked_pairs: Every precise pair, most stable first; a degraded
+            session whose pair touches a dead antenna falls back along
+            this ranking.
+        coarse_pair: Smallest-lever pair for coarse gamma resolution
+            (None when the deployment has none).
+        subcarriers: Good subcarriers of each feature pair.
+    """
+
+    feature_pairs: tuple[Pair, ...]
+    ranked_pairs: tuple[Pair, ...]
+    coarse_pair: Pair | None
+    subcarriers: Mapping[Pair, tuple[int, ...]]
+
+    def __post_init__(self) -> None:
+        fields = {
+            "feature_pairs": tuple(_as_pair(p) for p in self.feature_pairs),
+            "ranked_pairs": tuple(_as_pair(p) for p in self.ranked_pairs),
+            "coarse_pair": (
+                _as_pair(self.coarse_pair) if self.coarse_pair else None
+            ),
+            "subcarriers": MappingProxyType(
+                {
+                    _as_pair(pair): tuple(int(k) for k in chosen)
+                    for pair, chosen in self.subcarriers.items()
+                }
+            ),
+        }
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+        if not self.feature_pairs:
+            raise ValueError("a calibration needs at least one feature pair")
+        missing = [p for p in self.feature_pairs if p not in self.subcarriers]
+        if missing:
+            raise ValueError(f"no subcarriers for feature pair(s) {missing}")
+
+    @property
+    def pair(self) -> Pair:
+        """The main antenna pair."""
+        return self.feature_pairs[0]
+
+    @property
+    def main_subcarriers(self) -> tuple[int, ...]:
+        """The good subcarriers of the main pair (possibly empty)."""
+        return self.subcarriers[self.pair]
+
+    def to_state(self) -> dict:
+        """JSON-ready state, in the registry bundle's calibration layout.
+
+        ``pair`` and ``subcarriers`` are derived from the other fields;
+        they are written so bundles keep one layout across versions.
+        """
+        return {
+            "pair": list(self.pair),
+            "feature_pairs": [list(p) for p in self.feature_pairs],
+            "ranked_pairs": [list(p) for p in self.ranked_pairs],
+            "coarse_pair": list(self.coarse_pair) if self.coarse_pair else None,
+            "subcarriers": list(self.main_subcarriers),
+            "subcarriers_by_pair": {
+                f"{i},{j}": list(chosen)
+                for (i, j), chosen in self.subcarriers.items()
+            },
+        }
+
+    @classmethod
+    def from_state(cls, state: dict) -> "DeploymentCalibration":
+        """Rebuild from :meth:`to_state`; refuses inconsistent state."""
+        calibration = cls(
+            feature_pairs=state["feature_pairs"] or (),
+            ranked_pairs=state["ranked_pairs"],
+            coarse_pair=state["coarse_pair"],
+            subcarriers={
+                tuple(key.split(",")): chosen
+                for key, chosen in state["subcarriers_by_pair"].items()
+            },
+        )
+        derived = calibration.to_state()
+        for key in ("pair", "subcarriers"):
+            if state[key] != derived[key]:
+                raise ValueError(
+                    f"saved calibration has {key}={state[key]!r} but its "
+                    f"feature pairs give {derived[key]!r}"
+                )
+        return calibration
+
+
 class WiMi:
     """Commodity Wi-Fi material identification, end to end.
 
@@ -105,7 +216,7 @@ class WiMi:
 
     def __init__(
         self,
-        reference_omegas: dict[str, float] | list[float],
+        reference_omegas: dict[str, float],
         config: WiMiConfig | None = None,
         cache: StageCache | None = None,
     ):
@@ -141,12 +252,8 @@ class WiMi:
         self.database = MaterialDatabase()
         self._classifier: DatabaseClassifier | None = None
         self._classifier_token: str = ""
-        self._pair: tuple[int, int] | None = None
-        self._feature_pairs: list[tuple[int, int]] | None = None
-        self._ranked_pairs: list[tuple[int, int]] | None = None
-        self._coarse_pair: tuple[int, int] | None = None
-        self._subcarriers: list[int] | None = None
-        self._subcarriers_by_pair: dict[tuple[int, int], list[int]] = {}
+        #: Fixed by :meth:`calibrate` (None before); extraction needs it.
+        self.calibration: DeploymentCalibration | None = None
 
     # ------------------------------------------------------------------
     # Concurrency views
@@ -156,8 +263,9 @@ class WiMi:
         """A facade sharing this instance's state but owning its engine.
 
         The view shares the (read-only after ``fit``) heavy components --
-        extractor, calibrator, denoiser, database, trained classifier --
-        and, by default, the stage cache, but gets a *private*
+        extractor, calibrator, denoiser, database, trained classifier,
+        the frozen :class:`DeploymentCalibration` -- and, by default,
+        the stage cache, but gets a *private*
         :class:`repro.engine.PipelineEngine` and therefore a private
         hook list.  That is the shape the serving worker pool needs: N
         threads identifying concurrently, every artifact shared through
@@ -170,13 +278,7 @@ class WiMi:
                 an artifact-cold view (used by the serving benchmark's
                 sequential baseline).
         """
-        view = object.__new__(type(self))
-        view.config = self.config
-        view.calibrator = self.calibrator
-        view.subcarrier_selector = self.subcarrier_selector
-        view.amplitude = self.amplitude
-        view.pair_selector = self.pair_selector
-        view.extractor = self.extractor
+        view = copy.copy(self)
         view.cache = cache if cache is not None else self.cache
         view.engine = PipelineEngine(
             extractor=self.extractor,
@@ -184,28 +286,6 @@ class WiMi:
             config=self.config,
             cache=view.cache,
         )
-        view.database = self.database
-        view._classifier = self._classifier
-        view._classifier_token = self._classifier_token
-        view._pair = self._pair
-        view._feature_pairs = (
-            list(self._feature_pairs)
-            if self._feature_pairs is not None
-            else None
-        )
-        view._ranked_pairs = (
-            list(self._ranked_pairs)
-            if self._ranked_pairs is not None
-            else None
-        )
-        view._coarse_pair = self._coarse_pair
-        view._subcarriers = (
-            list(self._subcarriers) if self._subcarriers is not None else None
-        )
-        view._subcarriers_by_pair = {
-            pair: list(subcarriers)
-            for pair, subcarriers in self._subcarriers_by_pair.items()
-        }
         return view
 
     # ------------------------------------------------------------------
@@ -218,7 +298,8 @@ class WiMi:
         The paper performs both choices once per deployment (Sec. III-B
         names subcarriers 5, 20, 23, 24; Sec. III-F picks the most stable
         antenna pair) and then reuses them for every measurement.  ``fit``
-        calls this automatically on the training sessions.
+        calls this automatically on the training sessions.  The result is
+        :attr:`calibration`.
         """
         if not sessions:
             raise ValueError("need at least one calibration session")
@@ -227,12 +308,8 @@ class WiMi:
         # The coarse (smallest-lever) pair is reserved for gamma
         # resolution: it is "stable" in the variance sense but carries the
         # least material signal, so it must not crowd out a precise pair.
-        self._coarse_pair = self._find_coarse_pair(sessions[0], None)
-        precise = [p for p in ranked if p != self._coarse_pair] or ranked
-        # Keep the full precise ranking: a degraded identify-time session
-        # whose calibrated pair touches a dead antenna falls back to the
-        # next-best usable pair from this list.
-        self._ranked_pairs = list(precise)
+        coarse_pair = self._find_coarse_pair(sessions[0], None)
+        precise = [p for p in ranked if p != coarse_pair] or ranked
 
         if self.config.antenna_pair is not None:
             pair = self.config.antenna_pair
@@ -243,7 +320,6 @@ class WiMi:
                 )
         else:
             pair = precise[0]
-        self._pair = pair
 
         # Feature pairs: the main pair, then the next most stable precise
         # ones.
@@ -254,21 +330,23 @@ class WiMi:
                 break
             if candidate != pair:
                 feature_pairs.append(candidate)
-        self._feature_pairs = feature_pairs
 
-        self._subcarriers_by_pair = {}
-        for fp in feature_pairs:
-            if self.config.subcarrier_override is not None:
-                self._subcarriers_by_pair[fp] = list(
-                    self.config.subcarrier_override
-                )
-            else:
-                self._subcarriers_by_pair[fp] = list(
-                    self.engine.select_subcarriers(
+        override = self.config.subcarrier_override
+        self.calibration = DeploymentCalibration(
+            feature_pairs=tuple(feature_pairs),
+            ranked_pairs=tuple(precise),
+            coarse_pair=coarse_pair,
+            subcarriers={
+                fp: (
+                    override
+                    if override is not None
+                    else self.engine.select_subcarriers(
                         sessions, fp, count=self.config.num_good_subcarriers
                     ).subcarriers
                 )
-        self._subcarriers = self._subcarriers_by_pair[pair]
+                for fp in feature_pairs
+            },
+        )
         return self
 
     def _rank_pairs(self, sessions: list[CaptureSession]) -> list[tuple[int, int]]:
@@ -319,52 +397,9 @@ class WiMi:
                 best_pair = pair
         return best_pair
 
-    @property
-    def calibrated_coarse_pair(self) -> tuple[int, int] | None:
-        """Small-lever pair fixed by :meth:`calibrate` (None before)."""
-        return self._coarse_pair
-
-    @property
-    def calibrated_pair(self) -> tuple[int, int] | None:
-        """Antenna pair fixed by :meth:`calibrate` (None before)."""
-        return self._pair
-
-    @property
-    def calibrated_subcarriers(self) -> list[int] | None:
-        """Subcarriers fixed by :meth:`calibrate` (None before).
-
-        An explicitly calibrated *empty* selection is returned as ``[]``,
-        not ``None`` (``None`` strictly means "calibrate was not run").
-        """
-        return list(self._subcarriers) if self._subcarriers is not None else None
-
     # ------------------------------------------------------------------
     # Feature extraction
     # ------------------------------------------------------------------
-
-    def choose_pair(self, session: CaptureSession) -> tuple[int, int]:
-        """The antenna pair for a session (calibrated, configured, or
-        per-session best)."""
-        if self._pair is not None:
-            return self._pair
-        if self.config.antenna_pair is not None:
-            i, j = self.config.antenna_pair
-            if max(i, j) >= session.num_antennas:
-                raise ValueError(
-                    f"configured pair {self.config.antenna_pair} needs more "
-                    f"antennas than the session's {session.num_antennas}"
-                )
-            return (i, j)
-        return self.pair_selector.best_pair(session)
-
-    def _session_pairs(
-        self, session: CaptureSession
-    ) -> list[tuple[int, int]]:
-        """The feature pairs to extract for a session."""
-        if self._feature_pairs is not None:
-            return self._feature_pairs
-        # Uncalibrated ad-hoc use: just the main pair.
-        return [self.choose_pair(session)]
 
     def _subcarriers_for(
         self,
@@ -374,8 +409,10 @@ class WiMi:
     ) -> list[int]:
         """Calibrated subcarriers for ``pair``, or a fresh selection.
 
-        Uses an explicit ``is None`` check: a legitimately-empty
-        calibrated list must not fall through to re-selection.
+        A pair outside the calibration (a degraded session's substitute)
+        takes the override, else the main pair's subcarriers.  Uses an
+        explicit ``is None`` check: a legitimately-empty calibrated list
+        must not fall through to re-selection.
 
         ``exclude`` (quality-disqualified subcarriers) removes members
         of the calibrated/override list and tops the selection back up
@@ -385,9 +422,9 @@ class WiMi:
         :class:`~repro.csi.quality.CorruptTraceError` when too few
         usable subcarriers remain to preserve that width.
         """
-        selected = self._subcarriers_by_pair.get(pair)
+        selected = self.calibration.subcarriers.get(pair)
         if selected is None and self.config.subcarrier_override is not None:
-            selected = list(self.config.subcarrier_override)
+            selected = self.config.subcarrier_override
         if selected is not None:
             if not exclude:
                 return list(selected)
@@ -411,8 +448,8 @@ class WiMi:
                     f"only {len(refill)} usable substitutes remain"
                 )
             return sorted(kept + list(refill))
-        if self._subcarriers is not None and not exclude:
-            return list(self._subcarriers)
+        if not exclude:
+            return list(self.calibration.main_subcarriers)
         count = self.config.num_good_subcarriers
         chosen = list(
             self.engine.select_subcarriers(
@@ -454,12 +491,13 @@ class WiMi:
         self, session: CaptureSession, dead: set[int]
     ) -> list[tuple[int, int]]:
         """Precise pairs not touching a dead antenna, most stable first."""
-        if self._ranked_pairs is not None:
-            usable = [p for p in self._ranked_pairs if dead.isdisjoint(p)]
-            if usable:
-                return usable
-        # Not calibrated (or every calibrated pair is dead): rank the
-        # survivors on this session alone.  rank() itself raises
+        usable = [
+            p for p in self.calibration.ranked_pairs if dead.isdisjoint(p)
+        ]
+        if usable:
+            return usable
+        # Every calibrated pair is dead: rank the survivors on this
+        # session alone.  rank() itself raises
         # CorruptTraceError when nothing usable remains.
         return [
             s.pair
@@ -495,7 +533,7 @@ class WiMi:
                 )
                 substituted.append(replacement)
             pairs = substituted
-        coarse = self._coarse_pair
+        coarse = self.calibration.coarse_pair
         if coarse is not None and not dead.isdisjoint(coarse):
             coarse = None
         if (
@@ -523,10 +561,18 @@ class WiMi:
         re-derived or approximated -- and the resulting
         :class:`~repro.core.feature.SessionFeatures` carries the
         :class:`~repro.csi.quality.SessionQualityReport`.
+
+        Raises :class:`RuntimeError` before :meth:`calibrate` or
+        :meth:`fit`: the pairs and subcarriers are the deployment's.
         """
+        calibration = self.calibration
+        if calibration is None:
+            raise RuntimeError(
+                "WiMi is not calibrated; call calibrate() or fit() first"
+            )
         quality = self._gate(session)
-        pairs = self._session_pairs(session)
-        coarse = self._coarse_pair
+        pairs = list(calibration.feature_pairs)
+        coarse = calibration.coarse_pair
         exclude_sc: tuple[int, ...] = ()
         coarse_fallback = False
         if quality.is_degraded:
@@ -574,10 +620,7 @@ class WiMi:
 
     def _true_omega_for(self, session: CaptureSession) -> float | None:
         """Ground-truth Omega-bar for a labelled session, if known."""
-        refs = self.extractor.reference_omegas
-        if isinstance(refs, dict):
-            return refs.get(session.material_name)
-        return None
+        return self.extractor.reference_omegas.get(session.material_name)
 
     # ------------------------------------------------------------------
     # Batch APIs
@@ -641,8 +684,7 @@ class WiMi:
 
     def _omega_envelope(self) -> tuple[float, float]:
         """Generous physical envelope of the reference Omega-bar values."""
-        refs = self.extractor.reference_omegas
-        values = list(refs.values()) if isinstance(refs, dict) else list(refs)
+        values = self.extractor.reference_omegas.values()
         return (min(values) * 0.4, max(values) * 2.0)
 
     # ------------------------------------------------------------------
@@ -791,40 +833,13 @@ class WiMi:
 
         db_meta, db_arrays = self.database.to_state()
         clf_meta, clf_arrays = self._classifier.to_state()
-        refs = self.extractor.reference_omegas
         meta = {
-            "reference_omegas": (
-                {str(k): float(v) for k, v in refs.items()}
-                if isinstance(refs, dict)
-                else [float(v) for v in refs]
-            ),
-            "config": dataclasses.asdict(self.config),
-            "calibration": {
-                "pair": list(self._pair) if self._pair else None,
-                "feature_pairs": (
-                    [list(p) for p in self._feature_pairs]
-                    if self._feature_pairs is not None
-                    else None
-                ),
-                "ranked_pairs": (
-                    [list(p) for p in self._ranked_pairs]
-                    if self._ranked_pairs is not None
-                    else None
-                ),
-                "coarse_pair": (
-                    list(self._coarse_pair) if self._coarse_pair else None
-                ),
-                "subcarriers": (
-                    list(self._subcarriers)
-                    if self._subcarriers is not None
-                    else None
-                ),
-                "subcarriers_by_pair": {
-                    f"{i},{j}": list(subcarriers)
-                    for (i, j), subcarriers in
-                    self._subcarriers_by_pair.items()
-                },
+            "reference_omegas": {
+                str(k): float(v)
+                for k, v in self.extractor.reference_omegas.items()
             },
+            "config": dataclasses.asdict(self.config),
+            "calibration": self.calibration.to_state(),
             "database": db_meta,
             "classifier": clf_meta,
             "classifier_token": self._classifier_token,
@@ -906,40 +921,19 @@ class WiMi:
         config = WiMiConfig(**{**config_dict, **(config_overrides or {})})
 
         refs = meta["reference_omegas"]
-        reference_omegas = (
-            {str(k): float(v) for k, v in refs.items()}
-            if isinstance(refs, dict)
-            else [float(v) for v in refs]
+        if not isinstance(refs, dict):
+            raise ValueError(
+                "saved state has a list-form reference_omegas; the "
+                "pipeline needs a {material: omega} dictionary"
+            )
+        wimi = cls(
+            {str(k): float(v) for k, v in refs.items()},
+            config=config,
+            cache=cache,
         )
-        wimi = cls(reference_omegas, config=config, cache=cache)
-
-        calibration = meta["calibration"]
-
-        def _tuple_or_none(value):
-            return tuple(int(v) for v in value) if value else None
-
-        wimi._pair = _tuple_or_none(calibration["pair"])
-        wimi._feature_pairs = (
-            [tuple(int(v) for v in p) for p in calibration["feature_pairs"]]
-            if calibration["feature_pairs"] is not None
-            else None
+        wimi.calibration = DeploymentCalibration.from_state(
+            meta["calibration"]
         )
-        wimi._ranked_pairs = (
-            [tuple(int(v) for v in p) for p in calibration["ranked_pairs"]]
-            if calibration["ranked_pairs"] is not None
-            else None
-        )
-        wimi._coarse_pair = _tuple_or_none(calibration["coarse_pair"])
-        wimi._subcarriers = (
-            [int(k) for k in calibration["subcarriers"]]
-            if calibration["subcarriers"] is not None
-            else None
-        )
-        wimi._subcarriers_by_pair = {
-            tuple(int(v) for v in key.split(",")): [int(k) for k in subs]
-            for key, subs in calibration["subcarriers_by_pair"].items()
-        }
-
         wimi.database = MaterialDatabase.from_state(meta["database"], arrays)
         wimi._classifier = DatabaseClassifier.from_state(
             meta["classifier"], arrays

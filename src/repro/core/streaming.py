@@ -281,11 +281,18 @@ class StreamingExtractor:
         self._wimi = wimi
         self._scene = scene
         self._material_name = material_name
-        self._pair = wimi.calibrated_pair
-        self._subcarriers = wimi.calibrated_subcarriers
-        if self._pair is None or not self._subcarriers:
+        calibration = wimi.calibration
+        self._pair = calibration.pair
+        self._subcarriers = list(calibration.main_subcarriers)
+        #: The calibrated coarse pair, when distinct from the main one.
+        self._coarse = (
+            calibration.coarse_pair
+            if calibration.coarse_pair != self._pair
+            else None
+        )
+        if not self._subcarriers:
             raise RuntimeError(
-                "WiMi has no calibrated pair/subcarriers to stream against"
+                "WiMi has no calibrated subcarriers to stream against"
             )
         self._baseline: _TraceStream | None = None
         self._target: _TraceStream | None = None
@@ -459,7 +466,7 @@ class StreamingExtractor:
 
         # Coarse anchor from the calibrated small-lever pair, when live.
         omega_coarse = math.nan
-        coarse = self._coarse_pair()
+        coarse = self._coarse
         if coarse is not None:
             c_theta_agg = circular_mean(self._theta(coarse), ignore_nan=True)
             if math.isfinite(c_theta_agg) and math.isfinite(c_n_agg):
@@ -480,13 +487,6 @@ class StreamingExtractor:
             )
         return int(gamma), float(omega)
 
-    def _coarse_pair(self) -> tuple[int, int] | None:
-        """The calibrated coarse pair, when distinct from the main one."""
-        coarse = self._wimi.calibrated_coarse_pair
-        if coarse is None or tuple(coarse) == tuple(self._pair):
-            return None
-        return coarse
-
     def _amplitude_aggregates(self) -> tuple[float, float]:
         """Finite mean of the main pair's selected Eq. 19 observable and
         finite median of the coarse pair's (NaN when absent or empty).
@@ -499,7 +499,7 @@ class StreamingExtractor:
             n_agg = float(
                 finite_mean(self._neg_log_psi(self._pair)[self._subcarriers])
             )
-            coarse = self._coarse_pair()
+            coarse = self._coarse
             c_n_agg = (
                 math.nan
                 if coarse is None

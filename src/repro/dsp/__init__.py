@@ -3,7 +3,7 @@
 The paper's amplitude denoiser needs per-scale wavelet coefficients and an
 undecimated (stationary) transform; no wavelet library is available
 offline, so :mod:`repro.dsp.wavelet` implements the db2 undecimated SWT
-with exact reconstruction (and a decimated db2 DWT that no stage calls).  :mod:`repro.dsp.wavelet_denoise` builds the
+with exact reconstruction.  :mod:`repro.dsp.wavelet_denoise` builds the
 paper's Eq. 8-13 spatially-selective correlation denoiser on top.
 :mod:`repro.dsp.filters` provides the three baseline filters of Fig. 7
 (median, sliding mean, Butterworth -- including our own bilinear-transform

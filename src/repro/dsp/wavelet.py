@@ -1,28 +1,19 @@
-"""db2 wavelet transforms, from scratch.
+"""db2 stationary wavelet transform, from scratch.
 
-Implements, with plain NumPy:
-
-* the undecimated / stationary transform (:func:`swt` / :func:`iswt`,
-  "algorithme a trous") needed by the paper's correlation denoiser, where
-  every scale keeps the full signal length so adjacent-scale products
-  (Eq. 11) are well defined, to a fixed depth of :data:`WAVELET_LEVELS`
-  scales;
-* the periodized decimated DWT (:func:`dwt` / :func:`idwt`) and its
-  multi-level form (:func:`wavedec` / :func:`waverec`), which no pipeline
-  stage calls (ROADMAP item 11 schedules its deletion).
+Implements, with plain NumPy, the undecimated / stationary transform
+(:func:`swt` / :func:`iswt`, "algorithme a trous") needed by the paper's
+correlation denoiser, where every scale keeps the full signal length so
+adjacent-scale products (Eq. 11) are well defined, to a fixed depth of
+:data:`WAVELET_LEVELS` scales.
 
 The filter bank is Daubechies db2, short enough for the paper's
 20-packet windows.  Conventions: the scaling (lowpass) filter ``h`` is
 normalised to unit energy (``sum(h) = sqrt(2)``); the wavelet (highpass)
 filter is the quadrature mirror ``g[n] = (-1)^n h[L-1-n]``.  Signals are
-extended periodically, which gives exact perfect reconstruction (for
-even lengths in the decimated transform).
+extended periodically, which gives exact perfect reconstruction.
 """
 
 from __future__ import annotations
-
-import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,138 +35,6 @@ DEC_LO = np.array(
 DEC_HI = np.array([(-1.0) ** n for n in range(DEC_LO.size)]) * DEC_LO[::-1]
 DEC_LO.flags.writeable = False
 DEC_HI.flags.writeable = False
-
-
-# ----------------------------------------------------------------------
-# Decimated DWT (periodized)
-# ----------------------------------------------------------------------
-
-
-def _even_length(x: np.ndarray) -> tuple[np.ndarray, int]:
-    """Pad ``x`` to even length by repeating the last sample."""
-    n = x.size
-    if n % 2 == 0:
-        return x, n
-    return np.concatenate([x, x[-1:]]), n
-
-
-def dwt(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One level of the periodized DWT.
-
-    Returns ``(approx, detail)``, each of length ``ceil(len(x)/2)``.
-    For even input lengths the transform is orthonormal, so
-    ``idwt(approx, detail)`` reconstructs ``x`` exactly.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValueError(f"dwt expects a 1-D signal, got shape {x.shape}")
-    if x.size < 2:
-        raise ValueError(f"signal too short for dwt: length {x.size}")
-    x, _ = _even_length(x)
-    n = x.size
-    k = np.arange(n // 2)[:, None]
-    idx = (2 * k + np.arange(DEC_LO.size)[None, :]) % n
-    windows = x[idx]
-    return windows @ DEC_LO, windows @ DEC_HI
-
-
-def idwt(
-    approx: np.ndarray,
-    detail: np.ndarray,
-    output_length: int | None = None,
-) -> np.ndarray:
-    """Inverse of :func:`dwt` (adjoint of the orthonormal analysis).
-
-    ``output_length`` trims the result when the forward transform padded
-    an odd-length signal.
-    """
-    approx = np.asarray(approx, dtype=float)
-    detail = np.asarray(detail, dtype=float)
-    if approx.shape != detail.shape:
-        raise ValueError(
-            f"approx/detail length mismatch: {approx.size} vs {detail.size}"
-        )
-    n = 2 * approx.size
-    x = np.zeros(n)
-    k = np.arange(approx.size)[:, None]
-    idx = (2 * k + np.arange(DEC_LO.size)[None, :]) % n
-    np.add.at(x, idx, approx[:, None] * DEC_LO[None, :])
-    np.add.at(x, idx, detail[:, None] * DEC_HI[None, :])
-    if output_length is not None:
-        if not 0 <= output_length <= n:
-            raise ValueError(
-                f"output_length {output_length} incompatible with {n}"
-            )
-        x = x[:output_length]
-    return x
-
-
-@dataclass
-class WaveletDecomposition:
-    """Multi-level DWT coefficients plus reconstruction bookkeeping.
-
-    ``details[0]`` is the finest scale.  ``lengths[i]`` records the
-    pre-padding signal length at each level so :func:`waverec` can undo
-    odd-length padding exactly.
-    """
-
-    approx: np.ndarray
-    details: list[np.ndarray]
-    lengths: list[int]
-
-    @property
-    def levels(self) -> int:
-        """Number of decomposition levels."""
-        return len(self.details)
-
-
-def max_dwt_level(signal_length: int) -> int:
-    """Deepest useful level: halving until shorter than the filter."""
-    if signal_length < DEC_LO.size:
-        return 0
-    return int(math.floor(math.log2(signal_length / (DEC_LO.size - 1))))
-
-
-def wavedec(x: np.ndarray, level: int | None = None) -> WaveletDecomposition:
-    """Multi-level periodized DWT.
-
-    ``level`` defaults to (and is clamped at) :func:`max_dwt_level`.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValueError(f"wavedec expects a 1-D signal, got shape {x.shape}")
-    limit = max_dwt_level(x.size)
-    if limit == 0:
-        raise ValueError(
-            f"signal of length {x.size} too short for wavelet "
-            f"{WAVELET_NAME!r} (filter length {DEC_LO.size})"
-        )
-    if level is None:
-        level = limit
-    if level < 1:
-        raise ValueError(f"level must be >= 1, got {level}")
-    level = min(level, limit)
-
-    details: list[np.ndarray] = []
-    lengths: list[int] = []
-    current = x
-    for _ in range(level):
-        lengths.append(current.size)
-        approx, detail = dwt(current)
-        details.append(detail)
-        current = approx
-    return WaveletDecomposition(approx=current, details=details, lengths=lengths)
-
-
-def waverec(decomposition: WaveletDecomposition) -> np.ndarray:
-    """Invert :func:`wavedec` exactly."""
-    current = decomposition.approx
-    for detail, length in zip(
-        reversed(decomposition.details), reversed(decomposition.lengths)
-    ):
-        padded = length + (length % 2)
-        current = idwt(current, detail, padded)[:length]
-    return current
 
 
 # ----------------------------------------------------------------------

@@ -343,7 +343,7 @@ def subcarrier_choice_accuracy(
     )
     probe.calibrate(train)
     ranking = probe.subcarrier_selector.rank_pooled(
-        train, probe.calibrated_pair
+        train, probe.calibration.pair
     )
     good = [int(k) for k in ranking[:4]]
     bad = [int(k) for k in ranking[-3:]]

@@ -212,12 +212,15 @@ def fit_and_score(
     ]
     y_pred = [label for label in score.predictions if label is not None]
     cm = confusion_matrix(np.array(y_true), np.array(y_pred), labels=labels)
+    calibration = wimi.calibration
     return ExperimentResult(
         confusion=cm,
         extras={
-            "selected_subcarriers": wimi.calibrated_subcarriers,
-            "antenna_pair": wimi.calibrated_pair,
-            "coarse_pair": wimi.calibrated_coarse_pair,
+            "selected_subcarriers": (
+                list(calibration.main_subcarriers) if calibration else None
+            ),
+            "antenna_pair": calibration.pair if calibration else None,
+            "coarse_pair": calibration.coarse_pair if calibration else None,
             "trained": score.trained,
             "rejected": score.rejected,
             "degraded": score.degraded,

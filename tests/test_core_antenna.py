@@ -40,10 +40,6 @@ class TestSelector:
         assert scores == sorted(scores)
         assert len(ranked) == 3
 
-    def test_best_pair_is_first(self, session):
-        selector = AntennaPairSelector()
-        assert selector.best_pair(session) == selector.rank(session)[0].pair
-
     def test_noisy_third_antenna_penalised(self, session):
         # Antenna index 2 has the noisiest RF chain by default, so the
         # (0, 1) pair should rank above at least one pair touching it.

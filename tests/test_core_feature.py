@@ -73,11 +73,11 @@ class TestResolveGamma:
 
     def test_empty_refs_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            resolve_gamma(0.1, 0.1, [])
+            resolve_gamma(0.1, 0.1, {})
 
     def test_nonpositive_refs_rejected(self):
         with pytest.raises(ValueError, match="positive"):
-            resolve_gamma(0.1, 0.1, [-0.2])
+            resolve_gamma(0.1, 0.1, {"x": -0.2})
 
     def test_with_coarse_recovers(self):
         omega = REFS["soy"]

@@ -89,7 +89,7 @@ class TestReducedHardware:
 
         wimi = WiMi(refs)
         wimi.fit(train)
-        assert wimi.calibrated_coarse_pair is None
+        assert wimi.calibration.coarse_pair is None
         features = wimi.extract(test[0])
         assert len(features.measurements) == 1
         correct = sum(wimi.identify(s) == s.material_name for s in test)

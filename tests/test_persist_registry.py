@@ -10,7 +10,7 @@ from repro.channel.materials import default_catalog
 from repro.core.config import WiMiConfig
 from repro.core.database import DatabaseClassifier
 from repro.core.feature import theory_reference_omegas
-from repro.core.pipeline import WiMi
+from repro.core.pipeline import DeploymentCalibration, WiMi
 from repro.csi.faults import flip_bits
 from repro.csi.quality import QualityThresholds
 from repro.experiments.datasets import (
@@ -165,9 +165,7 @@ class TestWiMiBundles:
     def test_restored_calibration_matches(self, trained):
         wimi, registry, _ = trained
         restored = WiMi.from_registry(registry)
-        assert restored.calibrated_pair == wimi.calibrated_pair
-        assert restored.calibrated_subcarriers == wimi.calibrated_subcarriers
-        assert restored.calibrated_coarse_pair == wimi.calibrated_coarse_pair
+        assert restored.calibration == wimi.calibration
 
     def test_rollback_serves_the_older_model(self, trained):
         wimi, registry, test = trained
@@ -330,3 +328,64 @@ class TestLegacyConfigFieldBundles:
         state = {**meta["classifier"], field: value}
         with pytest.raises(ValueError, match=f"{field}={value!r}"):
             DatabaseClassifier.from_state(state, arrays)
+
+
+class TestCalibrationBundles:
+    """The bundle's ``calibration`` layout: ``pair`` and ``subcarriers``
+    repeat the main entries of ``feature_pairs``/``subcarriers_by_pair``."""
+
+    def _saved(self, trained, tmp_path, **changes):
+        _, registry, _ = trained
+        meta, arrays, _ = registry.load("wimi")
+        for key, value in changes.items():
+            if key == "reference_omegas":
+                meta[key] = value
+            else:
+                meta["calibration"][key] = value
+        saved = ModelRegistry(tmp_path / "saved")
+        saved.save("wimi", meta, arrays)
+        return saved
+
+    def test_hand_built_calibration_loads_to_an_equal_record(
+        self, trained, tmp_path
+    ):
+        state = {
+            "pair": [0, 2],
+            "feature_pairs": [[0, 2], [0, 1]],
+            "ranked_pairs": [[0, 2], [0, 1]],
+            "coarse_pair": [1, 2],
+            "subcarriers": [4, 9, 17, 22],
+            "subcarriers_by_pair": {
+                "0,2": [4, 9, 17, 22],
+                "0,1": [3, 5, 20, 23],
+            },
+        }
+        restored = WiMi.from_registry(
+            self._saved(trained, tmp_path, **state)
+        )
+        assert restored.calibration == DeploymentCalibration(
+            feature_pairs=((0, 2), (0, 1)),
+            ranked_pairs=((0, 2), (0, 1)),
+            coarse_pair=(1, 2),
+            subcarriers={(0, 2): (4, 9, 17, 22), (0, 1): (3, 5, 20, 23)},
+        )
+        assert restored.calibration.to_state() == state
+
+    def test_pair_disagreeing_with_the_feature_pairs_is_refused(
+        self, trained, tmp_path
+    ):
+        wimi, _, _ = trained
+        other = next(
+            p for p in wimi.calibration.ranked_pairs
+            if p != wimi.calibration.pair
+        )
+        saved = self._saved(trained, tmp_path, pair=list(other))
+        with pytest.raises(ValueError, match="calibration has pair="):
+            WiMi.from_registry(saved)
+
+    def test_list_form_reference_omegas_is_refused(self, trained, tmp_path):
+        wimi, _, _ = trained
+        refs = list(wimi.extractor.reference_omegas.values())
+        saved = self._saved(trained, tmp_path, reference_omegas=refs)
+        with pytest.raises(ValueError, match="reference_omegas"):
+            WiMi.from_registry(saved)

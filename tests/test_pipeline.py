@@ -1,5 +1,7 @@
 """Integration tests: the full WiMi system."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -66,26 +68,45 @@ class TestCalibration:
         sessions = [s for group in dataset.values() for s in group]
         wimi = WiMi(REFS)
         wimi.calibrate(sessions)
-        assert wimi.calibrated_pair is not None
-        assert len(wimi.calibrated_subcarriers) == 4
-        assert wimi.calibrated_coarse_pair is not None
-        assert wimi.calibrated_coarse_pair not in (
-            wimi._feature_pairs or []
-        )
+        calibration = wimi.calibration
+        assert calibration.pair == calibration.ranked_pairs[0]
+        assert len(calibration.main_subcarriers) == 4
+        assert calibration.coarse_pair is not None
+        assert calibration.coarse_pair not in calibration.feature_pairs
 
     def test_configured_pair_respected(self, deployment):
         _, dataset = deployment
         sessions = [s for group in dataset.values() for s in group]
         wimi = WiMi(REFS, WiMiConfig(antenna_pair=(0, 2)))
         wimi.calibrate(sessions)
-        assert wimi.calibrated_pair == (0, 2)
+        assert wimi.calibration.pair == (0, 2)
 
     def test_subcarrier_override_respected(self, deployment):
         _, dataset = deployment
         sessions = [s for group in dataset.values() for s in group]
         wimi = WiMi(REFS, WiMiConfig(subcarrier_override=(1, 2, 3)))
         wimi.calibrate(sessions)
-        assert wimi.calibrated_subcarriers == [1, 2, 3]
+        assert wimi.calibration.main_subcarriers == (1, 2, 3)
+
+    def test_extraction_needs_a_calibration(self, deployment):
+        session = deployment[1]["oil"][0]
+        wimi = WiMi(REFS)
+        with pytest.raises(RuntimeError, match=r"calibrate\(\) or fit\(\)"):
+            wimi.extract(session)
+        with pytest.raises(RuntimeError, match=r"calibrate\(\) or fit\(\)"):
+            wimi.extract_batch([session])
+        with pytest.raises(RuntimeError):
+            wimi.streaming_extractor()
+
+    def test_views_share_the_frozen_record(self, deployment):
+        _, dataset = deployment
+        wimi = WiMi(REFS).calibrate(dataset["oil"] + dataset["milk"])
+        view = wimi.clone_view()
+        assert view.calibration is wimi.calibration
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            view.calibration.coarse_pair = None
+        with pytest.raises(TypeError):
+            view.calibration.subcarriers[view.calibration.pair] = ()
 
     def test_empty_calibration_rejected(self):
         with pytest.raises(ValueError, match="calibration session"):
@@ -102,11 +123,12 @@ class TestCalibration:
             baseline_faults=(),
         )
         wimi = WiMi(REFS).fit(sessions)
-        for pair, subcarriers in wimi._subcarriers_by_pair.items():
-            assert subcarriers == wimi.subcarrier_selector.select_pooled(
+        chosen = wimi.calibration.subcarriers
+        for pair, subcarriers in chosen.items():
+            assert list(subcarriers) == wimi.subcarrier_selector.select_pooled(
                 sessions[:-1], pair, 4
             )
-        assert any(2 in pair for pair in wimi._subcarriers_by_pair)
+        assert any(2 in pair for pair in chosen)
 
 
 class TestEndToEnd:
@@ -138,7 +160,7 @@ class TestEndToEnd:
         sessions = [s for group in dataset.values() for s in group]
         wimi = WiMi(REFS, WiMiConfig(num_feature_pairs=2))
         wimi.calibrate(sessions)
-        assert len(wimi._feature_pairs) == 2
+        assert len(wimi.calibration.feature_pairs) == 2
         features = wimi.extract(sessions[0])
         assert len(features.measurements) == 2
 

@@ -6,6 +6,8 @@ two-antenna deployments, configured-pair validation and cache behaviour
 across configuration changes.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,12 @@ def _flat(dataset):
     return [s for group in dataset.values() for s in group]
 
 
+def _calibrated_without(wimi: WiMi, dataset, session) -> WiMi:
+    """``wimi`` calibrated on every session of ``dataset`` but ``session``,
+    so calibrating runs none of ``session``'s stages."""
+    return wimi.calibrate([s for s in _flat(dataset) if s is not session])
+
+
 def _counted(wimi: WiMi) -> StageCounter:
     counter = StageCounter()
     wimi.engine.add_hook(counter)
@@ -62,7 +70,7 @@ class TestMemoization:
     def test_repeat_extract_runs_no_stage_twice(self, dataset):
         """Acceptance criterion: zero redundant stage executions."""
         session = dataset["oil"][0]
-        wimi = WiMi(REFS)
+        wimi = _calibrated_without(WiMi(REFS), dataset, session)
         counter = _counted(wimi)
         first = wimi.extract(session)
         assert counter.executions.get("amplitude_denoise", 0) == 2
@@ -86,8 +94,10 @@ class TestMemoization:
     def test_identical_content_shares_artifacts_across_instances(self, dataset):
         shared = StageCache()
         session = dataset["milk"][0]
-        WiMi(REFS, cache=shared).extract(session)
-        second = WiMi(REFS, cache=shared)
+        _calibrated_without(WiMi(REFS, cache=shared), dataset, session).extract(
+            session
+        )
+        second = _calibrated_without(WiMi(REFS, cache=shared), dataset, session)
         counter = _counted(second)
         second.extract(session)
         assert counter.executions.get("amplitude_denoise", 0) == 0
@@ -107,9 +117,13 @@ class TestConfigInvalidation:
     def test_denoiser_config_change_invalidates_denoise(self, dataset):
         shared = StageCache()
         session = dataset["oil"][0]
-        WiMi(REFS, WiMiConfig(), cache=shared).extract(session)
-        changed = WiMi(
-            REFS, WiMiConfig(denoise_amplitude=False), cache=shared
+        _calibrated_without(
+            WiMi(REFS, WiMiConfig(), cache=shared), dataset, session
+        ).extract(session)
+        changed = _calibrated_without(
+            WiMi(REFS, WiMiConfig(denoise_amplitude=False), cache=shared),
+            dataset,
+            session,
         )
         counter = _counted(changed)
         changed.extract(session)
@@ -120,8 +134,16 @@ class TestConfigInvalidation:
     def test_classifier_config_change_keeps_upstream_artifacts(self, dataset):
         shared = StageCache()
         session = dataset["oil"][0]
-        WiMi(REFS, WiMiConfig(classifier="svm"), cache=shared).extract(session)
-        knn = WiMi(REFS, WiMiConfig(classifier="knn"), cache=shared)
+        _calibrated_without(
+            WiMi(REFS, WiMiConfig(classifier="svm"), cache=shared),
+            dataset,
+            session,
+        ).extract(session)
+        knn = _calibrated_without(
+            WiMi(REFS, WiMiConfig(classifier="knn"), cache=shared),
+            dataset,
+            session,
+        )
         counter = _counted(knn)
         knn.extract(session)
         assert counter.executions.get("amplitude_denoise", 0) == 0
@@ -212,9 +234,9 @@ class TestTwoAntennaDeployment:
         sessions = _flat(dataset_2ant)
         wimi = WiMi(REFS)
         wimi.calibrate(sessions)
-        assert wimi.calibrated_pair == (0, 1)
-        assert wimi.calibrated_coarse_pair is None
-        assert len(wimi.calibrated_subcarriers) == 4
+        assert wimi.calibration.pair == (0, 1)
+        assert wimi.calibration.coarse_pair is None
+        assert len(wimi.calibration.main_subcarriers) == 4
 
     def test_end_to_end_falls_back_to_gamma_strategy(self, dataset_2ant):
         train = [s for g in dataset_2ant.values() for s in g[:3]]
@@ -238,39 +260,29 @@ class TestConfiguredPairValidation:
         with pytest.raises(ValueError, match="more antennas"):
             wimi.calibrate(_flat(dataset))
 
-    def test_choose_pair_rejects_out_of_range_pair(self, dataset):
-        wimi = WiMi(REFS, WiMiConfig(antenna_pair=(1, 4)))
-        with pytest.raises(ValueError, match="more antennas"):
-            wimi.choose_pair(_flat(dataset)[0])
-
     def test_valid_configured_pair_used_everywhere(self, dataset):
         sessions = _flat(dataset)
         wimi = WiMi(REFS, WiMiConfig(antenna_pair=(0, 2)))
         wimi.calibrate(sessions)
-        assert wimi.calibrated_pair == (0, 2)
+        assert wimi.calibration.pair == (0, 2)
         features = wimi.extract(sessions[0])
         assert features.measurements[0].pair == (0, 2)
 
 
 class TestEmptySelectionSemantics:
-    """The falsy-list regression: [] must not be treated as 'unset'."""
+    """The falsy-list regression: () must not be treated as 'unset'."""
 
     def test_empty_calibrated_list_is_not_none(self, dataset):
-        wimi = WiMi(REFS)
+        wimi = WiMi(REFS, WiMiConfig(subcarrier_override=()))
         wimi.calibrate(_flat(dataset))
-        wimi._subcarriers = []
-        assert wimi.calibrated_subcarriers == []
+        assert wimi.calibration.main_subcarriers == ()
 
     def test_empty_per_pair_selection_not_recomputed(self, dataset):
         sessions = _flat(dataset)
-        wimi = WiMi(REFS)
-        wimi.calibrate(sessions)
-        pair = wimi.calibrated_pair
-        wimi._subcarriers_by_pair[pair] = []
-        assert wimi._subcarriers_for(sessions[0], pair) == []
-
-    def test_unset_still_falls_back_to_selection(self, dataset):
-        sessions = _flat(dataset)
-        wimi = WiMi(REFS)
-        subcarriers = wimi._subcarriers_for(sessions[0], (0, 1))
-        assert len(subcarriers) == 4
+        wimi = WiMi(REFS).calibrate(sessions)
+        calibration = wimi.calibration
+        wimi.calibration = dataclasses.replace(
+            calibration,
+            subcarriers={**calibration.subcarriers, calibration.pair: ()},
+        )
+        assert wimi._subcarriers_for(sessions[0], calibration.pair) == []

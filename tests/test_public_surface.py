@@ -39,9 +39,6 @@ KEPT = {
     "clean_profile": "test harness; moving it into tests/ is no reduction",
     "run_soak_bench": "test harness; moving it into tests/ is no reduction",
     "phase_difference_variance": "oracle of the axis form",
-    "wavedec": "decimated DWT: deletion scheduled in ROADMAP item 11",
-    "waverec": "decimated DWT: deletion scheduled in ROADMAP item 11",
-    "levels": "WaveletDecomposition.levels, with the decimated DWT",
 }
 
 

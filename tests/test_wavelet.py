@@ -1,4 +1,4 @@
-"""Tests for the from-scratch db2 wavelet transforms."""
+"""Tests for the from-scratch db2 stationary wavelet transform."""
 
 import numpy as np
 import pytest
@@ -10,14 +10,9 @@ from repro.dsp.wavelet import (
     DEC_LO,
     WAVELET_LEVELS,
     WAVELET_NAME,
-    dwt,
-    idwt,
     iswt,
-    max_dwt_level,
     max_swt_level,
     swt,
-    wavedec,
-    waverec,
 )
 
 
@@ -53,74 +48,6 @@ class TestFilterBanks:
             DEC_LO[0] = 0.0
 
 
-class TestSingleLevelDWT:
-    def test_perfect_reconstruction_even_length(self, wavelet):
-        rng = np.random.default_rng(0)
-        x = rng.standard_normal(64)
-        a, d = dwt(x)
-        assert a.size == 32 and d.size == 32
-        np.testing.assert_allclose(idwt(a, d), x, atol=1e-10)
-
-    def test_odd_length_padding_roundtrip(self, wavelet):
-        rng = np.random.default_rng(1)
-        x = rng.standard_normal(31)
-        a, d = dwt(x)
-        recon = idwt(a, d, output_length=31)
-        np.testing.assert_allclose(recon, x, atol=1e-10)
-
-    def test_energy_preserved(self, wavelet):
-        rng = np.random.default_rng(2)
-        x = rng.standard_normal(128)
-        a, d = dwt(x)
-        assert np.sum(a**2) + np.sum(d**2) == pytest.approx(
-            np.sum(x**2), rel=1e-10
-        )
-
-    def test_constant_signal_has_no_detail(self, wavelet):
-        x = np.full(32, 5.0)
-        a, d = dwt(x)
-        np.testing.assert_allclose(d, 0.0, atol=1e-10)
-
-    def test_rejects_2d_input(self, wavelet):
-        with pytest.raises(ValueError, match="1-D"):
-            dwt(np.zeros((4, 4)))
-
-    def test_rejects_too_short(self, wavelet):
-        with pytest.raises(ValueError, match="too short"):
-            dwt(np.array([1.0]))
-
-    def test_idwt_length_mismatch_rejected(self, wavelet):
-        with pytest.raises(ValueError, match="mismatch"):
-            idwt(np.zeros(4), np.zeros(5))
-
-
-class TestMultiLevel:
-    def test_wavedec_waverec_roundtrip(self, wavelet):
-        rng = np.random.default_rng(3)
-        x = rng.standard_normal(100)
-        dec = wavedec(x, level=2)
-        np.testing.assert_allclose(waverec(dec), x, atol=1e-9)
-
-    def test_wavedec_default_max_level(self, wavelet):
-        x = np.random.default_rng(4).standard_normal(64)
-        dec = wavedec(x)
-        assert dec.levels == max_dwt_level(64)
-
-    def test_level_clamped(self, wavelet):
-        x = np.random.default_rng(5).standard_normal(32)
-        dec = wavedec(x, level=99)
-        assert dec.levels <= max_dwt_level(32)
-
-    def test_too_short_signal_rejected(self):
-        with pytest.raises(ValueError, match="too short"):
-            wavedec(np.array([1.0, 2.0]))
-
-    def test_detail_lengths_halve(self, wavelet):
-        x = np.random.default_rng(6).standard_normal(64)
-        dec = wavedec(x, level=3)
-        assert [d.size for d in dec.details] == [32, 16, 8]
-
-
 class TestStationaryTransform:
     def test_swt_keeps_length(self, wavelet):
         x = np.random.default_rng(7).standard_normal(40)
@@ -134,6 +61,16 @@ class TestStationaryTransform:
         x = rng.standard_normal(48)
         approx, details = swt(x)
         np.testing.assert_allclose(iswt(approx, details), x, atol=1e-9)
+
+    def test_energy_preserved(self, wavelet):
+        # H^T H + G^T G = 2 I at every scale, so each level splits twice
+        # the energy of its input between approximation and detail.
+        x = np.random.default_rng(2).standard_normal(128)
+        approx, details = swt(x)
+        energy = np.sum(approx**2) / 2 ** len(details) + sum(
+            np.sum(d**2) / 2 ** (lev + 1) for lev, d in enumerate(details)
+        )
+        assert energy == pytest.approx(np.sum(x**2), rel=1e-10)
 
     def test_constant_signal_details_zero(self, wavelet):
         x = np.full(32, 3.0)
@@ -174,21 +111,6 @@ class TestPropertyBased:
     @given(
         data=st.lists(
             st.floats(min_value=-1e3, max_value=1e3),
-            min_size=16,
-            max_size=80,
-        ),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_wavedec_roundtrip_property(self, data):
-        x = np.array(data)
-        dec = wavedec(x, level=2)
-        np.testing.assert_allclose(
-            waverec(dec), x, atol=1e-7 * (1 + np.max(np.abs(x)))
-        )
-
-    @given(
-        data=st.lists(
-            st.floats(min_value=-1e3, max_value=1e3),
             min_size=12,
             max_size=64,
         ),
@@ -209,13 +131,10 @@ class TestPropertyBased:
         )
     )
     @settings(max_examples=30, deadline=None)
-    def test_dwt_linear(self, data):
+    def test_swt_linear(self, data):
         x = np.array(data)
-        if x.size % 2 == 1:
-            x = x[:-1]
-        if x.size < 4:
-            return
-        a1, d1 = dwt(x)
-        a2, d2 = dwt(2.0 * x)
+        a1, d1 = swt(x)
+        a2, d2 = swt(2.0 * x)
         np.testing.assert_allclose(a2, 2.0 * a1, atol=1e-8)
-        np.testing.assert_allclose(d2, 2.0 * d1, atol=1e-8)
+        for fine, doubled in zip(d1, d2):
+            np.testing.assert_allclose(doubled, 2.0 * fine, atol=1e-8)
