@@ -316,10 +316,14 @@ def _ring_hash(key: str) -> int:
     )
 
 
+#: Pseudo-random points each shard owns on the ring.
+VNODES = 64
+
+
 class ShardRing:
     """Consistent-hash router from content keys to shards.
 
-    Each shard owns ``vnodes`` pseudo-random points on a 64-bit ring; a
+    Each shard owns :data:`VNODES` pseudo-random points on a 64-bit ring; a
     key routes to the first point clockwise from its own hash.  Virtual
     nodes keep the load split close to uniform, and :meth:`remove` (a
     failed shard whose restart budget is exhausted) only remaps the
@@ -327,10 +331,7 @@ class ShardRing:
     session keeps hitting the worker whose caches already know it.
     """
 
-    def __init__(self, shards, vnodes: int = 64):
-        if vnodes < 1:
-            raise ValueError(f"vnodes must be >= 1, got {vnodes}")
-        self.vnodes = vnodes
+    def __init__(self, shards):
         self._points: list[tuple[int, int]] = []
         self._shards: set[int] = set()
         for shard in shards:
@@ -343,7 +344,7 @@ class ShardRing:
         if shard in self._shards:
             return
         self._shards.add(shard)
-        for vnode in range(self.vnodes):
+        for vnode in range(VNODES):
             self._points.append((_ring_hash(f"shard-{shard}:{vnode}"), shard))
         self._points.sort()
 

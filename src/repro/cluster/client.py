@@ -29,7 +29,7 @@ The :class:`ClusterClient` owns the whole process topology:
   *redelivered* to its replacement (bounded by ``MAX_REDELIVERIES``;
   identification is deterministic and side-effect-free, so
   at-least-once delivery plus first-reply-wins deduplication is
-  exact).  A shard that exhausts ``max_restarts`` is removed from the
+  exact).  A shard that exhausts :data:`MAX_RESTARTS` is removed from the
   ring -- its keys spill to the survivors (graceful degradation) --
   and the cluster only stops accepting work when no shard remains.
 * **Aggregate.**  Each heartbeat carries a full
@@ -80,6 +80,18 @@ MAX_REDELIVERIES = 2
 #: have completed, hedge at this factor times the observed p95 latency.
 HEDGE_MIN_OBSERVATIONS = 20
 HEDGE_LATENCY_FACTOR = 3.0
+#: Restarts per shard before it is abandoned.
+MAX_RESTARTS = 3
+#: Longest :meth:`ClusterClient.start` waits for every worker's first
+#: heartbeat (seconds).
+BOOT_TIMEOUT_S = 60.0
+#: First-redelivery backoff ceiling (seconds): redeliveries are deferred
+#: by a full-jittered exponential delay (per envelope attempt) so a
+#: crashing shard's backlog cannot re-land on its replacement in one
+#: synchronized wave.
+REDELIVERY_BACKOFF_BASE_S = 0.05
+#: Cap on any single redelivery delay (seconds).
+REDELIVERY_BACKOFF_MAX_S = 1.0
 
 
 class ClusterError(ServeError):
@@ -111,22 +123,8 @@ class ClusterConfig:
             ``submit`` raises :class:`repro.serve.QueueFullError`.
             Each worker's service queue gets the same depth.
         max_batch_size: Worker-side micro-batch limit.
-        max_restarts: Restarts per shard before it is abandoned.
-        boot_timeout_s: Longest to wait in :meth:`ClusterClient.start`
-            for every worker's first heartbeat.
         throttle_s: Artificial per-request worker service time
             (benchmark / chaos-test hook; 0 in production).
-        redelivery_backoff_base_s: First-redelivery backoff ceiling;
-            redeliveries are deferred by a full-jittered exponential
-            delay (per envelope attempt) so a crashing shard's backlog
-            cannot re-land on its replacement in one synchronized wave.
-        redelivery_backoff_max_s: Cap on any single redelivery delay.
-        breaker_failure_threshold: Consecutive worker failures (crash /
-            stale heartbeat) after which a shard's circuit breaker
-            opens and new keys divert to ring neighbours.
-        breaker_open_duration_s: Cool-down before an open breaker
-            admits half-open trial traffic; a successful reply from the
-            shard closes it again.
         hedge_after_s: Age at which an unresolved request is hedged
             (speculatively re-published to a sibling shard; first reply
             wins).  ``None`` adapts the threshold to
@@ -137,13 +135,7 @@ class ClusterConfig:
     num_workers: int = 2
     queue_capacity: int = 256
     max_batch_size: int = 8
-    max_restarts: int = 3
-    boot_timeout_s: float = 60.0
     throttle_s: float = 0.0
-    redelivery_backoff_base_s: float = 0.05
-    redelivery_backoff_max_s: float = 1.0
-    breaker_failure_threshold: int = 3
-    breaker_open_duration_s: float = 5.0
     hedge_after_s: float | None = None
 
     def __post_init__(self) -> None:
@@ -158,26 +150,6 @@ class ClusterConfig:
         if self.max_batch_size < 1:
             raise ValueError(
                 f"max_batch_size must be >= 1, got {self.max_batch_size}"
-            )
-        if self.max_restarts < 0:
-            raise ValueError(
-                f"max_restarts must be >= 0, got {self.max_restarts}"
-            )
-        if self.redelivery_backoff_base_s < 0:
-            raise ValueError(
-                "redelivery_backoff_base_s must be >= 0, got "
-                f"{self.redelivery_backoff_base_s}"
-            )
-        if self.redelivery_backoff_max_s < self.redelivery_backoff_base_s:
-            raise ValueError(
-                f"redelivery_backoff_max_s ({self.redelivery_backoff_max_s}) "
-                "must be >= redelivery_backoff_base_s "
-                f"({self.redelivery_backoff_base_s})"
-            )
-        if self.breaker_failure_threshold < 1:
-            raise ValueError(
-                "breaker_failure_threshold must be >= 1, got "
-                f"{self.breaker_failure_threshold}"
             )
         if self.hedge_after_s is not None and self.hedge_after_s <= 0:
             raise ValueError(
@@ -275,18 +247,13 @@ class ClusterClient:
         self._threads: list[threading.Thread] = []
         self._shedder = LoadShedder(self.config.queue_capacity)
         self._redelivery_backoff = Backoff(
-            base_s=self.config.redelivery_backoff_base_s,
-            max_s=self.config.redelivery_backoff_max_s,
+            base_s=REDELIVERY_BACKOFF_BASE_S, max_s=REDELIVERY_BACKOFF_MAX_S
         )
         #: Redeliveries waiting out their backoff: (due_mono, envelope),
         #: published by the monitor loop once due.
         self._deferred: list[tuple[float, Envelope]] = []
         self._breakers = {
-            shard: CircuitBreaker(
-                failure_threshold=self.config.breaker_failure_threshold,
-                open_duration_s=self.config.breaker_open_duration_s,
-                on_transition=self._breaker_transition,
-            )
+            shard: CircuitBreaker(on_transition=self._breaker_transition)
             for shard in self._slots
         }
 
@@ -305,7 +272,7 @@ class ClusterClient:
 
         With ``wait_ready`` (default) blocks until every shard's worker
         sent its first heartbeat, raising :class:`ClusterError` if any
-        shard cannot boot within ``config.boot_timeout_s``.
+        shard cannot boot within :data:`BOOT_TIMEOUT_S`.
         """
         with self._lock:
             if self._started:
@@ -323,7 +290,7 @@ class ClusterClient:
             thread.start()
             self._threads.append(thread)
         if wait_ready:
-            self.wait_ready(self.config.boot_timeout_s)
+            self.wait_ready(BOOT_TIMEOUT_S)
         return self
 
     def wait_ready(self, timeout: float) -> None:
@@ -546,7 +513,7 @@ class ClusterClient:
         # Fresh channels before the replacement spawns: the dead worker
         # may have died holding queue locks, so its channels are junk.
         salvaged = self.broker.reset_shard(slot.shard)
-        if slot.restarts >= self.config.max_restarts:
+        if slot.restarts >= MAX_RESTARTS:
             self._abandon(slot, reason, salvaged)
             return
         slot.restarts += 1

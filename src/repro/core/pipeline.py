@@ -65,10 +65,10 @@ from repro.core.streaming import (
 from repro.core.subcarrier import SubcarrierSelector
 from repro.csi.collector import CaptureSession
 from repro.csi.quality import (
-    DEFAULT_THRESHOLDS,
     CorruptTraceError,
     SessionQualityReport,
     gate_report,
+    quality_thresholds,
 )
 from repro.dsp.stats import finite_mean
 from repro.engine.artifacts import ClassificationArtifact, config_fingerprint
@@ -906,7 +906,7 @@ class WiMi:
             ("svm_c", SVM_C),
             ("knn_k", KNN_K),
             ("max_gamma", MAX_GAMMA),
-            ("quality_thresholds", dataclasses.asdict(DEFAULT_THRESHOLDS)),
+            ("quality_thresholds", quality_thresholds()),
             ("degradation_policy", "degrade"),
         ):
             saved = config_dict.pop(field, constant)

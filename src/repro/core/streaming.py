@@ -44,7 +44,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.amplitude import _AMPLITUDE_EPS
 from repro.core.config import MAX_GAMMA
 from repro.core.feature import (
     SessionFeatures,
@@ -56,11 +55,7 @@ from repro.csi.collector import CaptureSession
 from repro.csi.model import CsiPacket, CsiTrace
 from repro.dsp.ringbuffer import RowRingBuffer
 from repro.dsp.stats import circular_mean, finite_mean, finite_median, wrap_phase
-from repro.dsp.streaming import (
-    RollingMad,
-    RunningCircularStats,
-    RunningVariance,
-)
+from repro.dsp.streaming import RunningCircularStats, RunningVariance
 
 
 @dataclass(frozen=True)
@@ -76,11 +71,7 @@ class StreamingEstimate:
             Omega-bar history.  0 while no estimate exists.
         baseline_packets: Packets ingested into the baseline trace.
         target_packets: Packets ingested into the target trace.
-        windows_denoised: Preview windows landed so far (both
-            traces).
-        amplitude_mad: Rolling MAD of the target's per-packet log
-            amplitude ratio (raw-data noise diagnostic; NaN while
-            empty).
+        windows: Preview windows landed so far (both traces).
     """
 
     omega: float
@@ -88,8 +79,7 @@ class StreamingEstimate:
     confidence: float
     baseline_packets: int
     target_packets: int
-    windows_denoised: int
-    amplitude_mad: float
+    windows: int
 
     @property
     def ready(self) -> bool:
@@ -148,7 +138,7 @@ class _TraceStream:
         # callers get views of them.
         self._phase_grids: dict[str, np.ndarray] = {}
         self._next_start = 0
-        self.windows_denoised = 0
+        self.windows = 0
         self.carrier_hz: float | None = None
 
     def __len__(self) -> int:
@@ -156,18 +146,15 @@ class _TraceStream:
 
     # ------------------------------------------------------------------
 
-    def push(self, packet: CsiPacket) -> np.ndarray:
-        """Ingest one packet; add any window it completes to the sums.
-
-        Returns the packet's raw amplitude row (for diagnostics).
-        """
+    def push(self, packet: CsiPacket) -> None:
+        """Ingest one packet; add any window it completes to the sums."""
         if packet.csi.shape != (self.num_subcarriers, self.num_antennas):
             raise ValueError(
                 f"packet shape {packet.csi.shape} does not match the "
                 f"stream's ({self.num_subcarriers}, {self.num_antennas})"
             )
         self.packets.append(packet)
-        row = self._rows.append(np.abs(packet.csi).ravel())
+        self._rows.append(np.abs(packet.csi).ravel())
         csi = packet.csi
         # A zero reading has no phase; NaN keeps it out of the mean, as
         # in the batch phase calibration.
@@ -185,9 +172,8 @@ class _TraceStream:
             )
             self._log_sum += log_sum
             self._count += count
-            self.windows_denoised += 1
+            self.windows += 1
             self._next_start += STREAM_HOP
-        return row
 
     # ------------------------------------------------------------------
 
@@ -298,7 +284,6 @@ class StreamingExtractor:
         self._target: _TraceStream | None = None
         self._omega_track = RunningVariance()
         self._tracked_windows = 0
-        self._ratio_mad = RollingMad(window=4 * STREAM_WINDOW_SIZE)
         #: Landed windows per trace and the amplitude aggregates built
         #: from them (:meth:`_amplitude_aggregates`).
         self._amplitude_memo = ((-1, -1), (math.nan, math.nan))
@@ -354,18 +339,8 @@ class StreamingExtractor:
         stream = self._stream_for(which, items[0])
         if carrier_hz is not None:
             stream.carrier_hz = carrier_hz
-        i, j = self._pair
         for packet in items:
-            row = stream.push(packet)
-            if which == "target":
-                amp = np.clip(
-                    row.reshape(stream.num_subcarriers, stream.num_antennas),
-                    _AMPLITUDE_EPS,
-                    None,
-                )
-                self._ratio_mad.add(
-                    finite_mean(np.log(amp[:, i] / amp[:, j]))
-                )
+            stream.push(packet)
             self._poll = None
             self._track()
 
@@ -407,11 +382,11 @@ class StreamingExtractor:
     # Polling
     # ------------------------------------------------------------------
 
-    def _windows_denoised(self) -> int:
+    def _windows(self) -> int:
         total = 0
         for stream in (self._baseline, self._target):
             if stream is not None:
-                total += stream.windows_denoised
+                total += stream.windows
         return total
 
     def estimate(self) -> StreamingEstimate:
@@ -443,7 +418,7 @@ class StreamingExtractor:
         """
         if self._baseline is None or self._target is None:
             return
-        windows = self._windows_denoised()
+        windows = self._windows()
         if windows <= self._tracked_windows:
             return
         resolved = self._resolve()
@@ -494,7 +469,7 @@ class StreamingExtractor:
         Both read only the landed windows, so they are rebuilt once per
         landed window, not once per poll.
         """
-        key = (self._baseline.windows_denoised, self._target.windows_denoised)
+        key = (self._baseline.windows, self._target.windows)
         if self._amplitude_memo[0] != key:
             n_agg = float(
                 finite_mean(self._neg_log_psi(self._pair)[self._subcarriers])
@@ -523,8 +498,7 @@ class StreamingExtractor:
             confidence=confidence,
             baseline_packets=len(self._baseline) if self._baseline else 0,
             target_packets=len(self._target) if self._target else 0,
-            windows_denoised=self._windows_denoised(),
-            amplitude_mad=self._ratio_mad.value(),
+            windows=self._windows(),
         )
 
     def _confidence(self, pair, subcarriers) -> float:
@@ -582,8 +556,7 @@ class StreamingExtractor:
             confidence=self._confidence(main.pair, main.subcarriers),
             baseline_packets=len(self._baseline),
             target_packets=len(self._target),
-            windows_denoised=self._windows_denoised(),
-            amplitude_mad=self._ratio_mad.value(),
+            windows=self._windows(),
         )
         self._result = StreamingResult(
             label=artifact.label,

@@ -32,7 +32,6 @@ from repro.csi.model import CsiPacket, CsiTrace
 from repro.csi.quality import (
     CorruptTraceError,
     DegradedTraceWarning,
-    QualityThresholds,
     SessionQualityReport,
     TraceQualityReport,
     assess_trace,
@@ -55,7 +54,6 @@ __all__ = [
     "HardwareProfile",
     "INTEL5300_NUM_SUBCARRIERS",
     "IntelQuantizer",
-    "QualityThresholds",
     "SessionConfig",
     "SessionQualityReport",
     "SimulationScene",

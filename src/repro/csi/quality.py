@@ -20,7 +20,7 @@ assumption is *checked* instead of hoped for.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,7 +43,7 @@ class CorruptTraceError(ValueError):
 
     Raised by :mod:`repro.csi.io` on structurally broken ``.wimi``
     files (with the byte offset of the damage) and by the quality gate
-    on traces below the configured thresholds.
+    on traces below the gate's thresholds.
     """
 
     def __init__(self, message: str, byte_offset: int | None = None):
@@ -56,64 +56,45 @@ class DegradedTraceWarning(UserWarning):
     """The input is damaged but still usable with fallbacks (soft gate)."""
 
 
-@dataclass(frozen=True)
-class QualityThresholds:
-    """Gating thresholds of the quality boundary.
+# The quality gate's thresholds: one fixed gate for every deployment.
 
-    Attributes:
-        min_packets: Fewer packets than this is a hard failure (the
-            variance statistics need a window).
-        max_loss_rate: Hard ceiling on the sequence-gap loss rate.
-        max_clipping_rate: Hard ceiling on the AGC-clipped packet share.
-        min_finite_fraction: Hard floor on the whole-trace finite
-            fraction.
-        min_channel_live_fraction: An antenna or subcarrier whose live
-            fraction (see :class:`TraceQualityReport`) falls below this
-            is disqualified -- excluded from selection, reported as
-            dead/bad.
-        min_live_antennas: Hard floor on qualified antennas (the
-            phase-difference calibration needs a pair).
-        min_live_subcarriers: Hard floor on qualified subcarriers.
-    """
-
-    min_packets: int = 2
-    max_loss_rate: float = 0.6
-    max_clipping_rate: float = 0.5
-    min_finite_fraction: float = 0.5
-    min_channel_live_fraction: float = 0.75
-    min_live_antennas: int = 2
-    min_live_subcarriers: int = 2
-
-    def __post_init__(self) -> None:
-        if self.min_packets < 1:
-            raise ValueError(f"min_packets must be >= 1, got {self.min_packets}")
-        for name in (
-            "max_loss_rate",
-            "max_clipping_rate",
-            "min_finite_fraction",
-            "min_channel_live_fraction",
-        ):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {value}")
-        if self.min_live_antennas < 1:
-            raise ValueError(
-                f"min_live_antennas must be >= 1, got {self.min_live_antennas}"
-            )
-        if self.min_live_subcarriers < 1:
-            raise ValueError(
-                f"min_live_subcarriers must be >= 1, got "
-                f"{self.min_live_subcarriers}"
-            )
+#: Fewer packets than this is a hard failure (the variance statistics
+#: need a window).
+MIN_PACKETS = 2
+#: Hard ceiling on the sequence-gap loss rate.
+MAX_LOSS_RATE = 0.6
+#: Hard ceiling on the AGC-clipped packet share.
+MAX_CLIPPING_RATE = 0.5
+#: Hard floor on the whole-trace finite fraction.
+MIN_FINITE_FRACTION = 0.5
+#: An antenna or subcarrier whose live fraction (see
+#: :class:`TraceQualityReport`) falls below this is disqualified --
+#: excluded from selection, reported as dead/bad.
+MIN_CHANNEL_LIVE_FRACTION = 0.75
+#: Hard floor on qualified antennas (the phase-difference calibration
+#: needs a pair).
+MIN_LIVE_ANTENNAS = 2
+#: Hard floor on qualified subcarriers.
+MIN_LIVE_SUBCARRIERS = 2
 
 
-#: Default thresholds used wherever none are configured.
-DEFAULT_THRESHOLDS = QualityThresholds()
+def quality_thresholds() -> dict:
+    """The gate's thresholds by name, as stored reports and registry
+    bundles record them."""
+    return {
+        "min_packets": MIN_PACKETS,
+        "max_loss_rate": MAX_LOSS_RATE,
+        "max_clipping_rate": MAX_CLIPPING_RATE,
+        "min_finite_fraction": MIN_FINITE_FRACTION,
+        "min_channel_live_fraction": MIN_CHANNEL_LIVE_FRACTION,
+        "min_live_antennas": MIN_LIVE_ANTENNAS,
+        "min_live_subcarriers": MIN_LIVE_SUBCARRIERS,
+    }
 
 
 @dataclass(frozen=True)
 class TraceQualityReport:
-    """Measured quality of one CSI trace, gated against thresholds.
+    """Measured quality of one CSI trace, gated against the thresholds.
 
     All fractions are in ``[0, 1]``.  "Finite" counts entries whose real
     and imaginary parts are finite.  "Live" is judged per packet, because
@@ -143,7 +124,6 @@ class TraceQualityReport:
         reordered_packets: Adjacent sequence inversions.
         clipped_packets: Packets flagged as AGC-saturated.
         clipping_rate: ``clipped_packets / num_packets``.
-        thresholds: The thresholds the report was gated against.
     """
 
     num_packets: int
@@ -160,26 +140,27 @@ class TraceQualityReport:
     reordered_packets: int
     clipped_packets: int
     clipping_rate: float
-    thresholds: QualityThresholds = field(default_factory=QualityThresholds)
 
     # -- channel qualification -----------------------------------------
 
     @property
     def dead_antennas(self) -> tuple[int, ...]:
         """Antennas below the per-channel live-fraction threshold."""
-        floor = self.thresholds.min_channel_live_fraction
         return tuple(
             int(a)
-            for a in np.flatnonzero(self.antenna_live_fraction < floor)
+            for a in np.flatnonzero(
+                self.antenna_live_fraction < MIN_CHANNEL_LIVE_FRACTION
+            )
         )
 
     @property
     def bad_subcarriers(self) -> tuple[int, ...]:
         """Subcarriers below the per-channel live-fraction threshold."""
-        floor = self.thresholds.min_channel_live_fraction
         return tuple(
             int(k)
-            for k in np.flatnonzero(self.subcarrier_live_fraction < floor)
+            for k in np.flatnonzero(
+                self.subcarrier_live_fraction < MIN_CHANNEL_LIVE_FRACTION
+            )
         )
 
     @property
@@ -199,35 +180,34 @@ class TraceQualityReport:
     @property
     def hard_failures(self) -> tuple[str, ...]:
         """Threshold violations that make the trace unprocessable."""
-        t = self.thresholds
         issues = []
-        if self.num_packets < t.min_packets:
+        if self.num_packets < MIN_PACKETS:
             issues.append(
-                f"only {self.num_packets} packets (need >= {t.min_packets})"
+                f"only {self.num_packets} packets (need >= {MIN_PACKETS})"
             )
-        if self.loss_rate > t.max_loss_rate:
+        if self.loss_rate > MAX_LOSS_RATE:
             issues.append(
-                f"loss rate {self.loss_rate:.0%} above {t.max_loss_rate:.0%}"
+                f"loss rate {self.loss_rate:.0%} above {MAX_LOSS_RATE:.0%}"
             )
-        if self.clipping_rate > t.max_clipping_rate:
+        if self.clipping_rate > MAX_CLIPPING_RATE:
             issues.append(
                 f"AGC clipping rate {self.clipping_rate:.0%} above "
-                f"{t.max_clipping_rate:.0%}"
+                f"{MAX_CLIPPING_RATE:.0%}"
             )
-        if self.finite_fraction < t.min_finite_fraction:
+        if self.finite_fraction < MIN_FINITE_FRACTION:
             issues.append(
                 f"finite fraction {self.finite_fraction:.0%} below "
-                f"{t.min_finite_fraction:.0%}"
+                f"{MIN_FINITE_FRACTION:.0%}"
             )
-        if len(self.live_antennas) < t.min_live_antennas:
+        if len(self.live_antennas) < MIN_LIVE_ANTENNAS:
             issues.append(
                 f"only {len(self.live_antennas)} live antennas "
-                f"(need >= {t.min_live_antennas})"
+                f"(need >= {MIN_LIVE_ANTENNAS})"
             )
-        if len(self.live_subcarriers) < t.min_live_subcarriers:
+        if len(self.live_subcarriers) < MIN_LIVE_SUBCARRIERS:
             issues.append(
                 f"only {len(self.live_subcarriers)} live subcarriers "
-                f"(need >= {t.min_live_subcarriers})"
+                f"(need >= {MIN_LIVE_SUBCARRIERS})"
             )
         return tuple(issues)
 
@@ -379,15 +359,12 @@ def _clipped_packet_count(matrix: np.ndarray) -> int:
     return int(clipped.sum())
 
 
-def assess_trace(
-    trace: CsiTrace, thresholds: QualityThresholds | None = None
-) -> TraceQualityReport:
+def assess_trace(trace: CsiTrace) -> TraceQualityReport:
     """Measure a :class:`TraceQualityReport` for one trace.
 
     Pure measurement -- never raises on degraded input (that is
     :func:`gate_report`'s job).  Deterministic in the trace content.
     """
-    thresholds = thresholds if thresholds is not None else DEFAULT_THRESHOLDS
     matrix = trace.matrix()
     num_packets, num_sc, num_ant = matrix.shape
 
@@ -402,7 +379,7 @@ def assess_trace(
     # dead in a packet only when none of its subcarriers reads a finite
     # non-zero value there.
     antenna_live = _fraction(live.any(axis=1), axis=(0,))
-    alive = antenna_live >= thresholds.min_channel_live_fraction
+    alive = antenna_live >= MIN_CHANNEL_LIVE_FRACTION
     # Per-subcarrier fractions see *live antennas only*; otherwise one
     # dead chain of three drags every subcarrier to a 2/3 live fraction
     # and a single antenna failure masquerades as a whole-band failure.
@@ -441,7 +418,6 @@ def assess_trace(
         reordered_packets=int(reordered),
         clipped_packets=int(clipped),
         clipping_rate=clipped / num_packets if num_packets else 0.0,
-        thresholds=thresholds,
     )
 
 

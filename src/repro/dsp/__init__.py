@@ -26,11 +26,7 @@ from repro.dsp.stats import (
     mad,
     robust_sigma,
 )
-from repro.dsp.streaming import (
-    RollingMad,
-    RunningCircularStats,
-    RunningVariance,
-)
+from repro.dsp.streaming import RunningCircularStats, RunningVariance
 from repro.dsp.wavelet import iswt, swt
 from repro.dsp.wavelet_denoise import (
     SpatiallySelectiveDenoiser,
@@ -38,7 +34,6 @@ from repro.dsp.wavelet_denoise import (
 )
 
 __all__ = [
-    "RollingMad",
     "RunningCircularStats",
     "RunningVariance",
     "SpatiallySelectiveDenoiser",

@@ -11,8 +11,6 @@ the incremental primitives behind the streaming preview that runs
   with ``ignore_nan=True``: a non-finite reading is excluded from its
   element's mean, an element with no finite reading at all is NaN.
 * :class:`RunningVariance` -- Welford's online mean/variance.
-* :class:`RollingMad` -- median absolute deviation over a sliding window
-  of recent samples (a bounded-memory noise-level diagnostic).
 * :func:`window_log_sums` -- one fixed-size packet window of raw
   amplitudes reduced to per-channel sums of clipped log amplitude and
   sample counts, after median imputation.  Streams add these to running
@@ -28,7 +26,6 @@ property ``tests/test_streaming.py`` pins).
 from __future__ import annotations
 
 import math
-from collections import deque
 
 import numpy as np
 
@@ -134,50 +131,6 @@ class RunningVariance:
         """Sample standard deviation (NaN below 2 samples)."""
         variance = self.variance
         return math.sqrt(variance) if math.isfinite(variance) else math.nan
-
-
-class RollingMad:
-    """Median absolute deviation over a sliding window of recent samples.
-
-    Bounded memory: only the last ``window`` finite samples are kept.
-    """
-
-    def __init__(self, window: int = 32):
-        if window < 1:
-            raise ValueError(f"window must be >= 1, got {window}")
-        self._values: deque[float] = deque(maxlen=window)
-
-    def add(self, value: float) -> None:
-        """Accumulate one sample (non-finite values are skipped)."""
-        value = float(value)
-        if math.isfinite(value):
-            self._values.append(value)
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-    def value(self) -> float:
-        """MAD of the current window (NaN while empty).
-
-        Bit-identical to ``mad(np.asarray(window))``: both medians are
-        read from a sorted Python list with ``np.median``'s order
-        statistics and its ``(lo + hi) / 2``, which costs a tenth of
-        the array round trip on a window of a few dozen samples.
-        """
-        if not self._values:
-            return math.nan
-        centre = _sorted_list_median(sorted(self._values))
-        return _sorted_list_median(
-            sorted(abs(value - centre) for value in self._values)
-        )
-
-
-def _sorted_list_median(values: list[float]) -> float:
-    """Median of an ascending non-empty list, as ``np.median`` takes it."""
-    n = len(values)
-    if n % 2 == 1:
-        return values[n // 2]
-    return (values[(n - 1) // 2] + values[n // 2]) / 2
 
 
 def window_log_sums(

@@ -94,14 +94,19 @@ class StageEvent:
         return self.tier != TIER_COMPUTE
 
 
+#: Memory entries a :class:`StageCache` keeps before least-recently-used
+#: eviction.  The artifacts are small (per-subcarrier vectors, one
+#: denoised cube per trace), so a few thousand entries cover realistic
+#: experiment sweeps.
+MAX_ENTRIES = 4096
+
+
 class StageCache:
     """Tiered artifact cache keyed by ``(stage, key)`` with per-tier stats.
 
+    The memory tier holds up to :data:`MAX_ENTRIES` artifacts.
+
     Args:
-        max_entries: Memory entries kept before least-recently-used
-            eviction.  The artifacts are small (per-subcarrier vectors,
-            one denoised cube per trace), so a few thousand entries
-            cover realistic experiment sweeps.
         disk_store: Optional durable tier consulted on memory misses
             and written through on computes.  Must expose
             ``get(stage, key)`` returning an artifact or None and
@@ -109,10 +114,7 @@ class StageCache:
             as None (a miss), never an exception.
     """
 
-    def __init__(self, max_entries: int = 4096, disk_store: Any = None):
-        if max_entries < 1:
-            raise ValueError(f"max_entries must be >= 1, got {max_entries}")
-        self.max_entries = max_entries
+    def __init__(self, disk_store: Any = None):
         self.disk_store = disk_store
         self._lock = threading.RLock()
         self._entries: OrderedDict[tuple[str, str], Any] = OrderedDict()
@@ -150,7 +152,7 @@ class StageCache:
         with self._lock:
             self._entries[(stage, key)] = artifact
             self._entries.move_to_end((stage, key))
-            while len(self._entries) > self.max_entries:
+            while len(self._entries) > MAX_ENTRIES:
                 self._entries.popitem(last=False)
 
     def store(self, stage: str, key: str, artifact: Any) -> None:

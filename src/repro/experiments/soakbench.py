@@ -44,6 +44,7 @@ from __future__ import annotations
 import os
 import signal
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 from repro.channel.materials import default_catalog
@@ -57,6 +58,7 @@ from repro.csi.faults import (
     inject_session,
 )
 from repro.experiments.datasets import collect_dataset, standard_scene
+from repro.resilience import breaker
 from repro.serve import OverloadError, QueueFullError
 
 DEFAULT_MATERIALS = ("pure_water", "pepsi", "oil")
@@ -70,6 +72,31 @@ SMOKE_REPETITIONS = 6
 #: Packets per capture and cluster shards (one worker process each).
 NUM_PACKETS = 6
 WORKERS = 2
+
+#: Supervision timings tighter than production, as ``(module, constant,
+#: value)``: phase 4's two kills with no reply in between must trip
+#: shard 0's breaker, and the breaker must re-close within the heal
+#: phase.
+SOAK_TIMINGS = (
+    (breaker, "FAILURE_THRESHOLD", 2),
+    (breaker, "OPEN_DURATION_S", 0.5),
+)
+
+
+@contextmanager
+def _soak_timings():
+    """Set :data:`SOAK_TIMINGS` on their constants for the block."""
+    saved = [
+        (module, name, getattr(module, name))
+        for module, name, _ in SOAK_TIMINGS
+    ]
+    for module, name, value in SOAK_TIMINGS:
+        setattr(module, name, value)
+    try:
+        yield
+    finally:
+        for module, name, value in saved:
+            setattr(module, name, value)
 
 
 def _flatten(dataset: dict) -> list:
@@ -133,172 +160,170 @@ def run_soak_bench(
         num_workers=WORKERS,
         queue_capacity=capacity,
         max_batch_size=4,
-        boot_timeout_s=120.0,
-        max_restarts=5,
         throttle_s=THROTTLE_S,
-        breaker_failure_threshold=2,
-        breaker_open_duration_s=0.5,
         hedge_after_s=0.35,
-        redelivery_backoff_base_s=0.02,
-        redelivery_backoff_max_s=0.10,
     )
-    client = ClusterClient(registry, config=config, store_root=root / "stores")
-    client.start()
-    phases: dict[str, dict] = {}
-    lost = 0
-    try:
-        # ------------------------------------------------ 1. baseline
-        labels: list[str] = []
-        for start in range(0, len(bench), capacity // 2):
-            chunk = bench[start:start + capacity // 2]
-            completed, failed = _wait_all(
-                client.submit_many(chunk, timeout=None), collect=labels
-            )
-            lost += failed
-        phases["baseline"] = {
-            "requests": len(bench),
-            "predictions_identical": labels == expected,
-        }
-
-        # ---------------------------------------------- 2. shed spike
-        admitted, shed = [], 0
-        for session in bench * 3:
-            try:
-                admitted.append(
-                    client.submit(session, timeout=None, priority=-1)
-                )
-            except (OverloadError, QueueFullError):
-                shed += 1
-        completed, failed = _wait_all(admitted)
-        lost += failed
-        phases["shed_spike"] = {
-            "offered": len(bench) * 3,
-            "admitted": len(admitted),
-            "shed": shed,
-        }
-
-        # ----------------------------------------- 3. kill/redeliver
-        handles = client.submit_many(bench[:capacity // 2], timeout=None)
-        time.sleep(THROTTLE_S * 4)
-        os.kill(client._slots[0].process.pid, signal.SIGKILL)
-        kill_labels: list[str] = []
-        completed, failed = _wait_all(handles, collect=kill_labels)
-        lost += failed
-        phases["kill_redeliver"] = {
-            "requests": len(handles),
-            "predictions_identical": (
-                kill_labels == expected[:len(handles)]
-            ),
-        }
-
-        # --------------------------------- 4. corruption + quarantine
-        flipped = 0
-        for shard in range(WORKERS):
-            objects = root / "stores" / f"shard-{shard}" / "objects"
-            for index, entry in enumerate(sorted(objects.rglob("*.art"))):
-                flip_bits(entry, num_flips=8, seed=seed + index)
-                flipped += 1
-        def _kill_and_await_restart(shards) -> None:
-            """SIGKILL the shards' workers, wait for the replacements.
-
-            "Replacement arrived" means the slot holds a *new* pid and
-            beats ready again -- checking ``ready`` alone races the
-            monitor's staleness detection and can observe the dead
-            incarnation's flag.
-            """
-            old_pids = {
-                shard: client._slots[shard].process.pid
-                for shard in shards
-            }
-            for shard, pid in old_pids.items():
-                os.kill(pid, signal.SIGKILL)
-            deadline = time.monotonic() + 60.0
-            while time.monotonic() < deadline:
-                slots = client._slots
-                if all(
-                    slots[shard].process.pid != old_pids[shard]
-                    and slots[shard].ready and not slots[shard].failed
-                    for shard in shards
-                ):
-                    return
-                time.sleep(0.05)
-            raise RuntimeError(f"shards {list(shards)} never restarted")
-
-        _kill_and_await_restart(range(WORKERS))
-        # Kill shard 0 again before it serves a single reply: two
-        # consecutive failures with no success in between trip its
-        # circuit breaker open (replies are the only thing that resets
-        # the consecutive-failure count -- a restart alone never does).
-        _kill_and_await_restart([0])
-        # Re-serve the warm set through the now-corrupt disk tier:
-        # the restarted workers' cold memory misses fall through to
-        # disk, every read quarantines and recompute heals; replies
-        # from shard 0 close its breaker again.
-        heal_labels: list[str] = []
-        for start in range(0, len(bench), capacity // 2):
-            chunk = bench[start:start + capacity // 2]
-            completed, failed = _wait_all(
-                client.submit_many(chunk, timeout=None), collect=heal_labels
-            )
-            lost += failed
-        phases["quarantine"] = {
-            "entries_corrupted": flipped,
-            "predictions_identical": heal_labels == expected,
-        }
-
-        # ------------------------------------------------ 5. deadlines
-        admission = client.submit_many(bench[:4], timeout=0.0)
-        burst = client.submit_many(
-            bench[:capacity // 2], timeout=THROTTLE_S * 2
+    with _soak_timings():
+        client = ClusterClient(
+            registry, config=config, store_root=root / "stores"
         )
-        _wait_all(admission)
-        _wait_all(burst)
-        # Queue is idle again: a fresh-session wave whose deadline
-        # covers the dequeue check but not the throttled batch run
-        # expires *inside* the pipeline, at a stage boundary.
-        stage = client.submit_many(fresh, timeout=THROTTLE_S * 1.5)
-        _wait_all(stage)
-        phases["deadlines"] = {
-            "admission_offered": len(admission),
-            "dequeue_offered": len(burst),
-            "stage_offered": len(stage),
-        }
-
-        # -------------------------------------------- 6. capture fault
-        hopeless = inject_session(
-            bench[0],
-            (
-                AntennaDropout(antenna=0, mode="nan"),
-                AntennaDropout(antenna=1, mode="nan"),
-                SubcarrierErasure(0.9, scope="column"),
-            ),
-            seed=seed,
-        )
-        fault_handle = client.submit(hopeless, timeout=None)
+        client.start()
+        phases: dict[str, dict] = {}
+        lost = 0
         try:
-            fault_handle.result(timeout=600.0)
-            fault_typed = False
-        except Exception as error:  # noqa: BLE001 - typed check below
-            fault_typed = "CorruptTraceError" in type(error).__name__ or (
-                "quality gate" in str(error)
+            # ------------------------------------------------ 1. baseline
+            labels: list[str] = []
+            for start in range(0, len(bench), capacity // 2):
+                chunk = bench[start:start + capacity // 2]
+                completed, failed = _wait_all(
+                    client.submit_many(chunk, timeout=None), collect=labels
+                )
+                lost += failed
+            phases["baseline"] = {
+                "requests": len(bench),
+                "predictions_identical": labels == expected,
+            }
+
+            # ---------------------------------------------- 2. shed spike
+            admitted, shed = [], 0
+            for session in bench * 3:
+                try:
+                    admitted.append(
+                        client.submit(session, timeout=None, priority=-1)
+                    )
+                except (OverloadError, QueueFullError):
+                    shed += 1
+            completed, failed = _wait_all(admitted)
+            lost += failed
+            phases["shed_spike"] = {
+                "offered": len(bench) * 3,
+                "admitted": len(admitted),
+                "shed": shed,
+            }
+
+            # ----------------------------------------- 3. kill/redeliver
+            handles = client.submit_many(bench[:capacity // 2], timeout=None)
+            time.sleep(THROTTLE_S * 4)
+            os.kill(client._slots[0].process.pid, signal.SIGKILL)
+            kill_labels: list[str] = []
+            completed, failed = _wait_all(handles, collect=kill_labels)
+            lost += failed
+            phases["kill_redeliver"] = {
+                "requests": len(handles),
+                "predictions_identical": (
+                    kill_labels == expected[:len(handles)]
+                ),
+            }
+
+            # --------------------------------- 4. corruption + quarantine
+            flipped = 0
+            for shard in range(WORKERS):
+                objects = root / "stores" / f"shard-{shard}" / "objects"
+                for index, entry in enumerate(sorted(objects.rglob("*.art"))):
+                    flip_bits(entry, num_flips=8, seed=seed + index)
+                    flipped += 1
+            def _kill_and_await_restart(shards) -> None:
+                """SIGKILL the shards' workers, wait for the replacements.
+
+                "Replacement arrived" means the slot holds a *new* pid and
+                beats ready again -- checking ``ready`` alone races the
+                monitor's staleness detection and can observe the dead
+                incarnation's flag.
+                """
+                old_pids = {
+                    shard: client._slots[shard].process.pid
+                    for shard in shards
+                }
+                for shard, pid in old_pids.items():
+                    os.kill(pid, signal.SIGKILL)
+                deadline = time.monotonic() + 60.0
+                while time.monotonic() < deadline:
+                    slots = client._slots
+                    if all(
+                        slots[shard].process.pid != old_pids[shard]
+                        and slots[shard].ready and not slots[shard].failed
+                        for shard in shards
+                    ):
+                        return
+                    time.sleep(0.05)
+                raise RuntimeError(f"shards {list(shards)} never restarted")
+
+            _kill_and_await_restart(range(WORKERS))
+            # Kill shard 0 again before it serves a single reply: two
+            # consecutive failures with no success in between trip its
+            # circuit breaker open (replies are the only thing that resets
+            # the consecutive-failure count -- a restart alone never does).
+            _kill_and_await_restart([0])
+            # Re-serve the warm set through the now-corrupt disk tier:
+            # the restarted workers' cold memory misses fall through to
+            # disk, every read quarantines and recompute heals; replies
+            # from shard 0 close its breaker again.
+            heal_labels: list[str] = []
+            for start in range(0, len(bench), capacity // 2):
+                chunk = bench[start:start + capacity // 2]
+                completed, failed = _wait_all(
+                    client.submit_many(chunk, timeout=None),
+                    collect=heal_labels,
+                )
+                lost += failed
+            phases["quarantine"] = {
+                "entries_corrupted": flipped,
+                "predictions_identical": heal_labels == expected,
+            }
+
+            # ------------------------------------------------ 5. deadlines
+            admission = client.submit_many(bench[:4], timeout=0.0)
+            burst = client.submit_many(
+                bench[:capacity // 2], timeout=THROTTLE_S * 2
             )
-        phases["capture_fault"] = {"typed_failure": fault_typed}
+            _wait_all(admission)
+            _wait_all(burst)
+            # Queue is idle again: a fresh-session wave whose deadline
+            # covers the dequeue check but not the throttled batch run
+            # expires *inside* the pipeline, at a stage boundary.
+            stage = client.submit_many(fresh, timeout=THROTTLE_S * 1.5)
+            _wait_all(stage)
+            phases["deadlines"] = {
+                "admission_offered": len(admission),
+                "dequeue_offered": len(burst),
+                "stage_offered": len(stage),
+            }
 
-        # ------------------------------------------------ 7. hedge
-        hedge_labels: list[str] = []
-        handles = client.submit_many(bench[:capacity - 2], timeout=None)
-        completed, failed = _wait_all(handles, collect=hedge_labels)
-        lost += failed
-        phases["hedge"] = {
-            "requests": len(handles),
-            "predictions_identical": (
-                hedge_labels == expected[:len(handles)]
-            ),
-        }
+            # -------------------------------------------- 6. capture fault
+            hopeless = inject_session(
+                bench[0],
+                (
+                    AntennaDropout(antenna=0, mode="nan"),
+                    AntennaDropout(antenna=1, mode="nan"),
+                    SubcarrierErasure(0.9, scope="column"),
+                ),
+                seed=seed,
+            )
+            fault_handle = client.submit(hopeless, timeout=None)
+            try:
+                fault_handle.result(timeout=600.0)
+                fault_typed = False
+            except Exception as error:  # noqa: BLE001 - typed check below
+                fault_typed = "CorruptTraceError" in type(error).__name__ or (
+                    "quality gate" in str(error)
+                )
+            phases["capture_fault"] = {"typed_failure": fault_typed}
 
-        snap = client.snapshot()
-    finally:
-        client.stop()
+            # ------------------------------------------------ 7. hedge
+            hedge_labels: list[str] = []
+            handles = client.submit_many(bench[:capacity - 2], timeout=None)
+            completed, failed = _wait_all(handles, collect=hedge_labels)
+            lost += failed
+            phases["hedge"] = {
+                "requests": len(handles),
+                "predictions_identical": (
+                    hedge_labels == expected[:len(handles)]
+                ),
+            }
+
+            snap = client.snapshot()
+        finally:
+            client.stop()
 
     cc = snap["cluster"]["counters"]
     merged = snap["merged"]["counters"]

@@ -26,11 +26,10 @@ from __future__ import annotations
 
 import io
 import json
-from dataclasses import asdict
 
 import numpy as np
 
-from repro.csi.quality import QualityThresholds, TraceQualityReport
+from repro.csi.quality import TraceQualityReport, quality_thresholds
 from repro.core.feature import FeatureMeasurement
 from repro.engine.artifacts import (
     Artifact,
@@ -163,7 +162,7 @@ def _encode_quality_report(report: TraceQualityReport) -> tuple[dict, dict]:
         "reordered_packets": report.reordered_packets,
         "clipped_packets": report.clipped_packets,
         "clipping_rate": report.clipping_rate,
-        "thresholds": asdict(report.thresholds),
+        "thresholds": quality_thresholds(),
     }
     arrays = {
         "antenna_finite_fraction": report.antenna_finite_fraction,
@@ -175,6 +174,14 @@ def _encode_quality_report(report: TraceQualityReport) -> tuple[dict, dict]:
 
 
 def _decode_quality_report(meta: dict, arrays: dict) -> TraceQualityReport:
+    # A report is only meaningful under the gate that judged it: one
+    # gated against other thresholds is refused (the store quarantines
+    # it and the stage recomputes).
+    if meta["thresholds"] != quality_thresholds():
+        raise ValueError(
+            f"trace_quality report gated with thresholds "
+            f"{meta['thresholds']!r}; the gate fixes {quality_thresholds()!r}"
+        )
     return TraceQualityReport(
         num_packets=int(meta["num_packets"]),
         num_antennas=int(meta["num_antennas"]),
@@ -194,7 +201,6 @@ def _decode_quality_report(meta: dict, arrays: dict) -> TraceQualityReport:
         reordered_packets=int(meta["reordered_packets"]),
         clipped_packets=int(meta["clipped_packets"]),
         clipping_rate=float(meta["clipping_rate"]),
-        thresholds=QualityThresholds(**meta["thresholds"]),
     )
 
 

@@ -26,15 +26,23 @@ CLOSED = "closed"
 OPEN = "open"
 HALF_OPEN = "half_open"
 
+#: Consecutive failures that trip the breaker.
+FAILURE_THRESHOLD = 3
+#: Cool-down (seconds) before half-open trials are allowed.
+OPEN_DURATION_S = 5.0
+#: Trial admissions granted per half-open episode before further
+#: traffic is refused.
+HALF_OPEN_TRIALS = 1
+
 
 class CircuitBreaker:
     """Consecutive-failure breaker with timed half-open recovery.
 
+    It trips after :data:`FAILURE_THRESHOLD` consecutive failures and
+    admits :data:`HALF_OPEN_TRIALS` trials once :data:`OPEN_DURATION_S`
+    have passed.
+
     Args:
-        failure_threshold: Consecutive failures that trip the breaker.
-        open_duration_s: Cool-down before half-open trials are allowed.
-        half_open_trials: Number of trial admissions granted per
-            half-open episode before further traffic is refused.
         clock: Monotonic time source (injectable for tests).
         on_transition: Optional ``callback(old_state, new_state)`` fired
             inside the lock on every state change -- keep it cheap
@@ -43,27 +51,9 @@ class CircuitBreaker:
 
     def __init__(
         self,
-        failure_threshold: int = 3,
-        open_duration_s: float = 5.0,
-        half_open_trials: int = 1,
         clock: Callable[[], float] = time.monotonic,
         on_transition: Callable[[str, str], None] | None = None,
     ):
-        if failure_threshold < 1:
-            raise ValueError(
-                f"failure_threshold must be >= 1, got {failure_threshold}"
-            )
-        if open_duration_s < 0:
-            raise ValueError(
-                f"open_duration_s must be >= 0, got {open_duration_s}"
-            )
-        if half_open_trials < 1:
-            raise ValueError(
-                f"half_open_trials must be >= 1, got {half_open_trials}"
-            )
-        self.failure_threshold = failure_threshold
-        self.open_duration_s = open_duration_s
-        self.half_open_trials = half_open_trials
         self._clock = clock
         self._on_transition = on_transition
         self._lock = threading.Lock()
@@ -88,9 +78,9 @@ class CircuitBreaker:
         """Apply the timed open -> half-open transition (lock held)."""
         if (
             self._state == OPEN
-            and self._clock() - self._opened_at >= self.open_duration_s
+            and self._clock() - self._opened_at >= OPEN_DURATION_S
         ):
-            self._trials_left = self.half_open_trials
+            self._trials_left = HALF_OPEN_TRIALS
             self._transition(HALF_OPEN)
 
     @property
@@ -134,7 +124,7 @@ class CircuitBreaker:
             self._consecutive_failures += 1
             if self._state == HALF_OPEN or (
                 self._state == CLOSED
-                and self._consecutive_failures >= self.failure_threshold
+                and self._consecutive_failures >= FAILURE_THRESHOLD
             ):
                 self._opened_at = self._clock()
                 self._transition(OPEN)

@@ -17,16 +17,23 @@ import time
 from typing import Callable, Iterator
 
 
+#: Multiplier of the delay ceiling per subsequent attempt.
+BACKOFF_FACTOR = 2.0
+
+#: ``True`` draws each delay uniformly from ``[0, ceiling]``; ``False``
+#: returns the deterministic ceiling.
+FULL_JITTER = True
+
+
 class Backoff:
-    """Exponential backoff schedule with optional full jitter.
+    """Exponential backoff schedule with full jitter.
+
+    The ceiling grows by :data:`BACKOFF_FACTOR` per attempt and each
+    delay is drawn below it (:data:`FULL_JITTER`).
 
     Args:
         base_s: Delay ceiling for the first retry (attempt 0).
-        factor: Multiplier applied per subsequent attempt.
         max_s: Hard cap on any single delay.
-        jitter: ``True`` draws each delay uniformly from ``[0, ceiling]``;
-            ``False`` returns the deterministic ceiling (useful in tests
-            and when callers layer their own jitter).
         rng: Source of ``uniform(a, b)``; defaults to a private
             :class:`random.Random` so seeding the global RNG elsewhere
             cannot couple retry timing to experiment reproducibility.
@@ -35,33 +42,27 @@ class Backoff:
     def __init__(
         self,
         base_s: float = 0.05,
-        factor: float = 2.0,
         max_s: float = 2.0,
-        jitter: bool = True,
         rng: random.Random | None = None,
     ):
         if base_s < 0:
             raise ValueError(f"base_s must be >= 0, got {base_s}")
-        if factor < 1.0:
-            raise ValueError(f"factor must be >= 1, got {factor}")
         if max_s < 0:
             raise ValueError(f"max_s must be >= 0, got {max_s}")
         self.base_s = base_s
-        self.factor = factor
         self.max_s = max_s
-        self.jitter = jitter
         self._rng = rng if rng is not None else random.Random()
 
     def ceiling(self, attempt: int) -> float:
         """Upper bound of the delay for ``attempt`` (0-based)."""
         if attempt < 0:
             raise ValueError(f"attempt must be >= 0, got {attempt}")
-        return min(self.base_s * (self.factor ** attempt), self.max_s)
+        return min(self.base_s * (BACKOFF_FACTOR ** attempt), self.max_s)
 
     def delay(self, attempt: int) -> float:
         """Concrete delay for ``attempt``; jittered when enabled."""
         ceiling = self.ceiling(attempt)
-        if not self.jitter or ceiling == 0.0:
+        if not FULL_JITTER or ceiling == 0.0:
             return ceiling
         return self._rng.uniform(0.0, ceiling)
 

@@ -82,6 +82,9 @@ class ServiceStoppedError(ServeError):
     """The service stopped before the request could run."""
 
 
+#: Sleep before a request's first retry (seconds); doubles per
+#: subsequent retry of the same request, up to :data:`RETRY_BACKOFF_MAX_S`.
+RETRY_BACKOFF_BASE_S = 0.002
 #: Cap on any single retry backoff delay (seconds).
 RETRY_BACKOFF_MAX_S = 0.25
 
@@ -98,17 +101,14 @@ class ServiceConfig:
         num_workers: Worker threads, each with its own engine view over
             the shared stage cache.
         retry_budget: Extra attempts (beyond the first) a failing
-            request gets before its error is returned.
-        backoff_base_s: Sleep before the first retry; doubles per
-            subsequent retry of the same request, up to
-            :data:`RETRY_BACKOFF_MAX_S`.
+            request gets before its error is returned; the retries
+            back off from :data:`RETRY_BACKOFF_BASE_S`.
     """
 
     queue_capacity: int = 64
     max_batch_size: int = 8
     num_workers: int = 2
     retry_budget: int = 1
-    backoff_base_s: float = 0.002
 
     def __post_init__(self) -> None:
         if self.queue_capacity < 1:
@@ -126,11 +126,6 @@ class ServiceConfig:
         if self.retry_budget < 0:
             raise ValueError(
                 f"retry_budget must be >= 0, got {self.retry_budget}"
-            )
-        if not 0 <= self.backoff_base_s <= RETRY_BACKOFF_MAX_S:
-            raise ValueError(
-                f"backoff_base_s must be in [0, {RETRY_BACKOFF_MAX_S}], "
-                f"got {self.backoff_base_s}"
             )
 
 
@@ -317,8 +312,7 @@ class IdentificationService:
             retry_policy = RetryPolicy(
                 budget=self.config.retry_budget,
                 backoff=Backoff(
-                    base_s=self.config.backoff_base_s,
-                    max_s=RETRY_BACKOFF_MAX_S,
+                    base_s=RETRY_BACKOFF_BASE_S, max_s=RETRY_BACKOFF_MAX_S
                 ),
                 # A structurally broken capture is deterministic; see
                 # Worker._run_isolated.

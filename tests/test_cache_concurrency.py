@@ -10,6 +10,7 @@ allowed (content-addressed artifacts make it benign).
 
 import threading
 
+from repro.engine import cache as cache_module
 from repro.engine.cache import TIER_COMPUTE, StageCache
 
 THREADS = 8
@@ -34,7 +35,7 @@ def _hammer(cache, thread_index, errors, compute_log):
 
 
 def test_shared_cache_is_consistent_under_contention():
-    cache = StageCache(max_entries=4096)
+    cache = StageCache()
     errors: list[str] = []
     compute_log: list[tuple[str, str]] = []
     threads = [
@@ -69,8 +70,9 @@ def test_shared_cache_is_consistent_under_contention():
     assert len(compute_log) < total_lookups
 
 
-def test_eviction_bound_holds_under_contention():
-    cache = StageCache(max_entries=16)
+def test_eviction_bound_holds_under_contention(monkeypatch):
+    monkeypatch.setattr(cache_module, "MAX_ENTRIES", 16)
+    cache = StageCache()
     stop = threading.Event()
     errors = []
 
@@ -102,7 +104,7 @@ def test_eviction_bound_holds_under_contention():
 
 
 def test_clear_and_invalidate_race_free():
-    cache = StageCache(max_entries=512)
+    cache = StageCache()
     done = threading.Event()
     errors = []
 

@@ -20,6 +20,7 @@ from repro.cluster import (
     ShardRing,
     Shutdown,
 )
+from repro.cluster import client as cluster_client
 from repro.cluster.broker import _ring_hash
 from repro.cluster.worker import WorkerBoot, _WorkerRuntime
 from repro.core.feature import theory_reference_omegas
@@ -29,6 +30,7 @@ from repro.experiments.datasets import (
     split_dataset,
     standard_scene,
 )
+from repro.resilience import breaker as breaker_module
 from repro.resilience.retry import Backoff
 from repro.serve import MetricsRegistry, QueueFullError, ServiceStoppedError
 from repro.serve import workers
@@ -48,7 +50,7 @@ class TestShardRing:
         )
 
     def test_virtual_nodes_balance_load(self):
-        ring = ShardRing([0, 1, 2], vnodes=64)
+        ring = ShardRing([0, 1, 2])
         counts = {0: 0, 1: 0, 2: 0}
         for i in range(3000):
             counts[ring.route(f"key-{i}")] += 1
@@ -310,18 +312,18 @@ class TestWorkerAdapter:
         assert {reply.batch_size for reply in replies.values()} == {3}
         assert runtime.metrics.counter("faults.batch_isolated").value == 1
 
-    def test_crash_strands_one_batch_and_salvages_the_rest(self, tmp_path):
+    def test_crash_strands_one_batch_and_salvages_the_rest(
+        self, tmp_path, monkeypatch
+    ):
         """The adapter admits at most one micro-batch ahead of its
         replies, so a crash defers only that batch: the rest of the
         shard's backlog is still in the broker and is salvaged with its
         attempts untouched, not charged a redelivery."""
+        monkeypatch.setattr(cluster_client, "REDELIVERY_BACKOFF_BASE_S", 10.0)
+        monkeypatch.setattr(cluster_client, "REDELIVERY_BACKOFF_MAX_S", 20.0)
         orch = ClusterClient(
             tmp_path / "registry",
-            config=ClusterConfig(
-                num_workers=1, max_batch_size=2,
-                redelivery_backoff_base_s=10.0,
-                redelivery_backoff_max_s=20.0,
-            ),
+            config=ClusterConfig(num_workers=1, max_batch_size=2),
         )
         orch._spawn = lambda slot: None  # the replacement is not under test
         gate = threading.Event()
@@ -396,12 +398,24 @@ def deployment(tmp_path_factory):
     return wimi, test, registry, root
 
 
+#: Boot wait of the end-to-end tests: workers boot slowly on a loaded
+#: CI machine.
+SLOW_BOOT_TIMEOUT_S = 120.0
+
+
+@pytest.fixture
+def slow_boot(monkeypatch):
+    monkeypatch.setattr(cluster_client, "BOOT_TIMEOUT_S", SLOW_BOOT_TIMEOUT_S)
+
+
 @pytest.fixture(scope="module")
 def cluster(deployment):
     _, _, registry, root = deployment
-    config = ClusterConfig(num_workers=2, boot_timeout_s=120.0)
+    config = ClusterConfig(num_workers=2)
     client = ClusterClient(registry, config=config, store_root=root / "st")
-    client.start()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cluster_client, "BOOT_TIMEOUT_S", SLOW_BOOT_TIMEOUT_S)
+        client.start()
     yield client
     client.stop()
 
@@ -432,11 +446,10 @@ class TestClusterServing:
         for state in snap["shards"].values():
             assert state["alive"] and state["ready"]
 
-    def test_backpressure_rejects_beyond_capacity(self, deployment):
+    def test_backpressure_rejects_beyond_capacity(self, deployment, slow_boot):
         _, test, registry, root = deployment
         config = ClusterConfig(
-            num_workers=1, queue_capacity=2, boot_timeout_s=120.0,
-            throttle_s=0.2, max_batch_size=1,
+            num_workers=1, queue_capacity=2, throttle_s=0.2, max_batch_size=1,
         )
         with ClusterClient(registry, config=config) as client:
             handles = client.submit_many(list(test[:2]), timeout=None)
@@ -447,20 +460,22 @@ class TestClusterServing:
             # Capacity frees as requests resolve.
             assert client.identify(test[2], timeout=60.0)
 
-    def test_submit_after_stop_rejected(self, deployment):
+    def test_submit_after_stop_rejected(self, deployment, slow_boot):
         _, test, registry, _ = deployment
-        config = ClusterConfig(num_workers=1, boot_timeout_s=120.0)
+        config = ClusterConfig(num_workers=1)
         client = ClusterClient(registry, config=config)
         client.start()
         client.stop()
         with pytest.raises(ServiceStoppedError):
             client.submit(test[0])
 
-    def test_boot_failure_surfaces_as_cluster_error(self, tmp_path):
-        config = ClusterConfig(
-            num_workers=1, max_restarts=0, boot_timeout_s=60.0,
+    def test_boot_failure_surfaces_as_cluster_error(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(cluster_client, "MAX_RESTARTS", 0)
+        client = ClusterClient(
+            tmp_path / "missing-registry", config=ClusterConfig(num_workers=1)
         )
-        client = ClusterClient(tmp_path / "missing-registry", config=config)
         with pytest.raises(ClusterError):
             client.start()
         client.stop()
@@ -469,14 +484,14 @@ class TestClusterServing:
 @pytest.mark.slow
 class TestKillSurvival:
     def test_sigkilled_worker_restarts_with_zero_lost_requests(
-        self, deployment
+        self, deployment, slow_boot
     ):
         wimi, test, registry, root = deployment
         sessions = list(test) * 6
         expected = [str(x) for x in wimi.identify_batch(sessions)]
         config = ClusterConfig(
             num_workers=2, queue_capacity=256, max_batch_size=2,
-            boot_timeout_s=120.0, throttle_s=0.05,
+            throttle_s=0.05,
         )
         client = ClusterClient(
             registry, config=config, store_root=root / "kill-st"
@@ -495,13 +510,11 @@ class TestKillSurvival:
         assert counters["requests.failed"] == 0
 
     def test_restart_budget_exhaustion_degrades_to_survivors(
-        self, deployment
+        self, deployment, slow_boot, monkeypatch
     ):
         wimi, test, registry, _ = deployment
-        config = ClusterConfig(
-            num_workers=2, max_restarts=0, boot_timeout_s=120.0,
-        )
-        client = ClusterClient(registry, config=config)
+        monkeypatch.setattr(cluster_client, "MAX_RESTARTS", 0)
+        client = ClusterClient(registry, config=ClusterConfig(num_workers=2))
         with client:
             client.identify(test[0], timeout=60.0)  # cluster serves
             victim = client._slots[0]
@@ -528,15 +541,13 @@ class TestKillSurvival:
 
 
 @pytest.fixture
-def orch(tmp_path):
+def orch(tmp_path, monkeypatch):
     """A cluster client that never spawns workers: internals under test."""
-    config = ClusterConfig(
-        num_workers=2,
-        breaker_failure_threshold=2,
-        hedge_after_s=0.05,
-        redelivery_backoff_base_s=10.0,  # deferrals visibly in the future
-        redelivery_backoff_max_s=20.0,
-    )
+    monkeypatch.setattr(breaker_module, "FAILURE_THRESHOLD", 2)
+    # Deferrals visibly in the future.
+    monkeypatch.setattr(cluster_client, "REDELIVERY_BACKOFF_BASE_S", 10.0)
+    monkeypatch.setattr(cluster_client, "REDELIVERY_BACKOFF_MAX_S", 20.0)
+    config = ClusterConfig(num_workers=2, hedge_after_s=0.05)
     return ClusterClient(tmp_path / "registry", config=config)
 
 

@@ -205,10 +205,8 @@ class TestBranchSearchMatchesReference:
         clf._centroids._centroids = np.stack(
             [(high - mean) / scale, (low - mean) / scale]
         )
-        self._assert_twin(clf, features, None)
-        assert np.array_equal(
-            clf._resolve_block(features, 0, m, 4, None), low
-        )
+        for search in (clf._resolve_block, clf._reference_resolve_block):
+            assert np.array_equal(search(features, 0, m, 4, None), low)
 
     @pytest.mark.parametrize("envelope", [None, (0.05, 0.6)])
     def test_nan_neg_log_psi(self, envelope):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.csi import quality
 from repro.csi.faults import (
     AgcClipping,
     AntennaDropout,
@@ -19,7 +20,6 @@ from repro.csi.quality import (
     _RAIL_TOLERANCE,
     CorruptTraceError,
     DegradedTraceWarning,
-    QualityThresholds,
     SessionQualityReport,
     _clipped_packet_count,
     assess_trace,
@@ -301,20 +301,12 @@ class TestClippedPacketCountOracle:
 
 
 class TestThresholds:
-    def test_defaults_validated(self):
-        with pytest.raises(ValueError, match="min_packets"):
-            QualityThresholds(min_packets=0)
-        with pytest.raises(ValueError, match="max_loss_rate"):
-            QualityThresholds(max_loss_rate=1.5)
-        with pytest.raises(ValueError, match="min_live_antennas"):
-            QualityThresholds(min_live_antennas=0)
-
-    def test_thresholds_drive_qualification(self, trace):
+    def test_thresholds_drive_qualification(self, trace, monkeypatch):
         lossy = inject(trace, (PacketLoss(0.4),), seed=0)
-        lax = assess_trace(lossy, QualityThresholds(max_loss_rate=0.99))
-        strict = assess_trace(lossy, QualityThresholds(max_loss_rate=0.01))
-        assert not lax.is_corrupt
-        assert strict.is_corrupt
+        monkeypatch.setattr(quality, "MAX_LOSS_RATE", 0.99)
+        assert not assess_trace(lossy).is_corrupt
+        monkeypatch.setattr(quality, "MAX_LOSS_RATE", 0.01)
+        assert assess_trace(lossy).is_corrupt
 
     def test_min_live_antennas_hard_gate(self, trace):
         two_dead = inject(

@@ -25,6 +25,7 @@ from repro.engine import (
     session_fingerprint,
     trace_fingerprint,
 )
+from repro.engine import cache as cache_module
 from repro.engine.artifacts import (
     DenoisedTraceArtifact,
     FeatureArtifact,
@@ -224,8 +225,9 @@ class TestStageCache:
         assert cache.lookup_tier("a", "k") == (1, TIER_MEMORY)
         assert cache.lookup_tier("b", "k") == (2, TIER_MEMORY)
 
-    def test_lru_eviction(self):
-        cache = StageCache(max_entries=2)
+    def test_lru_eviction(self, monkeypatch):
+        monkeypatch.setattr(cache_module, "MAX_ENTRIES", 2)
+        cache = StageCache()
         cache.store("s", "k1", 1)
         cache.store("s", "k2", 2)
         cache.lookup_tier("s", "k1")  # refresh k1; k2 becomes LRU
@@ -240,10 +242,6 @@ class TestStageCache:
         cache.clear()
         assert len(cache) == 0
         assert cache.snapshot() == {}
-
-    def test_rejects_nonpositive_capacity(self):
-        with pytest.raises(ValueError, match="max_entries"):
-            StageCache(max_entries=0)
 
     def test_snapshot_is_plain_data(self):
         cache = StageCache()

@@ -1,6 +1,5 @@
 """ModelRegistry: versioning, promotion, rollback, and WiMi bundles."""
 
-import dataclasses
 import json
 
 import numpy as np
@@ -12,7 +11,7 @@ from repro.core.database import DatabaseClassifier
 from repro.core.feature import theory_reference_omegas
 from repro.core.pipeline import DeploymentCalibration, WiMi
 from repro.csi.faults import flip_bits
-from repro.csi.quality import QualityThresholds
+from repro.csi.quality import quality_thresholds
 from repro.experiments.datasets import (
     collect_dataset,
     split_dataset,
@@ -254,7 +253,7 @@ FIXED_FIELDS = {
     "svm_c": 10.0,
     "knn_k": 5,
     "max_gamma": 4,
-    "quality_thresholds": dataclasses.asdict(QualityThresholds()),
+    "quality_thresholds": quality_thresholds(),
     "degradation_policy": "degrade",
 }
 
@@ -266,9 +265,7 @@ OTHER_VALUES = {
     "svm_c": 1.0,
     "knn_k": 3,
     "max_gamma": 2,
-    "quality_thresholds": {
-        **dataclasses.asdict(QualityThresholds()), "max_loss_rate": 0.1
-    },
+    "quality_thresholds": {**quality_thresholds(), "max_loss_rate": 0.1},
     "degradation_policy": "raise",
 }
 

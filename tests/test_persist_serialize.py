@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core.feature import FeatureMeasurement
-from repro.csi.quality import QualityThresholds, TraceQualityReport
+from repro.csi import quality
+from repro.csi.quality import TraceQualityReport, quality_thresholds
 from repro.engine.artifacts import (
     Artifact,
     ClassificationArtifact,
@@ -32,6 +33,25 @@ RNG = np.random.default_rng(3)
 
 def _roundtrip(artifact):
     return deserialize_artifact(serialize_artifact(artifact))
+
+
+def _quality_report() -> TraceQualityReport:
+    return TraceQualityReport(
+        num_packets=10,
+        num_antennas=3,
+        num_subcarriers=30,
+        finite_fraction=0.97,
+        antenna_finite_fraction=RNG.uniform(0.9, 1.0, size=3),
+        subcarrier_finite_fraction=RNG.uniform(0.9, 1.0, size=30),
+        antenna_live_fraction=RNG.uniform(0.9, 1.0, size=3),
+        subcarrier_live_fraction=RNG.uniform(0.9, 1.0, size=30),
+        loss_rate=0.1,
+        sequence_gaps=1,
+        duplicate_packets=0,
+        reordered_packets=2,
+        clipped_packets=1,
+        clipping_rate=0.1,
+    )
 
 
 class TestPayloadCodec:
@@ -140,31 +160,29 @@ class TestArtifactRoundTrips:
         assert np.isnan(out.confidence)
 
     def test_trace_quality_artifact(self):
-        report = TraceQualityReport(
-            num_packets=10,
-            num_antennas=3,
-            num_subcarriers=30,
-            finite_fraction=0.97,
-            antenna_finite_fraction=RNG.uniform(0.9, 1.0, size=3),
-            subcarrier_finite_fraction=RNG.uniform(0.9, 1.0, size=30),
-            antenna_live_fraction=RNG.uniform(0.9, 1.0, size=3),
-            subcarrier_live_fraction=RNG.uniform(0.9, 1.0, size=30),
-            loss_rate=0.1,
-            sequence_gaps=1,
-            duplicate_packets=0,
-            reordered_packets=2,
-            clipped_packets=1,
-            clipping_rate=0.1,
-            thresholds=QualityThresholds(min_packets=4),
-        )
-        out = _roundtrip(TraceQualityArtifact(key="k-q", report=report))
+        report = _quality_report()
+        artifact = TraceQualityArtifact(key="k-q", report=report)
+        data = serialize_artifact(artifact)
+        out = deserialize_artifact(data)
         assert out.report.num_packets == 10
         assert out.report.loss_rate == 0.1
-        assert out.report.thresholds == report.thresholds
+        # The payload records the gate the report was judged by.
+        meta, _ = unpack(unframe(data))
+        assert meta["report"]["thresholds"] == quality_thresholds()
         assert np.array_equal(
             out.report.subcarrier_live_fraction,
             report.subcarrier_live_fraction,
         )
+
+    def test_trace_quality_gated_with_other_thresholds_is_refused(
+        self, monkeypatch
+    ):
+        artifact = TraceQualityArtifact(key="k-q", report=_quality_report())
+        with monkeypatch.context() as patched:
+            patched.setattr(quality, "MAX_LOSS_RATE", 0.1)
+            other = serialize_artifact(artifact)
+        with pytest.raises(ValueError, match="max_loss_rate"):
+            deserialize_artifact(other)
 
     def test_feature_artifact_full(self):
         measurement = FeatureMeasurement(

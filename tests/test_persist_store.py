@@ -10,11 +10,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.csi import quality
 from repro.csi.faults import flip_bits, truncate_file
-from repro.engine.artifacts import Artifact, DenoisedTraceArtifact
+from repro.csi.quality import assess_trace
+from repro.engine.artifacts import (
+    Artifact,
+    DenoisedTraceArtifact,
+    TraceQualityArtifact,
+)
 from repro.experiments.runner import parallel_map
 from repro.persist import ArtifactStore
 from repro.persist.serialize import deserialize_artifact, frame, pack
+from tests.test_csi_faults import make_trace
 
 STAGE = "amplitude_denoise"
 
@@ -237,6 +244,24 @@ class TestQuarantine:
         quarantine = store.stats()["quarantine"]
         assert quarantine["entries"] == 1
         assert quarantine["bytes"] > 0
+
+    def test_trace_quality_gated_with_other_thresholds_is_quarantined(
+        self, tmp_path, monkeypatch
+    ):
+        store = ArtifactStore(tmp_path / "store")
+        artifact = TraceQualityArtifact(
+            key="q1", report=assess_trace(make_trace())
+        )
+        with monkeypatch.context() as patched:
+            patched.setattr(quality, "MIN_PACKETS", 4)
+            store.put("trace_quality", "q1", artifact)
+        # A report judged by another gate is never served: a counted
+        # miss, its bytes quarantined, and a recompute heals the address.
+        assert store.get("trace_quality", "q1") is None
+        assert store.counters()["quarantined"] == 1
+        assert not store.path_for("trace_quality", "q1").exists()
+        assert store.put("trace_quality", "q1", artifact)
+        assert store.get("trace_quality", "q1") is not None
 
     def test_gc_purges_the_quarantine(self, tmp_path):
         store = ArtifactStore(tmp_path / "store")

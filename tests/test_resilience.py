@@ -21,6 +21,8 @@ from repro.resilience import (
     check_deadline,
     deadline_scope,
 )
+from repro.resilience import breaker as breaker_module
+from repro.resilience import retry
 from repro.resilience.deadline import _CURRENT
 
 #: The deadline governing the current context, if any.
@@ -43,21 +45,25 @@ class FakeClock:
 # ----------------------------------------------------------------------
 
 
+@pytest.fixture()
+def unjittered(monkeypatch):
+    """Backoff delays are their deterministic ceilings."""
+    monkeypatch.setattr(retry, "FULL_JITTER", False)
+
+
 class TestBackoff:
     def test_ceiling_grows_exponentially_to_cap(self):
-        backoff = Backoff(base_s=0.1, factor=2.0, max_s=0.5, jitter=False)
+        backoff = Backoff(base_s=0.1, max_s=0.5)
         assert [backoff.ceiling(a) for a in range(5)] == [
             0.1, 0.2, 0.4, 0.5, 0.5,
         ]
 
-    def test_unjittered_delay_is_the_ceiling(self):
-        backoff = Backoff(base_s=0.1, factor=2.0, max_s=1.0, jitter=False)
+    def test_unjittered_delay_is_the_ceiling(self, unjittered):
+        backoff = Backoff(base_s=0.1, max_s=1.0)
         assert backoff.delay(2) == pytest.approx(0.4)
 
     def test_full_jitter_samples_uniformly_below_ceiling(self):
-        backoff = Backoff(
-            base_s=0.1, factor=2.0, max_s=1.0, rng=random.Random(7)
-        )
+        backoff = Backoff(base_s=0.1, max_s=1.0, rng=random.Random(7))
         delays = [backoff.delay(3) for _ in range(200)]
         assert all(0.0 <= d <= 0.8 for d in delays)
         # Full jitter, not fixed: the samples actually spread out.
@@ -69,16 +75,12 @@ class TestBackoff:
         with pytest.raises(ValueError):
             Backoff(max_s=-1.0)
         with pytest.raises(ValueError):
-            Backoff(factor=0.5)
-        with pytest.raises(ValueError):
             Backoff().ceiling(-1)
 
 
 class TestRetryPolicy:
-    def test_delays_generator_matches_budget(self):
-        policy = RetryPolicy(
-            budget=3, backoff=Backoff(base_s=0.1, jitter=False, max_s=1.0)
-        )
+    def test_delays_generator_matches_budget(self, unjittered):
+        policy = RetryPolicy(budget=3, backoff=Backoff(base_s=0.1, max_s=1.0))
         assert list(policy.delays()) == [
             pytest.approx(0.1), pytest.approx(0.2), pytest.approx(0.4),
         ]
@@ -93,10 +95,10 @@ class TestRetryPolicy:
         assert policy.is_retryable(ValueError("transient"))
         assert not policy.is_retryable(KeyError("permanent"))
 
-    def test_sleep_uses_injected_sleeper_and_returns_delay(self):
+    def test_sleep_uses_injected_sleeper_and_returns_delay(self, unjittered):
         naps = []
         policy = RetryPolicy(
-            budget=2, backoff=Backoff(base_s=0.05, jitter=False, max_s=1.0)
+            budget=2, backoff=Backoff(base_s=0.05, max_s=1.0)
         )
         delay = policy.sleep(1, sleep=naps.append)
         assert naps == [pytest.approx(0.1)]
@@ -153,7 +155,7 @@ class TestDeadline:
 
 class TestCircuitBreaker:
     def test_opens_after_consecutive_failures_only(self):
-        breaker = CircuitBreaker(failure_threshold=3, clock=FakeClock())
+        breaker = CircuitBreaker(clock=FakeClock())
         breaker.record_failure()
         breaker.record_failure()
         breaker.record_success()  # resets the streak
@@ -164,12 +166,12 @@ class TestCircuitBreaker:
         assert breaker.state == OPEN
         assert not breaker.allow()
 
-    def test_half_open_grants_limited_trials_then_refuses(self):
+    def test_half_open_grants_limited_trials_then_refuses(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(breaker_module, "FAILURE_THRESHOLD", 1)
         clock = FakeClock()
-        breaker = CircuitBreaker(
-            failure_threshold=1, open_duration_s=5.0, half_open_trials=1,
-            clock=clock,
-        )
+        breaker = CircuitBreaker(clock=clock)
         breaker.record_failure()
         assert breaker.state == OPEN
         clock.advance(5.1)
@@ -177,11 +179,11 @@ class TestCircuitBreaker:
         assert breaker.allow()       # the one trial
         assert not breaker.allow()   # no more until evidence arrives
 
-    def test_half_open_success_closes_failure_reopens(self):
+    def test_half_open_success_closes_failure_reopens(self, monkeypatch):
+        monkeypatch.setattr(breaker_module, "FAILURE_THRESHOLD", 1)
+        monkeypatch.setattr(breaker_module, "OPEN_DURATION_S", 1.0)
         clock = FakeClock()
-        breaker = CircuitBreaker(
-            failure_threshold=1, open_duration_s=1.0, clock=clock
-        )
+        breaker = CircuitBreaker(clock=clock)
         breaker.record_failure()
         clock.advance(1.1)
         breaker.allow()
@@ -193,11 +195,13 @@ class TestCircuitBreaker:
         breaker.record_failure()  # trial failed: straight back to open
         assert breaker.state == OPEN
 
-    def test_transition_hook_sees_every_edge(self):
+    def test_transition_hook_sees_every_edge(self, monkeypatch):
+        monkeypatch.setattr(breaker_module, "FAILURE_THRESHOLD", 1)
+        monkeypatch.setattr(breaker_module, "OPEN_DURATION_S", 1.0)
         clock = FakeClock()
         edges = []
         breaker = CircuitBreaker(
-            failure_threshold=1, open_duration_s=1.0, clock=clock,
+            clock=clock,
             on_transition=lambda old, new: edges.append((old, new)),
         )
         breaker.record_failure()

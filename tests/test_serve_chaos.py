@@ -23,6 +23,7 @@ from repro.experiments.datasets import (
     standard_scene,
 )
 from repro.resilience import RetryPolicy
+from repro.serve import service as serve_service
 from repro.serve import DeadlineExceededError, IdentificationService, ServiceConfig
 from repro.serve.service import RequestHandle
 from repro.serve.workers import default_runner
@@ -43,7 +44,9 @@ def deployment():
 
 
 class TestFaultCounters:
-    def test_fault_on_first_attempt_retried_and_counted(self, deployment):
+    def test_fault_on_first_attempt_retried_and_counted(
+        self, deployment, monkeypatch
+    ):
         wimi, _, test = deployment
         failures = {"remaining": 1}
         lock = threading.Lock()
@@ -55,9 +58,9 @@ class TestFaultCounters:
                     raise TimeoutError("injected stage fault")
             return default_runner(view, sessions)
 
+        monkeypatch.setattr(serve_service, "RETRY_BACKOFF_BASE_S", 0.001)
         config = ServiceConfig(
-            num_workers=1, max_batch_size=1, retry_budget=2,
-            backoff_base_s=0.001,
+            num_workers=1, max_batch_size=1, retry_budget=2
         )
         with IdentificationService(wimi, config, runner=flaky) as service:
             handle = service.submit(test[0])
@@ -80,8 +83,7 @@ class TestFaultCounters:
             return default_runner(view, sessions)
 
         config = ServiceConfig(
-            num_workers=1, max_batch_size=8, retry_budget=0,
-            backoff_base_s=0.0,
+            num_workers=1, max_batch_size=8, retry_budget=0
         )
         with IdentificationService(wimi, config, runner=runner) as service:
             handles = service.submit_many([poisoned] + test[1:])
@@ -102,7 +104,7 @@ class TestFaultCounters:
 
 
 class TestCorruptTraceFastFail:
-    def test_corrupt_error_is_not_retried(self, deployment):
+    def test_corrupt_error_is_not_retried(self, deployment, monkeypatch):
         wimi, _, test = deployment
         attempts = {"count": 0}
         lock = threading.Lock()
@@ -112,9 +114,9 @@ class TestCorruptTraceFastFail:
                 attempts["count"] += 1
             raise CorruptTraceError("structurally broken capture")
 
+        monkeypatch.setattr(serve_service, "RETRY_BACKOFF_BASE_S", 0.001)
         config = ServiceConfig(
-            num_workers=1, max_batch_size=1, retry_budget=5,
-            backoff_base_s=0.001,
+            num_workers=1, max_batch_size=1, retry_budget=5
         )
         with IdentificationService(wimi, config, runner=rejecting) as service:
             handle = service.submit(test[0])
@@ -169,7 +171,9 @@ class TestCorruptTraceFastFail:
 
 
 class TestQueueNeverWedges:
-    def test_deadline_expiry_during_backoff_drains_queue(self, deployment):
+    def test_deadline_expiry_during_backoff_drains_queue(
+        self, deployment, monkeypatch
+    ):
         wimi, _, test = deployment
 
         def always_down(view, sessions):
@@ -177,9 +181,9 @@ class TestQueueNeverWedges:
 
         # Long backoff: the doomed request's deadline expires while the
         # worker sleeps between its retries.
+        monkeypatch.setattr(serve_service, "RETRY_BACKOFF_BASE_S", 0.05)
         config = ServiceConfig(
-            num_workers=1, max_batch_size=1, retry_budget=3,
-            backoff_base_s=0.05,
+            num_workers=1, max_batch_size=1, retry_budget=3
         )
         with IdentificationService(wimi, config, runner=always_down) as service:
             doomed = service.submit(test[0], timeout=0.02)
@@ -270,8 +274,7 @@ class TestQueueNeverWedges:
             return default_runner(view, sessions)
 
         config = ServiceConfig(
-            num_workers=2, max_batch_size=2, retry_budget=0,
-            backoff_base_s=0.0,
+            num_workers=2, max_batch_size=2, retry_budget=0
         )
         with IdentificationService(wimi, config, runner=intermittent) as service:
             burst = service.submit_many(test * 2)

@@ -26,6 +26,7 @@ from repro.serve import (
     ServiceStoppedError,
 )
 from repro.serve import workers
+from repro.serve import service as serve_service
 from repro.serve.workers import default_runner
 
 
@@ -74,8 +75,6 @@ class TestLifecycle:
             ServiceConfig(num_workers=0)
         with pytest.raises(ValueError):
             ServiceConfig(retry_budget=-1)
-        with pytest.raises(ValueError, match="backoff_base_s"):
-            ServiceConfig(backoff_base_s=0.5)  # above the 0.25 s cap
 
     def test_draining_stop_runs_the_batch_still_filling(
         self, deployment, monkeypatch
@@ -222,7 +221,7 @@ class TestBackpressure:
 
 
 class TestFaultIsolation:
-    def test_poisoned_request_fails_alone(self, deployment):
+    def test_poisoned_request_fails_alone(self, deployment, monkeypatch):
         wimi, _, test = deployment
         poisoned = test[0]
 
@@ -231,9 +230,9 @@ class TestFaultIsolation:
                 raise ValueError("poisoned session")
             return default_runner(view, sessions)
 
+        monkeypatch.setattr(serve_service, "RETRY_BACKOFF_BASE_S", 0.0)
         config = ServiceConfig(
-            num_workers=1, max_batch_size=8, retry_budget=1,
-            backoff_base_s=0.0,
+            num_workers=1, max_batch_size=8, retry_budget=1
         )
         with IdentificationService(wimi, config, runner=runner) as service:
             # Co-schedule the poison with healthy requests in one batch.
@@ -250,7 +249,9 @@ class TestFaultIsolation:
             assert counters["requests.failed"] == 1
             assert service.metrics.gauge("workers.alive").value == 1
 
-    def test_transient_fault_retried_with_backoff(self, deployment):
+    def test_transient_fault_retried_with_backoff(
+        self, deployment, monkeypatch
+    ):
         wimi, _, test = deployment
         failures = {"remaining": 2}
         lock = threading.Lock()
@@ -262,9 +263,9 @@ class TestFaultIsolation:
                     raise TimeoutError("transient backend glitch")
             return default_runner(view, sessions)
 
+        monkeypatch.setattr(serve_service, "RETRY_BACKOFF_BASE_S", 0.001)
         config = ServiceConfig(
-            num_workers=1, max_batch_size=1, retry_budget=3,
-            backoff_base_s=0.001,
+            num_workers=1, max_batch_size=1, retry_budget=3
         )
         with IdentificationService(wimi, config, runner=flaky) as service:
             handle = service.submit(test[0])
@@ -274,15 +275,16 @@ class TestFaultIsolation:
         assert counters["requests.completed"] == 1
         assert handle.attempts > 1
 
-    def test_retry_budget_exhaustion_returns_the_error(self, deployment):
+    def test_retry_budget_exhaustion_returns_the_error(
+        self, deployment, monkeypatch
+    ):
         wimi, _, test = deployment
 
         def always_down(view, sessions):
             raise ConnectionError("backend down")
 
-        config = ServiceConfig(
-            num_workers=1, retry_budget=2, backoff_base_s=0.0
-        )
+        monkeypatch.setattr(serve_service, "RETRY_BACKOFF_BASE_S", 0.0)
+        config = ServiceConfig(num_workers=1, retry_budget=2)
         with IdentificationService(wimi, config, runner=always_down) as service:
             handle = service.submit(test[0])
             with pytest.raises(ConnectionError):

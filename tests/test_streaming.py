@@ -29,9 +29,8 @@ from repro.core.streaming import (
 from repro.csi.collector import DataCollector, SessionConfig
 from repro.csi.faults import AntennaDropout, SubcarrierErasure, inject_session
 from repro.csi.quality import DegradedTraceWarning
-from repro.dsp.stats import circular_mean_axis, mad
+from repro.dsp.stats import circular_mean_axis
 from repro.dsp.streaming import (
-    RollingMad,
     RunningCircularStats,
     RunningVariance,
     window_log_sums,
@@ -113,49 +112,6 @@ class TestRunningVariance:
         assert np.isnan(acc.variance)  # needs >= 2 samples
         acc.add(4.0)
         assert acc.variance == pytest.approx(2.0)
-
-
-class TestRollingMad:
-    def test_matches_mad_of_trailing_window(self):
-        rng = np.random.default_rng(2)
-        values = rng.standard_normal(40)
-        rolling = RollingMad(window=16)
-        for v in values:
-            rolling.add(v)
-        assert rolling.value() == mad(np.asarray(values[-16:]))
-        assert len(rolling) == 16
-
-    @pytest.mark.parametrize("window", [1, 2, 5, 16, 32])
-    def test_exact_at_every_step(self, window):
-        """``==`` the offline MAD after every sample.
-
-        Walks odd and even fill levels while the window fills, then
-        wraps around it many times; a third of the samples sit on a
-        coarse grid so medians and deviations tie, and non-finite
-        samples are skipped rather than kept.
-        """
-        rng = np.random.default_rng(window)
-        values = rng.standard_normal(6 * window + 40)
-        values[::3] = np.round(values[::3], 1)
-        values[5::7] = np.nan
-        values[9::17] = np.inf
-        values[11::19] = -np.inf
-        rolling = RollingMad(window=window)
-        kept: list[float] = []
-        for v in values:
-            rolling.add(v)
-            if np.isfinite(v):
-                kept.append(float(v))
-            last_window = kept[-window:]
-            assert len(rolling) == len(last_window)
-            if last_window:
-                assert rolling.value() == mad(np.asarray(last_window))
-
-    def test_nan_while_empty_and_skips_non_finite(self):
-        rolling = RollingMad(window=4)
-        assert np.isnan(rolling.value())
-        rolling.add(float("nan"))
-        assert len(rolling) == 0
 
 
 class TestWindowLogSums:
@@ -495,7 +451,7 @@ class TestPollPath:
             for trace in (long_session.baseline, long_session.target)
         )
         assert windows == len(reduced) == expected
-        assert stream.estimate().windows_denoised == expected
+        assert stream.estimate().windows == expected
         assert set(reduced) == {size}
         channels = long_session.target.num_subcarriers * (
             long_session.target.num_antennas
@@ -534,8 +490,7 @@ class TestPollPath:
         def counting_neg_log_psi(self, pair):
             if pair == self._pair:
                 aggregates.append(
-                    (self._baseline.windows_denoised,
-                     self._target.windows_denoised)
+                    (self._baseline.windows, self._target.windows)
                 )
             return neg_log_psi(self, pair)
 
@@ -573,10 +528,10 @@ class TestPollPath:
             assert counts.get((target, "resultant_length"), 0) <= pushed
         # Each window state is aggregated once, whatever the polls: the
         # state before the first target window, then one per window.
-        baseline_windows = stream._baseline.windows_denoised
+        baseline_windows = stream._baseline.windows
         assert aggregates == [
             (baseline_windows, w)
-            for w in range(stream._target.windows_denoised + 1)
+            for w in range(stream._target.windows + 1)
         ]
 
 

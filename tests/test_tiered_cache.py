@@ -13,6 +13,7 @@ from repro.engine import (
     TIER_MEMORY,
 )
 from repro.engine.artifacts import ClassificationArtifact
+from repro.engine import cache as cache_module
 from repro.engine.cache import StageStats
 from repro.persist import ArtifactStore
 
@@ -79,9 +80,10 @@ class TestTierResolution:
         cache.resolve_tier(STAGE, "k", lambda: _artifact("k"))
         assert (STAGE, "k") in store
 
-    def test_eviction_then_disk_rehit(self, store):
+    def test_eviction_then_disk_rehit(self, store, monkeypatch):
         # Memory LRU evicts "a"; the disk tier still serves it.
-        cache = StageCache(max_entries=1, disk_store=store)
+        monkeypatch.setattr(cache_module, "MAX_ENTRIES", 1)
+        cache = StageCache(disk_store=store)
         cache.store(STAGE, "a", _artifact("a"))
         cache.store(STAGE, "b", _artifact("b"))
         assert (STAGE, "a") not in cache
@@ -89,8 +91,9 @@ class TestTierResolution:
         assert tier == TIER_DISK
         assert artifact.label == "label-a"
 
-    def test_without_disk_store_behaves_as_before(self):
-        cache = StageCache(max_entries=1)
+    def test_without_disk_store_behaves_as_before(self, monkeypatch):
+        monkeypatch.setattr(cache_module, "MAX_ENTRIES", 1)
+        cache = StageCache()
         cache.store(STAGE, "a", _artifact("a"))
         cache.store(STAGE, "b", _artifact("b"))
         artifact, tier = cache.lookup_tier(STAGE, "a")
@@ -151,10 +154,11 @@ class TestEventsAndCounter:
 
 
 class TestConcurrency:
-    def test_threads_racing_through_disk_tier(self, store):
+    def test_threads_racing_through_disk_tier(self, store, monkeypatch):
         # Many threads resolving the same keys over a shared disk tier
         # must neither crash nor corrupt the store.
-        cache = StageCache(max_entries=4, disk_store=store)
+        monkeypatch.setattr(cache_module, "MAX_ENTRIES", 4)
+        cache = StageCache(disk_store=store)
         errors = []
 
         def worker(worker_id: int) -> None:
